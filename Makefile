@@ -17,8 +17,10 @@ race:
 # The full gate: formatting, compile everything, vet (plus staticcheck
 # when the host has it — nothing is downloaded), the whole suite under
 # the race detector (the async pipeline's equivalence tests are only
-# meaningful raced), the zero-copy aliasing guard, and one iteration of
-# the end-to-end sort benchmark so the harness can never rot unexercised.
+# meaningful raced), the zero-copy aliasing guard, one iteration of the
+# end-to-end sort benchmark so the harness can never rot unexercised, and
+# the perfbench module (a module of its own, so `./...` above skips it,
+# yet it compiles against this one's packages).
 check: fmt-check build
 	go vet ./...
 	@if command -v staticcheck >/dev/null 2>&1; then \
@@ -28,6 +30,7 @@ check: fmt-check build
 	go test -race ./...
 	go test -tags=aliascheck ./internal/pdisk/ ./internal/srm/
 	go test -run='^$$' -bench='SortEndToEnd|ServerThroughput|ParallelMerge' -benchtime=1x .
+	cd perfbench && go vet ./... && go test ./...
 
 # The whole suite with MemStore's zero-copy mutation guard armed: every
 # block read is checksum-audited, so any merge path that mutates a block

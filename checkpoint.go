@@ -10,7 +10,7 @@
 // byte-identical to an uninterrupted run.
 //
 // Crash-consistency ordering: a pass's input runs are freed only *after*
-// the manifest naming its outputs is durably saved (pdisk.SortOpts
+// the manifest naming its outputs is durably saved (srm.SortOpts
 // AfterPass hook + FileStore's atomic rename). A crash at any instant
 // therefore leaves at least one manifest generation whose runs are fully
 // intact on the store; anything else resident is an orphan — a partially
@@ -28,7 +28,6 @@ import (
 	"srmsort/internal/pdisk"
 	"srmsort/internal/record"
 	"srmsort/internal/runio"
-	"srmsort/internal/srm"
 )
 
 // manifestVersion guards the manifest's JSON schema.
@@ -323,38 +322,21 @@ func resumeMerge[R record.KernelRecord](sys *pdisk.System, store pdisk.Store, ma
 		return nil, fmt.Errorf("srmsort: store cannot persist a checkpoint manifest")
 	}
 
+	if runsLeft == 0 {
+		return nil, fmt.Errorf("srmsort: manifest holds no runs")
+	}
 	if cfg.Algorithm == DSM {
 		runs := make([]*dsm.Run, len(gen.DSMRuns))
 		for i, st := range gen.DSMRuns {
 			runs[i] = dsm.RunFromState(st)
 		}
-		if len(runs) == 0 {
-			return nil, fmt.Errorf("srmsort: manifest holds no runs")
-		}
-		var final *dsm.Run
-		if len(runs) == 1 {
-			final = runs[0]
-		} else {
-			opts := dsm.MergeAllOpts{Async: cfg.Async, AfterPass: func(pass int, survivors []*dsm.Run, seq int) error {
-				if err := cp.save(runGen{Pass: gen.Pass + pass, Seq: seq, DSMRuns: dsmRunStates(survivors)}); err != nil {
-					return err
-				}
-				tr.pass(gen.Pass, pass, len(survivors))
-				return nil
-			}}
-			var ms dsm.SortStats
-			final, ms, _, err = dsm.MergeAll[R](sys, runs, r, gen.Seq, opts)
-			if err != nil {
-				return nil, err
+		return mergeDSM[R](sys, runs, r, gen.Seq, cfg, func(pass int, survivors []*dsm.Run, seq int) error {
+			if err := cp.save(runGen{Pass: gen.Pass + pass, Seq: seq, DSMRuns: dsmRunStates(survivors)}); err != nil {
+				return err
 			}
-			stats.MergePasses = ms.MergePasses
-			stats.MergeReads = ms.MergeReadOps
-			stats.MergeWrites = ms.MergeWriteOps
-		}
-		if cfg.Async {
-			return func(fn func(R) error) error { return dsm.StreamAsync(sys, final, fn) }, nil
-		}
-		return func(fn func(R) error) error { return dsm.Stream(sys, final, fn) }, nil
+			tr.pass(gen.Pass, pass, len(survivors))
+			return nil
+		}, stats)
 	}
 
 	// SRM family.
@@ -362,47 +344,19 @@ func resumeMerge[R record.KernelRecord](sys *pdisk.System, store pdisk.Store, ma
 	for i, st := range gen.Runs {
 		runs[i] = runio.RunFromState(st)
 	}
-	if len(runs) == 0 {
-		return nil, fmt.Errorf("srmsort: manifest holds no runs")
-	}
-	var final *runio.Run
-	if len(runs) == 1 {
-		final = runs[0]
-	} else {
-		counting := &runio.CountingPlacement{Inner: replayedPlacement(cfg, gen.Draws)}
-		opts := srm.SortOpts{
-			Async:   cfg.Async,
-			Workers: cfg.Workers,
-			Cores:   cfg.cores(),
-			AfterPass: func(pass int, survivors []*runio.Run, seq int) error {
-				if err := cp.save(runGen{
-					Pass:  gen.Pass + pass,
-					Seq:   seq,
-					Draws: gen.Draws + counting.Draws(),
-					Runs:  runStates(survivors),
-				}); err != nil {
-					return err
-				}
-				tr.pass(gen.Pass, pass, len(survivors))
-				return nil
-			},
+	counting := &runio.CountingPlacement{Inner: replayedPlacement(cfg, gen.Draws)}
+	return mergeSRM[R](sys, runs, r, counting, gen.Seq, cfg, func(pass int, survivors []*runio.Run, seq int) error {
+		if err := cp.save(runGen{
+			Pass:  gen.Pass + pass,
+			Seq:   seq,
+			Draws: gen.Draws + counting.Draws(),
+			Runs:  runStates(survivors),
+		}); err != nil {
+			return err
 		}
-		var ss srm.SortStats
-		final, ss, _, err = srm.SortRunsOpts[R](sys, runs, r, counting, gen.Seq, opts)
-		if err != nil {
-			return nil, err
-		}
-		stats.MergePasses = ss.MergePasses
-		stats.MergeReads = ss.ReadOps
-		stats.MergeWrites = ss.WriteOps
-		stats.Flushes = ss.Flushes
-		stats.BlocksFlushed = ss.BlocksFlushed
-		stats.BlocksReread = ss.BlocksReread
-	}
-	if cfg.Async {
-		return func(fn func(R) error) error { return runio.StreamAsync(sys, final, fn) }, nil
-	}
-	return func(fn func(R) error) error { return runio.Stream(sys, final, fn) }, nil
+		tr.pass(gen.Pass, pass, len(survivors))
+		return nil
+	}, stats)
 }
 
 // Scrub opens the FileStore under cfg.Dir and audits every resident

@@ -26,8 +26,7 @@ func TestCheckpointFaultFreeEquivalence(t *testing.T) {
 	for _, alg := range ckptAlgorithms {
 		for _, backend := range []Backend{MemBackend, FileBackend} {
 			t.Run(fmt.Sprintf("%v-%s", alg, backend), func(t *testing.T) {
-				cfg := Config{D: 4, B: 8, K: 3, Algorithm: alg, Seed: 5,
-					Backend: backend, TempDir: t.TempDir()}
+				cfg := Config{D: 4, B: 8, K: 3, Algorithm: alg, Seed: 5, Backend: backend}
 				plain, plainStats, err := Sort(in, cfg)
 				if err != nil {
 					t.Fatal(err)

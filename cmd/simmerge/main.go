@@ -202,7 +202,7 @@ func realMerge(d, k, blocks, b int, placement string, seed int64, showTrace bool
 		sink = trace.Multi(checker, recorder)
 	}
 	sys.ResetStats()
-	_, stats, err := srm.MergeTraced[record.Rec16](sys, descs, numRuns, numRuns, 0, sink)
+	_, stats, err := srm.Merge[record.Rec16](sys, descs, numRuns, numRuns, 0, srm.MergeOpts{Sink: sink})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "simmerge:", err)
 		os.Exit(1)

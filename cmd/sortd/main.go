@@ -12,7 +12,7 @@
 //	      [-core-budget N] [-gate-width 2] [-gate-disks 64] [-retries 5]
 //	      [-max-attempts 3] [-op-deadline DUR] [-hedge-after DUR]
 //	      [-drain 5s] [-d 8] [-b 64] [-k 4] [-alg srm] [-seed 1]
-//	      [-async] [-workers N] [-cores N]
+//	      [-async] [-cores N]
 //
 // The -d/-b/-k/-alg/... flags are per-job defaults; each submission may
 // override them with query parameters. Submit wire-format records
@@ -72,7 +72,6 @@ func main() {
 		alg         = flag.String("alg", "srm", "default algorithm: srm, srm-det, dsm, psv")
 		seed        = flag.Int64("seed", 1, "default placement seed")
 		async       = flag.Bool("async", false, "default: overlap I/O with merging")
-		workers     = flag.Int("workers", 0, "default merge workers (-1 = GOMAXPROCS)")
 		cores       = flag.Int("cores", 1, "default cores per job's sort steps (identical output at any value)")
 		codec       = flag.String("codec", "fixed16", "default record codec: fixed16, varlen, varlen+flate")
 	)
@@ -87,7 +86,7 @@ func main() {
 		MaxAttempts:  *maxAttempts,
 		Defaults: jobs.Spec{
 			Algorithm: *alg, D: *d, B: *b, K: *k, Memory: *mem,
-			Seed: *seed, Async: *async, Workers: *workers, Cores: *cores,
+			Seed: *seed, Async: *async, Cores: *cores,
 			Codec: *codec,
 		},
 		Logf: log.Printf,

@@ -78,7 +78,6 @@ func main() {
 		backend  = flag.String("backend", "mem", "storage backend: mem (in-process), file (real disk files)")
 		codec    = flag.String("codec", "fixed16", "record codec: fixed16, varlen, varlen+flate")
 		dir      = flag.String("dir", "", "directory for -backend file disk files (default: fresh temp dir)")
-		file     = flag.Bool("file", false, "deprecated alias for -backend file")
 		seed     = flag.Int64("seed", 1, "random seed (placement and input)")
 		workers  = flag.Int("workers", 0, "goroutines for a pass's merges (SRM only; -1 = GOMAXPROCS)")
 		cores    = flag.Int("cores", 0, "cores per sort step: chunked run formation and sharded merging (0 = GOMAXPROCS, 1 = serial; identical output)")
@@ -112,7 +111,7 @@ func main() {
 		fatal("unknown -codec %q (want fixed16, varlen or varlen+flate)", *codec)
 	}
 	switch {
-	case *backend == "file" || *file:
+	case *backend == "file":
 		cfg.Backend = srmsort.FileBackend
 	case *backend == "mem":
 		cfg.Backend = srmsort.MemBackend

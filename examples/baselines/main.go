@@ -60,7 +60,7 @@ func main() {
 			log.Fatal(err)
 		}
 		r := analysis.SRMMergeOrder(m, d, b)
-		final, stats, _, err := srm.SortRuns[record.Record](sys, formed.Runs, r, pl, formed.NextSeq)
+		final, stats, _, err := srm.SortRunsOpts[record.Record](sys, formed.Runs, r, pl, formed.NextSeq, srm.SortOpts{})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -77,10 +77,15 @@ func main() {
 		file := mustLoad(sys, input)
 		sys.ResetStats()
 		r := analysis.DSMMergeOrder(m, d, b)
-		final, stats, err := dsm.Sort[record.Record](sys, file, load, r)
+		runs, err := dsm.FormRunsCores[record.Record](sys, file, load, false, 1)
 		if err != nil {
 			log.Fatal(err)
 		}
+		final, stats, _, err := dsm.MergeAll[record.Record](sys, runs, r, len(runs), dsm.MergeAllOpts{})
+		if err != nil {
+			log.Fatal(err)
+		}
+		total := sys.Stats().Ops()
 		got, err := dsm.ReadAll[record.Record](sys, final)
 		if err != nil {
 			log.Fatal(err)
@@ -88,7 +93,6 @@ func main() {
 		if !record.IsSortedRecords(got) || record.Checksum(got) != want {
 			log.Fatal("DSM output verification failed")
 		}
-		total := stats.TotalOps()
 		fmt.Printf("%6s %8d %8d %12d %12s %12d %12.2f\n",
 			"DSM", r, stats.MergePasses, stats.MergeReadOps+stats.MergeWriteOps, "-",
 			total, float64(total)/float64(srmTotal))

@@ -277,12 +277,7 @@ func FuzzGallopMergeEquiv(f *testing.F) {
 				}
 				stored = append(stored, run)
 			}
-			var merged *runio.Run
-			if async {
-				merged, _, err = srm.MergeAsync[record.Record](sys, stored, len(stored), 1000, 0)
-			} else {
-				merged, _, err = srm.Merge[record.Record](sys, stored, len(stored), 1000, 0)
-			}
+			merged, _, err := srm.Merge[record.Record](sys, stored, len(stored), 1000, 0, srm.MergeOpts{Async: async})
 			if err != nil {
 				t.Fatal(err)
 			}

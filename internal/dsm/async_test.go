@@ -11,14 +11,15 @@ import (
 	"srmsort/internal/runform"
 )
 
-// SortAsync must be indistinguishable from Sort: identical records out,
-// identical statistics, identical system-level operation counts.
+// An async DSM sort must be indistinguishable from a sync one: identical
+// records out, identical statistics, identical system-level operation
+// counts.
 func TestSortAsyncEquivalence(t *testing.T) {
 	for _, d := range []int{1, 2, 4, 8} {
 		g := record.NewGenerator(int64(d) * 31)
 		all := g.Random(2000)
 
-		do := func(async bool) ([]record.Record, SortStats, int64) {
+		do := func(async bool) ([]record.Record, sorted, int64) {
 			sys := newSys(t, d, 4)
 			defer sys.Close()
 			file, err := runform.LoadInput(sys, all)
@@ -26,23 +27,16 @@ func TestSortAsyncEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 			sys.ResetStats()
-			var (
-				final *Run
-				st    SortStats
-			)
-			if async {
-				final, st, err = SortAsync[record.Record](sys, file, 120, 3)
-			} else {
-				final, st, err = Sort[record.Record](sys, file, 120, 3)
-			}
+			res, err := sortFile(sys, file, 120, 3, async)
 			if err != nil {
 				t.Fatal(err)
 			}
-			recs, err := ReadAll[record.Record](sys, final)
+			recs, err := ReadAll[record.Record](sys, res.out)
 			if err != nil {
 				t.Fatal(err)
 			}
-			return recs, st, sys.Stats().Ops()
+			res.out = nil // compare the counts, not the descriptor
+			return recs, res, sys.Stats().Ops()
 		}
 
 		sRecs, sStats, sOps := do(false)
@@ -156,7 +150,7 @@ func TestSortAsyncInjectedFaults(t *testing.T) {
 			t.Fatal(err)
 		}
 		fault.set(fs, sys.Stats())
-		_, _, err = SortAsync[record.Record](sys, file, 80, 3)
+		_, err = sortFile(sys, file, 80, 3, true)
 		if !errors.Is(err, pdisk.ErrInjected) {
 			t.Fatalf("%s fault: %v, want ErrInjected", fault.name, err)
 		}

@@ -34,16 +34,12 @@ func TestSortBackendEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		sys.ResetStats()
-		sort := Sort[record.Record]
-		if async {
-			sort = SortAsync[record.Record]
-		}
-		final, _, err := sort(sys, file, 90, 3)
+		res, err := sortFile(sys, file, 90, 3, async)
 		if err != nil {
 			t.Fatal(err)
 		}
 		stats := sys.Stats()
-		out, err := ReadAll[record.Record](sys, final)
+		out, err := ReadAll[record.Record](sys, res.out)
 		if err != nil {
 			t.Fatal(err)
 		}

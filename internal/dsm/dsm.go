@@ -98,16 +98,6 @@ func NewWriter[R record.KernelRecord](sys *pdisk.System, id int) *Writer[R] {
 	return &Writer[R]{sys: sys, run: &Run{ID: id}}
 }
 
-// NewWriterAsync is NewWriter with write-behind: each logical block is
-// issued asynchronously and awaited only when the next one is ready (or at
-// Finish). Emitted stripes and operation counts are identical to the
-// synchronous writer's.
-func NewWriterAsync[R record.KernelRecord](sys *pdisk.System, id int) *Writer[R] {
-	w := NewWriter[R](sys, id)
-	w.async = true
-	return w
-}
-
 // Append adds the next record; records must arrive in nondecreasing key
 // order.
 func (w *Writer[R]) Append(r R) error {
@@ -230,24 +220,6 @@ type MergeStats struct {
 	WriteOps int64
 }
 
-// Merge merges the given runs into one, reading one logical block per I/O
-// operation exactly when a run's buffer drains (the classical k-way merge
-// with striped disks). The number of read operations is precisely the total
-// number of logical input blocks.
-func Merge[R record.KernelRecord](sys *pdisk.System, runs []*Run, outID int) (*Run, MergeStats, error) {
-	return mergeRuns[R](sys, runs, outID, false)
-}
-
-// MergeAsync is Merge with overlapped I/O: each run's next logical block is
-// prefetched while the current one is consumed (the double buffering DSM's
-// memory budget of 2 logical blocks per run provides for), and output
-// stripes are written behind the merge. Every stripe is still read exactly
-// once and written exactly once, so statistics and output are identical to
-// Merge's.
-func MergeAsync[R record.KernelRecord](sys *pdisk.System, runs []*Run, outID int) (*Run, MergeStats, error) {
-	return mergeRuns[R](sys, runs, outID, true)
-}
-
 // stripePrefetcher hands out one run's logical blocks in order, keeping the
 // next one in flight — the run's second read buffer.
 type stripePrefetcher[R record.KernelRecord] struct {
@@ -287,6 +259,14 @@ func (p *stripePrefetcher[R]) drain() {
 	}
 }
 
+// mergeRuns merges the given runs into one, reading one logical block per
+// I/O operation exactly when a run's buffer drains (the classical k-way
+// merge with striped disks), so the number of read operations is precisely
+// the total number of logical input blocks. async prefetches each run's
+// next logical block while the current one is consumed (the double
+// buffering DSM's memory budget of 2 logical blocks per run provides for)
+// and writes output stripes behind the merge; every stripe is still read
+// and written exactly once, so statistics and output do not change.
 func mergeRuns[R record.KernelRecord](sys *pdisk.System, runs []*Run, outID int, async bool) (*Run, MergeStats, error) {
 	if len(runs) == 0 {
 		return nil, MergeStats{}, fmt.Errorf("dsm: merge of zero runs")
@@ -364,9 +344,7 @@ func mergeRuns[R record.KernelRecord](sys *pdisk.System, runs []*Run, outID int,
 		lt = ltree.New(keys)
 	}
 	w := NewWriter[R](sys, outID)
-	if async {
-		w.async = true
-	}
+	w.async = async
 	for lt.Len() > 0 {
 		i, _ := lt.Min()
 		// Galloped emission: run i keeps winning while its key is below the
@@ -424,44 +402,21 @@ func Free(sys *pdisk.System, r *Run) error {
 	return nil
 }
 
-// SortStats aggregates a full DSM sort.
+// SortStats aggregates the merge passes of MergeAll.
 type SortStats struct {
-	RunFormationReads  int64
-	RunFormationWrites int64
-	MergePasses        int
-	Merges             int
-	MergeReadOps       int64
-	MergeWriteOps      int64
-	InitialRuns        int
+	MergePasses   int
+	Merges        int
+	MergeReadOps  int64
+	MergeWriteOps int64
 }
 
-// TotalOps returns all parallel I/O operations of the sort.
-func (s SortStats) TotalOps() int64 {
-	return s.RunFormationReads + s.RunFormationWrites + s.MergeReadOps + s.MergeWriteOps
-}
-
-// FormRuns performs DSM's run-formation pass: the striped input is read
-// with full parallelism, sorted one load at a time, and each load is
-// written out as a run in logical blocks.
-func FormRuns[R record.KernelRecord](sys *pdisk.System, file *runform.InputFile, load int) ([]*Run, error) {
-	return formRuns[R](sys, file, load, false, 1)
-}
-
-// FormRunsAsync is FormRuns with each load's output stripes written behind
-// the in-memory sort of the next load.
-func FormRunsAsync[R record.KernelRecord](sys *pdisk.System, file *runform.InputFile, load int) ([]*Run, error) {
-	return formRuns[R](sys, file, load, true, 1)
-}
-
-// FormRunsCores is FormRuns with each load sorted across up to cores
-// goroutines (pmerge.Sort); async selects write-behind as in
-// FormRunsAsync. Sorted loads are byte-identical for every core count, so
-// the emitted stripes and operation counts never depend on cores.
+// FormRunsCores performs DSM's run-formation pass: the striped input is
+// read with full parallelism, sorted one load at a time across up to cores
+// goroutines (pmerge.Sort), and each load is written out as a run in
+// logical blocks — behind the next load's sort when async is set. Sorted
+// loads are byte-identical for every core count, so the emitted stripes
+// and operation counts depend on neither cores nor async.
 func FormRunsCores[R record.KernelRecord](sys *pdisk.System, file *runform.InputFile, load int, async bool, cores int) ([]*Run, error) {
-	return formRuns[R](sys, file, load, async, cores)
-}
-
-func formRuns[R record.KernelRecord](sys *pdisk.System, file *runform.InputFile, load int, async bool, cores int) ([]*Run, error) {
 	if load < 1 {
 		return nil, fmt.Errorf("dsm: load %d", load)
 	}
@@ -491,58 +446,6 @@ func formRuns[R record.KernelRecord](sys *pdisk.System, file *runform.InputFile,
 	}
 }
 
-// Sort externally sorts the striped input file with DSM: memory-load run
-// formation with loads of 'load' records, then passes of r-way merges. It
-// returns the final run.
-func Sort[R record.KernelRecord](sys *pdisk.System, file *runform.InputFile, load, r int) (*Run, SortStats, error) {
-	return sortFile[R](sys, file, load, r, false, 1)
-}
-
-// SortAsync is Sort with overlapped I/O throughout: run formation writes
-// behind the in-memory sorts, and every merge prefetches input stripes and
-// writes output behind the merge. Output and statistics are identical to
-// Sort's.
-func SortAsync[R record.KernelRecord](sys *pdisk.System, file *runform.InputFile, load, r int) (*Run, SortStats, error) {
-	return sortFile[R](sys, file, load, r, true, 1)
-}
-
-// SortCores is Sort/SortAsync with run-formation loads sorted across up
-// to cores goroutines. Output and statistics are identical to Sort's for
-// every core count.
-func SortCores[R record.KernelRecord](sys *pdisk.System, file *runform.InputFile, load, r int, async bool, cores int) (*Run, SortStats, error) {
-	return sortFile[R](sys, file, load, r, async, cores)
-}
-
-func sortFile[R record.KernelRecord](sys *pdisk.System, file *runform.InputFile, load, r int, async bool, cores int) (*Run, SortStats, error) {
-	if r < 2 {
-		return nil, SortStats{}, fmt.Errorf("dsm: merge order %d, need >= 2", r)
-	}
-	var stats SortStats
-	before := sys.Stats()
-	runs, err := formRuns[R](sys, file, load, async, cores)
-	if err != nil {
-		return nil, stats, err
-	}
-	afterForm := sys.Stats()
-	stats.RunFormationReads = afterForm.ReadOps - before.ReadOps
-	stats.RunFormationWrites = afterForm.WriteOps - before.WriteOps
-	stats.InitialRuns = len(runs)
-	if len(runs) == 0 {
-		// Empty input: return an empty run.
-		out, err := NewWriter[R](sys, 0).Finish()
-		return out, stats, err
-	}
-	final, ms, _, err := MergeAll[R](sys, runs, r, len(runs), MergeAllOpts{Async: async})
-	if err != nil {
-		return nil, stats, err
-	}
-	stats.MergePasses = ms.MergePasses
-	stats.Merges = ms.Merges
-	stats.MergeReadOps = ms.MergeReadOps
-	stats.MergeWriteOps = ms.MergeWriteOps
-	return final, stats, nil
-}
-
 // PassFunc is the checkpoint hook of MergeAll: invoked after each
 // completed merge pass (1-based within the call) with the surviving runs
 // and next sequence number, before the pass's input runs are freed.
@@ -550,13 +453,17 @@ type PassFunc func(pass int, survivors []*Run, nextSeq int) error
 
 // MergeAllOpts selects MergeAll's execution mode.
 type MergeAllOpts struct {
-	Async     bool
+	// Async prefetches input stripes and writes output stripes behind
+	// every merge; statistics and output are unchanged.
+	Async bool
+	// AfterPass, when non-nil, is the checkpoint hook described at
+	// PassFunc.
 	AfterPass PassFunc
 }
 
 // MergeAll repeatedly merges runs, r at a time, until one remains — the
-// merge half of a DSM sort, exposed separately so a checkpointed sort can
-// resume it over runs reconstructed from a manifest. When AfterPass is
+// merge half of a DSM sort after FormRunsCores, and what a checkpointed
+// sort resumes over runs reconstructed from a manifest. When AfterPass is
 // installed, each pass's inputs are freed only after the hook returns (so
 // a persisted manifest always names live runs); otherwise frees follow
 // each merge immediately.

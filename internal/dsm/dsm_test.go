@@ -85,17 +85,20 @@ func TestMergeCorrectAndCounted(t *testing.T) {
 		runs = append(runs, run)
 		totalStripes += run.NumStripes()
 	}
-	out, ms, err := Merge[record.Record](sys, runs, 99)
+	out, ms, _, err := MergeAll[record.Record](sys, runs, len(runs), 99, MergeAllOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ms.ReadOps != int64(totalStripes) {
-		t.Fatalf("merge read ops = %d, want exactly the %d input logical blocks",
-			ms.ReadOps, totalStripes)
+	if ms.Merges != 1 {
+		t.Fatalf("%d merges, want one", ms.Merges)
 	}
-	if ms.WriteOps != int64(out.NumStripes()) {
+	if ms.MergeReadOps != int64(totalStripes) {
+		t.Fatalf("merge read ops = %d, want exactly the %d input logical blocks",
+			ms.MergeReadOps, totalStripes)
+	}
+	if ms.MergeWriteOps != int64(out.NumStripes()) {
 		t.Fatalf("merge write ops = %d, want %d output logical blocks",
-			ms.WriteOps, out.NumStripes())
+			ms.MergeWriteOps, out.NumStripes())
 	}
 	got, err := ReadAll[record.Record](sys, out)
 	if err != nil {
@@ -115,28 +118,28 @@ func TestSortEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	sys.ResetStats()
-	out, stats, err := Sort[record.Record](sys, file, 100, 4)
+	res, err := sortFile(sys, file, 100, 4, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadAll[record.Record](sys, out)
+	got, err := ReadAll[record.Record](sys, res.out)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !record.IsSortedRecords(got) || record.Checksum(got) != record.Checksum(all) {
 		t.Fatal("DSM sort output wrong")
 	}
-	if stats.InitialRuns != 30 {
-		t.Fatalf("initial runs = %d, want 30", stats.InitialRuns)
+	if res.initialRuns != 30 {
+		t.Fatalf("initial runs = %d, want 30", res.initialRuns)
 	}
 	// 30 runs merged 4 at a time: passes = ceil(log_4 30) = 3.
-	if stats.MergePasses != 3 {
-		t.Fatalf("merge passes = %d, want 3", stats.MergePasses)
+	if res.stats.MergePasses != 3 {
+		t.Fatalf("merge passes = %d, want 3", res.stats.MergePasses)
 	}
 	// Run formation: N/DB reads and writes (N=3000, DB=16 -> 188 each,
 	// with rounding per run: reads = ceil(750/4) stripes of the input).
-	if stats.RunFormationReads != int64((file.NumBlocks()+3)/4) {
-		t.Fatalf("run formation reads = %d", stats.RunFormationReads)
+	if res.formReads != int64((file.NumBlocks()+3)/4) {
+		t.Fatalf("run formation reads = %d", res.formReads)
 	}
 }
 
@@ -146,12 +149,12 @@ func TestSortEmptyAndTiny(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, _, err := Sort[record.Record](sys, file, 10, 2)
+	res, err := sortFile(sys, file, 10, 2, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Records != 0 {
-		t.Fatalf("empty sort has %d records", out.Records)
+	if res.out.Records != 0 {
+		t.Fatalf("empty sort has %d records", res.out.Records)
 	}
 	// Input smaller than one load: zero merge passes.
 	g := record.NewGenerator(4)
@@ -160,14 +163,14 @@ func TestSortEmptyAndTiny(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, stats, err := Sort[record.Record](sys, file, 10, 2)
+	res, err = sortFile(sys, file, 10, 2, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.MergePasses != 0 {
-		t.Fatalf("tiny input took %d merge passes", stats.MergePasses)
+	if res.stats.MergePasses != 0 {
+		t.Fatalf("tiny input took %d merge passes", res.stats.MergePasses)
 	}
-	got, err := ReadAll[record.Record](sys, out)
+	got, err := ReadAll[record.Record](sys, res.out)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,11 +194,11 @@ func TestPropertySortCorrect(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		out, _, err := Sort[record.Record](sys, file, 50, 3)
+		res, err := sortFile(sys, file, 50, 3, false)
 		if err != nil {
 			return false
 		}
-		got, err := ReadAll[record.Record](sys, out)
+		got, err := ReadAll[record.Record](sys, res.out)
 		if err != nil {
 			return false
 		}
@@ -204,4 +207,29 @@ func TestPropertySortCorrect(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// sorted is the outcome of sortFile.
+type sorted struct {
+	out         *Run
+	initialRuns int
+	formReads   int64 // read operations of the run-formation pass
+	stats       SortStats
+}
+
+// sortFile runs a whole DSM sort of the input file the way srmsort drives
+// one: FormRunsCores, then MergeAll over the formed runs.
+func sortFile(sys *pdisk.System, file *runform.InputFile, load, r int, async bool) (sorted, error) {
+	before := sys.Stats().ReadOps
+	runs, err := FormRunsCores[record.Record](sys, file, load, async, 1)
+	if err != nil {
+		return sorted{}, err
+	}
+	res := sorted{initialRuns: len(runs), formReads: sys.Stats().ReadOps - before}
+	if len(runs) == 0 {
+		res.out, err = NewWriter[record.Record](sys, 0).Finish()
+		return res, err
+	}
+	res.out, res.stats, _, err = MergeAll[record.Record](sys, runs, r, len(runs), MergeAllOpts{Async: async})
+	return res, err
 }

@@ -15,7 +15,7 @@ import (
 //
 //	POST   /jobs             submit: body = wire-format records, query
 //	                         parameters = Spec fields (alg, d, b, k,
-//	                         mem, seed, async, workers, cores, codec);
+//	                         mem, seed, async, cores, codec);
 //	                         returns 202 with the job status
 //	GET    /jobs             list every job plus server stats
 //	GET    /jobs/{id}        one job's status
@@ -144,6 +144,12 @@ func (m *Manager) Stats() ServerStats {
 func specFromQuery(r *http.Request) (Spec, error) {
 	q := r.URL.Query()
 	var spec Spec
+	if q.Has("workers") {
+		// Admission reserves one merge's memory and the job's cores; a
+		// pass-level worker pool would run several merges outside that
+		// reservation.
+		return spec, fmt.Errorf("query parameter workers is not supported; use cores")
+	}
 	spec.Algorithm = q.Get("alg")
 	spec.Codec = q.Get("codec")
 	var err error
@@ -162,7 +168,6 @@ func specFromQuery(r *http.Request) (Spec, error) {
 	spec.B = geti("b")
 	spec.K = geti("k")
 	spec.Memory = geti("mem")
-	spec.Workers = geti("workers")
 	spec.Cores = geti("cores")
 	if s := q.Get("seed"); s != "" && err == nil {
 		v, perr := strconv.ParseInt(s, 10, 64)

@@ -63,9 +63,10 @@ type Spec struct {
 	Memory int `json:"memory,omitempty"`
 	// Seed fixes the randomized layout; 0 inherits the server default.
 	Seed int64 `json:"seed,omitempty"`
-	// Async enables the overlapped-I/O pipeline with Workers per disk.
-	Async   bool `json:"async,omitempty"`
-	Workers int  `json:"workers,omitempty"`
+	// Async enables the overlapped-I/O pipeline. Spec files written
+	// before the per-job workers knob was removed may still carry a
+	// "workers" field; decoding ignores it.
+	Async bool `json:"async,omitempty"`
 	// Cores is how many goroutines the job's single sort steps spread
 	// comparison work over (library Config.Cores). It is reserved from
 	// the server's core budget alongside memory; 0 inherits the server
@@ -103,8 +104,8 @@ func (s Spec) withDefaults(d Spec) Spec {
 	if s.Codec == "" {
 		s.Codec = d.Codec
 	}
-	if !s.Async && d.Async {
-		s.Async, s.Workers = d.Async, d.Workers
+	if !s.Async {
+		s.Async = d.Async
 	}
 	return s
 }
@@ -140,7 +141,6 @@ func (s Spec) Config() (srmsort.Config, error) {
 		Algorithm: alg,
 		Seed:      s.Seed,
 		Async:     s.Async,
-		Workers:   s.Workers,
 		Cores:     s.Cores,
 		Codec:     s.Codec,
 	}, nil

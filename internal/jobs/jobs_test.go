@@ -9,6 +9,8 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -473,7 +475,8 @@ func TestServerLoad(t *testing.T) {
 }
 
 // TestHTTPCancelAndErrors covers the remaining wire surface: status 404,
-// result 409 before completion, DELETE cancel, healthz.
+// 400 on the removed workers parameter, result 409 before completion,
+// DELETE cancel, healthz.
 func TestHTTPCancelAndErrors(t *testing.T) {
 	cfg, _ := testSpec(1).Config()
 	_, mNeed, err := cfg.MergeOrder()
@@ -495,6 +498,13 @@ func TestHTTPCancelAndErrors(t *testing.T) {
 	}
 	if resp, err := http.Get(srv.URL + "/jobs/nope"); err != nil || resp.StatusCode != 404 {
 		t.Fatalf("missing job: %v %v", err, resp.Status)
+	} else {
+		resp.Body.Close()
+	}
+	// The per-job workers knob is gone: admission could not charge the
+	// merges it would run concurrently.
+	if resp, err := http.Post(srv.URL+"/jobs?workers=2", "application/octet-stream", bytes.NewReader(nil)); err != nil || resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("workers=2: %v %v", err, resp.Status)
 	} else {
 		resp.Body.Close()
 	}
@@ -636,5 +646,64 @@ func TestBudgetCores(t *testing.T) {
 	b.release(1, 1)
 	if got, c := b.InUse(), b.CoresInUse(); got != 0 || c != 0 {
 		t.Fatalf("after releases: mem %d cores %d in use, want 0/0", got, c)
+	}
+}
+
+// TestRecoverLegacyWorkersSpec: a job directory whose spec.json still
+// carries the removed per-job "workers" field recovers on restart; the
+// stale field is ignored.
+func TestRecoverLegacyWorkersSpec(t *testing.T) {
+	root := t.TempDir()
+	opts := Options{Root: root, MemoryBudget: 100_000, Defaults: testSpec(1)}
+	m, err := NewManager(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in, want := genInput(t, testSpec(1), 2000, 12)
+	j, err := m.Submit(Spec{}, bytes.NewReader(in))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := waitJob(t, j); st.State != StateDone {
+		t.Fatalf("state = %s (%s)", st.State, st.Error)
+	}
+	m.Kill()
+
+	path := filepath.Join(root, j.ID(), "spec.json")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sf map[string]any
+	if err := json.Unmarshal(data, &sf); err != nil {
+		t.Fatal(err)
+	}
+	sf["spec"].(map[string]any)["workers"] = 4
+	if data, err = json.Marshal(sf); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	m2, err := NewManager(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m2.Kill()
+	j2, ok := m2.Get(j.ID())
+	if !ok {
+		t.Fatal("legacy job not recovered")
+	}
+	if st := waitJob(t, j2); st.State != StateDone {
+		t.Fatalf("recovered state = %s (%s)", st.State, st.Error)
+	}
+	rc, _, err := m2.Result(j.ID())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rc.Close()
+	if got, _ := io.ReadAll(rc); !bytes.Equal(got, want) {
+		t.Fatal("recovered result differs")
 	}
 }

@@ -274,26 +274,12 @@ func (f *WriteFuture) resolve() {
 func (s *System) accountRead(addrs []BlockAddr) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, a := range addrs {
-		s.stats.PerDiskReads[a.Disk]++
-	}
-	s.stats.ReadOps++
-	s.stats.BlocksRead += int64(len(addrs))
-	if s.model != nil {
-		s.stats.SimTime += s.model.OpSeconds(s.b)
-	}
+	s.accountReadLocked(addrs)
 }
 
 // accountWrite counts one completed parallel write operation.
 func (s *System) accountWrite(addrs []BlockAddr) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, a := range addrs {
-		s.stats.PerDiskWrites[a.Disk]++
-	}
-	s.stats.WriteOps++
-	s.stats.BlocksWritten += int64(len(addrs))
-	if s.model != nil {
-		s.stats.SimTime += s.model.OpSeconds(s.b)
-	}
+	s.accountWriteLocked(addrs)
 }

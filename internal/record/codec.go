@@ -370,7 +370,7 @@ func (v Varlen) DecodeBlock(data []byte, nrec int) ([]Record, error) {
 		}
 		r, err := recordFromExt(body[off+used : off+used+n])
 		if err != nil {
-			return nil, fmt.Errorf("%w: record %d: %v", ErrCorrupt, i, err)
+			return nil, fmt.Errorf("record %d: %w", i, err)
 		}
 		rs = append(rs, r)
 		off += used + n
@@ -418,7 +418,7 @@ func (Varlen) ReadRecord(br *bufio.Reader) (Record, error) {
 func recordFromExt(ext []byte) (Record, error) {
 	klen, used := binary.Uvarint(ext[:min(len(ext), binary.MaxVarintLen32)])
 	if used <= 0 || int(klen) > len(ext)-used {
-		return Record{}, fmt.Errorf("key length overruns %d-byte encoding", len(ext))
+		return Record{}, fmt.Errorf("%w: key length overruns %d-byte encoding", ErrCorrupt, len(ext))
 	}
 	r := Record{Ext: string(ext)}
 	r.Key, r.Val = extPrefixes(ext[used : used+int(klen)])

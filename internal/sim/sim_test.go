@@ -139,7 +139,7 @@ func TestSimulatorMatchesRealMerger(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		_, realStats, err := srm.Merge[record.Record](sys, descs, tc.numRuns, 999, 0)
+		_, realStats, err := srm.Merge[record.Record](sys, descs, tc.numRuns, 999, 0, srm.MergeOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -255,7 +255,7 @@ func TestPropertySimulatorMatchesRealMerger(t *testing.T) {
 				return false
 			}
 		}
-		_, realStats, err := srm.Merge[record.Record](sys, descs, numRuns, 999, 0)
+		_, realStats, err := srm.Merge[record.Record](sys, descs, numRuns, 999, 0, srm.MergeOpts{})
 		if err != nil {
 			return false
 		}

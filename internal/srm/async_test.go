@@ -2,7 +2,6 @@ package srm
 
 import (
 	"errors"
-	"math/rand"
 	"runtime"
 	"testing"
 	"time"
@@ -29,208 +28,7 @@ func srmWaitGoroutines(t *testing.T, base int) {
 	}
 }
 
-// runMergeBothWays executes the same merge synchronously and asynchronously
-// on separately prepared (identically laid out) systems and returns the
-// outputs, statistics and system-level operation counts of both.
-func mergeBothWays(t *testing.T, d, b int, runs [][]record.Record, placement func() runio.Placement, r int) (syncOut, asyncOut []record.Record, syncMS, asyncMS MergeStats, syncOps, asyncOps int64) {
-	t.Helper()
-	prepare := func() (*pdisk.System, []*runio.Run) {
-		sys := newSys(t, d, b)
-		return sys, writeRuns(t, sys, runs, placement())
-	}
-
-	sys1, descs1 := prepare()
-	defer sys1.Close()
-	out1, ms1, err := Merge[record.Record](sys1, descs1, r, 1000, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec1, err := runio.ReadAll[record.Record](sys1, out1)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	sys2, descs2 := prepare()
-	defer sys2.Close()
-	out2, ms2, err := MergeAsync[record.Record](sys2, descs2, r, 1000, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec2, err := runio.ReadAll[record.Record](sys2, out2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return rec1, rec2, ms1, ms2, sys1.Stats().Ops(), sys2.Stats().Ops()
-}
-
-// MergeAsync must be indistinguishable from Merge: identical output records
-// (values included, not just keys) and identical statistics in every field,
-// across disk counts, placements — including the adversarial fixed layout —
-// and duplicate-heavy inputs.
-func TestMergeAsyncEquivalence(t *testing.T) {
-	cases := []struct {
-		name      string
-		d, b      int
-		n, pieces int
-		r         int
-		dups      bool
-		placement func(d int) func() runio.Placement
-	}{
-		{"D1-staggered", 1, 4, 400, 6, 8, false,
-			func(d int) func() runio.Placement {
-				return func() runio.Placement { return runio.StaggeredPlacement{D: d} }
-			}},
-		{"D2-staggered", 2, 4, 800, 8, 8, false,
-			func(d int) func() runio.Placement {
-				return func() runio.Placement { return runio.StaggeredPlacement{D: d} }
-			}},
-		{"D4-random", 4, 8, 3000, 12, 12, false,
-			func(d int) func() runio.Placement {
-				return func() runio.Placement { return &runio.RandomPlacement{D: d, Rng: rand.New(rand.NewSource(7))} }
-			}},
-		{"D4-random-dups", 4, 4, 2000, 10, 10, true,
-			func(d int) func() runio.Placement {
-				return func() runio.Placement { return &runio.RandomPlacement{D: d, Rng: rand.New(rand.NewSource(11))} }
-			}},
-		{"D4-fixed-adversarial", 4, 4, 1200, 8, 8, false,
-			func(d int) func() runio.Placement {
-				return func() runio.Placement { return runio.FixedPlacement{Disk: 0} }
-			}},
-		{"D8-staggered", 8, 4, 4000, 16, 16, false,
-			func(d int) func() runio.Placement {
-				return func() runio.Placement { return runio.StaggeredPlacement{D: d} }
-			}},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			g := record.NewGenerator(int64(len(tc.name)) * 101)
-			var all []record.Record
-			if tc.dups {
-				all = g.WithDuplicates(tc.n, 25)
-			} else {
-				all = g.Random(tc.n)
-			}
-			runs := g.SplitIntoSortedRuns(all, tc.pieces)
-			s, a, sms, ams, sops, aops := mergeBothWays(t, tc.d, tc.b, runs, tc.placement(tc.d), tc.r)
-			if len(s) != len(a) {
-				t.Fatalf("sync %d records, async %d", len(s), len(a))
-			}
-			for i := range s {
-				if s[i] != a[i] {
-					t.Fatalf("record %d: sync %+v, async %+v", i, s[i], a[i])
-				}
-			}
-			if sms != ams {
-				t.Fatalf("merge stats diverge:\nsync  %+v\nasync %+v", sms, ams)
-			}
-			if sops != aops {
-				t.Fatalf("system ops diverge: sync %d, async %d", sops, aops)
-			}
-		})
-	}
-}
-
-// Multi-pass sorting through SortRunsAsync must match SortRuns run for run.
-func TestSortRunsAsyncEquivalence(t *testing.T) {
-	const d, b = 4, 4
-	g := record.NewGenerator(99)
-	all := g.Random(2400)
-	runs := g.SplitIntoSortedRuns(all, 24) // 24 runs, R=4 → 3 merge passes
-
-	do := func(async bool) ([]record.Record, SortStats, int64) {
-		sys := newSys(t, d, b)
-		defer sys.Close()
-		descs := writeRuns(t, sys, runs, runio.StaggeredPlacement{D: d})
-		var (
-			final *runio.Run
-			st    SortStats
-			err   error
-		)
-		if async {
-			final, st, _, err = SortRunsAsync[record.Record](sys, descs, 4, runio.StaggeredPlacement{D: d}, len(runs))
-		} else {
-			final, st, _, err = SortRuns[record.Record](sys, descs, 4, runio.StaggeredPlacement{D: d}, len(runs))
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		recs, err := runio.ReadAll[record.Record](sys, final)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return recs, st, sys.Stats().Ops()
-	}
-
-	sRecs, sStats, sOps := do(false)
-	aRecs, aStats, aOps := do(true)
-	if len(sRecs) != len(aRecs) {
-		t.Fatalf("sync %d records, async %d", len(sRecs), len(aRecs))
-	}
-	for i := range sRecs {
-		if sRecs[i] != aRecs[i] {
-			t.Fatalf("record %d: sync %+v, async %+v", i, sRecs[i], aRecs[i])
-		}
-	}
-	if sStats != aStats {
-		t.Fatalf("sort stats diverge:\nsync  %+v\nasync %+v", sStats, aStats)
-	}
-	if sOps != aOps {
-		t.Fatalf("system ops diverge: sync %d, async %d", sOps, aOps)
-	}
-}
-
-// Pass-level concurrency composes with per-merge overlap: the parallel
-// async sort must still produce the serial synchronous result, for any
-// worker count.
-func TestSortRunsParallelAsyncEquivalence(t *testing.T) {
-	const d, b = 4, 4
-	g := record.NewGenerator(123)
-	all := g.Random(3200)
-	runs := g.SplitIntoSortedRuns(all, 16)
-
-	baseSys := newSys(t, d, b)
-	defer baseSys.Close()
-	baseDescs := writeRuns(t, baseSys, runs, runio.StaggeredPlacement{D: d})
-	baseRun, baseStats, _, err := SortRuns[record.Record](baseSys, baseDescs, 4, runio.StaggeredPlacement{D: d}, len(runs))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := runio.ReadAll[record.Record](baseSys, baseRun)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantOps := baseSys.Stats().Ops()
-
-	for _, workers := range []int{1, 2, -1} {
-		sys := newSys(t, d, b)
-		descs := writeRuns(t, sys, runs, runio.StaggeredPlacement{D: d})
-		final, stats, _, err := SortRunsParallelAsync[record.Record](sys, descs, 4, runio.StaggeredPlacement{D: d}, len(runs), workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := runio.ReadAll[record.Record](sys, final)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("workers=%d: %d records, want %d", workers, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("workers=%d record %d: got %+v, want %+v", workers, i, got[i], want[i])
-			}
-		}
-		if stats != baseStats {
-			t.Fatalf("workers=%d stats diverge:\ngot  %+v\nwant %+v", workers, stats, baseStats)
-		}
-		if ops := sys.Stats().Ops(); ops != wantOps {
-			t.Fatalf("workers=%d ops %d, want %d", workers, ops, wantOps)
-		}
-		sys.Close()
-	}
-}
-
-// Injected device faults mid-pipeline must surface from MergeAsync as clean
+// Injected device faults mid-pipeline must surface from an async Merge as clean
 // errors — no panic, no deadlock, no goroutine leak — wherever in the
 // schedule they strike.
 func TestMergeAsyncInjectedFaults(t *testing.T) {
@@ -251,7 +49,7 @@ func TestMergeAsyncInjectedFaults(t *testing.T) {
 		defer sys.Close()
 		descs := writeRuns(t, sys, runs, runio.StaggeredPlacement{D: 4})
 		setup := sys.Stats()
-		if _, _, err := MergeAsync[record.Record](sys, descs, 10, 1000, 0); err != nil {
+		if _, _, err := Merge[record.Record](sys, descs, 10, 1000, 0, MergeOpts{Async: true}); err != nil {
 			t.Fatal(err)
 		}
 		total := sys.Stats()
@@ -269,7 +67,7 @@ func TestMergeAsyncInjectedFaults(t *testing.T) {
 		defer sys.Close()
 		descs := writeRuns(t, sys, runs, runio.StaggeredPlacement{D: 4})
 		fs.Configure(pdisk.FaultConfig{FailReadAt: failReadAt, FailWriteAt: failWriteAt})
-		_, _, err = MergeAsync[record.Record](sys, descs, 10, 1000, 0)
+		_, _, err = Merge[record.Record](sys, descs, 10, 1000, 0, MergeOpts{Async: true})
 		return err
 	}
 
@@ -307,7 +105,7 @@ func TestSortRunsAsyncFreeFault(t *testing.T) {
 	}
 	descs := writeRuns(t, sys, runs, runio.StaggeredPlacement{D: 2})
 	fs.Configure(pdisk.FaultConfig{FailFreeAt: 1})
-	_, _, _, err = SortRunsAsync[record.Record](sys, descs, 4, runio.StaggeredPlacement{D: 2}, len(runs))
+	_, _, _, err = SortRunsOpts[record.Record](sys, descs, 4, runio.StaggeredPlacement{D: 2}, len(runs), SortOpts{Async: true})
 	if !errors.Is(err, pdisk.ErrInjected) {
 		t.Fatalf("free fault: %v, want ErrInjected", err)
 	}
@@ -327,7 +125,7 @@ func TestMergeAsyncNoGoroutineLeak(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		sys := newSys(t, 4, 4)
 		descs := writeRuns(t, sys, runs, runio.StaggeredPlacement{D: 4})
-		out, _, err := MergeAsync[record.Record](sys, descs, 6, 1000, 0)
+		out, _, err := Merge[record.Record](sys, descs, 6, 1000, 0, MergeOpts{Async: true})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -40,12 +40,7 @@ func TestSortRunsBackendEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var final *runio.Run
-		if async {
-			final, _, _, err = SortRunsAsync[record.Record](sys, formed.Runs, 4, runio.StaggeredPlacement{D: d}, formed.NextSeq)
-		} else {
-			final, _, _, err = SortRuns[record.Record](sys, formed.Runs, 4, runio.StaggeredPlacement{D: d}, formed.NextSeq)
-		}
+		final, _, _, err := SortRunsOpts[record.Record](sys, formed.Runs, 4, runio.StaggeredPlacement{D: d}, formed.NextSeq, SortOpts{Async: async})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -30,7 +30,7 @@ func TestInjectedFaultsSurfaceAsErrors(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, _, _, err := SortRuns[record.Record](sys, formed.Runs, 4, runio.StaggeredPlacement{D: 3}, formed.NextSeq); err != nil {
+		if _, _, _, err := SortRunsOpts[record.Record](sys, formed.Runs, 4, runio.StaggeredPlacement{D: 3}, formed.NextSeq, SortOpts{}); err != nil {
 			t.Fatal(err)
 		}
 		st := sys.Stats()
@@ -55,7 +55,7 @@ func TestInjectedFaultsSurfaceAsErrors(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		_, _, _, err = SortRuns[record.Record](sys, formed.Runs, 4, runio.StaggeredPlacement{D: 3}, formed.NextSeq)
+		_, _, _, err = SortRunsOpts[record.Record](sys, formed.Runs, 4, runio.StaggeredPlacement{D: 3}, formed.NextSeq, SortOpts{})
 		return err
 	}
 
@@ -126,7 +126,7 @@ func TestSortUnderStragglers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	final, _, _, err := SortRuns[record.Record](sys, formed.Runs, 4, runio.StaggeredPlacement{D: 4}, formed.NextSeq)
+	final, _, _, err := SortRunsOpts[record.Record](sys, formed.Runs, 4, runio.StaggeredPlacement{D: 4}, formed.NextSeq, SortOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +164,7 @@ func TestFaultStoreTransparentWhenIdle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	final, _, _, err := SortRuns[record.Record](sys, formed.Runs, 3, runio.StaggeredPlacement{D: 2}, formed.NextSeq)
+	final, _, _, err := SortRunsOpts[record.Record](sys, formed.Runs, 3, runio.StaggeredPlacement{D: 2}, formed.NextSeq, SortOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}

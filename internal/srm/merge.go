@@ -20,6 +20,45 @@
 // issued — preceded, when the prefetch space is over budget and an on-disk
 // block ranks below the in-memory surplus (OutRank_t ≤ extra), by the
 // virtual flush Flush_t(extra − OutRank_t + 1).
+//
+// # One loop, two control flows
+//
+// Section 5 presents SRM as an I/O scheduler and an internal merge running
+// concurrently: ParReads are issued as soon as the schedule allows, long
+// before their blocks participate, so device latency hides behind merging
+// (Lemma 1's "genuine prefetching ability"). Merge runs one loop in two
+// modes. A sync merge collapses the two flows into one — every ReadBlocks
+// blocks the merge for the full device latency. An async merge
+// (MergeOpts.Async) keeps them separate: while a ParRead is in flight the
+// merge keeps consuming records (the overlap window), and the output writer
+// flushes completed stripes behind the merge's back (runio.NewWriterAsync,
+// the M_W double buffer).
+//
+// The async mode makes exactly the decisions the sync mode makes, in the
+// same order, from the same states — it differs only in what the CPU does
+// while a read is physically in flight:
+//
+//  1. Every schedule decision (issue a ParRead? flush how much? which
+//     blocks?) reads only the FDS, |F_t| (membuf occupancy), the stall set
+//     and the flush-rank tree. Record consumption in the overlap window
+//     mutates none of these: it only shortens leading blocks and, at most
+//     once, releases a depleted leading block's M_L slot (which |F_t| does
+//     not count) and notes the depletion.
+//  2. The window stops at exactly the records the merge may emit regardless
+//     of the in-flight read: strictly below every stalled run's awaited key
+//     and at most up to the first leading-block depletion. Runs the read
+//     promotes start at their awaited key, so the records the window emits
+//     are a prefix of what the post-pump consumer would emit.
+//  3. Depletions, noted by either consumer, are processed by the loop after
+//     the pump — block event (promotion, stall or exhaustion, the only
+//     consumption effect that changes |F_t|) and EventDeplete alike — and
+//     landing a read runs the same landParRead in both modes.
+//
+// Consequently the ParReads, flushes and block events are identical in both
+// modes, and so are the trace events a MergeOpts.Sink sees, MergeStats and
+// the output run — byte for byte, under any worker interleaving. The mode
+// equivalence and async trace tests, and ../../async_equiv_test.go, check
+// it.
 package srm
 
 import (
@@ -83,8 +122,7 @@ type merger[R record.KernelRecord] struct {
 	stats   MergeStats
 
 	// cores > 1 consumes through the sharded super-span kernel
-	// (pconsume.go); 1 is the serial per-winner gallop loop. Tracing
-	// reports per-winner events, so a sink forces the serial consumer.
+	// (pconsume.go); 1 is the serial per-winner gallop loop.
 	cores   int
 	scratch []R // super-span merge-back buffer, reused
 
@@ -98,6 +136,15 @@ type merger[R record.KernelRecord] struct {
 
 	sink trace.Sink // nil when tracing is off
 	seq  int
+
+	// async overlaps each ParRead with consumption (see the package doc).
+	async bool
+	// pendingRun is the run whose leading block a consumer depleted but
+	// whose block event the loop has not processed yet (-1 when none), and
+	// pendingKey is that block's last key. At most one depletion is pending:
+	// consumption stops there.
+	pendingRun int
+	pendingKey record.Key
 }
 
 // emit sends an event to the trace sink, if any.
@@ -159,37 +206,32 @@ func (m *merger[R]) updateHead(h int) {
 	}
 }
 
+// MergeOpts selects how Merge executes. No option changes the output run,
+// the statistics or the trace.
+type MergeOpts struct {
+	// Async overlaps I/O with internal merging: each ParRead is issued
+	// asynchronously and the merge consumes records while it is in flight,
+	// and output stripes are written behind the merge.
+	Async bool
+	// Cores > 1 computes each inter-block-event emission as one sharded
+	// super-span (pconsume.go) over up to that many goroutines; 0 or 1 is
+	// the serial per-winner gallop.
+	Cores int
+	// Sink, when non-nil, receives every parallel read, virtual flush,
+	// depletion, stall and promotion as a trace.Event, in schedule order.
+	// Pass a trace.Checker to verify the paper's scheduling invariants
+	// online, or a trace.Recorder to render the schedule.
+	Sink trace.Sink
+}
+
 // Merge merges the given runs (at most r of them — r is the merge order the
 // memory was provisioned for) into a single output run written with id
 // outID starting on disk outStartDisk. It returns the output run and the
 // merge statistics. The type argument selects the kernel's record width
 // and must match the representation of the runs' stored blocks (callers
 // instantiate explicitly — nothing in the argument list names R).
-func Merge[R record.KernelRecord](sys *pdisk.System, runs []*runio.Run, r, outID, outStartDisk int) (*runio.Run, MergeStats, error) {
-	return MergeCores[R](sys, runs, r, outID, outStartDisk, 1)
-}
-
-// MergeCores is Merge with internal merging spread across up to cores
-// goroutines: each inter-block-event emission is computed as one sharded
-// super-span (pconsume.go) instead of a per-winner loop. The I/O
-// schedule, statistics and output run are byte-identical for every core
-// count; cores <= 1 is exactly the serial path.
-func MergeCores[R record.KernelRecord](sys *pdisk.System, runs []*runio.Run, r, outID, outStartDisk, cores int) (*runio.Run, MergeStats, error) {
-	return mergeTraced[R](sys, runs, r, outID, outStartDisk, nil, cores)
-}
-
-// MergeTraced is Merge with a trace sink attached: every parallel read,
-// virtual flush, depletion, stall and promotion is reported as a
-// trace.Event, in schedule order. Pass a trace.Checker to verify the
-// paper's scheduling invariants online, or a trace.Recorder to render the
-// schedule. Tracing narrates the per-winner consumer, so it always runs
-// serial.
-func MergeTraced[R record.KernelRecord](sys *pdisk.System, runs []*runio.Run, r, outID, outStartDisk int, sink trace.Sink) (*runio.Run, MergeStats, error) {
-	return mergeTraced[R](sys, runs, r, outID, outStartDisk, sink, 1)
-}
-
-func mergeTraced[R record.KernelRecord](sys *pdisk.System, runs []*runio.Run, r, outID, outStartDisk int, sink trace.Sink, cores int) (*runio.Run, MergeStats, error) {
-	m, err := newMerger(sys, runs, r, runio.NewWriter[R](sys, outID, outStartDisk), sink, cores)
+func Merge[R record.KernelRecord](sys *pdisk.System, runs []*runio.Run, r, outID, outStartDisk int, opts MergeOpts) (*runio.Run, MergeStats, error) {
+	m, err := newMerger[R](sys, runs, r, outID, outStartDisk, opts)
 	if err != nil {
 		return nil, MergeStats{}, err
 	}
@@ -197,15 +239,25 @@ func mergeTraced[R record.KernelRecord](sys *pdisk.System, runs []*runio.Run, r,
 		return nil, MergeStats{}, err
 	}
 	for m.exhausted < len(m.runs) {
-		reads, err := m.pumpIO()
+		progress, err := m.pumpIO()
 		if err != nil {
 			return nil, MergeStats{}, err
 		}
-		consumed, err := m.consumeUntilBlockEvent()
-		if err != nil {
-			return nil, MergeStats{}, err
+		if m.pendingRun < 0 {
+			consumed, err := m.consume(true)
+			if err != nil {
+				return nil, MergeStats{}, err
+			}
+			progress += consumed
 		}
-		if reads == 0 && consumed == 0 && m.exhausted < len(m.runs) {
+		if h := m.pendingRun; h >= 0 {
+			// Block event: the leading block of run h is depleted.
+			m.pendingRun = -1
+			m.emit(trace.EventDeplete, 0, m.ref(h, m.leadIdx[h], m.pendingKey))
+			m.blockEvent(h)
+			progress++
+		}
+		if progress == 0 {
 			if m.forceRoom() {
 				continue
 			}
@@ -217,9 +269,8 @@ func mergeTraced[R record.KernelRecord](sys *pdisk.System, runs []*runio.Run, r,
 	return m.finish()
 }
 
-// newMerger validates the merge inputs and assembles the shared state of
-// the sync and async merge loops.
-func newMerger[R record.KernelRecord](sys *pdisk.System, runs []*runio.Run, r int, out *runio.Writer[R], sink trace.Sink, cores int) (*merger[R], error) {
+// newMerger validates the merge inputs and assembles the merge state.
+func newMerger[R record.KernelRecord](sys *pdisk.System, runs []*runio.Run, r, outID, outStartDisk int, opts MergeOpts) (*merger[R], error) {
 	if len(runs) == 0 {
 		return nil, fmt.Errorf("srm: merge of zero runs")
 	}
@@ -231,23 +282,29 @@ func newMerger[R record.KernelRecord](sys *pdisk.System, runs []*runio.Run, r in
 			return nil, fmt.Errorf("srm: run %d is empty", run.ID)
 		}
 	}
+	newWriter := runio.NewWriter[R]
+	if opts.Async {
+		newWriter = runio.NewWriterAsync[R]
+	}
 	return &merger[R]{
-		sys:       sys,
-		r:         r,
-		d:         sys.D(),
-		runs:      runs,
-		fds:       forecast.New(sys.D(), len(runs)),
-		mem:       membuf.New[R](r, sys.D()),
-		out:       out,
-		lead:      make([][]R, len(runs)),
-		leadIdx:   make([]int, len(runs)),
-		need:      make([]int, len(runs)),
-		stalled:   make([]bool, len(runs)),
-		active:    ltree.NewRetired(len(runs)),
-		stallHeap: iheap.New(len(runs)),
-		flushed:   make(map[[2]int]bool),
-		cores:     cores,
-		sink:      sink,
+		sys:        sys,
+		r:          r,
+		d:          sys.D(),
+		runs:       runs,
+		fds:        forecast.New(sys.D(), len(runs)),
+		mem:        membuf.New[R](r, sys.D()),
+		out:        newWriter(sys, outID, outStartDisk),
+		lead:       make([][]R, len(runs)),
+		leadIdx:    make([]int, len(runs)),
+		need:       make([]int, len(runs)),
+		stalled:    make([]bool, len(runs)),
+		active:     ltree.NewRetired(len(runs)),
+		stallHeap:  iheap.New(len(runs)),
+		flushed:    make(map[[2]int]bool),
+		cores:      opts.Cores,
+		sink:       opts.Sink,
+		async:      opts.Async,
+		pendingRun: -1,
 	}, nil
 }
 
@@ -265,59 +322,136 @@ func (m *merger[R]) finish() (*runio.Run, MergeStats, error) {
 
 // loadInitialBlocks is Step 1 of the algorithm: read block 0 of every run
 // into M_L with parallel reads (I_0 operations), and seed the FDS from the
-// D forecast keys implanted in each block 0.
+// D forecast keys implanted in each block 0. The batches are fixed by the
+// run layout — no decision depends on their contents — so an async merge
+// issues every operation before it awaits the first.
 func (m *merger[R]) loadInitialBlocks() error {
 	pending := make([][]int, m.d) // per disk: run handles whose block 0 lives there
 	for h, run := range m.runs {
 		pending[run.Disk(0)] = append(pending[run.Disk(0)], h)
 	}
+	type batch struct {
+		addrs   []pdisk.BlockAddr
+		handles []int
+		fut     *pdisk.ReadFuture
+	}
+	var batches []batch
 	for {
-		var addrs []pdisk.BlockAddr
-		var handles []int
+		var b batch
 		for disk := 0; disk < m.d; disk++ {
 			if len(pending[disk]) == 0 {
 				continue
 			}
 			h := pending[disk][0]
 			pending[disk] = pending[disk][1:]
-			addrs = append(addrs, m.runs[h].Addr(0))
-			handles = append(handles, h)
+			b.addrs = append(b.addrs, m.runs[h].Addr(0))
+			b.handles = append(b.handles, h)
 		}
-		if len(addrs) == 0 {
+		if len(b.addrs) == 0 {
 			break
 		}
-		blocks, err := m.sys.ReadBlocks(addrs)
+		if m.async {
+			b.fut = m.sys.ReadBlocksAsync(b.addrs)
+		}
+		batches = append(batches, b)
+	}
+	for i, b := range batches {
+		var blocks []pdisk.StoredBlock
+		var err error
+		if m.async {
+			blocks, err = b.fut.Wait()
+		} else {
+			blocks, err = m.sys.ReadBlocks(b.addrs)
+		}
 		if err != nil {
+			for _, rest := range batches[i+1:] {
+				if rest.fut != nil {
+					rest.fut.Wait() // collect every issued request before unwinding
+				}
+			}
 			return err
 		}
 		m.stats.InitialReads++
 		m.stats.ReadOps++
 		if m.sink != nil {
 			refs := make([]trace.BlockRef, len(blocks))
-			for i, blk := range blocks {
-				refs[i] = m.ref(handles[i], 0, record.FirstKeyOf(pdisk.RecsOf[R](blk)))
+			for j, blk := range blocks {
+				refs[j] = m.ref(b.handles[j], 0, record.FirstKeyOf(pdisk.RecsOf[R](blk)))
 			}
 			m.emit(trace.EventParRead, 0, refs...)
 		}
-		m.seedFromLeadingBlocks(handles, blocks)
+		m.seedFromLeadingBlocks(b.handles, blocks)
 	}
 	return nil
 }
 
+// seedFromLeadingBlocks registers one landed batch of block-0 reads: FDS
+// seeding from the implanted keys and promotion into M_L.
+func (m *merger[R]) seedFromLeadingBlocks(handles []int, blocks []pdisk.StoredBlock) {
+	recs := make([][]R, len(blocks))
+	for i, blk := range blocks {
+		recs[i] = pdisk.RecsOf[R](blk)
+	}
+	for _, rs := range recs {
+		if len(rs) > 0 && rs[0].X() != "" {
+			m.setVarlen()
+			break
+		}
+	}
+	for i, blk := range blocks {
+		h := handles[i]
+		if len(blk.Forecast) != m.d {
+			panic(fmt.Sprintf("srm: block 0 of run %d carries %d forecast keys, want D=%d",
+				m.runs[h].ID, len(blk.Forecast), m.d))
+		}
+		for t := 1; t <= m.d; t++ {
+			if key := blk.Forecast[t-1]; key != record.MaxKey {
+				m.fds.Set(m.runs[h].Disk(t), h, t, key)
+			}
+		}
+		m.lead[h] = recs[i]
+		m.leadIdx[h] = 0
+		m.mem.LeadingAcquired()
+		m.pushHead(h)
+		m.emit(trace.EventPromote, 0, m.ref(h, 0, record.FirstKeyOf(recs[i])))
+	}
+}
+
 // pumpIO issues parallel reads for as long as the schedule of Section 5.5
 // allows: the M_D landing zone has drained (|F_t| ≤ R+D) and some block
-// remains on disk. Case 2c virtually flushes before reading. It returns the
-// number of read operations performed.
+// remains on disk. Case 2c virtually flushes before reading. An async merge
+// consumes records while each read is in flight. It returns the number of
+// reads performed plus records consumed.
 func (m *merger[R]) pumpIO() (int, error) {
-	reads := 0
+	progress := 0
 	for m.fds.Len() > 0 && m.mem.Occupied() <= m.r+m.d {
 		m.maybeFlush()
-		if err := m.parRead(); err != nil {
-			return reads, err
+		addrs, entries := m.chooseParRead()
+		var blocks []pdisk.StoredBlock
+		var err error
+		if !m.async {
+			blocks, err = m.sys.ReadBlocks(addrs)
+		} else {
+			fut := m.sys.ReadBlocksAsync(addrs)
+			if m.pendingRun < 0 {
+				// Overlap window: merge records that are safe to emit
+				// without the in-flight blocks.
+				consumed, cerr := m.consume(false)
+				if cerr != nil {
+					fut.Wait() // collect the issued request before unwinding
+					return progress, cerr
+				}
+				progress += consumed
+			}
+			blocks, err = fut.Wait()
 		}
-		reads++
+		if err != nil {
+			return progress, err
+		}
+		m.landParRead(blocks, addrs, entries)
+		progress++
 	}
-	return reads, nil
+	return progress, nil
 }
 
 // maybeFlush applies case 2c of the Section 5.5 schedule: when the
@@ -377,22 +511,10 @@ func (m *merger[R]) flush(n, outRank int) {
 	m.emit(trace.EventFlush, outRank, refs...)
 }
 
-// parRead performs ParRead_t: from every disk with a pending block, read
-// the smallest one, in a single parallel I/O operation.
-func (m *merger[R]) parRead() error {
-	addrs, entries := m.chooseParRead()
-	blocks, err := m.sys.ReadBlocks(addrs)
-	if err != nil {
-		return err
-	}
-	m.landParRead(blocks, addrs, entries)
-	return nil
-}
-
 // chooseParRead selects the blocks of ParRead_t — the smallest pending
 // block of every disk — without touching any state: the choice is a pure
 // function of the FDS and the stall set (both identical at pick time in
-// sync and async execution), so the two paths make identical picks.
+// sync and async execution), so the two modes make identical picks.
 func (m *merger[R]) chooseParRead() ([]pdisk.BlockAddr, []forecast.Entry) {
 	var addrs []pdisk.BlockAddr
 	var entries []forecast.Entry
@@ -449,8 +571,8 @@ func (m *merger[R]) preferAwaited(disk int, e forecast.Entry) forecast.Entry {
 }
 
 // landParRead applies a completed ParRead to the merge state: FDS
-// updates, stalled-run promotions, M_D insertions and statistics. It is
-// the single landing path of both the sync and the async merge loop.
+// updates, stalled-run promotions, M_D insertions and statistics, in
+// both modes.
 func (m *merger[R]) landParRead(blocks []pdisk.StoredBlock, addrs []pdisk.BlockAddr, entries []forecast.Entry) {
 	m.stats.ReadOps++
 	var readRefs, promoted []trace.BlockRef
@@ -523,28 +645,32 @@ func (m *merger[R]) forceRoom() bool {
 	return true
 }
 
-// consumeUntilBlockEvent runs the internal merge until one leading block is
-// depleted (a block event: memory occupancy, and hence read feasibility,
-// changes only then), or until the next record of the merge belongs to a
-// stalled run — internal merge processing then "has to wait" (Section 5)
-// for a ParRead to deliver that run's leading block. It returns the number
-// of records written.
+// consume runs the internal merge until one leading block is depleted (a
+// block event: memory occupancy, and hence read feasibility, changes only
+// then), or until the next record of the merge belongs to a stalled run —
+// internal merge processing then "has to wait" (Section 5) for a ParRead to
+// deliver that run's leading block. A depletion releases the block's M_L
+// slot and is noted in pendingRun; the merge loop processes its block
+// event. It returns the number of records written.
+//
+// stallInclusive selects the stall guard. After the pump (true) a
+// fixed-size record waits only on a strictly smaller stall key. In the
+// overlap window (false) it also waits on an equal one: the in-flight read
+// may be about to promote a stalled run, and with duplicate keys the
+// tie-break could order that run's equal-keyed record first. Stopping on
+// equality defers the decision to the post-pump call, which sees the
+// selector state a sync merge sees. A varlen prefix tie always waits,
+// because the awaited on-disk record could truly precede the active
+// minimum.
 //
 // Emission gallops: when run h wins, the span of its leading block that h
 // would emit one record at a time — bounded by the runner-up's key and the
 // stall-heap minimum, both constant while h keeps winning — is located by
 // binary search and written with one AppendBlock call and one loser-tree
 // update, instead of a tree round-trip per record.
-func (m *merger[R]) consumeUntilBlockEvent() (int, error) {
-	if m.cores > 1 && m.sink == nil && !m.varlen {
-		consumed, dRun, err := m.consumeSuperSpan(true)
-		if err != nil {
-			return consumed, err
-		}
-		if dRun >= 0 {
-			m.blockEvent(dRun)
-		}
-		return consumed, nil
+func (m *merger[R]) consume(stallInclusive bool) (int, error) {
+	if m.cores > 1 && !m.varlen {
+		return m.consumeSuperSpan(stallInclusive)
 	}
 	consumed := 0
 	for m.active.Len() > 0 {
@@ -552,19 +678,13 @@ func (m *merger[R]) consumeUntilBlockEvent() (int, error) {
 		haveStall := m.stallHeap.Len() > 0
 		var sKey uint64
 		if haveStall {
-			// Fixed-size records wait only on a strictly smaller stall key;
-			// a varlen prefix tie also waits, because the awaited on-disk
-			// record could truly precede the active minimum.
-			if _, sKey = m.stallHeap.Min(); sKey < hKey || (m.varlen && sKey == hKey) {
-				// The globally next record is on disk in a stalled run's
-				// awaited block; the merge must wait for I/O.
+			if _, sKey = m.stallHeap.Min(); sKey < hKey || (sKey == hKey && (!stallInclusive || m.varlen)) {
+				// The globally next record may be on disk in a stalled
+				// run's awaited block; the merge must wait for I/O.
 				return consumed, nil
 			}
 		}
-		// The sync stall guard admits h while hKey <= sKey, so the stall
-		// bound is inclusive (varlen guards are strict; gallopSpan switches
-		// to exclusive bounds itself).
-		span := m.gallopSpan(h, haveStall, sKey, true)
+		span := m.gallopSpan(h, haveStall, sKey, stallInclusive)
 		if err := m.out.AppendBlock(m.lead[h][:span]); err != nil {
 			return consumed, err
 		}
@@ -575,11 +695,9 @@ func (m *merger[R]) consumeUntilBlockEvent() (int, error) {
 			m.updateHead(h)
 			continue
 		}
-		// Block event: the leading block of run h is depleted.
 		m.mem.LeadingReleased()
 		m.active.Remove(h)
-		m.emit(trace.EventDeplete, 0, m.ref(h, m.leadIdx[h], lastKey))
-		m.blockEvent(h)
+		m.pendingRun, m.pendingKey = h, lastKey
 		return consumed, nil
 	}
 	return consumed, nil
@@ -588,12 +706,11 @@ func (m *merger[R]) consumeUntilBlockEvent() (int, error) {
 // gallopSpan returns how many leading records of run h (the current
 // winner) may be emitted before the selector must re-decide: records that
 // beat the runner-up under the (key, run index) tie-break, and — when a
-// run is stalled — records admitted by the stall guard (inclusive for the
-// sync consumer's `sKey < hKey` wait, exclusive for the async consumer's
-// stricter `sKey <= hKey`). The guards the per-record loop would evaluate
-// are constant across the span, so bulk emission is exactly equivalent;
-// both bounds admit the current first record, so the span is ≥ 1 and the
-// merge always progresses.
+// run is stalled — records admitted by the stall guard (inclusive after
+// the pump, exclusive in the overlap window). The guards the per-record
+// loop would evaluate are constant across the span, so bulk emission is
+// exactly equivalent; both bounds admit the current first record, so the
+// span is ≥ 1 and the merge always progresses.
 func (m *merger[R]) gallopSpan(h int, haveStall bool, sKey uint64, stallInclusive bool) int {
 	b := m.lead[h]
 	span := len(b)

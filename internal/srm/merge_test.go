@@ -36,7 +36,7 @@ func writeRuns(t testing.TB, sys *pdisk.System, runs [][]record.Record, placemen
 
 func mergeAndVerify(t testing.TB, sys *pdisk.System, runs []*runio.Run, r int, want []record.Record) MergeStats {
 	t.Helper()
-	outRun, stats, err := Merge[record.Record](sys, runs, r, 1000, 0)
+	outRun, stats, err := Merge[record.Record](sys, runs, r, 1000, 0, MergeOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,10 +135,10 @@ func TestMergeRejectsBadArgs(t *testing.T) {
 	g := record.NewGenerator(8)
 	runs := g.SplitIntoSortedRuns(g.Random(20), 4)
 	descs := writeRuns(t, sys, runs, runio.StaggeredPlacement{D: 2})
-	if _, _, err := Merge[record.Record](sys, nil, 4, 0, 0); err == nil {
+	if _, _, err := Merge[record.Record](sys, nil, 4, 0, 0, MergeOpts{}); err == nil {
 		t.Fatal("merge of zero runs succeeded")
 	}
-	if _, _, err := Merge[record.Record](sys, descs, 3, 0, 0); err == nil {
+	if _, _, err := Merge[record.Record](sys, descs, 3, 0, 0, MergeOpts{}); err == nil {
 		t.Fatal("merge order overflow not rejected")
 	}
 }
@@ -150,7 +150,7 @@ func TestWritesArePerfectlyParallel(t *testing.T) {
 	runs := g.SplitIntoSortedRuns(all, 8)
 	descs := writeRuns(t, sys, runs, runio.StaggeredPlacement{D: 4})
 	sys.ResetStats()
-	outRun, stats, err := Merge[record.Record](sys, descs, 8, 99, 0)
+	outRun, stats, err := Merge[record.Record](sys, descs, 8, 99, 0, MergeOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestReadLowerBound(t *testing.T) {
 		total += d.NumBlocks()
 	}
 	sys.ResetStats()
-	_, stats, err := Merge[record.Record](sys, descs, 16, 99, 0)
+	_, stats, err := Merge[record.Record](sys, descs, 16, 99, 0, MergeOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +196,7 @@ func TestFlushCausesNoWrites(t *testing.T) {
 	runs := g.SplitIntoSortedRuns(all, 8)
 	descs := writeRuns(t, sys, runs, runio.FixedPlacement{Disk: 2})
 	sys.ResetStats()
-	outRun, stats, err := Merge[record.Record](sys, descs, 8, 99, 0)
+	outRun, stats, err := Merge[record.Record](sys, descs, 8, 99, 0, MergeOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +221,7 @@ func TestMemoryBudgetRespected(t *testing.T) {
 	all := g.Random(2000)
 	runs := g.SplitIntoSortedRuns(all, r)
 	descs := writeRuns(t, sys, runs, runio.StaggeredPlacement{D: d})
-	_, stats, err := Merge[record.Record](sys, descs, r, 99, 0)
+	_, stats, err := Merge[record.Record](sys, descs, r, 99, 0, MergeOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +245,7 @@ func TestAverageCaseLowOverhead(t *testing.T) {
 	for _, dd := range descs {
 		total += dd.NumBlocks()
 	}
-	_, stats, err := Merge[record.Record](sys, descs, r, 9999, 0)
+	_, stats, err := Merge[record.Record](sys, descs, r, 9999, 0, MergeOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,7 +282,7 @@ func TestPropertyMergeCorrect(t *testing.T) {
 				return false
 			}
 		}
-		outRun, _, err := Merge[record.Record](sys, descs, len(runs), 500, 0)
+		outRun, _, err := Merge[record.Record](sys, descs, len(runs), 500, 0, MergeOpts{})
 		if err != nil {
 			return false
 		}

@@ -1,10 +1,10 @@
 // Multicore internal merging for SRM — the consume half of the merge
 // computed as one sharded "super-span" instead of a per-winner loop.
 //
-// Both serial consumers (consumeUntilBlockEvent, consumeOverlapped) emit
+// The serial consumer (consume, in both of its stall-guard modes) emits
 // records in the (key, run index) order of the active loser tree until a
 // block event: either one leading block depletes, or a stalled run's
-// awaited key blocks further emission. Crucially, everything they emit in
+// awaited key blocks further emission. Crucially, everything it emits in
 // one call is decidable up front from state that the emission itself
 // never changes:
 //
@@ -16,28 +16,28 @@
 //   - Run h's admissible span is then every leading record ordered before
 //     (dKey, dRun) — record.CountBelow(lead[h], dKey, h < dRun), and the
 //     whole block for dRun itself — further clipped by the stall guard
-//     exactly as the serial gallop clips it: records at most (sync
-//     consumer, whose wait condition is sKey < hKey) or strictly below
-//     (overlapped consumer, sKey <= hKey) the stall heap minimum sKey.
+//     exactly as the serial gallop clips it: records at most (inclusive
+//     guard, after the pump, whose wait condition is sKey < hKey) or
+//     strictly below (exclusive guard, in the overlap window, sKey <= hKey)
+//     the stall heap minimum sKey.
 //   - Whether the depletion happens before the stall guard fires is the
-//     comparison of those two bounds: the sync consumer reaches the
-//     depletion iff dKey <= sKey, the overlapped consumer iff dKey < sKey
-//     (its guard refuses the equal-key record that would finish the
-//     block). If the stall guard wins, no block empties — every leading
-//     block's last key is >= dKey and is excluded by the stall clip — and
-//     the call ends exactly where the serial loop returns to wait for
-//     I/O.
+//     comparison of those two bounds: the inclusive guard reaches the
+//     depletion iff dKey <= sKey, the exclusive one iff dKey < sKey (it
+//     refuses the equal-key record that would finish the block). If the
+//     stall guard wins, no block empties — every leading block's last key
+//     is >= dKey and is excluded by the stall clip — and the call ends
+//     exactly where the serial loop returns to wait for I/O.
 //
 // The per-run spans are therefore fixed slices of the leading blocks, and
 // their merge under the (key, run index) order — pmerge with the KeyRun
 // tie-break, whose shards each rerun the ordinary loser-tree + gallop
 // kernel — is byte-identical to the serial emission sequence. One
 // AppendBlock call emits the merged span (the run writer's stripes do not
-// depend on append granularity), and at most one block event fires per
-// call, precisely the serial contract. Scheduler-visible state (|F_t|,
-// FDS, stall set) changes exactly as the serial consumers change it, so
-// the I/O schedule, statistics and output run are unchanged for every
-// core count.
+// depend on append granularity), and at most one depletion is noted per
+// call, with the same last key, precisely the serial contract.
+// Scheduler-visible state (|F_t|, FDS, stall set) changes exactly as the
+// serial consumer changes it, so the I/O schedule, statistics, trace and
+// output run are unchanged for every core count.
 package srm
 
 import (
@@ -45,17 +45,14 @@ import (
 	"srmsort/internal/record"
 )
 
-// consumeSuperSpan is the multicore consume step shared by the sync and
-// overlapped merge loops: it computes every active run's admissible span,
-// merges the spans across up to m.cores goroutines, and emits the result
-// in one AppendBlock. It returns the records consumed and the run whose
-// leading block was depleted (-1 when the stall guard ended the call
-// instead); the caller applies its own block-event protocol — the sync
-// loop processes it immediately, the overlapped loop defers it until the
-// in-flight read lands.
-func (m *merger[R]) consumeSuperSpan(stallInclusive bool) (consumed, dRun int, err error) {
+// consumeSuperSpan is consume's multicore branch: it computes every
+// active run's admissible span, merges the spans across up to m.cores
+// goroutines, and emits the result in one AppendBlock. It returns the
+// records consumed; a depletion is noted in pendingRun as the serial
+// consumer notes it.
+func (m *merger[R]) consumeSuperSpan(stallInclusive bool) (int, error) {
 	if m.active.Len() == 0 {
-		return 0, -1, nil
+		return 0, nil
 	}
 	haveStall := m.stallHeap.Len() > 0
 	var sKey uint64
@@ -65,8 +62,8 @@ func (m *merger[R]) consumeSuperSpan(stallInclusive bool) (consumed, dRun int, e
 	seqs, total, dRun := m.superSpans(haveStall, sKey, stallInclusive)
 	if total == 0 {
 		// The stall guard blocks even the first record — the serial
-		// consumers' "wait for I/O" return.
-		return 0, -1, nil
+		// consumer's "wait for I/O" return.
+		return 0, nil
 	}
 	if cap(m.scratch) < total {
 		m.scratch = make([]R, total)
@@ -74,10 +71,10 @@ func (m *merger[R]) consumeSuperSpan(stallInclusive bool) (consumed, dRun int, e
 	out := m.scratch[:total]
 	pmerge.Merge(seqs, out, m.cores, pmerge.KeyRun)
 	if err := m.out.AppendBlock(out); err != nil {
-		return 0, -1, err
+		return 0, err
 	}
 	m.applySuperSpans(seqs, dRun)
-	return total, dRun, nil
+	return total, nil
 }
 
 // superSpans computes the exact span of every active run's leading block
@@ -130,8 +127,9 @@ func (m *merger[R]) superSpans(haveStall bool, sKey uint64, stallInclusive bool)
 
 // applySuperSpans advances the leading blocks past their emitted spans
 // and updates the active tree: surviving runs re-key to their new first
-// record, the depleted run (if any) releases its M_L slot and retires —
-// the same state transitions the serial consumers perform, batched.
+// record, the depleted run (if any) releases its M_L slot, retires and is
+// noted as pending — the same state transitions the serial consumer
+// performs, batched.
 func (m *merger[R]) applySuperSpans(seqs [][]R, dRun int) {
 	for h, s := range seqs {
 		if len(s) == 0 {
@@ -145,5 +143,7 @@ func (m *merger[R]) applySuperSpans(seqs [][]R, dRun int) {
 	if dRun >= 0 {
 		m.mem.LeadingReleased()
 		m.active.Remove(dRun)
+		s := seqs[dRun]
+		m.pendingRun, m.pendingKey = dRun, s[len(s)-1].K()
 	}
 }

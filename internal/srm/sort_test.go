@@ -22,7 +22,7 @@ func fullSort(t testing.TB, sys *pdisk.System, all []record.Record, load, r int,
 	if err != nil {
 		t.Fatal(err)
 	}
-	final, stats, _, err := SortRuns[record.Record](sys, formed.Runs, r, placement, formed.NextSeq)
+	final, stats, _, err := SortRunsOpts[record.Record](sys, formed.Runs, r, placement, formed.NextSeq, SortOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,10 +102,10 @@ func TestSortRunsRejectsBadOrder(t *testing.T) {
 	g := record.NewGenerator(24)
 	runs := g.SplitIntoSortedRuns(g.Random(20), 2)
 	descs := writeRuns(t, sys, runs, runio.StaggeredPlacement{D: 2})
-	if _, _, _, err := SortRuns[record.Record](sys, descs, 1, runio.StaggeredPlacement{D: 2}, 0); err == nil {
+	if _, _, _, err := SortRunsOpts[record.Record](sys, descs, 1, runio.StaggeredPlacement{D: 2}, 0, SortOpts{}); err == nil {
 		t.Fatal("merge order 1 accepted")
 	}
-	if _, _, _, err := SortRuns[record.Record](sys, nil, 2, runio.StaggeredPlacement{D: 2}, 0); err == nil {
+	if _, _, _, err := SortRunsOpts[record.Record](sys, nil, 2, runio.StaggeredPlacement{D: 2}, 0, SortOpts{}); err == nil {
 		t.Fatal("no runs accepted")
 	}
 }
@@ -157,7 +157,7 @@ func TestPropertyFullSort(t *testing.T) {
 		if len(formed.Runs) == 0 {
 			return n == 0
 		}
-		final, _, _, err := SortRuns[record.Record](sys, formed.Runs, r, pl, formed.NextSeq)
+		final, _, _, err := SortRunsOpts[record.Record](sys, formed.Runs, r, pl, formed.NextSeq, SortOpts{})
 		if err != nil {
 			return false
 		}

@@ -182,17 +182,10 @@ type Config struct {
 	// it, failing fast on a mismatch.
 	Codec string
 	// Dir is the directory holding FileBackend's disk files. Empty means
-	// a fresh temporary directory (under TempDir, or the OS default),
-	// removed when the sort finishes. A user-supplied Dir is created if
-	// absent and kept; only the store's scratch files are removed.
+	// a fresh directory under the OS temporary directory, removed when
+	// the sort finishes. A user-supplied Dir is created if absent and
+	// kept; only the store's scratch files are removed.
 	Dir string
-	// FileBacked is the legacy spelling of Backend: FileBackend.
-	//
-	// Deprecated: set Backend instead.
-	FileBacked bool
-	// TempDir is the parent directory for the temporary store directory
-	// when Dir is empty.
-	TempDir string
 	// Workers > 1 executes the independent merges of each pass on that
 	// many goroutines (-1 means GOMAXPROCS); 0 or 1 runs serially. The
 	// result and all I/O statistics are identical either way — only the
@@ -363,14 +356,10 @@ func (c Config) codec() (record.Codec, error) {
 	return codec, nil
 }
 
-// backend resolves the effective storage backend, folding the deprecated
-// FileBacked flag in.
+// backend resolves the effective storage backend ("" means MemBackend).
 func (c Config) backend() Backend {
 	if c.Backend != "" {
 		return c.Backend
-	}
-	if c.FileBacked {
-		return FileBackend
 	}
 	return MemBackend
 }
@@ -395,7 +384,7 @@ func (c Config) newSystem() (*pdisk.System, pdisk.Store, func(), error) {
 	case c.backend() == FileBackend:
 		dir := c.Dir
 		if dir == "" {
-			tmp, err := os.MkdirTemp(c.TempDir, "srmsort-disks-*")
+			tmp, err := os.MkdirTemp("", "srmsort-disks-*")
 			if err != nil {
 				return nil, nil, nil, err
 			}
@@ -448,7 +437,7 @@ func (c Config) newSystem() (*pdisk.System, pdisk.Store, func(), error) {
 func runAlgorithm[R record.KernelRecord](sys *pdisk.System, file *runform.InputFile, cfg Config, m, r int, stats *Stats, cp *checkpointer, tr *progressTracker) (func(func(R) error) error, error) {
 	switch cfg.Algorithm {
 	case DSM:
-		return sortDSM[R](sys, file, m, r, cfg.Async, cfg.cores(), stats, cp, tr)
+		return sortDSM[R](sys, file, m, r, cfg, stats, cp, tr)
 	case PSV:
 		return sortPSV[R](sys, file, m, stats, tr)
 	default:
@@ -801,7 +790,6 @@ func sortSRM[R record.KernelRecord](sys *pdisk.System, file *runform.InputFile, 
 	}
 	tr.formed(len(formed.Runs), len(formed.Runs), r, 0)
 
-	opts := srm.SortOpts{Async: cfg.Async, Workers: cfg.Workers, Cores: cfg.cores()}
 	var cpHook, trHook srm.PassFunc
 	if cp != nil {
 		// Pass 0 is run formation: checkpoint the freshly formed runs so
@@ -830,17 +818,28 @@ func sortSRM[R record.KernelRecord](sys *pdisk.System, file *runform.InputFile, 
 			return nil
 		}
 	}
-	opts.AfterPass = chainPassFuncs(cpHook, trHook)
-	final, sortStats, _, err := srm.SortRunsOpts[R](sys, formed.Runs, r, placement, formed.NextSeq, opts)
+	return mergeSRM[R](sys, formed.Runs, r, placement, formed.NextSeq, cfg, chainPassFuncs(cpHook, trHook), stats)
+}
+
+// mergeSRM runs the SRM merge passes over runs — a fresh sort's formed
+// runs or a resumed sort's recovered ones — records their statistics, and
+// returns the iterator over the final run.
+func mergeSRM[R record.KernelRecord](sys *pdisk.System, runs []*runio.Run, r int, placement runio.Placement, seq int, cfg Config, afterPass srm.PassFunc, stats *Stats) (func(func(R) error) error, error) {
+	final, ss, _, err := srm.SortRunsOpts[R](sys, runs, r, placement, seq, srm.SortOpts{
+		Async:     cfg.Async,
+		Workers:   cfg.Workers,
+		Cores:     cfg.cores(),
+		AfterPass: afterPass,
+	})
 	if err != nil {
 		return nil, err
 	}
-	stats.MergePasses = sortStats.MergePasses
-	stats.MergeReads = sortStats.ReadOps
-	stats.MergeWrites = sortStats.WriteOps
-	stats.Flushes = sortStats.Flushes
-	stats.BlocksFlushed = sortStats.BlocksFlushed
-	stats.BlocksReread = sortStats.BlocksReread
+	stats.MergePasses = ss.MergePasses
+	stats.MergeReads = ss.ReadOps
+	stats.MergeWrites = ss.WriteOps
+	stats.Flushes = ss.Flushes
+	stats.BlocksFlushed = ss.BlocksFlushed
+	stats.BlocksReread = ss.BlocksReread
 	if cfg.Async {
 		return func(fn func(R) error) error { return runio.StreamAsync(sys, final, fn) }, nil
 	}
@@ -866,62 +865,31 @@ func sortPSV[R record.KernelRecord](sys *pdisk.System, file *runform.InputFile, 
 	return func(fn func(R) error) error { return runio.Stream(sys, final, fn) }, nil
 }
 
-func sortDSM[R record.KernelRecord](sys *pdisk.System, file *runform.InputFile, m, r int, async bool, cores int, stats *Stats, cp *checkpointer, tr *progressTracker) (func(func(R) error) error, error) {
-	dsmStream := func(final *dsm.Run) func(func(R) error) error {
-		if async {
-			return func(fn func(R) error) error { return dsm.StreamAsync(sys, final, fn) }
-		}
-		return func(fn func(R) error) error { return dsm.Stream(sys, final, fn) }
-	}
-	if cp == nil && tr == nil {
-		var final *dsm.Run
-		var ds dsm.SortStats
-		var err error
-		final, ds, err = dsm.SortCores[R](sys, file, (m+1)/2, r, async, cores)
-		if err != nil {
-			return nil, err
-		}
-		stats.RunFormationReads = ds.RunFormationReads
-		stats.RunFormationWrites = ds.RunFormationWrites
-		stats.InitialRuns = ds.InitialRuns
-		stats.MergePasses = ds.MergePasses
-		stats.MergeReads = ds.MergeReadOps
-		stats.MergeWrites = ds.MergeWriteOps
-		return dsmStream(final), nil
-	}
-
-	// Hooked path (checkpointing and/or progress): run formation and
-	// merging are driven separately so pass 0 (the formed runs) can be
-	// persisted and reported before any merge pass.
-	before := sys.Stats()
-	var runs []*dsm.Run
-	var err error
-	runs, err = dsm.FormRunsCores[R](sys, file, (m+1)/2, async, cores)
+// sortDSM forms DSM's striped runs and merges them. Run formation and
+// merging are driven separately so pass 0 (the formed runs) can be
+// checkpointed and reported before any merge pass.
+func sortDSM[R record.KernelRecord](sys *pdisk.System, file *runform.InputFile, m, r int, cfg Config, stats *Stats, cp *checkpointer, tr *progressTracker) (func(func(R) error) error, error) {
+	runs, err := dsm.FormRunsCores[R](sys, file, (m+1)/2, cfg.Async, cfg.cores())
 	if err != nil {
 		return nil, err
 	}
 	afterForm := sys.Stats()
-	stats.RunFormationReads = afterForm.ReadOps - before.ReadOps
-	stats.RunFormationWrites = afterForm.WriteOps - before.WriteOps
+	stats.RunFormationReads = afterForm.ReadOps
+	stats.RunFormationWrites = afterForm.WriteOps
 	stats.InitialRuns = len(runs)
-	if len(runs) == 0 {
-		tr.formed(0, 0, r, 0)
-		final, err := dsm.NewWriter[R](sys, 0).Finish()
-		if err != nil {
-			return nil, err
-		}
-		return dsmStream(final), nil
-	}
 	tr.formed(len(runs), len(runs), r, 0)
+	if len(runs) == 0 {
+		return func(func(R) error) error { return nil }, nil
+	}
+	var afterPass dsm.PassFunc
 	if cp != nil {
 		cp.man.InitialRuns = len(runs)
 		if err := cp.save(runGen{Pass: 0, Seq: len(runs), DSMRuns: dsmRunStates(runs)}); err != nil {
 			return nil, err
 		}
 	}
-	final, ms, _, err := dsm.MergeAll[R](sys, runs, r, len(runs), dsm.MergeAllOpts{
-		Async: async,
-		AfterPass: func(pass int, survivors []*dsm.Run, seq int) error {
+	if cp != nil || tr != nil {
+		afterPass = func(pass int, survivors []*dsm.Run, seq int) error {
 			if cp != nil {
 				if err := cp.save(runGen{Pass: pass, Seq: seq, DSMRuns: dsmRunStates(survivors)}); err != nil {
 					return err
@@ -929,13 +897,22 @@ func sortDSM[R record.KernelRecord](sys *pdisk.System, file *runform.InputFile, 
 			}
 			tr.pass(0, pass, len(survivors))
 			return nil
-		},
-	})
+		}
+	}
+	return mergeDSM[R](sys, runs, r, len(runs), cfg, afterPass, stats)
+}
+
+// mergeDSM is mergeSRM for the striped baseline.
+func mergeDSM[R record.KernelRecord](sys *pdisk.System, runs []*dsm.Run, r, seq int, cfg Config, afterPass dsm.PassFunc, stats *Stats) (func(func(R) error) error, error) {
+	final, ms, _, err := dsm.MergeAll[R](sys, runs, r, seq, dsm.MergeAllOpts{Async: cfg.Async, AfterPass: afterPass})
 	if err != nil {
 		return nil, err
 	}
 	stats.MergePasses = ms.MergePasses
 	stats.MergeReads = ms.MergeReadOps
 	stats.MergeWrites = ms.MergeWriteOps
-	return dsmStream(final), nil
+	if cfg.Async {
+		return func(fn func(R) error) error { return dsm.StreamAsync(sys, final, fn) }, nil
+	}
+	return func(fn func(R) error) error { return dsm.Stream(sys, final, fn) }, nil
 }

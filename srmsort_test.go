@@ -158,20 +158,6 @@ func TestSortReplacementSelection(t *testing.T) {
 	}
 }
 
-// The deprecated FileBacked/TempDir spelling must keep selecting the file
-// backend (compat pin; new code uses Backend/Dir).
-func TestSortFileBacked(t *testing.T) {
-	in := randomRecords(2000, 7)
-	out, stats, err := Sort(in, Config{D: 3, B: 8, K: 3, FileBacked: true, TempDir: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkSorted(t, in, out)
-	if stats.TotalOps() == 0 {
-		t.Fatal("no I/O recorded")
-	}
-}
-
 func TestSortWithTimeModel(t *testing.T) {
 	in := randomRecords(3000, 8)
 	_, fast, err := Sort(in, Config{D: 8, B: 8, K: 4, Model: Mid1990sDisk()})
