@@ -89,14 +89,17 @@ bench-smoke:
 # equivalence fuzzer (random runs, shard counts and data shapes, every
 # shard placement byte-compared against the serial merge), 20 seconds on
 # the two-width kernel fuzzer (the pointer-free Rec16 and wide Record
-# instantiations must produce identical records and identical Stats), and
+# instantiations must produce identical records and identical Stats),
 # 20 seconds on the codec round-trip fuzzer (truncated tails and
 # bit-flips must surface as ErrCorrupt, never as a panic or silent
-# corruption).
+# corruption), and 20 seconds on the in-place varlen parser (CompareExt
+# and VarParts must agree with the byte-slice reference parser on
+# arbitrary bytes, malformed length prefixes included).
 fuzz-smoke:
 	go test -fuzz=FuzzParallelMergeEquiv -fuzztime=20s .
 	go test -fuzz=FuzzTwoWidthKernelEquiv -fuzztime=20s .
 	go test -fuzz=FuzzCodecRoundTrip -fuzztime=20s ./internal/record/
+	go test -fuzz=FuzzCompareExt -fuzztime=20s ./internal/record/
 
 tables:
 	go run ./cmd/tables

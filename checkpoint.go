@@ -119,7 +119,8 @@ type checkpointer struct {
 // save persists gen as the current generation, demoting the previous one
 // to the repair fallback. The store is flushed (FileStore fsyncs) before
 // the manifest replaces its predecessor, so a manifest never names runs
-// the media does not hold yet.
+// the media does not hold yet. This flush is the only durability point
+// Resume relies on: closing or discarding the store adds none.
 func (c *checkpointer) save(gen runGen) error {
 	if len(c.man.Cur.Runs) > 0 || len(c.man.Cur.DSMRuns) > 0 {
 		prev := c.man.Cur

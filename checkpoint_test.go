@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"os"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -412,5 +414,93 @@ func TestScrubHelper(t *testing.T) {
 	}
 	if _, err := Scrub(Config{D: 3, B: 8}); err == nil {
 		t.Fatal("Scrub accepted a memory backend")
+	}
+}
+
+// syncOrderStore records, in order, when a checkpointed sort's block
+// writes complete, when it starts a store flush and when it saves a
+// manifest. A write is logged on completion, so one still in flight
+// when a Sync starts shows up after that Sync.
+type syncOrderStore struct {
+	*pdisk.FileStore
+	mu     sync.Mutex
+	events []string
+}
+
+func (s *syncOrderStore) note(ev string) {
+	s.mu.Lock()
+	s.events = append(s.events, ev)
+	s.mu.Unlock()
+}
+
+func (s *syncOrderStore) WriteBlock(addr pdisk.BlockAddr, b pdisk.StoredBlock) error {
+	err := s.FileStore.WriteBlock(addr, b)
+	s.note("write")
+	return err
+}
+
+func (s *syncOrderStore) Sync() error {
+	s.note("sync")
+	return s.FileStore.Sync()
+}
+
+func (s *syncOrderStore) SaveManifest(data []byte) error {
+	s.note("manifest")
+	return s.FileStore.SaveManifest(data)
+}
+
+// TestCheckpointSyncsBeforeManifest pins the one durability point Resume
+// relies on: every manifest is saved after a store Sync that began once
+// the last block write of its pass had completed, so a manifest never
+// names blocks the media may not hold. Teardown no longer fsyncs scratch
+// disks, which makes this Sync the only flush a checkpointed sort gets.
+// It also checks that a non-checkpointed file sort in a user directory
+// discards its disk files.
+func TestCheckpointSyncsBeforeManifest(t *testing.T) {
+	in := randomRecords(3000, 23)
+	for _, async := range []bool{false, true} {
+		t.Run(fmt.Sprintf("async=%v", async), func(t *testing.T) {
+			fs, err := pdisk.NewFileStore(t.TempDir(), 8, 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer fs.Remove()
+			rec := &syncOrderStore{FileStore: fs}
+			cfg := Config{D: 4, B: 8, K: 3, Seed: 5, Checkpoint: true, Async: async, Store: rec}
+			_, stats, err := Sort(in, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			manifests, synced, unsynced := 0, false, 0
+			for i, ev := range rec.events {
+				switch ev {
+				case "write":
+					unsynced++
+				case "sync":
+					synced, unsynced = true, 0
+				case "manifest":
+					manifests++
+					if !synced || unsynced > 0 {
+						t.Fatalf("manifest %d (event %d) saved with %d block writes after the last Sync (synced before: %v)",
+							manifests, i, unsynced, synced)
+					}
+				}
+			}
+			if want := stats.MergePasses + 1; manifests < want {
+				t.Fatalf("%d manifests saved, want at least %d (formation + %d passes)", manifests, want, stats.MergePasses)
+			}
+		})
+	}
+
+	dir := t.TempDir()
+	if _, _, err := Sort(in, Config{D: 4, B: 8, K: 3, Seed: 5, Backend: FileBackend, Dir: dir}); err != nil {
+		t.Fatal(err)
+	}
+	left, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range left {
+		t.Errorf("non-checkpointed file sort left %s in its directory", e.Name())
 	}
 }

@@ -808,6 +808,7 @@ func (m *Manager) runJob(j *Job, resume bool) {
 	}()
 
 	var inner pdisk.Store
+	var disks *pdisk.FileStore // the durable job's striped disks; nil for a volatile job
 	if j.dir != "" {
 		codec, err := record.CodecByName(j.spec.Codec)
 		if err != nil { // validated at submit; unreachable
@@ -819,7 +820,7 @@ func (m *Manager) runJob(j *Job, resume bool) {
 			m.finishFailed(j, err)
 			return
 		}
-		inner = fs
+		inner, disks = fs, fs
 	} else {
 		inner = pdisk.NewMemStore()
 	}
@@ -865,7 +866,7 @@ func (m *Manager) runJob(j *Job, resume bool) {
 		j.bumpAttempt()
 		stats, err := m.attempt(j, cfg, resume || attempt > 1)
 		if err == nil {
-			m.finishDone(j, stats)
+			m.finishDone(j, stats, disks)
 			return
 		}
 		if reason := ks.killedWith(); reason != nil {
@@ -949,7 +950,11 @@ func (m *Manager) attempt(j *Job, cfg srmsort.Config, resume bool) (srmsort.Stat
 	return stats, nil
 }
 
-func (m *Manager) finishDone(j *Job, stats srmsort.Stats) {
+// finishDone marks a job done. disks, the durable job's FileStore, is
+// discarded: its files are deleted without an fsync (runJob's deferred
+// Close of the store stack then finds it already closed). Interrupted
+// and failed jobs keep their disks for the next attempt.
+func (m *Manager) finishDone(j *Job, stats srmsort.Stats, disks *pdisk.FileStore) {
 	j.mu.Lock()
 	j.state = StateDone
 	s := stats
@@ -960,9 +965,7 @@ func (m *Manager) finishDone(j *Job, stats srmsort.Stats) {
 			os.WriteFile(filepath.Join(j.dir, "stats.json"), data, 0o644)
 		}
 		// The striped disks served their purpose; reclaim the space.
-		// (Closed by runJob's deferred ks.Close after we return — removal
-		// of a FileStore's files out from under it is safe, it holds
-		// open fds.)
+		disks.Remove()
 		os.RemoveAll(filepath.Join(j.dir, "disks"))
 	}
 	m.logf("jobs: %s done (%d records)", j.id, j.records)

@@ -649,6 +649,51 @@ func TestBudgetCores(t *testing.T) {
 	}
 }
 
+// TestDoneJobDiscardsDisks: a durable job that finishes discards its
+// striped disks (deleted, not fsynced first) and keeps only what serves
+// its result, which a restarted manager still serves byte-identically.
+func TestDoneJobDiscardsDisks(t *testing.T) {
+	root := t.TempDir()
+	opts := Options{Root: root, MemoryBudget: 100_000, Defaults: testSpec(1)}
+	m, err := NewManager(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in, want := genInput(t, testSpec(1), 2000, 13)
+	j, err := m.Submit(Spec{}, bytes.NewReader(in))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := waitJob(t, j); st.State != StateDone {
+		t.Fatalf("state = %s (%s)", st.State, st.Error)
+	}
+	m.Kill()
+	if _, err := os.Stat(filepath.Join(root, j.ID(), "disks")); !os.IsNotExist(err) {
+		t.Fatalf("done job's disks/ survived: stat err = %v", err)
+	}
+
+	m2, err := NewManager(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m2.Kill()
+	j2, ok := m2.Get(j.ID())
+	if !ok {
+		t.Fatal("done job not recovered")
+	}
+	if st := waitJob(t, j2); st.State != StateDone {
+		t.Fatalf("recovered state = %s (%s)", st.State, st.Error)
+	}
+	rc, _, err := m2.Result(j.ID())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rc.Close()
+	if got, _ := io.ReadAll(rc); !bytes.Equal(got, want) {
+		t.Fatal("result served after restart differs")
+	}
+}
+
 // TestRecoverLegacyWorkersSpec: a job directory whose spec.json still
 // carries the removed per-job "workers" field recovers on restart; the
 // stale field is ignored.

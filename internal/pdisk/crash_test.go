@@ -101,7 +101,9 @@ func TestFileStoreCrashReopen(t *testing.T) {
 	}
 }
 
-// Close leaves the files on disk (fsynced); Remove deletes them.
+// Close leaves the files on disk (fsynced); Remove deletes them. A Close
+// after Remove is a no-op: sortd closes a done job's store stack after
+// discarding its disks.
 func TestFileStoreCloseKeepsFilesRemoveDeletes(t *testing.T) {
 	dir := t.TempDir()
 	fs, err := NewFileStore(dir, 2, 0)
@@ -123,6 +125,9 @@ func TestFileStoreCloseKeepsFilesRemoveDeletes(t *testing.T) {
 	}
 	if err := re.Remove(); err != nil {
 		t.Fatal(err)
+	}
+	if err := re.Close(); err != nil {
+		t.Fatalf("Close after Remove: %v", err)
 	}
 	re2, err := NewFileStore(dir, 2, 0)
 	if err != nil {

@@ -32,11 +32,14 @@ import (
 // audit the whole store without the algorithms' help.
 //
 // Both files grow in preallocation chunks (Truncate) ahead of the write
-// frontier, transfers are positional reads/writes (pread/pwrite), and
-// Close fsyncs before closing. Files are left on disk by Close — a store
-// can be reopened over the same directory with NewFileStore, which
-// recovers occupancy from the meta files (the crash-consistency story) —
-// and are deleted only by an explicit Remove. A small opaque manifest
+// frontier, and transfers are positional reads/writes (pread/pwrite).
+// Close fsyncs a store whose files survive it: they are left on disk — a
+// store can be reopened over the same directory with NewFileStore, which
+// recovers occupancy from the meta files (the crash-consistency story).
+// Remove discards a store instead: it closes the files without an fsync
+// and deletes them, so scratch disks a sort throws away never pay for a
+// flush to the media. Checkpointed sorts make their own durability point
+// with Sync before each manifest. A small opaque manifest
 // (ManifestStore) rides alongside in manifest.json, replaced atomically
 // via rename so checkpoint state is never torn.
 type FileStore struct {
@@ -654,7 +657,11 @@ func (f *FileStore) Sync() error {
 
 // Close fsyncs and closes every disk file, leaving them on disk so the
 // store can be reopened (or inspected) later. Idempotent.
-func (f *FileStore) Close() error {
+func (f *FileStore) Close() error { return f.close(true) }
+
+// close closes every disk file, fsyncing each first when sync is set.
+// Idempotent: only the first call closes.
+func (f *FileStore) close(sync bool) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.closed {
@@ -664,8 +671,10 @@ func (f *FileStore) Close() error {
 	var firstErr error
 	for _, df := range f.disks {
 		for _, fh := range []*os.File{df.data, df.meta} {
-			if err := fh.Sync(); err != nil && firstErr == nil {
-				firstErr = err
+			if sync {
+				if err := fh.Sync(); err != nil && firstErr == nil {
+					firstErr = err
+				}
 			}
 			if err := fh.Close(); err != nil && firstErr == nil {
 				firstErr = err
@@ -675,10 +684,12 @@ func (f *FileStore) Close() error {
 	return firstErr
 }
 
-// Remove closes the store (if still open) and deletes its disk files,
-// epoch counter and manifest. The directory itself is left in place.
+// Remove discards the store: it closes the disk files (if still open)
+// without an fsync — they are deleted next, so flushing them would be
+// wasted I/O — and deletes them with the epoch counter and manifest. The
+// directory itself is left in place.
 func (f *FileStore) Remove() error {
-	firstErr := f.Close()
+	firstErr := f.close(false)
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	names := []string{f.epochPath(), f.manifestPath(), f.manifestTmpPath()}

@@ -122,3 +122,68 @@ func TestFileStoreVarlenRejectsOversizedRecord(t *testing.T) {
 		t.Fatalf("WriteBlock of ext-less record: err=%v, want ErrInvalid", err)
 	}
 }
+
+// TestFileStoreVarlenRecordsOwnTheirBytes guards block-resident varlen
+// decoding: the records a ReadBlock returns must keep their bytes after
+// the store's pooled scratch buffer has carried other transfers. A
+// decode whose Ext strings viewed that buffer (an unsafe.String over the
+// payload, say) would see them rewritten by the later reads and writes.
+// The transfers run sequentially (a goroutine reuses its pool slot) and
+// then from concurrent goroutines, so the race detector watches too.
+func TestFileStoreVarlenRecordsOwnTheirBytes(t *testing.T) {
+	fs, err := NewFileStoreCodec(t.TempDir(), 16, 2, record.Varlen{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fs.Remove()
+	first := BlockAddr{Disk: 0, Index: 0}
+	want := varBlock(t, 16, 0)
+	if err := fs.WriteBlock(first, StoredBlock{Records: want}); err != nil {
+		t.Fatal(err)
+	}
+	got, err := fs.ReadBlock(first)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	const workers, perWorker = 4, 16
+	blocks := make([]record.Block, 1+workers*perWorker)
+	for i := 1; i < len(blocks); i++ {
+		blocks[i] = varBlock(t, 16, i)
+	}
+	transfer := func(i int) error {
+		addr := BlockAddr{Disk: i % 2, Index: i}
+		if err := fs.WriteBlock(addr, StoredBlock{Records: blocks[i]}); err != nil {
+			return err
+		}
+		_, err := fs.ReadBlock(addr)
+		return err
+	}
+	for i := 1; i <= perWorker; i++ {
+		if err := transfer(i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	errs := make(chan error, workers)
+	for w := 1; w < workers; w++ {
+		go func() {
+			var err error
+			for i := w*perWorker + 1; i <= (w+1)*perWorker && err == nil; i++ {
+				err = transfer(i)
+			}
+			errs <- err
+		}()
+	}
+	for w := 1; w < workers; w++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	for i := range want {
+		if got.Records[i] != want[i] {
+			t.Fatalf("record %d changed after the scratch buffer was reused: %q, want %q",
+				i, got.Records[i].Ext, want[i].Ext)
+		}
+	}
+}

@@ -23,6 +23,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"strings"
 )
 
 // ErrCorrupt reports an encoding that cannot be decoded: a truncated
@@ -85,7 +86,8 @@ func CodecNames() []string { return []string{"fixed16", "varlen", "varlen+flate"
 
 // MakeVar builds a variable-length record from its key and payload
 // bytes. The canonical encoding (Ext) is uvarint(len(key)) || key ||
-// payload; Key and Val become the prefix words described at Record.
+// payload, built in one allocation; Key and Val become the prefix words
+// described at Record.
 func MakeVar(key, payload []byte) (Record, error) {
 	var pre [binary.MaxVarintLen32]byte
 	n := binary.PutUvarint(pre[:], uint64(len(key)))
@@ -94,26 +96,43 @@ func MakeVar(key, payload []byte) (Record, error) {
 		return Record{}, fmt.Errorf("record: variable-length record encodes to %d bytes, max %d",
 			total, MaxVarRecordBytes)
 	}
-	ext := make([]byte, 0, total)
-	ext = append(ext, pre[:n]...)
-	ext = append(ext, key...)
-	ext = append(ext, payload...)
-	r := Record{Ext: string(ext)}
+	var ext strings.Builder
+	ext.Grow(total)
+	ext.Write(pre[:n])
+	ext.Write(key)
+	ext.Write(payload)
+	r := Record{Ext: ext.String()}
 	r.Key, r.Val = extPrefixes(key)
 	return r, nil
 }
 
 // VarParts splits a variable-length record back into its key and payload
-// bytes. Records without an Ext (Fixed16 records) are rejected.
+// bytes: one copy of the encoding's tail, the key a capacity-limited view
+// of it (appending to the key never overwrites the payload) and the
+// payload the rest. Records without an Ext (Fixed16 records) are
+// rejected.
 func VarParts(r Record) (key, payload []byte, err error) {
 	if r.Ext == "" {
 		return nil, nil, fmt.Errorf("record: VarParts of a fixed-size record")
 	}
-	klen, n := binary.Uvarint([]byte(r.Ext[:min(len(r.Ext), binary.MaxVarintLen32)]))
-	if n <= 0 || int(klen) > len(r.Ext)-n {
-		return nil, nil, fmt.Errorf("%w: key length %d overruns %d-byte record", ErrCorrupt, klen, len(r.Ext))
+	klen, used, ok := splitExt(r.Ext)
+	if !ok {
+		return nil, nil, fmt.Errorf("%w: key length overruns %d-byte record", ErrCorrupt, len(r.Ext))
 	}
-	return []byte(r.Ext[n : n+int(klen)]), []byte(r.Ext[n+int(klen):]), nil
+	tail := []byte(r.Ext[used:])
+	return tail[:klen:klen], tail[klen:], nil
+}
+
+// splitExt decodes the key length that heads a canonical encoding: the
+// key is ext[used : used+klen] and the payload everything after it. ok
+// is false when the first MaxVarintLen32 bytes hold no valid uvarint or
+// the key overruns the encoding.
+func splitExt(ext string) (klen, used int, ok bool) {
+	k, n := binary.Uvarint([]byte(ext[:min(len(ext), binary.MaxVarintLen32)]))
+	if n <= 0 || k > uint64(len(ext)-n) {
+		return 0, 0, false
+	}
+	return int(k), n, true
 }
 
 // extPrefixes derives the (Key, Val) prefix words of a variable-length
@@ -121,7 +140,7 @@ func VarParts(r Record) (key, payload []byte, err error) {
 // MaxKey, which the forecasting machinery reserves as its "no successor"
 // sentinel — the clamp is monotone, so prefix order stays a coarsening
 // of lexicographic order), Val the big-endian bytes 8..16 zero-padded.
-func extPrefixes(key []byte) (Key, uint64) {
+func extPrefixes[T string | []byte](key T) (Key, uint64) {
 	var w [16]byte
 	copy(w[:], key)
 	k := Key(binary.BigEndian.Uint64(w[0:8]))
@@ -135,25 +154,20 @@ func extPrefixes(key []byte) (Key, uint64) {
 // full record order: key bytes lexicographically, then payload bytes.
 // A raw bytes-compare of the encodings would be wrong — the uvarint key
 // length would order a 9-byte key before a 10-byte key sharing its
-// prefix — so the key length is decoded first. Undecodable encodings
-// (never produced by MakeVar; possible only for hand-built records)
-// fall back to comparing the raw encodings, keeping the order total.
+// prefix — so the key length is decoded first, in place: CompareExt
+// allocates nothing. Undecodable encodings (never produced by MakeVar;
+// possible only for hand-built records) fall back to comparing the raw
+// encodings, keeping the order total.
 func CompareExt(a, b string) int {
-	ak, ap, aerr := VarParts(Record{Ext: a})
-	bk, bp, berr := VarParts(Record{Ext: b})
-	if aerr != nil || berr != nil {
-		switch {
-		case a < b:
-			return -1
-		case a > b:
-			return 1
-		}
-		return 0
+	ak, an, aok := splitExt(a)
+	bk, bn, bok := splitExt(b)
+	if !aok || !bok {
+		return strings.Compare(a, b)
 	}
-	if c := bytes.Compare(ak, bk); c != 0 {
+	if c := strings.Compare(a[an:an+ak], b[bn:bn+bk]); c != 0 {
 		return c
 	}
-	return bytes.Compare(ap, bp)
+	return strings.Compare(a[an+ak:], b[bn+bk:])
 }
 
 // Fixed16 is the original record layout: 16 bytes little-endian per
@@ -299,16 +313,20 @@ func (v Varlen) MaxBlockBytes(nrec int) int {
 	return 1 + nrec*v.MaxRecordBytes()
 }
 
-// AppendBlock implements Codec.
+// AppendBlock implements Codec. The raw body is appended straight into
+// dst, so a caller that sizes dst by MaxBlockBytes encodes without
+// allocating.
 func (v Varlen) AppendBlock(dst []byte, rs []Record) ([]byte, error) {
-	body := make([]byte, 0, len(rs)*32)
+	start := len(dst)
+	dst = append(dst, varlenRaw)
 	var err error
 	for _, r := range rs {
-		if body, err = v.AppendRecord(body, r); err != nil {
+		if dst, err = v.AppendRecord(dst, r); err != nil {
 			return nil, err
 		}
 	}
 	if v.Flate {
+		body := dst[start+1:]
 		var zbuf bytes.Buffer
 		zw, zerr := flate.NewWriter(&zbuf, flate.BestSpeed)
 		if zerr != nil {
@@ -321,15 +339,17 @@ func (v Varlen) AppendBlock(dst []byte, rs []Record) ([]byte, error) {
 			return nil, zerr
 		}
 		if zbuf.Len() < len(body) {
-			dst = append(dst, varlenFlate)
+			dst = append(dst[:start], varlenFlate)
 			return append(dst, zbuf.Bytes()...), nil
 		}
 	}
-	dst = append(dst, varlenRaw)
-	return append(dst, body...), nil
+	return dst, nil
 }
 
-// DecodeBlock implements Codec.
+// DecodeBlock implements Codec. The block body is copied once into a
+// string and every record's Ext is a substring of it, so a block costs
+// two allocations (that string and the record slice) however many
+// records it holds, and no record aliases data.
 func (v Varlen) DecodeBlock(data []byte, nrec int) ([]Record, error) {
 	if len(data) < 1 {
 		return nil, fmt.Errorf("%w: varlen block has no flag byte", ErrCorrupt)
@@ -357,6 +377,7 @@ func (v Varlen) DecodeBlock(data []byte, nrec int) ([]Record, error) {
 	default:
 		return nil, fmt.Errorf("%w: varlen block flag 0x%02x", ErrCorrupt, data[0])
 	}
+	text := string(body)
 	rs := make([]Record, 0, nrec)
 	off := 0
 	for i := 0; i < nrec; i++ {
@@ -368,7 +389,7 @@ func (v Varlen) DecodeBlock(data []byte, nrec int) ([]Record, error) {
 			return nil, fmt.Errorf("%w: record %d claims %d bytes with %d remaining",
 				ErrCorrupt, i, n, len(body)-off-used)
 		}
-		r, err := recordFromExt(body[off+used : off+used+n])
+		r, err := recordFromExt(text[off+used : off+used+n])
 		if err != nil {
 			return nil, fmt.Errorf("record %d: %w", i, err)
 		}
@@ -409,19 +430,19 @@ func (Varlen) ReadRecord(br *bufio.Reader) (Record, error) {
 	if _, err := io.ReadFull(br, ext); err != nil {
 		return Record{}, fmt.Errorf("%w: record truncated inside its %d bytes: %v", ErrCorrupt, n, err)
 	}
-	return recordFromExt(ext)
+	return recordFromExt(string(ext))
 }
 
 // recordFromExt rebuilds a Record from its canonical encoding, deriving
 // the prefix words from the decoded key — the single source of truth, so
 // a record decoded from disk is identical to the MakeVar original.
-func recordFromExt(ext []byte) (Record, error) {
-	klen, used := binary.Uvarint(ext[:min(len(ext), binary.MaxVarintLen32)])
-	if used <= 0 || int(klen) > len(ext)-used {
+func recordFromExt(ext string) (Record, error) {
+	klen, used, ok := splitExt(ext)
+	if !ok {
 		return Record{}, fmt.Errorf("%w: key length overruns %d-byte encoding", ErrCorrupt, len(ext))
 	}
-	r := Record{Ext: string(ext)}
-	r.Key, r.Val = extPrefixes(ext[used : used+int(klen)])
+	r := Record{Ext: ext}
+	r.Key, r.Val = extPrefixes(ext[used : used+klen])
 	return r, nil
 }
 

@@ -3,7 +3,10 @@ package record
 import (
 	"bufio"
 	"bytes"
+	"cmp"
+	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"sort"
 	"strings"
@@ -322,6 +325,93 @@ func FuzzCodecRoundTrip(f *testing.F) {
 		for i := range rs {
 			if dec[i] != rs[i] {
 				t.Fatalf("%s: record %d = %+v, want %+v", codec.Name(), i, dec[i], rs[i])
+			}
+		}
+	})
+}
+
+// refVarParts and refCompareExt are the byte-slice parser VarParts and
+// CompareExt replaced: each part copied out of the encoding, then
+// compared. FuzzCompareExt holds the in-place parser to their answers.
+func refVarParts(r Record) (key, payload []byte, err error) {
+	if r.Ext == "" {
+		return nil, nil, fmt.Errorf("record: VarParts of a fixed-size record")
+	}
+	klen, n := binary.Uvarint([]byte(r.Ext[:min(len(r.Ext), binary.MaxVarintLen32)]))
+	if n <= 0 || int(klen) > len(r.Ext)-n {
+		return nil, nil, fmt.Errorf("%w: key length %d overruns %d-byte record", ErrCorrupt, klen, len(r.Ext))
+	}
+	return []byte(r.Ext[n : n+int(klen)]), []byte(r.Ext[n+int(klen):]), nil
+}
+
+func refCompareExt(a, b string) int {
+	ak, ap, aerr := refVarParts(Record{Ext: a})
+	bk, bp, berr := refVarParts(Record{Ext: b})
+	if aerr != nil || berr != nil {
+		switch {
+		case a < b:
+			return -1
+		case a > b:
+			return 1
+		}
+		return 0
+	}
+	if c := bytes.Compare(ak, bk); c != 0 {
+		return c
+	}
+	return bytes.Compare(ap, bp)
+}
+
+// errClass buckets an error the way callers branch on it: none,
+// corruption, or any other failure.
+func errClass(err error) string {
+	switch {
+	case err == nil:
+		return "nil"
+	case errors.Is(err, ErrCorrupt):
+		return "corrupt"
+	}
+	return "other"
+}
+
+// FuzzCompareExt checks the in-place encoding parser against the
+// byte-slice reference on arbitrary byte strings, malformed key-length
+// prefixes included: CompareExt must return the reference's sign, and
+// VarParts the reference's bytes and error class, with a key that
+// cannot be appended into the payload.
+func FuzzCompareExt(f *testing.F) {
+	valid := func(key, payload string) []byte {
+		r, err := MakeVar([]byte(key), []byte(payload))
+		if err != nil {
+			f.Fatal(err)
+		}
+		return []byte(r.Ext)
+	}
+	f.Add(valid("AAAAAAAAAAAAAAAAZ", ""), valid("AAAAAAAAAAAAAAAAAB", ""))
+	f.Add(valid("key", "p1"), valid("key", "p2"))
+	f.Add(valid("", ""), []byte{})
+	f.Add([]byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x01}, valid("k", ""))
+	f.Add([]byte{0x05, 'a'}, []byte{0x01, 'a'})
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0x0f, 'x'}, []byte{0x00, 'x'})
+	f.Fuzz(func(t *testing.T, a, b []byte) {
+		sa, sb := string(a), string(b)
+		if got, want := cmp.Compare(CompareExt(sa, sb), 0), cmp.Compare(refCompareExt(sa, sb), 0); got != want {
+			t.Fatalf("CompareExt(%x, %x) sign %d, reference %d", a, b, got, want)
+		}
+		for _, ext := range []string{sa, sb} {
+			key, payload, err := VarParts(Record{Ext: ext})
+			wantKey, wantPayload, wantErr := refVarParts(Record{Ext: ext})
+			if errClass(err) != errClass(wantErr) {
+				t.Fatalf("VarParts(%x) error %v, reference %v", ext, err, wantErr)
+			}
+			if err != nil {
+				continue
+			}
+			if !bytes.Equal(key, wantKey) || !bytes.Equal(payload, wantPayload) {
+				t.Fatalf("VarParts(%x) = %x, %x; reference %x, %x", ext, key, payload, wantKey, wantPayload)
+			}
+			if cap(key) != len(key) {
+				t.Fatalf("VarParts(%x) key has spare capacity %d: an append would overwrite the payload", ext, cap(key)-len(key))
 			}
 		}
 	})

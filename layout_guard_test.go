@@ -3,6 +3,8 @@ package srmsort
 import (
 	"runtime"
 	"testing"
+
+	"srmsort/internal/record"
 )
 
 // guardSortInput is the small SRM/mem sort the allocation guards run:
@@ -60,5 +62,64 @@ func TestFixed16SortAllocGuard(t *testing.T) {
 	// above measurement but far below the 468 B/rec wide-record level.
 	if best > 400 {
 		t.Errorf("fixed16 sort allocates %.0f B/rec, want <= 400 (archive ~243, wide-record regression was ~468)", best)
+	}
+}
+
+// TestVarlenSortAllocGuard pins the varlen file path to per-block, not
+// per-record, allocation: decoded blocks are block-resident (one string
+// per block, each record's Ext a substring of it), MakeVar and VarParts
+// copy once, and the content comparator splits encodings in place. The
+// per-record copies these replaced cost ~12 allocs/rec at this size;
+// block-resident decoding brings it to under 3.
+func TestVarlenSortAllocGuard(t *testing.T) {
+	const n = 20_000
+	in := benchVarRecords(n, 17)
+	cfg := Config{D: 4, B: 64, K: 4, Seed: 11, Backend: FileBackend, Dir: t.TempDir(), Codec: "varlen"}
+
+	if _, _, err := SortVar(in, cfg); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(3, func() {
+		if _, _, err := SortVar(in, cfg); err != nil {
+			t.Fatal(err)
+		}
+	})
+	perRec := allocs / n
+	t.Logf("varlen file sort: %.2f allocs/rec", perRec)
+	if perRec > 4 {
+		t.Errorf("varlen file sort allocates %.2f objects/rec, want <= 4 (per-record decode copies cost ~12)", perRec)
+	}
+
+	a, err := record.MakeVar([]byte("ACGTACGTACGTA"), []byte("payload-1"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := record.MakeVar([]byte("ACGTACGTACGTA"), []byte("payload-2"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := testing.AllocsPerRun(100, func() { record.CompareExt(a.Ext, b.Ext) }); got != 0 {
+		t.Errorf("record.CompareExt allocates %.1f objects per call, want 0", got)
+	}
+
+	codec := record.Varlen{}
+	var blk []record.Record
+	for _, v := range in[:64] {
+		r, err := record.MakeVar(v.Key, v.Payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		blk = append(blk, r)
+	}
+	enc, err := codec.AppendBlock(nil, blk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := testing.AllocsPerRun(100, func() {
+		if _, err := codec.DecodeBlock(enc, len(blk)); err != nil {
+			t.Fatal(err)
+		}
+	}); got > 2 {
+		t.Errorf("Varlen.DecodeBlock of a %d-record block allocates %.1f objects, want <= 2", len(blk), got)
 	}
 }

@@ -366,8 +366,8 @@ func (c Config) backend() Backend {
 
 // newSystem builds the disk system of a sort on the configured backend,
 // returning the top of the store stack (what checkpoint and scrub code
-// reach through) and a cleanup function that removes any file-backed
-// scratch storage.
+// reach through) and a cleanup function that closes the System and
+// removes any file-backed scratch storage.
 func (c Config) newSystem() (*pdisk.System, pdisk.Store, func(), error) {
 	codec, err := c.codec()
 	if err != nil {
@@ -397,16 +397,17 @@ func (c Config) newSystem() (*pdisk.System, pdisk.Store, func(), error) {
 			return nil, nil, nil, err
 		}
 		store = fs
-		if c.Dir != "" {
-			// A user-supplied directory is kept; only the store's
-			// scratch files go — unless the sort is checkpointed, in
-			// which case the files ARE the recovery state and survive
-			// every exit.
-			if c.Checkpoint {
-				cleanupStore = func() {}
-			} else {
-				cleanupStore = func() { fs.Remove() }
-			}
+		// A checkpointed sort in a user-supplied directory keeps its
+		// files: they ARE the recovery state and survive every exit,
+		// so the System closes (and fsyncs) the store. Any other file
+		// sort's disks are scratch: the System leaves the store open
+		// and teardown discards it through Remove, which deletes the
+		// files without fsyncing them first. A user directory itself
+		// is kept either way.
+		if c.Dir == "" || !c.Checkpoint {
+			retain = true
+			removeDir := cleanupStore
+			cleanupStore = func() { fs.Remove(); removeDir() }
 		}
 	default:
 		return nil, nil, nil, fmt.Errorf("srmsort: unknown backend %q", c.Backend)
@@ -541,10 +542,7 @@ func sortOrResumeVar(records []VarRecord, cfg Config, resume bool) ([]VarRecord,
 			if err != nil {
 				return err
 			}
-			result = append(result, VarRecord{
-				Key:     append([]byte(nil), key...),
-				Payload: append([]byte(nil), payload...),
-			})
+			result = append(result, VarRecord{Key: key, Payload: payload})
 			return nil
 		})
 	if err != nil {

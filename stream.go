@@ -98,10 +98,7 @@ func ReadVarRecords(r io.Reader) ([]VarRecord, error) {
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, VarRecord{
-			Key:     append([]byte(nil), key...),
-			Payload: append([]byte(nil), payload...),
-		})
+		out = append(out, VarRecord{Key: key, Payload: payload})
 	}
 }
 
