@@ -29,7 +29,7 @@ check: fmt-check build
 		echo "staticcheck not installed; skipping (go vet still ran)"; fi
 	go test -race ./...
 	go test -tags=aliascheck ./internal/pdisk/ ./internal/srm/
-	go test -run='^$$' -bench='SortEndToEnd|ServerThroughput|ParallelMerge' -benchtime=1x .
+	go test -run='^$$' -bench='SortEndToEnd|SortDeadline|ServerThroughput|ParallelMerge' -benchtime=1x .
 	cd perfbench && go vet ./... && go test ./...
 
 # The whole suite with MemStore's zero-copy mutation guard armed: every
@@ -44,9 +44,12 @@ aliascheck:
 # (seeded Pareto latency under deadlines/hedging), the stuck-op wing
 # (a 250 ms read hang bounded by the deadline layer) and the server
 # drain-interrupted-kill cells. Raced, and under a hard deadline so a
-# hung resume loop fails fast instead of wedging CI.
+# hung resume loop fails fast instead of wedging CI. Then the deadline
+# layer's own suite, raced ten times over: its executors, joins and
+# hedges race real stragglers, so one clean pass proves little.
 chaos:
 	go test -race -count=1 -timeout 10m ./internal/chaos/
+	go test -race -count=10 -timeout 10m -run 'Deadline|Health' ./internal/pdisk/
 
 # The sortd server load tests: dozens of concurrent jobs over the HTTP
 # API with seeded store faults, the server kill/restart matrix
@@ -63,11 +66,12 @@ fmt-check:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
 # The measured end-to-end sort benchmark (alg x backend x D x cores),
+# the deadline layer's fault-free cost (bare vs deadline vs hedge rows),
 # plus the multicore merge kernel in isolation. Writes BENCH_sort.json
 # with ns/record, B/record and allocs/record per cell — the perf
 # trajectory future PRs regress against (see EXPERIMENTS.md).
 bench:
-	go test -run='^$$' -bench='SortEndToEnd|ServerThroughput|ParallelMerge' -benchmem . | tee bench_sort_output.txt
+	go test -run='^$$' -bench='SortEndToEnd|SortDeadline|ServerThroughput|ParallelMerge' -benchmem . | tee bench_sort_output.txt
 	go run ./cmd/benchjson -o BENCH_sort.json bench_sort_output.txt
 
 # Every benchmark in the repository (micro and end-to-end).
@@ -78,12 +82,12 @@ bench-all:
 # deltas against the committed BENCH_sort.json baseline — the perf gate a
 # change is judged by before the baseline itself is refreshed.
 bench-diff:
-	go test -run='^$$' -bench='SortEndToEnd|ServerThroughput|ParallelMerge' -benchmem . | tee bench_sort_output.txt
+	go test -run='^$$' -bench='SortEndToEnd|SortDeadline|ServerThroughput|ParallelMerge' -benchmem . | tee bench_sort_output.txt
 	go run ./cmd/benchjson -diff BENCH_sort.json bench_sort_output.txt
 
 # One iteration per cell: proves the harness runs, measures nothing.
 bench-smoke:
-	go test -run='^$$' -bench='SortEndToEnd|ServerThroughput|ParallelMerge' -benchtime=1x .
+	go test -run='^$$' -bench='SortEndToEnd|SortDeadline|ServerThroughput|ParallelMerge' -benchtime=1x .
 
 # Native-fuzz bursts CI runs exactly: 20 seconds on the parallel-merge
 # equivalence fuzzer (random runs, shard counts and data shapes, every

@@ -7,6 +7,8 @@ import (
 	"runtime"
 	"testing"
 	"time"
+
+	"srmsort/internal/pdisk"
 )
 
 // The async pipeline's contract is indistinguishability: for every
@@ -112,6 +114,19 @@ func TestAsyncFlushHeavyWorkload(t *testing.T) {
 	t.Logf("total flushes=%d reread=%d", flushes, reread)
 }
 
+// waitGoroutines fails the test unless the goroutine count falls back to
+// base within five seconds.
+func waitGoroutines(t *testing.T, base int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutine leak: %d running, want <= %d", runtime.NumGoroutine(), base)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
 // A file-backed async sort through the public API must leave no goroutines
 // (disk workers) behind once Sort returns — Sort owns the system's whole
 // lifecycle.
@@ -131,11 +146,30 @@ func TestAsyncFileBackedNoLeak(t *testing.T) {
 			}
 		}
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > base {
-		if time.Now().After(deadline) {
-			t.Fatalf("goroutine leak: %d running, want <= %d", runtime.NumGoroutine(), base)
+	waitGoroutines(t, base)
+}
+
+// A deadline-configured sort over a caller-supplied store — one the
+// System leaves open — must still stop the deadline layer's executors
+// when it tears down, in both I/O modes.
+func TestDeadlineCallerStoreNoLeak(t *testing.T) {
+	base := runtime.NumGoroutine()
+	in := benchRecords(5000, 37)
+	store := pdisk.NewMemStore()
+	defer store.Close()
+	for _, async := range []bool{false, true} {
+		out, _, err := Sort(in, Config{
+			D: 4, B: 16, K: 3, Seed: 5, Async: async, Store: store,
+			Deadline: &DeadlinePolicy{OpDeadline: time.Minute, HedgeAfter: 30 * time.Second},
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-		time.Sleep(10 * time.Millisecond)
+		for j := 1; j < len(out); j++ {
+			if out[j-1].Key > out[j].Key {
+				t.Fatalf("async=%v: not sorted at %d", async, j)
+			}
+		}
 	}
+	waitGoroutines(t, base)
 }

@@ -318,8 +318,11 @@ func BenchmarkSortEndToEnd(b *testing.B) {
 // when nothing goes wrong: the same fault-free sort with no deadline
 // layer at all, with tracking plus a generous deadline, and with a
 // hedge delay so large it never fires. The deltas are the fixed
-// overhead table in EXPERIMENTS.md §hedged-reads — the layer's price
-// must stay within noise of the bare stack.
+// overhead table in EXPERIMENTS.md §hedged-reads. Like the SortEndToEnd
+// cells it reports ns/rec, B/rec and allocs/rec, and `make bench`
+// archives it in BENCH_sort.json: the layer's executors and pooled
+// timers allocate nothing per block op, so its rows must allocate no
+// more than the bare row.
 func BenchmarkSortDeadline(b *testing.B) {
 	const n = 100_000
 	in := benchRecords(n, 42)
@@ -334,6 +337,10 @@ func BenchmarkSortDeadline(b *testing.B) {
 	for _, cell := range cells {
 		b.Run(cell.name, func(b *testing.B) {
 			b.ReportAllocs()
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				cfg := Config{D: 4, B: 64, K: 4, Seed: 11, Deadline: cell.policy}
 				out, _, err := Sort(in, cfg)
@@ -344,7 +351,12 @@ func BenchmarkSortDeadline(b *testing.B) {
 					b.Fatalf("sorted %d of %d records", len(out), n)
 				}
 			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(n)*float64(b.N)), "ns/rec")
+			b.StopTimer()
+			runtime.ReadMemStats(&after)
+			recs := float64(n) * float64(b.N)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/recs, "ns/rec")
+			b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/recs, "B/rec")
+			b.ReportMetric(float64(after.Mallocs-before.Mallocs)/recs, "allocs/rec")
 		})
 	}
 }

@@ -3,8 +3,10 @@ package jobs
 import (
 	"bytes"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -23,6 +25,46 @@ type gatedMemStore struct {
 func (g *gatedMemStore) ReadBlock(a pdisk.BlockAddr) (pdisk.StoredBlock, error) {
 	<-g.gate
 	return g.MemStore.ReadBlock(a)
+}
+
+// A job run under the deadline layer leaves none of the layer's
+// executors behind: the sort's teardown stops them even though the job's
+// killable store outlives the sort's System.
+func TestDeadlineJobNoLeak(t *testing.T) {
+	m, err := NewManager(Options{
+		MemoryBudget: 100_000,
+		Defaults:     testSpec(1),
+		Deadline:     &pdisk.DeadlinePolicy{OpDeadline: time.Minute, HedgeAfter: 30 * time.Second},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Kill()
+	in, want := genInput(t, testSpec(1), 2000, 13)
+	base := runtime.NumGoroutine()
+	j, err := m.Submit(Spec{}, bytes.NewReader(in))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := waitJob(t, j); st.State != StateDone {
+		t.Fatalf("state = %s (%s)", st.State, st.Error)
+	}
+	rc, _, err := m.Result(j.ID())
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := io.ReadAll(rc)
+	rc.Close()
+	if err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("result differs (%v): %d bytes vs want %d", err, len(got), len(want))
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutine leak: %d running, want <= %d", runtime.NumGoroutine(), base)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
 }
 
 // A drain with no in-flight work completes immediately, refuses further

@@ -2,21 +2,26 @@ package pdisk
 
 import (
 	"errors"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
+
+	"srmsort/internal/record"
 )
 
 // stuckStore wraps a MemStore and parks a configured number of calls per
 // operation kind on a release channel, simulating a device whose
 // transfers hang. Calls are counted so tests can assert how many ops the
-// layers above actually issued.
+// layers above actually issued, and parked calls are counted so a test
+// can wait until the call it means to strand is really stranded.
 type stuckStore struct {
 	*MemStore
 
 	mu      sync.Mutex
 	park    map[string]int // remaining calls to park, per op kind
 	calls   map[string]int
+	parked  map[string]int
 	release chan struct{}
 }
 
@@ -25,6 +30,7 @@ func newStuckStore(park map[string]int) *stuckStore {
 		MemStore: NewMemStore(),
 		park:     park,
 		calls:    make(map[string]int),
+		parked:   make(map[string]int),
 		release:  make(chan struct{}),
 	}
 }
@@ -36,6 +42,7 @@ func (s *stuckStore) enter(op string) {
 	parked := s.park[op] > 0
 	if parked {
 		s.park[op]--
+		s.parked[op]++
 	}
 	s.mu.Unlock()
 	if parked {
@@ -47,6 +54,24 @@ func (s *stuckStore) callCount(op string) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.calls[op]
+}
+
+// waitParked blocks until at least n calls of the op kind are parked.
+func (s *stuckStore) waitParked(t *testing.T, op string, n int) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		s.mu.Lock()
+		got := s.parked[op]
+		s.mu.Unlock()
+		if got >= n {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d of %d %s calls parked", got, n, op)
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
 }
 
 func (s *stuckStore) ReadBlock(addr BlockAddr) (StoredBlock, error) {
@@ -187,7 +212,11 @@ func TestDeadlineHedgeWins(t *testing.T) {
 		b, err := ds.ReadBlock(addr)
 		resc <- res{b, err}
 	}()
-	ctl.fire(t, 0) // the hedge timer: primary is parked, hedge leg runs
+	// Fire the hedge timer only once the primary is parked, so the hedge
+	// leg is the one that runs — not one that overtook the primary to
+	// the parking spot.
+	inner.waitParked(t, "read", 1)
+	ctl.fire(t, 0)
 	r := <-resc
 	if r.err != nil {
 		t.Fatal(r.err)
@@ -204,6 +233,49 @@ func TestDeadlineHedgeWins(t *testing.T) {
 	}
 	if inner.callCount("read") != 2 {
 		t.Fatalf("inner reads = %d, want 2 (primary + hedge)", inner.callCount("read"))
+	}
+}
+
+// A hedged read with a deadline holds one timer at a time: the hedge
+// delay first, then the rest of the deadline, which still abandons the
+// read when both legs hang.
+func TestDeadlineHedgeThenDeadline(t *testing.T) {
+	inner := newStuckStore(map[string]int{"read": 2})
+	defer close(inner.release)
+	addr := BlockAddr{Disk: 3, Index: 0}
+	if err := inner.MemStore.WriteBlock(addr, blk(8)); err != nil {
+		t.Fatal(err)
+	}
+	ctl := &timerCtl{}
+	ds := NewDeadlineStore(inner, DeadlinePolicy{
+		OpDeadline: 50 * time.Millisecond,
+		HedgeAfter: 5 * time.Millisecond,
+		After:      ctl.After,
+	})
+	errc := make(chan error, 1)
+	go func() {
+		_, err := ds.ReadBlock(addr)
+		errc <- err
+	}()
+	inner.waitParked(t, "read", 1)
+	ctl.waitTimers(t, 1)
+	if n := ctl.count(); n != 1 {
+		t.Fatalf("%d timers armed before the hedge, want 1", n)
+	}
+	ctl.fire(t, 0) // the hedge: a second leg, which hangs too
+	inner.waitParked(t, "read", 2)
+	ctl.fire(t, 1) // the rest of the deadline
+	err := <-errc
+	var derr *DeadlineError
+	if !errors.As(err, &derr) || derr.Op != "read" || derr.Deadline != 50*time.Millisecond {
+		t.Fatalf("want a read DeadlineError, got %v", err)
+	}
+	if n := ctl.count(); n != 2 {
+		t.Fatalf("%d timers armed in all, want 2 (hedge, then the rest of the deadline)", n)
+	}
+	snap := ds.HealthSnapshot()
+	if snap.HedgedReads != 1 || snap.HedgeWins != 0 || snap.Timeouts != 1 {
+		t.Fatalf("hedged=%d wins=%d timeouts=%d, want 1/0/1", snap.HedgedReads, snap.HedgeWins, snap.Timeouts)
 	}
 }
 
@@ -371,6 +443,172 @@ func TestDeadlineTrackerOnly(t *testing.T) {
 	if ops != 8 {
 		t.Fatalf("tracked ops = %d, want 8", ops)
 	}
+}
+
+// A fault-free bounded op, with both knobs set, is one handoff to a
+// parked executor and allocates nothing: the call record and its timer
+// come from the store's free list and the executor outlives the op.
+// (Spawning a goroutine with a fresh channel and timers per op cost ~8
+// objects.)
+func TestDeadlineOpsAllocateNothing(t *testing.T) {
+	ds := NewDeadlineStore(NewMemStore(), DeadlinePolicy{
+		OpDeadline: time.Minute,
+		HedgeAfter: 30 * time.Second,
+	})
+	defer ds.Close()
+	addr := BlockAddr{Disk: 1, Index: 7}
+	b := blk(3)
+	ops := func() {
+		if err := ds.WriteBlock(addr, b); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ds.ReadBlock(addr); err != nil {
+			t.Fatal(err)
+		}
+		if err := ds.Free(addr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ops() // the first executor, call and timer
+	if got := testing.AllocsPerRun(200, ops); got != 0 {
+		t.Fatalf("bounded write+read+free allocates %.1f objects, want 0", got)
+	}
+}
+
+// writeLog wraps a store and checks the join guarantee from below: a
+// write never starts while an earlier write of the same address is still
+// running.
+type writeLog struct {
+	Store
+
+	mu       sync.Mutex
+	inflight map[BlockAddr]bool
+	writes   int
+	overlaps int
+}
+
+func (s *writeLog) WriteBlock(addr BlockAddr, b StoredBlock) error {
+	s.mu.Lock()
+	s.writes++
+	if s.inflight[addr] {
+		s.overlaps++
+	}
+	s.inflight[addr] = true
+	s.mu.Unlock()
+	err := s.Store.WriteBlock(addr, b)
+	s.mu.Lock()
+	delete(s.inflight, addr)
+	s.mu.Unlock()
+	return err
+}
+
+// untilNoDeadline re-issues op while it fails with a deadline error, the
+// way a retry layer would, and returns how many attempts it took.
+func untilNoDeadline(op func() error) (int, error) {
+	for n := 1; ; n++ {
+		err := op()
+		if !errors.Is(err, ErrDeadline) || n == 10_000 {
+			return n, err
+		}
+	}
+}
+
+// Many goroutines read, write and free their own blocks through one
+// DeadlineStore over real microsecond Pareto stragglers, tuned so that
+// deadlines and hedges fire: every read returns the last-acknowledged
+// block, a retried write joins its abandoned attempt instead of running
+// beside it, and closing the store leaves no executor behind.
+func TestDeadlineStressStragglers(t *testing.T) {
+	const workers, rounds = 8, 60
+	base := runtime.NumGoroutine()
+	inner := &writeLog{
+		Store: NewFaultStore(NewMemStore(), FaultConfig{
+			Seed:        29,
+			ParetoScale: 30 * time.Microsecond,
+			ParetoAlpha: 1.0,
+			ParetoCap:   4 * time.Millisecond,
+		}),
+		inflight: make(map[BlockAddr]bool),
+	}
+	ds := NewDeadlineStore(inner, DeadlinePolicy{
+		OpDeadline: time.Millisecond,
+		HedgeAfter: 250 * time.Microsecond,
+	})
+	var mu sync.Mutex
+	writeAttempts := 0
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for round := 0; round < rounds; round++ {
+				addr := BlockAddr{Disk: w % 4, Index: w*4 + round%4}
+				want := record.Key(w<<16 | round)
+				n, err := untilNoDeadline(func() error { return ds.WriteBlock(addr, blk(want)) })
+				mu.Lock()
+				writeAttempts += n
+				mu.Unlock()
+				if err != nil {
+					t.Errorf("worker %d: write %v: %v", w, addr, err)
+					return
+				}
+				var got StoredBlock
+				if _, err := untilNoDeadline(func() (err error) {
+					got, err = ds.ReadBlock(addr)
+					return err
+				}); err != nil {
+					t.Errorf("worker %d: read %v: %v", w, addr, err)
+					return
+				}
+				if len(got.Records) != 1 || got.Records[0].Key != want {
+					t.Errorf("worker %d: read %v = %+v, want key %d", w, addr, got.Records, want)
+					return
+				}
+				if round%3 != 2 {
+					continue
+				}
+				// A retried free whose abandoned attempt landed first sees
+				// ErrAbsent: success, as RetryStore treats it.
+				timedOut := false
+				if _, err := untilNoDeadline(func() error {
+					err := ds.Free(addr)
+					if errors.Is(err, ErrDeadline) {
+						timedOut = true
+					} else if timedOut && errors.Is(err, ErrAbsent) {
+						err = nil
+					}
+					return err
+				}); err != nil {
+					t.Errorf("worker %d: free %v: %v", w, addr, err)
+					return
+				}
+				if _, err := untilNoDeadline(func() error {
+					_, err := ds.ReadBlock(addr)
+					return err
+				}); !errors.Is(err, ErrAbsent) {
+					t.Errorf("worker %d: read of freed %v: %v, want ErrAbsent", w, addr, err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	snap := ds.HealthSnapshot()
+	t.Logf("timeouts=%d hedged=%d hedge wins=%d; write attempts=%d issued=%d",
+		snap.Timeouts, snap.HedgedReads, snap.HedgeWins, writeAttempts, inner.writes)
+	if snap.Timeouts == 0 || snap.HedgedReads == 0 {
+		t.Errorf("stragglers fired %d deadlines and %d hedges, want both > 0", snap.Timeouts, snap.HedgedReads)
+	}
+	if inner.overlaps != 0 {
+		t.Errorf("%d writes were issued while an attempt of the same block was still running", inner.overlaps)
+	}
+	if snap.Timeouts >= 3 && inner.writes >= writeAttempts {
+		t.Errorf("issued %d writes for %d attempts: no retry joined its abandoned attempt", inner.writes, writeAttempts)
+	}
+	if err := ds.Close(); err != nil {
+		t.Fatal(err)
+	}
+	waitGoroutines(t, base)
 }
 
 // The health tracker's p99 must come from the sample window and the EWMA

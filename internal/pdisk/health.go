@@ -87,7 +87,7 @@ func NewHealthTracker() *HealthTracker {
 func (t *HealthTracker) diskLocked(disk int) *diskHealth {
 	d := t.disks[disk]
 	if d == nil {
-		d = &diskHealth{}
+		d = &diskHealth{window: make([]float64, 0, healthWindow)}
 		t.disks[disk] = d
 	}
 	return d

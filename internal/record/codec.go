@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"io"
 	"strings"
+	"sync"
 )
 
 // ErrCorrupt reports an encoding that cannot be decoded: a truncated
@@ -327,24 +328,55 @@ func (v Varlen) AppendBlock(dst []byte, rs []Record) ([]byte, error) {
 	}
 	if v.Flate {
 		body := dst[start+1:]
-		var zbuf bytes.Buffer
-		zw, zerr := flate.NewWriter(&zbuf, flate.BestSpeed)
-		if zerr != nil {
-			return nil, zerr
+		z := deflaters.Get().(*deflater)
+		defer deflaters.Put(z)
+		z.out.Reset()
+		z.w.Reset(&z.out)
+		_, err = z.w.Write(body)
+		if err == nil {
+			err = z.w.Close()
 		}
-		if _, zerr = zw.Write(body); zerr == nil {
-			zerr = zw.Close()
+		if err != nil {
+			return nil, err
 		}
-		if zerr != nil {
-			return nil, zerr
-		}
-		if zbuf.Len() < len(body) {
+		if z.out.Len() < len(body) {
 			dst = append(dst[:start], varlenFlate)
-			return append(dst, zbuf.Bytes()...), nil
+			return append(dst, z.out.Bytes()...), nil
 		}
 	}
 	return dst, nil
 }
+
+// deflater is a pooled flate writer with its output buffer. Building a
+// flate.Writer allocates its whole compressor state (hundreds of KB), so
+// AppendBlock resets a pooled one instead of constructing one per block.
+type deflater struct {
+	w   *flate.Writer
+	out bytes.Buffer
+}
+
+var deflaters = sync.Pool{New: func() any {
+	z := new(deflater)
+	z.w, _ = flate.NewWriter(&z.out, flate.BestSpeed) // a valid level never errors
+	return z
+}}
+
+// inflater is a pooled flate reader with its source, bound and output:
+// DecodeBlock resets it (flate.Resetter) onto each block instead of
+// building a reader and its window per block.
+type inflater struct {
+	src   bytes.Reader
+	r     io.ReadCloser
+	limit io.LimitedReader
+	out   bytes.Buffer
+}
+
+var inflaters = sync.Pool{New: func() any {
+	z := new(inflater)
+	z.r = flate.NewReader(&z.src)
+	z.limit.R = z.r
+	return z
+}}
 
 // DecodeBlock implements Codec. The block body is copied once into a
 // string and every record's Ext is a substring of it, so a block costs
@@ -362,18 +394,25 @@ func (v Varlen) DecodeBlock(data []byte, nrec int) ([]Record, error) {
 		// own worst-case raw size, so anything larger is corruption, not
 		// an allocation request.
 		limit := int64(v.MaxBlockBytes(nrec))
-		zr := flate.NewReader(bytes.NewReader(body))
-		inflated, err := io.ReadAll(io.LimitReader(zr, limit+1))
-		if cerr := zr.Close(); err == nil {
+		z := inflaters.Get().(*inflater)
+		defer inflaters.Put(z)
+		z.src.Reset(body)
+		err := z.r.(flate.Resetter).Reset(&z.src, nil)
+		z.limit.N = limit + 1
+		z.out.Reset()
+		if err == nil {
+			_, err = z.out.ReadFrom(&z.limit)
+		}
+		if cerr := z.r.Close(); err == nil {
 			err = cerr
 		}
 		if err != nil {
 			return nil, fmt.Errorf("%w: inflating varlen block: %v", ErrCorrupt, err)
 		}
-		if int64(len(inflated)) > limit {
+		if int64(z.out.Len()) > limit {
 			return nil, fmt.Errorf("%w: varlen block inflates past its %d-byte bound", ErrCorrupt, limit)
 		}
-		body = inflated
+		body = z.out.Bytes()
 	default:
 		return nil, fmt.Errorf("%w: varlen block flag 0x%02x", ErrCorrupt, data[0])
 	}

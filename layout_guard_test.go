@@ -123,3 +123,38 @@ func TestVarlenSortAllocGuard(t *testing.T) {
 		t.Errorf("Varlen.DecodeBlock of a %d-record block allocates %.1f objects, want <= 2", len(blk), got)
 	}
 }
+
+// TestVarlenFlateSortAllocGuard pins the varlen+flate file sort's
+// allocated bytes per record near plain varlen's: AppendBlock resets a
+// pooled flate.Writer and DecodeBlock a pooled inflater, where building
+// the compressor and reader state per block cost ~80 KB/rec
+// (BENCH_sort.json's SRM/file/D=4 varlen+flate cell before pooling).
+func TestVarlenFlateSortAllocGuard(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops pooled flate state at random")
+	}
+	const n = 20_000
+	in := benchVarRecords(n, 17)
+	cfg := Config{D: 4, B: 64, K: 4, Seed: 11, Backend: FileBackend, Dir: t.TempDir(), Codec: "varlen+flate"}
+
+	if _, _, err := SortVar(in, cfg); err != nil {
+		t.Fatal(err)
+	}
+	best := float64(1 << 62)
+	var before, after runtime.MemStats
+	for i := 0; i < 3; i++ {
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		if _, _, err := SortVar(in, cfg); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		if b := float64(after.TotalAlloc-before.TotalAlloc) / n; b < best {
+			best = b
+		}
+	}
+	t.Logf("varlen+flate file sort: %.0f B/rec", best)
+	if best > 2000 {
+		t.Errorf("varlen+flate file sort allocates %.0f B/rec, want <= 2000 (a flate writer per block cost ~80 KB/rec)", best)
+	}
+}

@@ -412,11 +412,14 @@ func (c Config) newSystem() (*pdisk.System, pdisk.Store, func(), error) {
 	default:
 		return nil, nil, nil, fmt.Errorf("srmsort: unknown backend %q", c.Backend)
 	}
+	stopDeadline := func() {}
 	if c.Deadline != nil {
 		// Beneath the retry layer: a deadline timeout is a retryable
 		// failure the retry layer re-issues and charges to the disk's
-		// error budget.
-		store = pdisk.NewDeadlineStore(store, *c.Deadline)
+		// error budget. Teardown stops its executors even when the
+		// System leaves the store below open.
+		ds := pdisk.NewDeadlineStore(store, *c.Deadline)
+		store, stopDeadline = ds, ds.Stop
 	}
 	if c.Retry != nil {
 		store = pdisk.NewRetryStore(store, *c.Retry)
@@ -426,7 +429,7 @@ func (c Config) newSystem() (*pdisk.System, pdisk.Store, func(), error) {
 		cleanupStore()
 		return nil, nil, nil, err
 	}
-	return sys, store, func() { sys.Close(); cleanupStore() }, nil
+	return sys, store, func() { sys.Close(); stopDeadline(); cleanupStore() }, nil
 }
 
 // runAlgorithm performs the sort proper (run formation + merge passes) and
