@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
 	"sync"
 	"time"
 )
@@ -30,10 +29,11 @@ var ErrInjected = errors.New("pdisk: injected fault")
 //     state a crash mid-write leaves on media — and the operation returns
 //     a terminal error, as the process issuing it would never observe a
 //     completion.
-//   - Seeded faults and latency: each operation kind draws from its own
-//     rand stream derived from Seed, so the fate of the n-th read is a
-//     pure function of (Seed, n) — independent of how reads interleave
-//     with writes, frees or other goroutines. ReadFailProb (etc.) is the
+//   - Seeded faults and latency: an operation's fate is a pure function
+//     of (Seed, kind, address, attempt), where attempt counts that
+//     address's operations of that kind so far — independent of how
+//     operations on different addresses interleave across goroutines,
+//     as a System's per-disk transfers do. ReadFailProb (etc.) is the
 //     per-operation failure probability; TornWriteProb the per-write
 //     tearing probability; MaxLatency > 0 adds a uniform [0, MaxLatency)
 //     delay to every operation, modelling a slow device. ParetoScale > 0
@@ -68,7 +68,7 @@ type FaultConfig struct {
 
 	// ParetoScale > 0 adds a Pareto-distributed delay x_m·u^(−1/α) per
 	// operation (x_m = ParetoScale, α = ParetoAlpha, u uniform from the
-	// op kind's seeded stream), capped at ParetoCap — deterministic
+	// operation's seeded draws), capped at ParetoCap — deterministic
 	// heavy-tail latency for straggler testing.
 	ParetoScale time.Duration
 	// ParetoAlpha is the tail exponent; 0 means 1.2 (heavy: infinite
@@ -111,13 +111,19 @@ type TornWriter interface {
 type FaultStore struct {
 	inner Store
 
-	mu     sync.Mutex
-	cfg    FaultConfig
-	counts [opKinds]int64
-	rngs   [opKinds]*rand.Rand
+	mu       sync.Mutex
+	cfg      FaultConfig
+	counts   [opKinds]int64
+	attempts map[opKey]uint64
 }
 
-// operation kinds, indexing FaultStore counters and rand streams.
+// opKey names one address's operations of one kind.
+type opKey struct {
+	kind int
+	addr BlockAddr
+}
+
+// operation kinds, indexing FaultStore counters.
 const (
 	opRead = iota
 	opWrite
@@ -133,21 +139,28 @@ var opNames = [opKinds]string{"read", "write", "free", "frontier", "manifest"}
 // re-arm it later (counters keep running across Configure calls, so a
 // test can let setup traffic through and then arm a fault).
 func NewFaultStore(inner Store, cfg FaultConfig) *FaultStore {
-	f := &FaultStore{inner: inner}
-	f.Configure(cfg)
-	return f
+	return &FaultStore{inner: inner, cfg: cfg, attempts: make(map[opKey]uint64)}
 }
 
-// Configure replaces the fault schedule. The per-kind rand streams are
-// re-derived from cfg.Seed; operation counters are preserved.
+// Configure replaces the fault schedule. Operation counters and
+// per-address attempts are preserved.
 func (f *FaultStore) Configure(cfg FaultConfig) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.cfg = cfg
-	for kind := range f.rngs {
-		f.rngs[kind] = rand.New(rand.NewSource(cfg.Seed + int64(kind)))
-	}
 }
+
+// splitmix64 advances the stream state *s and returns its next value.
+func splitmix64(s *uint64) uint64 {
+	*s += 0x9e3779b97f4a7c15
+	z := *s
+	z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
+	z = (z ^ z>>27) * 0x94d049bb133111eb
+	return z ^ z>>31
+}
+
+// unit returns the stream's next value as a uniform draw from [0, 1).
+func unit(s *uint64) float64 { return float64(splitmix64(s)>>11) / (1 << 53) }
 
 // OpCount returns how many operations of the named kind ("read",
 // "write", "free", "frontier", "manifest") the store has seen — what a
@@ -179,12 +192,23 @@ func (f *FaultStore) sleep(d time.Duration) {
 	}
 }
 
-// decide counts one operation of the given kind and returns its fate:
-// an injected delay and/or error.
-func (f *FaultStore) decide(kind int, addr BlockAddr) (time.Duration, error) {
+// decide counts one operation of the given kind and returns its fate: an
+// injected delay and/or error, plus the uniform draw a write's tearing
+// uses. Every draw comes from a stream seeded by (Seed, kind, addr,
+// attempt), so the fate does not depend on the order in which concurrent
+// operations reach the store.
+func (f *FaultStore) decide(kind int, addr BlockAddr) (time.Duration, float64, error) {
 	f.mu.Lock()
 	f.counts[kind]++
 	n := f.counts[kind]
+	key := opKey{kind, addr}
+	f.attempts[key]++
+	s := uint64(f.cfg.Seed)
+	for _, v := range [...]uint64{uint64(kind), uint64(addr.Disk), uint64(addr.Index), f.attempts[key]} {
+		s ^= v
+		s = splitmix64(&s)
+	}
+	failDraw, latencyDraw, paretoDraw, tornDraw := unit(&s), splitmix64(&s), unit(&s), unit(&s)
 	failAt := [opKinds]int64{
 		f.cfg.FailReadAt, f.cfg.FailWriteAt, f.cfg.FailFreeAt,
 		f.cfg.FailFrontierAt, f.cfg.FailManifestAt,
@@ -194,12 +218,12 @@ func (f *FaultStore) decide(kind int, addr BlockAddr) (time.Duration, error) {
 		f.cfg.FrontierFailProb, f.cfg.ManifestFailProb,
 	}[kind]
 	fail := failAt > 0 && n == failAt
-	if prob > 0 && f.rngs[kind].Float64() < prob {
+	if prob > 0 && failDraw < prob {
 		fail = true
 	}
 	var delay time.Duration
 	if f.cfg.MaxLatency > 0 {
-		delay = time.Duration(f.rngs[kind].Int63n(int64(f.cfg.MaxLatency)))
+		delay = time.Duration(latencyDraw % uint64(f.cfg.MaxLatency))
 	}
 	if f.cfg.ParetoScale > 0 {
 		alpha := f.cfg.ParetoAlpha
@@ -210,7 +234,7 @@ func (f *FaultStore) decide(kind int, addr BlockAddr) (time.Duration, error) {
 		if limit <= 0 {
 			limit = 100 * f.cfg.ParetoScale
 		}
-		u := f.rngs[kind].Float64()
+		u := paretoDraw
 		if u < 1e-12 {
 			u = 1e-12
 		}
@@ -230,15 +254,15 @@ func (f *FaultStore) decide(kind int, addr BlockAddr) (time.Duration, error) {
 	}
 	f.mu.Unlock()
 	if fail {
-		return delay, fmt.Errorf("%w: %s #%d at %v", ErrInjected, opNames[kind], n, addr)
+		return delay, tornDraw, fmt.Errorf("%w: %s #%d at %v", ErrInjected, opNames[kind], n, addr)
 	}
-	return delay, nil
+	return delay, tornDraw, nil
 }
 
-// decideTorn reports whether the write just counted by decide should
-// tear. Called after decide, under its own lock acquisition, with the
-// write count decide assigned.
-func (f *FaultStore) decideTorn() bool {
+// decideTorn reports whether a write decide has counted should tear,
+// given the tearing draw decide returned for it. Called after decide,
+// under its own lock acquisition.
+func (f *FaultStore) decideTorn(draw float64) bool {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	n := f.counts[opWrite]
@@ -249,12 +273,12 @@ func (f *FaultStore) decideTorn() bool {
 		// Configure re-arms the schedule for the next incarnation.
 		return true
 	}
-	return f.cfg.TornWriteProb > 0 && f.rngs[opWrite].Float64() < f.cfg.TornWriteProb
+	return f.cfg.TornWriteProb > 0 && draw < f.cfg.TornWriteProb
 }
 
 // ReadBlock implements Store.
 func (f *FaultStore) ReadBlock(addr BlockAddr) (StoredBlock, error) {
-	delay, err := f.decide(opRead, addr)
+	delay, _, err := f.decide(opRead, addr)
 	f.sleep(delay)
 	if err != nil {
 		return StoredBlock{}, err
@@ -267,12 +291,12 @@ func (f *FaultStore) ReadBlock(addr BlockAddr) (StoredBlock, error) {
 // returns a terminal error: the modelled process died mid-write, so no
 // retry can be the right response — recovery is the next open's problem.
 func (f *FaultStore) WriteBlock(addr BlockAddr, b StoredBlock) error {
-	delay, err := f.decide(opWrite, addr)
+	delay, tornDraw, err := f.decide(opWrite, addr)
 	f.sleep(delay)
 	if err != nil {
 		return err
 	}
-	if f.decideTorn() {
+	if f.decideTorn(tornDraw) {
 		if tw, ok := f.inner.(TornWriter); ok {
 			if terr := tw.WriteBlockTorn(addr, b); terr != nil {
 				return terr
@@ -285,7 +309,7 @@ func (f *FaultStore) WriteBlock(addr BlockAddr, b StoredBlock) error {
 
 // Free implements Store.
 func (f *FaultStore) Free(addr BlockAddr) error {
-	delay, err := f.decide(opFree, addr)
+	delay, _, err := f.decide(opFree, addr)
 	f.sleep(delay)
 	if err != nil {
 		return err
@@ -300,7 +324,7 @@ func (f *FaultStore) Usage() Usage { return f.inner.Usage() }
 // supports it — with its own fault kind, so tests can fail the
 // allocator-seeding path NewSystem depends on.
 func (f *FaultStore) Frontier(disk int) (int, error) {
-	delay, err := f.decide(opFrontier, BlockAddr{Disk: disk})
+	delay, _, err := f.decide(opFrontier, BlockAddr{Disk: disk})
 	f.sleep(delay)
 	if err != nil {
 		return 0, err
@@ -314,7 +338,7 @@ func (f *FaultStore) Frontier(disk int) (int, error) {
 // SaveManifest implements ManifestStore over a capable inner store;
 // checkpoint traffic is fault-injectable like any other I/O.
 func (f *FaultStore) SaveManifest(data []byte) error {
-	delay, err := f.decide(opManifest, BlockAddr{})
+	delay, _, err := f.decide(opManifest, BlockAddr{})
 	f.sleep(delay)
 	if err != nil {
 		return err
@@ -328,7 +352,7 @@ func (f *FaultStore) SaveManifest(data []byte) error {
 
 // LoadManifest implements ManifestStore.
 func (f *FaultStore) LoadManifest() ([]byte, bool, error) {
-	delay, err := f.decide(opManifest, BlockAddr{})
+	delay, _, err := f.decide(opManifest, BlockAddr{})
 	f.sleep(delay)
 	if err != nil {
 		return nil, false, err
@@ -342,7 +366,7 @@ func (f *FaultStore) LoadManifest() ([]byte, bool, error) {
 
 // ClearManifest implements ManifestStore.
 func (f *FaultStore) ClearManifest() error {
-	delay, err := f.decide(opManifest, BlockAddr{})
+	delay, _, err := f.decide(opManifest, BlockAddr{})
 	f.sleep(delay)
 	if err != nil {
 		return err

@@ -2,6 +2,7 @@ package pdisk
 
 import (
 	"errors"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -44,8 +45,10 @@ func TestFaultStoreInPackage(t *testing.T) {
 
 // Seed-driven probabilistic faults are deterministic: two stores with the
 // same seed inject on exactly the same operations, a different seed on a
-// different schedule, and the n-th read's fate does not depend on how
-// many writes interleave.
+// different schedule, the n-th read's fate does not depend on how many
+// writes interleave, and a read's fate depends on its address and attempt,
+// not on the order in which reads of different addresses arrive (as a
+// System's concurrent per-disk transfers deliver them).
 func TestFaultStoreSeededDeterministic(t *testing.T) {
 	fates := func(seed int64, interleaveWrites bool) []bool {
 		fs := NewFaultStore(NewMemStore(), FaultConfig{Seed: seed, ReadFailProb: 0.3})
@@ -92,6 +95,32 @@ func TestFaultStoreSeededDeterministic(t *testing.T) {
 	}
 	if same == len(base) {
 		t.Fatal("different seeds produced identical schedules")
+	}
+
+	byAddr := func(reverse bool) map[BlockAddr][]bool {
+		fs := NewFaultStore(NewMemStore(), FaultConfig{Seed: 7, ReadFailProb: 0.3})
+		addrs := make([]BlockAddr, 8)
+		for i := range addrs {
+			addrs[i] = BlockAddr{Disk: i % 4, Index: i / 4}
+			if err := fs.WriteBlock(addrs[i], blk(1)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		out := make(map[BlockAddr][]bool)
+		for round := 0; round < 5; round++ {
+			for i := range addrs {
+				a := addrs[i]
+				if reverse {
+					a = addrs[len(addrs)-1-i]
+				}
+				_, err := fs.ReadBlock(a)
+				out[a] = append(out[a], err != nil)
+			}
+		}
+		return out
+	}
+	if fwd, rev := byAddr(false), byAddr(true); !reflect.DeepEqual(fwd, rev) {
+		t.Fatalf("read fates depend on arrival order:\n%v\n%v", fwd, rev)
 	}
 }
 

@@ -6,12 +6,12 @@
 // that is needlessly slow. All scheduling decisions of SRM, however, depend
 // only on each block's first and last key: a block begins participating
 // when the merge reaches its first key and is depleted when the merge
-// passes its last key. The simulator therefore replays the exact scheduler
-// of package srm — the same forecasting structure, the same memory manager,
-// the same ParRead/Flush rules — over (firstKey, lastKey) pairs alone. An
-// integration test in this package proves the equivalence: on identical
-// inputs the simulator and the real merger perform identical numbers of
-// parallel reads.
+// passes its last key. The simulator therefore drives the schedule core of
+// package sched — the one the real merger drives — with (firstKey,
+// lastKey) pairs alone: it depletes the leading block with the smallest
+// last key unless a stalled run's awaited block comes first. Integration
+// tests in this package check that on identical inputs the simulator and
+// the real merger produce identical trace event streams.
 //
 // Inputs are generated from the paper's average-case model: a uniformly
 // random partition of {1..L·kD} into kD runs of L records. The sorted-order
@@ -23,13 +23,13 @@ package sim
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"srmsort/internal/fenwick"
 	"srmsort/internal/forecast"
 	"srmsort/internal/iheap"
-	"srmsort/internal/membuf"
 	"srmsort/internal/record"
+	"srmsort/internal/sched"
+	"srmsort/internal/trace"
 )
 
 // Run is a sorted run reduced to its block boundaries.
@@ -153,14 +153,10 @@ func GenerateBursty(rng *rand.Rand, d, numRuns, blocksPerRun, b, meanBurst int) 
 	return runs
 }
 
-// Stats mirrors srm.MergeStats for the simulated merge.
+// Stats reports a simulated merge: the schedule's counters, which
+// srm.MergeStats carries too, plus the input size and the output writes.
 type Stats struct {
-	ReadOps       int64
-	InitialReads  int64
-	Flushes       int64
-	BlocksFlushed int64
-	BlocksReread  int64
-	MaxPrefetched int
+	sched.Stats
 	// TotalBlocks is the number of input blocks across all runs.
 	TotalBlocks int
 	// WriteOps is the (deterministic) count of output write operations:
@@ -172,24 +168,6 @@ type Stats struct {
 // v = ReadOps / (totalBlocks/D) for these stats.
 func (s Stats) OverheadV(d int) float64 {
 	return float64(s.ReadOps) * float64(d) / float64(s.TotalBlocks)
-}
-
-type simMerger struct {
-	d, r int
-	w    int // channel width: blocks the I/O channel carries per operation
-	runs []*Run
-	fds  *forecast.FDS
-	mem  *membuf.Manager[record.Rec16]
-
-	leadIdx   []int
-	leadLast  []record.Key
-	need      []int
-	stalled   []bool
-	active    *iheap.Heap // keyed by leading block's LAST key (depletion order)
-	stallHeap *iheap.Heap // keyed by awaited block's first key
-	exhausted int
-	flushed   map[[2]int]bool
-	stats     Stats
 }
 
 // Merge simulates SRM merging the runs with merge-order capacity r on d
@@ -208,8 +186,53 @@ func Merge(runs []*Run, d, r int) (Stats, error) {
 // channel = d recovers the restrictive D = D' model of the rest of the
 // paper.
 func MergeChannel(runs []*Run, d, channel, r int) (Stats, error) {
-	if channel < 1 || channel > d {
-		return Stats{}, fmt.Errorf("sim: channel width %d with %d disks", channel, d)
+	return merge(runs, d, channel, r, nil, untimed{})
+}
+
+// Clock times a simulated merge. MergeTimed calls it at every I/O
+// operation and block event of the schedule, in schedule order; package
+// timesim implements it.
+type Clock interface {
+	// Read issues one parallel read of the given blocks.
+	Read(blocks []forecast.Entry)
+	// Lead makes block idx of run h its run's leading block; the merge
+	// cannot use it before the read that fetched it completes.
+	Lead(h, idx int)
+	// Consume merges every record up to key, the last key of the leading
+	// block about to be depleted.
+	Consume(key record.Key)
+	// Pumped ends a round of reads: the schedule issues no more until the
+	// next block event.
+	Pumped()
+}
+
+// MergeTimed is Merge with the schedule reported to clock as it runs.
+func MergeTimed(runs []*Run, d, r int, clock Clock) (Stats, error) {
+	return merge(runs, d, d, r, nil, clock)
+}
+
+type untimed struct{}
+
+func (untimed) Read([]forecast.Entry) {}
+func (untimed) Lead(int, int)         {}
+func (untimed) Consume(record.Key)    {}
+func (untimed) Pumped()               {}
+
+// simMerger is the block-boundary consumer the simulator drives the
+// schedule core with.
+type simMerger struct {
+	runs   []*Run
+	core   *sched.Core[record.Rec16]
+	active *iheap.Heap // leading blocks keyed by their LAST key (depletion order)
+	clock  Clock
+}
+
+// merge validates the input and runs the simulation on a channel of width
+// w, reporting every schedule event to sink (nil for none) and every I/O
+// operation and block event to clock.
+func merge(runs []*Run, d, w, r int, sink trace.Sink, clock Clock) (Stats, error) {
+	if w < 1 || w > d {
+		return Stats{}, fmt.Errorf("sim: channel width %d with %d disks", w, d)
 	}
 	if len(runs) == 0 {
 		return Stats{}, fmt.Errorf("sim: merge of zero runs")
@@ -227,216 +250,70 @@ func MergeChannel(runs []*Run, d, channel, r int) (Stats, error) {
 		}
 		total += run.NumBlocks()
 	}
-	m := &simMerger{
-		d:         d,
-		w:         channel,
-		r:         r,
-		runs:      runs,
-		fds:       forecast.New(d, len(runs)),
-		mem:       membuf.New[record.Rec16](r, d),
-		leadIdx:   make([]int, len(runs)),
-		leadLast:  make([]record.Key, len(runs)),
-		need:      make([]int, len(runs)),
-		stalled:   make([]bool, len(runs)),
-		active:    iheap.New(len(runs)),
-		stallHeap: iheap.New(len(runs)),
-		flushed:   make(map[[2]int]bool),
+	m := &simMerger{runs: runs, active: iheap.New(len(runs)), clock: clock}
+	m.core = sched.New(runs, r, d, w, sink, m.lead)
+	for _, handles := range m.core.InitialBatches() {
+		entries := make([]forecast.Entry, len(handles))
+		recs := make([][]record.Rec16, len(handles))
+		forecasts := make([][]record.Key, len(handles))
+		for i, h := range handles {
+			run := runs[h]
+			entries[i] = forecast.Entry{Run: h, Key: run.First[0]}
+			recs[i] = run.bounds(0)
+			forecasts[i] = run.First[1:min(1+d, run.NumBlocks())]
+		}
+		clock.Read(entries)
+		m.core.LandInitial(handles, recs, forecasts)
 	}
-	m.stats.TotalBlocks = total
-	m.stats.WriteOps = int64((total + channel - 1) / channel)
-	m.loadInitialBlocks()
-	for m.exhausted < len(m.runs) {
-		reads := m.pumpIO()
-		events := m.step()
-		if reads == 0 && events == 0 && m.exhausted < len(m.runs) {
-			panic(fmt.Sprintf("sim: schedule deadlock: |F|=%d R=%d D=%d active=%d stalled=%d fds=%d",
-				m.mem.Occupied(), m.r, m.d, m.active.Len(), m.stallHeap.Len(), m.fds.Len()))
+	for !m.core.Done() {
+		reads := 0
+		for m.core.CanRead() {
+			picks := m.core.NextRead()
+			clock.Read(picks)
+			m.core.Land(picks, func(i int) ([]record.Rec16, record.Key) {
+				run, idx := runs[picks[i].Run], picks[i].BlockIdx
+				succKey := record.MaxKey
+				if idx+d < run.NumBlocks() {
+					succKey = run.First[idx+d]
+				}
+				return run.bounds(idx), succKey
+			})
+			reads++
+		}
+		clock.Pumped()
+		if !m.step() && reads == 0 {
+			m.core.NoProgress()
 		}
 	}
-	m.stats.MaxPrefetched = m.mem.MaxOccupied
-	return m.stats, nil
+	return Stats{Stats: m.core.Stats, TotalBlocks: total, WriteOps: int64((total + w - 1) / w)}, nil
 }
 
-func (m *simMerger) loadInitialBlocks() {
-	perDisk := make([]int, m.d)
-	rounds := 0
-	for h, run := range m.runs {
-		disk := run.Disk(0)
-		perDisk[disk]++
-		if perDisk[disk] > rounds {
-			rounds = perDisk[disk]
-		}
-		// Seed the FDS with the first keys of blocks 1..D, as block 0's
-		// implanted forecast would.
-		for t := 1; t <= m.d && t < run.NumBlocks(); t++ {
-			m.fds.Set(run.Disk(t), h, t, run.First[t])
-		}
-		m.leadIdx[h] = 0
-		m.leadLast[h] = run.Last[0]
-		m.mem.LeadingAcquired()
-		m.active.Push(h, uint64(run.Last[0]))
-	}
-	// The channel carries at most w blocks per operation, so loading the
-	// R initial blocks also needs at least ceil(R/w) rounds.
-	if minRounds := (len(m.runs) + m.w - 1) / m.w; minRounds > rounds {
-		rounds = minRounds
-	}
-	m.stats.InitialReads = int64(rounds)
-	m.stats.ReadOps = int64(rounds)
+// bounds stands in for block i's records: its first and last key.
+func (r *Run) bounds(i int) []record.Rec16 {
+	return []record.Rec16{{Key: r.First[i]}, {Key: r.Last[i]}}
 }
 
-func (m *simMerger) pumpIO() int {
-	reads := 0
-	for m.fds.Len() > 0 && m.mem.Occupied() <= m.r+m.d {
-		if occupied := m.mem.Occupied(); occupied > m.r {
-			extra := occupied - m.r
-			minS := m.smallestOnDisk()
-			outRank := m.mem.CountLessBlock(minS.Key, minS.Run, minS.BlockIdx) + 1
-			if outRank <= extra {
-				m.flush(extra - outRank + 1)
-			}
-		}
-		m.parRead()
-		reads++
-	}
-	return reads
+// lead is the core's lead callback: block idx of run h joins the active
+// set, keyed by its last key.
+func (m *simMerger) lead(h, idx int, _ []record.Rec16) {
+	m.clock.Lead(h, idx)
+	m.active.Push(h, uint64(m.runs[h].Last[idx]))
 }
 
-// smallestOnDisk mirrors the merger's composite-order candidate selection.
-func (m *simMerger) smallestOnDisk() forecast.Entry {
-	var best forecast.Entry
-	found := false
-	for disk := 0; disk < m.d; disk++ {
-		e, ok := m.fds.Smallest(disk)
-		if !ok {
-			continue
-		}
-		if !found || e.Key < best.Key ||
-			(e.Key == best.Key && (e.Run < best.Run ||
-				(e.Run == best.Run && e.BlockIdx < best.BlockIdx))) {
-			best = e
-			found = true
-		}
-	}
-	if !found {
-		panic("sim: smallestOnDisk with empty FDS")
-	}
-	return best
-}
-
-func (m *simMerger) flush(n int) {
-	victims := m.mem.FlushVictims(n)
-	m.stats.Flushes++
-	m.stats.BlocksFlushed += int64(len(victims))
-	for _, v := range victims {
-		m.fds.Set(m.runs[v.Run].Disk(v.Idx), v.Run, v.Idx, v.FirstKey())
-		m.flushed[[2]int{v.Run, v.Idx}] = true
-	}
-}
-
-func (m *simMerger) parRead() {
-	// Candidates: the smallest pending block on every disk; with a narrow
-	// channel only the w smallest-keyed of them are fetched this round.
-	var cand []forecast.Entry
-	candDisk := make(map[int]int)
-	for disk := 0; disk < m.d; disk++ {
-		e, ok := m.fds.Smallest(disk)
-		if !ok {
-			continue
-		}
-		candDisk[len(cand)] = disk
-		cand = append(cand, e)
-	}
-	if len(cand) > m.w {
-		order := make([]int, len(cand))
-		for i := range order {
-			order[i] = i
-		}
-		sort.Slice(order, func(a, b int) bool { return cand[order[a]].Key < cand[order[b]].Key })
-		pickedIdx := order[:m.w]
-		picked := make([]forecast.Entry, 0, m.w)
-		pickedDisk := make(map[int]int)
-		for _, oi := range pickedIdx {
-			pickedDisk[len(picked)] = candDisk[oi]
-			picked = append(picked, cand[oi])
-		}
-		cand, candDisk = picked, pickedDisk
-	}
-	read := 0
-	for ci, e := range cand {
-		disk := candDisk[ci]
-		run := m.runs[e.Run]
-		succKey := record.MaxKey
-		if e.BlockIdx+m.d < run.NumBlocks() {
-			succKey = run.First[e.BlockIdx+m.d]
-		}
-		m.fds.NoteRead(disk, e.Run, e.BlockIdx, succKey)
-		read++
-		if m.flushed[[2]int{e.Run, e.BlockIdx}] {
-			m.stats.BlocksReread++
-		}
-		if m.stalled[e.Run] && m.need[e.Run] == e.BlockIdx {
-			m.leadIdx[e.Run] = e.BlockIdx
-			m.leadLast[e.Run] = run.Last[e.BlockIdx]
-			m.stalled[e.Run] = false
-			m.stallHeap.Remove(e.Run)
-			m.mem.LeadingAcquired()
-			m.active.Push(e.Run, uint64(run.Last[e.BlockIdx]))
-			continue
-		}
-		m.mem.Insert(&membuf.Block[record.Rec16]{
-			Run: e.Run,
-			Idx: e.BlockIdx,
-			Records: []record.Rec16{
-				{Key: run.First[e.BlockIdx]},
-				{Key: run.Last[e.BlockIdx]},
-			},
-			SuccKey: succKey,
-		})
-	}
-	if read == 0 {
-		panic("sim: parRead with empty FDS")
-	}
-	m.stats.ReadOps++
-}
-
-// step advances the merge to the next block event: either the depletion of
-// the leading block with the smallest last key, or — if a stalled run's
-// awaited block comes first in key order — a pause for I/O (0 events).
-func (m *simMerger) step() int {
+// step advances the merge to the next block event, the depletion of the
+// leading block with the smallest last key, and reports whether it did:
+// when a stalled run's awaited block comes first in key order the merge
+// must wait for I/O instead.
+func (m *simMerger) step() bool {
 	if m.active.Len() == 0 {
-		return 0 // everything is stalled or exhausted; I/O must progress
+		return false // everything is stalled or exhausted; I/O must progress
 	}
 	h, lastKey := m.active.Min()
-	if m.stallHeap.Len() > 0 {
-		if _, sKey := m.stallHeap.Min(); sKey < lastKey {
-			return 0 // the merge is blocked on a stalled run's block
-		}
+	if sKey, ok := m.core.StallMin(); ok && sKey < lastKey {
+		return false
 	}
-	// Depletion of run h's leading block.
+	m.clock.Consume(record.Key(lastKey))
 	m.active.Remove(h)
-	m.mem.LeadingReleased()
-	run := m.runs[h]
-	next := m.leadIdx[h] + 1
-	switch {
-	case next >= run.NumBlocks():
-		m.exhausted++
-	case m.mem.Has(h, next):
-		m.mem.Take(h, next)
-		m.leadIdx[h] = next
-		m.leadLast[h] = run.Last[next]
-		m.mem.LeadingAcquired()
-		m.active.Push(h, uint64(run.Last[next]))
-	default:
-		e, ok := m.fds.Peek(run.Disk(next), h)
-		if !ok || e.BlockIdx != next {
-			panic(fmt.Sprintf("sim: stalled run %d needs block %d but FDS tracks %+v (ok=%v)",
-				h, next, e, ok))
-		}
-		m.stalled[h] = true
-		m.need[h] = next
-		m.stallHeap.Push(h, uint64(e.Key))
-	}
-	_ = lastKey
-	return 1
+	m.core.Deplete(h, record.Key(lastKey))
+	return true
 }

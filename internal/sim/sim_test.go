@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -9,6 +11,7 @@ import (
 	"srmsort/internal/record"
 	"srmsort/internal/runio"
 	"srmsort/internal/srm"
+	"srmsort/internal/trace"
 )
 
 func TestGenerateAverageCaseShape(t *testing.T) {
@@ -103,9 +106,50 @@ func TestMergeCountsSane(t *testing.T) {
 	}
 }
 
+// traceBoth merges the same runs (recRuns striped from starts, blocks of b
+// records over d disks) with the real record-moving merger and with the
+// simulator, and reports the first difference between their trace event
+// streams or statistics.
+func traceBoth(recRuns [][]record.Record, starts []int, d, b int) error {
+	sys, err := pdisk.NewSystem(pdisk.Config{D: d, B: b})
+	if err != nil {
+		return err
+	}
+	descs := make([]*runio.Run, len(recRuns))
+	simRuns := make([]*Run, len(recRuns))
+	for i, rs := range recRuns {
+		if descs[i], err = runio.WriteRun(sys, i, starts[i], rs); err != nil {
+			return err
+		}
+		simRuns[i] = FromRecords(rs, b, d, starts[i])
+	}
+	realRec := &trace.Recorder{}
+	_, realStats, err := srm.Merge[record.Record](sys, descs, len(recRuns), 999, 0, srm.MergeOpts{Sink: realRec})
+	if err != nil {
+		return err
+	}
+	simRec := &trace.Recorder{}
+	simStats, err := merge(simRuns, d, d, len(simRuns), simRec, untimed{})
+	if err != nil {
+		return err
+	}
+	for i := 0; i < len(realRec.Events) || i < len(simRec.Events); i++ {
+		if i >= len(realRec.Events) || i >= len(simRec.Events) {
+			return fmt.Errorf("real merger emitted %d events, simulator %d", len(realRec.Events), len(simRec.Events))
+		}
+		if !reflect.DeepEqual(realRec.Events[i], simRec.Events[i]) {
+			return fmt.Errorf("event %d: real %+v, simulator %+v", i, realRec.Events[i], simRec.Events[i])
+		}
+	}
+	if simStats.Stats != realStats.Stats {
+		return fmt.Errorf("sim stats %+v != real %+v", simStats.Stats, realStats.Stats)
+	}
+	return nil
+}
+
 // The centrepiece: the block-level simulator and the real record-moving
-// merger must perform IDENTICAL numbers of parallel reads on identical
-// inputs (same keys, same layout).
+// merger must produce IDENTICAL schedules on identical inputs (same keys,
+// same layout) — event for event: kind, blocks, |F_t| and OutRank.
 func TestSimulatorMatchesRealMerger(t *testing.T) {
 	cases := []struct {
 		seed                 int64
@@ -126,47 +170,8 @@ func TestSimulatorMatchesRealMerger(t *testing.T) {
 		for i := range starts {
 			starts[i] = startRng.Intn(tc.d)
 		}
-
-		// Real merger on a real disk system.
-		sys, err := pdisk.NewSystem(pdisk.Config{D: tc.d, B: tc.b})
-		if err != nil {
-			t.Fatal(err)
-		}
-		descs := make([]*runio.Run, tc.numRuns)
-		for i, rs := range recRuns {
-			descs[i], err = runio.WriteRun(sys, i, starts[i], rs)
-			if err != nil {
-				t.Fatal(err)
-			}
-		}
-		_, realStats, err := srm.Merge[record.Record](sys, descs, tc.numRuns, 999, 0, srm.MergeOpts{})
-		if err != nil {
-			t.Fatal(err)
-		}
-
-		// Simulator on the block boundaries of the same runs.
-		simRuns := make([]*Run, tc.numRuns)
-		for i, rs := range recRuns {
-			simRuns[i] = FromRecords(rs, tc.b, tc.d, starts[i])
-		}
-		simStats, err := Merge(simRuns, tc.d, tc.numRuns)
-		if err != nil {
-			t.Fatal(err)
-		}
-
-		if simStats.ReadOps != realStats.ReadOps {
-			t.Errorf("case %+v: sim reads %d != real reads %d",
-				tc, simStats.ReadOps, realStats.ReadOps)
-		}
-		if simStats.InitialReads != realStats.InitialReads {
-			t.Errorf("case %+v: sim I_0 %d != real I_0 %d",
-				tc, simStats.InitialReads, realStats.InitialReads)
-		}
-		if simStats.Flushes != realStats.Flushes ||
-			simStats.BlocksFlushed != realStats.BlocksFlushed {
-			t.Errorf("case %+v: sim flushes %d/%d != real %d/%d",
-				tc, simStats.Flushes, simStats.BlocksFlushed,
-				realStats.Flushes, realStats.BlocksFlushed)
+		if err := traceBoth(recRuns, starts, tc.d, tc.b); err != nil {
+			t.Errorf("case %+v: %v", tc, err)
 		}
 	}
 }
@@ -230,7 +235,7 @@ func TestSimulatedVBelowBallThrowingV(t *testing.T) {
 }
 
 // Randomised equivalence: across arbitrary geometries and placements the
-// simulator's read/flush counts must equal the real merger's.
+// simulator's schedule must equal the real merger's, event for event.
 func TestPropertySimulatorMatchesRealMerger(t *testing.T) {
 	f := func(seed int64, dRaw, bRaw, runsRaw, blksRaw uint8) bool {
 		d := int(dRaw)%6 + 2
@@ -244,36 +249,34 @@ func TestPropertySimulatorMatchesRealMerger(t *testing.T) {
 		for i := range starts {
 			starts[i] = startRng.Intn(d)
 		}
-		sys, err := pdisk.NewSystem(pdisk.Config{D: d, B: b})
-		if err != nil {
+		if err := traceBoth(recRuns, starts, d, b); err != nil {
+			t.Logf("seed %d D=%d B=%d runs=%d blocks=%d: %v", seed, d, b, numRuns, nblks, err)
 			return false
 		}
-		descs := make([]*runio.Run, numRuns)
-		for i, rs := range recRuns {
-			descs[i], err = runio.WriteRun(sys, i, starts[i], rs)
-			if err != nil {
-				return false
-			}
-		}
-		_, realStats, err := srm.Merge[record.Record](sys, descs, numRuns, 999, 0, srm.MergeOpts{})
-		if err != nil {
-			return false
-		}
-		simRuns := make([]*Run, numRuns)
-		for i, rs := range recRuns {
-			simRuns[i] = FromRecords(rs, b, d, starts[i])
-		}
-		simStats, err := Merge(simRuns, d, numRuns)
-		if err != nil {
-			return false
-		}
-		return simStats.ReadOps == realStats.ReadOps &&
-			simStats.InitialReads == realStats.InitialReads &&
-			simStats.Flushes == realStats.Flushes &&
-			simStats.BlocksFlushed == realStats.BlocksFlushed &&
-			simStats.BlocksReread == realStats.BlocksReread
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// Paper-scale simulated schedules pass the online invariant checker, and
+// its independent re-read count agrees with the simulator's.
+func TestTable3ScaleSchedulesPassChecker(t *testing.T) {
+	for _, k := range []int{5, 10, 50} {
+		for _, d := range []int{10, 50} {
+			runs := genPlaced(t, int64(100*k+d), d, k*d, 100, 4)
+			checker := trace.NewChecker(d)
+			stats, err := merge(runs, d, d, k*d, checker, untimed{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := checker.Err(); err != nil {
+				t.Errorf("k=%d D=%d: %v", k, d, err)
+			}
+			if got := checker.Rereads(); got != stats.BlocksReread {
+				t.Errorf("k=%d D=%d: checker counts %d re-reads, simulator %d", k, d, got, stats.BlocksReread)
+			}
+		}
 	}
 }

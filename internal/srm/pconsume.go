@@ -54,11 +54,7 @@ func (m *merger[R]) consumeSuperSpan(stallInclusive bool) (int, error) {
 	if m.active.Len() == 0 {
 		return 0, nil
 	}
-	haveStall := m.stallHeap.Len() > 0
-	var sKey uint64
-	if haveStall {
-		_, sKey = m.stallHeap.Min()
-	}
+	sKey, haveStall := m.core.StallMin()
 	seqs, total, dRun := m.superSpans(haveStall, sKey, stallInclusive)
 	if total == 0 {
 		// The stall guard blocks even the first record — the serial
@@ -127,9 +123,8 @@ func (m *merger[R]) superSpans(haveStall bool, sKey uint64, stallInclusive bool)
 
 // applySuperSpans advances the leading blocks past their emitted spans
 // and updates the active tree: surviving runs re-key to their new first
-// record, the depleted run (if any) releases its M_L slot, retires and is
-// noted as pending — the same state transitions the serial consumer
-// performs, batched.
+// record, the depleted run (if any) retires and is noted as pending — the
+// same state transitions the serial consumer performs, batched.
 func (m *merger[R]) applySuperSpans(seqs [][]R, dRun int) {
 	for h, s := range seqs {
 		if len(s) == 0 {
@@ -141,7 +136,6 @@ func (m *merger[R]) applySuperSpans(seqs [][]R, dRun int) {
 		}
 	}
 	if dRun >= 0 {
-		m.mem.LeadingReleased()
 		m.active.Remove(dRun)
 		s := seqs[dRun]
 		m.pendingRun, m.pendingKey = dRun, s[len(s)-1].K()

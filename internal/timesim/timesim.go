@@ -12,6 +12,10 @@
 // latency hides behind merging; the CPU waits only when a stalled run's
 // block is genuinely late.
 //
+// The schedule is package sim's, unchanged: this package only attaches a
+// clock to it (sim.MergeTimed), so the operation counts are the untimed
+// simulator's by construction.
+//
 // Inputs are the block-boundary runs of package sim whose keys are dense
 // global positions (the average-case and bursty generators): the CPU time
 // to reach key position p is exactly p · CPUPerRecord.
@@ -21,8 +25,6 @@ import (
 	"fmt"
 
 	"srmsort/internal/forecast"
-	"srmsort/internal/iheap"
-	"srmsort/internal/membuf"
 	"srmsort/internal/record"
 	"srmsort/internal/sim"
 )
@@ -79,20 +81,10 @@ func (r Result) Efficiency() float64 {
 	return ideal / r.Makespan
 }
 
-type timedMerger struct {
-	d, r int
-	p    Params
-	runs []*sim.Run
-	fds  *forecast.FDS
-	mem  *membuf.Manager[record.Rec16]
-
-	leadIdx   []int
-	leadLast  []record.Key
-	need      []int
-	stalled   []bool
-	active    *iheap.Heap
-	stallHeap *iheap.Heap
-	exhausted int
+// clock is the sim.Clock that times one merge.
+type clock struct {
+	d int
+	p Params
 
 	cpu       float64    // merge-processing clock
 	pos       record.Key // last merge position (global key) accounted
@@ -101,7 +93,7 @@ type timedMerger struct {
 	ready     map[[2]int]float64 // block -> read completion time
 	outBlocks int                // output blocks generated so far
 	written   int                // output blocks already covered by write ops
-	res       Result
+	writeOps  int64
 }
 
 // Merge runs the timed simulation. Runs must carry dense position keys
@@ -110,286 +102,114 @@ func Merge(runs []*sim.Run, d, r int, p Params) (Result, error) {
 	if p.OpSeconds <= 0 || p.CPUPerRecord < 0 || p.B < 1 {
 		return Result{}, fmt.Errorf("timesim: bad params %+v", p)
 	}
-	if len(runs) == 0 {
-		return Result{}, fmt.Errorf("timesim: merge of zero runs")
-	}
-	if len(runs) > r {
-		return Result{}, fmt.Errorf("timesim: %d runs exceed merge order %d", len(runs), r)
-	}
-	total := 0
-	for _, run := range runs {
-		if run.NumBlocks() == 0 {
-			return Result{}, fmt.Errorf("timesim: empty run")
-		}
-		if run.D != d {
-			return Result{}, fmt.Errorf("timesim: run striped over %d disks, want %d", run.D, d)
-		}
-		total += run.NumBlocks()
-	}
-	m := &timedMerger{
-		d: d, r: r, p: p,
-		runs:      runs,
-		fds:       forecast.New(d, len(runs)),
-		mem:       membuf.New[record.Rec16](r, d),
-		leadIdx:   make([]int, len(runs)),
-		leadLast:  make([]record.Key, len(runs)),
-		need:      make([]int, len(runs)),
-		stalled:   make([]bool, len(runs)),
-		active:    iheap.New(len(runs)),
-		stallHeap: iheap.New(len(runs)),
-		ready:     make(map[[2]int]float64),
-	}
-	m.loadInitialBlocks()
-	for m.exhausted < len(m.runs) {
-		reads := m.pumpIO()
-		events := m.step()
-		if reads == 0 && events == 0 && m.exhausted < len(m.runs) {
-			panic("timesim: schedule deadlock")
-		}
+	c := &clock{d: d, p: p, ready: make(map[[2]int]float64)}
+	stats, err := sim.MergeTimed(runs, d, r, c)
+	if err != nil {
+		return Result{}, err
 	}
 	// Remaining output stripes drain through the channel.
-	m.drainWrites(true)
-	m.res.CPUBusy = m.cpuDemand()
-	m.res.IOBusy = float64(m.res.ReadOps+m.res.WriteOps) * p.OpSeconds
-	m.res.CPUStall = m.stallTime
-	m.res.Makespan = m.cpu
-	if m.ioFree > m.res.Makespan {
-		m.res.Makespan = m.ioFree
+	c.drainWrites(true)
+	res := Result{
+		CPUBusy:  cpuDemand(runs, p),
+		IOBusy:   float64(stats.ReadOps+c.writeOps) * p.OpSeconds,
+		CPUStall: c.stallTime,
+		Makespan: c.cpu,
+		ReadOps:  stats.ReadOps,
+		WriteOps: c.writeOps,
 	}
-	return m.res, nil
+	if c.ioFree > res.Makespan {
+		res.Makespan = c.ioFree
+	}
+	return res, nil
 }
 
-func (m *timedMerger) cpuDemand() float64 {
+func cpuDemand(runs []*sim.Run, p Params) float64 {
 	// Keys are dense global positions across runs; the total record count
 	// is the largest last key.
 	var maxKey record.Key
-	for _, run := range m.runs {
+	for _, run := range runs {
 		if k := run.Last[run.NumBlocks()-1]; k > maxKey {
 			maxKey = k
 		}
 	}
-	return float64(maxKey) * m.p.CPUPerRecord
+	return float64(maxKey) * p.CPUPerRecord
 }
 
-func (m *timedMerger) loadInitialBlocks() {
-	perDisk := make([][]int, m.d)
-	for h, run := range m.runs {
-		perDisk[run.Disk(0)] = append(perDisk[run.Disk(0)], h)
-		for t := 1; t <= m.d && t < run.NumBlocks(); t++ {
-			m.fds.Set(run.Disk(t), h, t, run.First[t])
-		}
-	}
-	for {
-		did := false
-		var fetched []int
-		for disk := 0; disk < m.d; disk++ {
-			if len(perDisk[disk]) == 0 {
-				continue
-			}
-			fetched = append(fetched, perDisk[disk][0])
-			perDisk[disk] = perDisk[disk][1:]
-			did = true
-		}
-		if !did {
-			break
-		}
-		complete := m.issueOp()
-		m.res.ReadOps++
-		for _, h := range fetched {
-			run := m.runs[h]
-			m.leadIdx[h] = 0
-			m.leadLast[h] = run.Last[0]
-			m.mem.LeadingAcquired()
-			m.active.Push(h, uint64(run.Last[0]))
-			// The merge cannot start before its leading blocks arrive.
-			m.waitUntil(complete)
-		}
-	}
-}
-
-// issueOp reserves the I/O channel for one operation starting no earlier
+// Read reserves the I/O channel for one parallel read starting no earlier
 // than now (reads are issued by the scheduler as soon as their
-// precondition holds, i.e. at the current CPU time) and returns its
+// precondition holds, i.e. at the current CPU time) and notes when its
+// blocks arrive.
+func (c *clock) Read(blocks []forecast.Entry) {
+	complete := c.issueOp()
+	for _, e := range blocks {
+		c.ready[[2]int{e.Run, e.BlockIdx}] = complete
+	}
+}
+
+// Lead makes the merge wait for a new leading block's read to complete —
+// usually zero for a prefetched block.
+func (c *clock) Lead(h, idx int) {
+	c.waitUntil(c.ready[[2]int{h, idx}])
+	delete(c.ready, [2]int{h, idx})
+}
+
+// Pumped issues the output stripes owed so far, which also occupy the
+// channel.
+func (c *clock) Pumped() { c.drainWrites(false) }
+
+// issueOp reserves the I/O channel for one operation and returns its
 // completion time.
-func (m *timedMerger) issueOp() float64 {
-	if m.p.Overlap && m.p.QueueDepth > 0 {
+func (c *clock) issueOp() float64 {
+	if c.p.Overlap && c.p.QueueDepth > 0 {
 		// Backpressure: with QueueDepth operations already queued, the
 		// issuing flow blocks until the channel drains below the bound.
-		if lag := m.ioFree - float64(m.p.QueueDepth)*m.p.OpSeconds; lag > m.cpu {
-			m.waitUntil(lag)
+		if lag := c.ioFree - float64(c.p.QueueDepth)*c.p.OpSeconds; lag > c.cpu {
+			c.waitUntil(lag)
 		}
 	}
-	start := m.ioFree
-	if m.cpu > start {
-		start = m.cpu
+	start := c.ioFree
+	if c.cpu > start {
+		start = c.cpu
 	}
-	m.ioFree = start + m.p.OpSeconds
-	if !m.p.Overlap {
+	c.ioFree = start + c.p.OpSeconds
+	if !c.p.Overlap {
 		// Serial mode: the CPU blocks for the whole operation.
-		m.waitUntil(m.ioFree)
+		c.waitUntil(c.ioFree)
 	}
-	return m.ioFree
+	return c.ioFree
 }
 
 // waitUntil advances the CPU clock to t, accounting the wait as stall.
-func (m *timedMerger) waitUntil(t float64) {
-	if t > m.cpu {
-		m.stallTime += t - m.cpu
-		m.cpu = t
-	}
-}
-
-func (m *timedMerger) pumpIO() int {
-	reads := 0
-	for m.fds.Len() > 0 && m.mem.Occupied() <= m.r+m.d {
-		if occupied := m.mem.Occupied(); occupied > m.r {
-			extra := occupied - m.r
-			minS := m.smallestOnDisk()
-			outRank := m.mem.CountLessBlock(minS.Key, minS.Run, minS.BlockIdx) + 1
-			if outRank <= extra {
-				victims := m.mem.FlushVictims(extra - outRank + 1)
-				for _, v := range victims {
-					m.fds.Set(m.runs[v.Run].Disk(v.Idx), v.Run, v.Idx, v.FirstKey())
-					delete(m.ready, [2]int{v.Run, v.Idx})
-				}
-			}
-		}
-		m.parRead()
-		reads++
-	}
-	// Output stripes owed so far also occupy the channel.
-	m.drainWrites(false)
-	return reads
-}
-
-func (m *timedMerger) smallestOnDisk() forecast.Entry {
-	var best forecast.Entry
-	found := false
-	for disk := 0; disk < m.d; disk++ {
-		e, ok := m.fds.Smallest(disk)
-		if !ok {
-			continue
-		}
-		if !found || e.Key < best.Key ||
-			(e.Key == best.Key && (e.Run < best.Run ||
-				(e.Run == best.Run && e.BlockIdx < best.BlockIdx))) {
-			best = e
-			found = true
-		}
-	}
-	if !found {
-		panic("timesim: smallestOnDisk with empty FDS")
-	}
-	return best
-}
-
-func (m *timedMerger) parRead() {
-	complete := m.issueOp()
-	m.res.ReadOps++
-	for disk := 0; disk < m.d; disk++ {
-		e, ok := m.fds.Smallest(disk)
-		if !ok {
-			continue
-		}
-		run := m.runs[e.Run]
-		succKey := record.MaxKey
-		if e.BlockIdx+m.d < run.NumBlocks() {
-			succKey = run.First[e.BlockIdx+m.d]
-		}
-		m.fds.NoteRead(disk, e.Run, e.BlockIdx, succKey)
-		m.ready[[2]int{e.Run, e.BlockIdx}] = complete
-		if m.stalled[e.Run] && m.need[e.Run] == e.BlockIdx {
-			m.waitUntil(complete)
-			m.leadIdx[e.Run] = e.BlockIdx
-			m.leadLast[e.Run] = run.Last[e.BlockIdx]
-			m.stalled[e.Run] = false
-			m.stallHeap.Remove(e.Run)
-			m.mem.LeadingAcquired()
-			m.active.Push(e.Run, uint64(run.Last[e.BlockIdx]))
-			continue
-		}
-		m.mem.Insert(&membuf.Block[record.Rec16]{
-			Run: e.Run,
-			Idx: e.BlockIdx,
-			Records: []record.Rec16{
-				{Key: run.First[e.BlockIdx]},
-				{Key: run.Last[e.BlockIdx]},
-			},
-			SuccKey: succKey,
-		})
+func (c *clock) waitUntil(t float64) {
+	if t > c.cpu {
+		c.stallTime += t - c.cpu
+		c.cpu = t
 	}
 }
 
 // drainWrites issues write operations for completed output stripes (D
 // blocks each; with final, the partial tail too).
-func (m *timedMerger) drainWrites(final bool) {
-	owe := m.outBlocks/m.d*m.d - m.written
+func (c *clock) drainWrites(final bool) {
+	owe := c.outBlocks/c.d*c.d - c.written
 	if final {
-		owe = m.outBlocks - m.written
+		owe = c.outBlocks - c.written
 	}
 	for owe > 0 {
-		m.issueOp()
-		m.res.WriteOps++
-		n := m.d
-		if n > owe {
-			n = owe
-		}
-		m.written += n
+		c.issueOp()
+		c.writeOps++
+		n := min(c.d, owe)
+		c.written += n
 		owe -= n
 	}
 }
 
-func (m *timedMerger) step() int {
-	if m.active.Len() == 0 {
-		return 0
-	}
-	h, lastKey := m.active.Min()
-	if m.stallHeap.Len() > 0 {
-		if _, sKey := m.stallHeap.Min(); sKey < lastKey {
-			return 0
-		}
-	}
-	// The CPU merges up to this block's last record.
-	m.advanceTo(record.Key(lastKey))
-	m.active.Remove(h)
-	m.mem.LeadingReleased()
-	run := m.runs[h]
-	next := m.leadIdx[h] + 1
-	switch {
-	case next >= run.NumBlocks():
-		m.exhausted++
-	case m.mem.Has(h, next):
-		b := m.mem.Take(h, next)
-		// The successor was prefetched; if its read is still in flight,
-		// the CPU waits for the remainder — usually zero.
-		if t, ok := m.ready[[2]int{h, next}]; ok {
-			m.waitUntil(t)
-			delete(m.ready, [2]int{h, next})
-		}
-		_ = b
-		m.leadIdx[h] = next
-		m.leadLast[h] = run.Last[next]
-		m.mem.LeadingAcquired()
-		m.active.Push(h, uint64(run.Last[next]))
-	default:
-		e, ok := m.fds.Peek(run.Disk(next), h)
-		if !ok || e.BlockIdx != next {
-			panic(fmt.Sprintf("timesim: stalled run %d needs block %d, FDS has %+v", h, next, e))
-		}
-		m.stalled[h] = true
-		m.need[h] = next
-		m.stallHeap.Push(h, uint64(e.Key))
-	}
-	return 1
-}
-
-// advanceTo moves the CPU clock forward by the processing time of the
+// Consume moves the CPU clock forward by the processing time of the
 // records between the last accounted merge position and key (keys are
 // dense global positions) and accounts the output stripes produced.
-func (m *timedMerger) advanceTo(key record.Key) {
-	if key > m.pos {
-		m.cpu += float64(key-m.pos) * m.p.CPUPerRecord
-		m.pos = key
+func (c *clock) Consume(key record.Key) {
+	if key > c.pos {
+		c.cpu += float64(key-c.pos) * c.p.CPUPerRecord
+		c.pos = key
 	}
-	m.outBlocks = int(m.pos) / m.p.B
+	c.outBlocks = int(c.pos) / c.p.B
 }
