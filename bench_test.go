@@ -7,6 +7,7 @@
 package srmsort
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -316,23 +317,44 @@ func BenchmarkSortEndToEnd(b *testing.B) {
 
 // BenchmarkSortDeadline measures what the deadline/hedging layer costs
 // when nothing goes wrong: the same fault-free sort with no deadline
-// layer at all, with tracking plus a generous deadline, and with a
+// policy at all, with tracking plus a generous deadline, and with a
 // hedge delay so large it never fires. The deltas are the fixed
-// overhead table in EXPERIMENTS.md §hedged-reads. Like the SortEndToEnd
-// cells it reports ns/rec, B/rec and allocs/rec, and `make bench`
-// archives it in BENCH_sort.json: the layer's executors and pooled
-// timers allocate nothing per block op, so its rows must allocate no
-// more than the bare row.
+// overhead table in EXPERIMENTS.md §hedged-reads. The sortd-job cell is
+// one sortd job's library call: SortStream of near-sorted records at
+// D=8, checkpointed, through a shared disk gate, with sortd's retry and
+// 1 s/1 s deadline policy. Like the SortEndToEnd cells it reports
+// ns/rec, B/rec and allocs/rec, and `make bench` archives it in
+// BENCH_sort.json: a bounded op allocates nothing, so the deadline rows
+// must allocate no more than the bare row.
 func BenchmarkSortDeadline(b *testing.B) {
 	const n = 100_000
 	in := benchRecords(n, 42)
+	var wire bytes.Buffer
+	if err := WriteRecords(&wire, shapedRecords(sim.ShapeNearSorted, n, 1)); err != nil {
+		b.Fatal(err)
+	}
+	retry := pdisk.DefaultRetryPolicy()
+	retry.MaxAttempts = 5
 	cells := []struct {
-		name   string
-		policy *DeadlinePolicy
+		name string
+		sort func() (int, error)
 	}{
-		{"bare", nil},
-		{"deadline=1s", &DeadlinePolicy{OpDeadline: time.Second}},
-		{"deadline=1s+hedge=1s", &DeadlinePolicy{OpDeadline: time.Second, HedgeAfter: time.Second}},
+		{"bare", func() (int, error) { return sortLen(in, Config{D: 4, B: 64, K: 4, Seed: 11}) }},
+		{"deadline=1s", func() (int, error) {
+			return sortLen(in, Config{D: 4, B: 64, K: 4, Seed: 11, Deadline: &DeadlinePolicy{OpDeadline: time.Second}})
+		}},
+		{"deadline=1s+hedge=1s", func() (int, error) {
+			return sortLen(in, Config{D: 4, B: 64, K: 4, Seed: 11,
+				Deadline: &DeadlinePolicy{OpDeadline: time.Second, HedgeAfter: time.Second}})
+		}},
+		{"sortd-job", func() (int, error) {
+			cfg := Config{D: 8, B: 64, K: 4, Seed: 1, Cores: 1, Checkpoint: true,
+				Gate: pdisk.NewDiskGate(64, 2), Retry: &retry,
+				Deadline: &DeadlinePolicy{OpDeadline: time.Second, HedgeAfter: time.Second}}
+			var out bytes.Buffer
+			_, err := SortStream(bytes.NewReader(wire.Bytes()), &out, cfg)
+			return out.Len() / record.Bytes, err
+		}},
 	}
 	for _, cell := range cells {
 		b.Run(cell.name, func(b *testing.B) {
@@ -342,13 +364,12 @@ func BenchmarkSortDeadline(b *testing.B) {
 			runtime.ReadMemStats(&before)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				cfg := Config{D: 4, B: 64, K: 4, Seed: 11, Deadline: cell.policy}
-				out, _, err := Sort(in, cfg)
+				got, err := cell.sort()
 				if err != nil {
 					b.Fatal(err)
 				}
-				if len(out) != n {
-					b.Fatalf("sorted %d of %d records", len(out), n)
+				if got != n {
+					b.Fatalf("sorted %d of %d records", got, n)
 				}
 			}
 			b.StopTimer()
@@ -359,6 +380,12 @@ func BenchmarkSortDeadline(b *testing.B) {
 			b.ReportMetric(float64(after.Mallocs-before.Mallocs)/recs, "allocs/rec")
 		})
 	}
+}
+
+// sortLen sorts in under cfg and returns the output length.
+func sortLen(in []Record, cfg Config) (int, error) {
+	out, _, err := Sort(in, cfg)
+	return len(out), err
 }
 
 // BenchmarkSortShapes sweeps the sortedness shapes of internal/sim's

@@ -110,10 +110,12 @@ func (man *manifest) codecName() string {
 	return man.Codec
 }
 
-// checkpointer persists manifest generations through a ManifestStore.
+// checkpointer persists manifest generations through the System, whose
+// retry policy covers the manifest calls.
 type checkpointer struct {
-	ms  pdisk.ManifestStore
-	man manifest
+	sys   *pdisk.System
+	store pdisk.Store
+	man   manifest
 }
 
 // save persists gen as the current generation, demoting the previous one
@@ -131,21 +133,17 @@ func (c *checkpointer) save(gen runGen) error {
 	if err != nil {
 		return err
 	}
-	if s, ok := c.ms.(interface{ Sync() error }); ok {
+	if s, ok := c.store.(interface{ Sync() error }); ok {
 		if err := s.Sync(); err != nil {
 			return err
 		}
 	}
-	return c.ms.SaveManifest(data)
+	return c.sys.SaveManifest(data)
 }
 
 // loadManifest fetches and decodes the store's manifest, if any.
-func loadManifest(store pdisk.Store) (*manifest, error) {
-	ms, ok := store.(pdisk.ManifestStore)
-	if !ok {
-		return nil, nil
-	}
-	data, present, err := ms.LoadManifest()
+func loadManifest(sys *pdisk.System) (*manifest, error) {
+	data, present, err := sys.LoadManifest()
 	if err != nil || !present {
 		return nil, err
 	}
@@ -172,41 +170,64 @@ func genAddrs(gen runGen) []pdisk.BlockAddr {
 }
 
 // verifyGen reads back every block of the generation's runs through the
-// store stack — on a FileStore that validates each block's checksum, and
-// under a RetryStore transient faults are absorbed. An error means the
-// generation cannot feed a resumed merge.
-func verifyGen(store pdisk.Store, gen runGen) error {
-	for _, addr := range genAddrs(gen) {
-		if _, err := store.ReadBlock(addr); err != nil {
+// System — on a FileStore that validates each block's checksum, and under
+// a retry policy transient faults are absorbed — packing the blocks into
+// parallel reads of distinct disks. An error means the generation cannot
+// feed a resumed merge. The reads are recovery, not sorting cost: the
+// caller resets Stats after.
+func verifyGen(sys *pdisk.System, gen runGen) error {
+	var op []pdisk.BlockAddr
+	used := make([]bool, sys.D())
+	flush := func() error {
+		if len(op) == 0 {
+			return nil
+		}
+		_, err := sys.ReadBlocks(op)
+		op = op[:0]
+		clear(used)
+		if err != nil {
 			return fmt.Errorf("srmsort: checkpointed run block unreadable: %w", err)
 		}
+		return nil
 	}
-	return nil
+	for _, addr := range genAddrs(gen) {
+		if addr.Disk < 0 || addr.Disk >= len(used) {
+			return fmt.Errorf("srmsort: checkpointed run block %v outside D=%d", addr, sys.D())
+		}
+		if used[addr.Disk] {
+			if err := flush(); err != nil {
+				return err
+			}
+		}
+		used[addr.Disk] = true
+		op = append(op, addr)
+	}
+	return flush()
 }
 
 // chooseGen picks the generation a resume continues from: the newest one
 // whose runs all verify. Falling back to Prev is the manifest-directed
 // repair path — it can succeed only in the window where Cur was saved but
 // the previous pass's runs (Prev) were not yet freed.
-func chooseGen(store pdisk.Store, man *manifest) (runGen, error) {
-	errCur := verifyGen(store, man.Cur)
+func chooseGen(sys *pdisk.System, man *manifest) (runGen, error) {
+	errCur := verifyGen(sys, man.Cur)
 	if errCur == nil {
 		return man.Cur, nil
 	}
 	if man.Prev != nil {
-		if errPrev := verifyGen(store, *man.Prev); errPrev == nil {
+		if errPrev := verifyGen(sys, *man.Prev); errPrev == nil {
 			return *man.Prev, nil
 		}
 	}
 	return runGen{}, fmt.Errorf("srmsort: no intact checkpoint generation to resume from: %w", errCur)
 }
 
-// reclaimOrphans frees every resident block that neither the chosen
-// generation's runs nor the input file own: partially written output
-// runs, torn blocks, stale inputs a crash interrupted mid-free. Stores
-// without block enumeration skip reclamation (they only leak space,
-// never correctness).
-func reclaimOrphans(store pdisk.Store, man *manifest, gen runGen) error {
+// reclaimOrphans frees, in one free batch, every resident block that
+// neither the chosen generation's runs nor the input file own: partially
+// written output runs, torn blocks, stale inputs a crash interrupted
+// mid-free. Stores without block enumeration skip reclamation (they only
+// leak space, never correctness).
+func reclaimOrphans(sys *pdisk.System, store pdisk.Store, man *manifest, gen runGen) error {
 	bl, ok := store.(pdisk.BlockLister)
 	if !ok {
 		return nil
@@ -215,6 +236,7 @@ func reclaimOrphans(store pdisk.Store, man *manifest, gen runGen) error {
 	for _, addr := range genAddrs(gen) {
 		keep[addr] = true
 	}
+	var orphans []pdisk.BlockAddr
 	for _, addr := range bl.Blocks() {
 		if keep[addr] {
 			continue
@@ -222,41 +244,33 @@ func reclaimOrphans(store pdisk.Store, man *manifest, gen runGen) error {
 		if addr.Disk < len(man.InputFrontier) && addr.Index < man.InputFrontier[addr.Disk] {
 			continue // input-file territory
 		}
-		if err := store.Free(addr); err != nil && !errors.Is(err, pdisk.ErrAbsent) {
-			return fmt.Errorf("srmsort: reclaiming orphan block %v: %w", addr, err)
-		}
+		orphans = append(orphans, addr)
+	}
+	if err := sys.FreeBlocks(orphans...); err != nil && !errors.Is(err, pdisk.ErrAbsent) {
+		return fmt.Errorf("srmsort: reclaiming orphan blocks: %w", err)
 	}
 	return nil
 }
 
-// wipeStore clears every resident block and the manifest — the reset
-// before a sort restarts from scratch over a store an earlier attempt
-// dirtied without ever reaching its first checkpoint.
-func wipeStore(store pdisk.Store) error {
+// wipeStore clears every resident block, in one free batch, and the
+// manifest — the reset before a sort restarts from scratch over a store
+// an earlier attempt dirtied without ever reaching its first checkpoint.
+func wipeStore(sys *pdisk.System, store pdisk.Store) error {
 	if bl, ok := store.(pdisk.BlockLister); ok {
-		for _, addr := range bl.Blocks() {
-			if err := store.Free(addr); err != nil && !errors.Is(err, pdisk.ErrAbsent) {
-				return err
-			}
+		if err := sys.FreeBlocks(bl.Blocks()...); err != nil && !errors.Is(err, pdisk.ErrAbsent) {
+			return err
 		}
 	}
-	if ms, ok := store.(pdisk.ManifestStore); ok {
-		return ms.ClearManifest()
-	}
-	return nil
+	return sys.ClearManifest()
 }
 
 // storeFrontiers snapshots the per-disk allocation frontier — called
 // right after the input file is loaded, so the manifest can exempt input
 // blocks from orphan reclamation.
-func storeFrontiers(store pdisk.Store, d int) ([]int, error) {
-	fs, ok := store.(pdisk.FrontierStore)
-	if !ok {
-		return make([]int, d), nil
-	}
-	out := make([]int, d)
-	for i := 0; i < d; i++ {
-		n, err := fs.Frontier(i)
+func storeFrontiers(sys *pdisk.System) ([]int, error) {
+	out := make([]int, sys.D())
+	for i := range out {
+		n, err := sys.Frontier(i)
 		if err != nil {
 			return nil, err
 		}
@@ -302,11 +316,11 @@ func dsmRunStates(runs []*dsm.Run) []dsm.RunState {
 // runAlgorithm does for a fresh sort. Completed passes are not redone:
 // stats counts only the work performed now.
 func resumeMerge[R record.KernelRecord](sys *pdisk.System, store pdisk.Store, man *manifest, cfg Config, r int, stats *Stats, tr *progressTracker) (func(func(R) error) error, error) {
-	gen, err := chooseGen(store, man)
+	gen, err := chooseGen(sys, man)
 	if err != nil {
 		return nil, err
 	}
-	if err := reclaimOrphans(store, man, gen); err != nil {
+	if err := reclaimOrphans(sys, store, man, gen); err != nil {
 		return nil, err
 	}
 	stats.InitialRuns = man.InitialRuns
@@ -314,14 +328,12 @@ func resumeMerge[R record.KernelRecord](sys *pdisk.System, store pdisk.Store, ma
 	tr.formed(man.InitialRuns, runsLeft, r, gen.Pass)
 	sys.ResetStats() // verification reads are recovery, not sorting cost
 
-	cp := &checkpointer{man: *man}
-	cp.man.Cur = gen
-	cp.man.Prev = nil
-	if ms, ok := store.(pdisk.ManifestStore); ok {
-		cp.ms = ms
-	} else {
+	if _, ok := store.(pdisk.ManifestStore); !ok {
 		return nil, fmt.Errorf("srmsort: store cannot persist a checkpoint manifest")
 	}
+	cp := &checkpointer{sys: sys, store: store, man: *man}
+	cp.man.Cur = gen
+	cp.man.Prev = nil
 
 	if runsLeft == 0 {
 		return nil, fmt.Errorf("srmsort: manifest holds no runs")

@@ -392,6 +392,62 @@ func TestSortWithRetryAbsorbsTransientFaults(t *testing.T) {
 	}
 }
 
+// Checkpoint control traffic — the manifest saves, loads and clears and
+// the frontier probes — is retried under Config.Retry like block I/O: a
+// checkpointed sort and a resume over a store whose control calls fail
+// transiently both come out byte-identical to the fault-free sort.
+func TestCheckpointControlOpsRetried(t *testing.T) {
+	in := randomRecords(2500, 31)
+	cfg := Config{D: 4, B: 8, K: 3, Seed: 9, Checkpoint: true}
+	want, _, err := Sort(in, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flaky := func(inner pdisk.Store) *pdisk.FaultStore {
+		return pdisk.NewFaultStore(inner, pdisk.FaultConfig{Seed: 5, ManifestFailProb: 0.3, FrontierFailProb: 0.3})
+	}
+	same := func(what string, got []Record) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d records, want %d", what, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s: record %d = %v, want %v", what, i, got[i], want[i])
+			}
+		}
+	}
+	// The faults really fire: without retries the sort fails.
+	bare := cfg
+	bare.Store = flaky(pdisk.NewMemStore())
+	if _, _, err := Sort(in, bare); !errors.Is(err, pdisk.ErrInjected) {
+		t.Fatalf("unretried sort over flaky control calls: %v, want ErrInjected", err)
+	}
+	retried := cfg
+	retried.Retry = noSleep(pdisk.RetryPolicy{MaxAttempts: 10})
+	retried.Store = flaky(pdisk.NewMemStore())
+	got, _, err := Sort(in, retried)
+	if err != nil {
+		t.Fatalf("retried checkpointed sort: %v", err)
+	}
+	same("sort", got)
+
+	// Kill a sort mid-way, then resume over flaky control calls.
+	store := pdisk.NewMemStore()
+	killCfg := cfg
+	killCfg.Store = pdisk.NewFaultStore(store, pdisk.FaultConfig{TornWriteAt: countWrites(t, in, cfg) / 2})
+	if _, _, err := Sort(in, killCfg); err == nil {
+		t.Fatal("sort survived its kill")
+	}
+	resumeCfg := retried
+	resumeCfg.Store = flaky(store)
+	got, _, err = Resume(in, resumeCfg)
+	if err != nil {
+		t.Fatalf("retried resume: %v", err)
+	}
+	same("resume", got)
+}
+
 func TestScrubHelper(t *testing.T) {
 	dir := t.TempDir()
 	fs, err := pdisk.NewFileStore(dir, 8, 3)

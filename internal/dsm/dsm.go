@@ -390,16 +390,9 @@ func mergeRuns[R record.KernelRecord](sys *pdisk.System, runs []*Run, outID int,
 	return out, stats, nil
 }
 
-// Free releases every block of the run.
+// Free releases every block of the run in one free batch.
 func Free(sys *pdisk.System, r *Run) error {
-	for _, stripe := range r.stripes {
-		for _, addr := range stripe {
-			if err := sys.FreeBlock(addr); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
+	return sys.FreeBlocks(r.Addrs()...)
 }
 
 // SortStats aggregates the merge passes of MergeAll.

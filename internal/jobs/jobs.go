@@ -315,11 +315,11 @@ type Options struct {
 	// GateDisks is how many disks the shared gate covers — the largest D
 	// any job may request. 0 means 64.
 	GateDisks int
-	// Retry, if non-nil, gives every job's store transient-fault
-	// retries.
+	// Retry, if non-nil, gives every job's disk system transient-fault
+	// retries (srmsort.Config.Retry).
 	Retry *pdisk.RetryPolicy
-	// Deadline, if non-nil, gives every job's store a deadline/hedging
-	// layer beneath the retry layer (srmsort.Config.Deadline). The
+	// Deadline, if non-nil, gives every job's disk system deadlines and
+	// hedged reads (srmsort.Config.Deadline). The
 	// manager clones the policy and fills its Tracker, so every job
 	// shares one server-wide health tracker — per-disk latency across
 	// all tenants, surfaced through Manager.Health and GET /stats.

@@ -88,29 +88,23 @@ func (s *System) ensureWorkers() ([]chan diskReq, error) {
 	return s.queues, nil
 }
 
-// diskWorker serves one disk's queue until it is closed. Every transfer
-// passes through the shared DiskGate (when one is configured), so the
-// async pipelines of concurrent Systems fair-share the physical disk:
-// a queue-depth of in-flight requests here still performs only a gate
+// diskWorker serves one disk's queue until it is closed, running each
+// request as a one-transfer op of the System's engine: the retry and
+// deadline policies apply per transfer, and every transfer passes
+// through the shared DiskGate (when one is configured), so the async
+// pipelines of concurrent Systems fair-share the physical disk — a
+// queue-depth of in-flight requests here still performs only a gate
 // slot's worth of transfers at a time.
 func (s *System) diskWorker(q chan diskReq) {
 	defer s.asyncWG.Done()
 	for req := range q {
+		kind := opRead
 		if req.write {
-			s.gate.enter(req.addr.Disk)
-			err := s.store.WriteBlock(req.addr, req.block)
-			s.gate.exit(req.addr.Disk)
-			if err != nil {
-				err = &IOError{Op: "write", Addr: req.addr, Err: err}
-			}
-			req.done <- diskRes{slot: req.slot, err: err}
-			continue
+			kind = opWrite
 		}
-		s.gate.enter(req.addr.Disk)
-		blk, err := s.store.ReadBlock(req.addr)
-		s.gate.exit(req.addr.Disk)
+		blk, err := s.eng.do1(kind, req.addr, req.block)
 		if err != nil {
-			err = &IOError{Op: "read", Addr: req.addr, Err: err}
+			err = &IOError{Op: opNames[kind], Addr: req.addr, Err: err}
 		}
 		req.done <- diskRes{slot: req.slot, block: blk, err: err}
 	}
@@ -218,11 +212,14 @@ type WriteFuture struct {
 // as the call returns — the write-behind contract the M_W double buffer
 // relies on.
 func (s *System) WriteBlocksAsync(writes []BlockWrite) *WriteFuture {
-	addrs, err := s.checkWrites(writes)
-	f := &WriteFuture{sys: s, addrs: addrs}
-	if err != nil {
+	f := &WriteFuture{sys: s}
+	if err := s.checkWrites(writes); err != nil {
 		f.err = err
 		return f
+	}
+	f.addrs = make([]BlockAddr, len(writes))
+	for i, w := range writes {
+		f.addrs[i] = w.Addr
 	}
 	s.issueMu.RLock()
 	defer s.issueMu.RUnlock()
@@ -281,5 +278,8 @@ func (s *System) accountRead(addrs []BlockAddr) {
 func (s *System) accountWrite(addrs []BlockAddr) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.accountWriteLocked(addrs)
+	for _, a := range addrs {
+		s.stats.PerDiskWrites[a.Disk]++
+	}
+	s.accountWriteLocked(len(addrs))
 }

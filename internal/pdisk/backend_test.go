@@ -96,7 +96,7 @@ func TestBackendsEquivalentStatsAndContents(t *testing.T) {
 			read(all[i : i+d])
 		}
 		for disk := 0; disk < d; disk++ {
-			if err := sys.FreeBlock(BlockAddr{Disk: disk, Index: 5}); err != nil {
+			if err := sys.FreeBlocks(BlockAddr{Disk: disk, Index: 5}); err != nil {
 				t.Fatal(err)
 			}
 		}

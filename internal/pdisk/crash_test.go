@@ -46,7 +46,7 @@ func TestFileStoreCrashReopen(t *testing.T) {
 			}
 		}
 		if i%7 == 0 {
-			if err := sys.FreeBlock(a); err != nil {
+			if err := sys.FreeBlocks(a); err != nil {
 				t.Fatal(err)
 			}
 			continue

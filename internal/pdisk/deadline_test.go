@@ -165,6 +165,8 @@ func TestDeadlineTimeoutIsRetryable(t *testing.T) {
 		_, err := ds.ReadBlock(BlockAddr{Disk: 2, Index: 0})
 		errc <- err
 	}()
+	// A tick abandons only a transfer in flight: fire once it is parked.
+	inner.waitParked(t, "read", 1)
 	ctl.fire(t, 0)
 	err := <-errc
 	var derr *DeadlineError
@@ -303,7 +305,9 @@ func TestDeadlineChargesRetryBudget(t *testing.T) {
 		_, err := rs.ReadBlock(addr)
 		errc <- err
 	}()
+	inner.waitParked(t, "read", 1)
 	ctl.fire(t, 0) // attempt 1 times out
+	inner.waitParked(t, "read", 2)
 	ctl.fire(t, 1) // attempt 2 times out -> budget exhausted
 	err := <-errc
 	if !errors.Is(err, ErrDiskOffline) {
@@ -358,6 +362,7 @@ func TestDeadlineLateFreeCompletes(t *testing.T) {
 	})
 	errc := make(chan error, 1)
 	go func() { errc <- rs.Free(addr) }()
+	inner.waitParked(t, "free", 1)
 	ctl.fire(t, 0) // attempt 1 abandoned at its deadline
 	if err := <-errc; err != nil {
 		t.Fatalf("late-completing free must read as success, got %v", err)
@@ -380,6 +385,7 @@ func TestDeadlineJoinedWriteSingleIssue(t *testing.T) {
 	})
 	errc := make(chan error, 1)
 	go func() { errc <- ds.WriteBlock(addr, blk(4)) }()
+	inner.waitParked(t, "write", 1)
 	ctl.fire(t, 0) // first attempt abandoned, transfer still in flight
 	if err := <-errc; !errors.Is(err, ErrDeadline) {
 		t.Fatalf("want deadline error, got %v", err)

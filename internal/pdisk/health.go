@@ -36,8 +36,8 @@ type DiskHealth struct {
 
 // HealthStats is a point-in-time snapshot of a HealthTracker: per-disk
 // latency tracking plus the hedging counters. It appears in pdisk.Stats
-// (and from there srmsort -v and sortd /stats) whenever the store stack
-// includes a DeadlineStore.
+// (and from there srmsort -v and sortd /stats) whenever the System has a
+// Deadline policy.
 type HealthStats struct {
 	PerDisk []DiskHealth `json:"per_disk"`
 	// HedgedReads is how many reads were re-issued after the hedge
@@ -50,18 +50,18 @@ type HealthStats struct {
 	Timeouts int64 `json:"timeouts"`
 }
 
-// HealthReporter is how a store stack surfaces its deadline layer's
-// tracker: DeadlineStore implements it, wrappers above (RetryStore)
-// forward it, and System.Stats folds the snapshot into Stats.Health. A
-// nil return means no tracker below.
+// HealthReporter is how a hand-built store stack surfaces its deadline
+// layer's tracker: DeadlineStore implements it, wrappers above
+// (RetryStore) forward it, and a System with no Deadline policy of its
+// own reports it in Stats.Health. A nil return means no tracker below.
 type HealthReporter interface {
 	HealthSnapshot() *HealthStats
 }
 
 // HealthTracker accumulates per-disk latency (EWMA + a windowed p99)
 // and hedge/timeout counters. Safe for concurrent use; one tracker may
-// be shared by many DeadlineStores (sortd wires every job's deadline
-// layer to one server-wide tracker, keyed by simulated disk index).
+// be shared by many engines (sortd gives every job's System one
+// server-wide tracker, keyed by simulated disk index).
 type HealthTracker struct {
 	mu        sync.Mutex
 	disks     map[int]*diskHealth
@@ -95,9 +95,29 @@ func (t *HealthTracker) diskLocked(disk int) *diskHealth {
 
 // Observe records one completed operation's latency on disk.
 func (t *HealthTracker) Observe(disk int, latency time.Duration) {
-	micros := float64(latency) / float64(time.Microsecond)
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	t.observeLocked(disk, latency)
+}
+
+// observeOp records the samples of one engine op under one lock: the
+// latency of every transfer whose final attempt succeeded, and the wins
+// of its hedge legs.
+func (t *HealthTracker) observeOp(xs []xfer) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for i := range xs {
+		if x := &xs[i]; x.ok && x.err == nil {
+			t.observeLocked(x.addr.Disk, x.lat)
+			if x.won {
+				t.hedgeWins++
+			}
+		}
+	}
+}
+
+func (t *HealthTracker) observeLocked(disk int, latency time.Duration) {
+	micros := float64(latency) / float64(time.Microsecond)
 	d := t.diskLocked(disk)
 	d.ops++
 	if d.ops == 1 {
@@ -124,18 +144,10 @@ func (t *HealthTracker) Timeout(disk int, deadline time.Duration) {
 	t.Observe(disk, deadline)
 }
 
-// Hedged records one hedge leg issued; HedgeWon one hedge leg that
-// delivered its block first.
+// Hedged records one hedge leg issued.
 func (t *HealthTracker) Hedged() {
 	t.mu.Lock()
 	t.hedges++
-	t.mu.Unlock()
-}
-
-// HedgeWon records a hedge leg finishing ahead of the primary read.
-func (t *HealthTracker) HedgeWon() {
-	t.mu.Lock()
-	t.hedgeWins++
 	t.mu.Unlock()
 }
 

@@ -3,7 +3,7 @@
 // Every failure that crosses a Store boundary is classified along one
 // axis — is it worth retrying? — and attributed along another: which
 // operation on which disk at which block address failed. The taxonomy is
-// what lets RetryStore absorb transient device errors without ever
+// what lets the retry policy absorb transient device errors without ever
 // masking corruption, and what lets user-facing messages name the
 // failing disk instead of printing a bare "I/O error".
 //
@@ -39,10 +39,10 @@ var ErrCorrupt = errors.New("pdisk: corrupt block")
 // Terminal — the request itself is wrong.
 var ErrInvalid = errors.New("pdisk: invalid request")
 
-// ErrDiskOffline is the base error RetryStore returns for operations on a
-// disk whose cumulative failure count exhausted the per-disk error
-// budget: the disk is treated as failed and every later operation on it
-// fails fast. Terminal.
+// ErrDiskOffline is the base error the retry policy returns for
+// operations on a disk whose cumulative failure count exhausted the
+// per-disk error budget: the disk is treated as failed and every later
+// operation on it fails fast. Terminal.
 var ErrDiskOffline = errors.New("pdisk: disk offline (error budget exhausted)")
 
 // TerminalError marks an arbitrary error as not worth retrying without

@@ -8,8 +8,10 @@
 // Tables 1-4.
 //
 // The System itself is a thin coordinator: it owns statistics, address
-// checking, block allocation and the async worker pipeline, and delegates
-// all persistence to a pluggable Store backend — in-memory (MemStore, the
+// checking, block allocation, the async worker pipeline and the I/O
+// engine that applies retries, deadlines, hedges and the shared disk gate
+// to each parallel operation (engine.go), and delegates all persistence
+// to a pluggable Store backend — in-memory (MemStore, the
 // default) for experiments, file-backed (FileStore) to sort real bytes on
 // real storage, or fault-injecting (FaultStore) to drive error paths. The
 // algorithms above are backend-blind: the same sort produces byte-identical
@@ -133,15 +135,15 @@ func MakeStored[R record.KernelRecord](rs []R, forecast []record.Key) StoredBloc
 // A System is safe for concurrent use: operations are serialised by an
 // internal mutex (two merges sharing the disks interleave their operations,
 // as they would on real hardware), while within one operation the D
-// per-disk transfers run on their own goroutines — the disks really are
-// independent.
+// per-disk transfers run concurrently unless the store is serial — the
+// disks really are independent.
 type System struct {
 	mu     sync.Mutex
 	d, b   int
 	store  Store
-	serial bool // store declared its transfers cheap: run them inline, not fanned out
-	retain bool // Close stops workers but leaves the store open
-	gate   *DiskGate
+	eng    *engine
+	health HealthReporter // a hand-built deadline layer's, when the System has no policy
+	retain bool           // Close stops workers but leaves the store open
 	model  *TimeModel
 	stats  Stats
 	next   []int // per-disk bump allocator for fresh block indexes
@@ -182,6 +184,17 @@ type Config struct {
 	// fair-share the bandwidth of one set of physical disks. The gate
 	// must cover at least D disks.
 	Gate *DiskGate
+	// Retry, if non-nil, re-attempts failed transfers — and the manifest
+	// and frontier calls the System forwards — under the policy: backoff,
+	// per-transfer attempt budget, per-disk error budget. Its counters
+	// appear in Stats.
+	Retry *RetryPolicy
+	// Deadline, if non-nil, bounds every block transfer, hedges
+	// straggling reads and tracks per-disk latency into Stats.Health. A
+	// bounded operation runs on the engine's executors — one handoff and
+	// one timer per operation on a serial store. Timeouts are retryable
+	// and charge Retry's per-disk budget.
+	Deadline *DeadlinePolicy
 }
 
 // NewSystem constructs a System, validating the configuration.
@@ -196,33 +209,32 @@ func NewSystem(cfg Config) (*System, error) {
 	if st == nil {
 		st = NewMemStore()
 	}
-	next := make([]int, cfg.D)
-	if fs, ok := st.(FrontierStore); ok {
-		// A reopened backend may already hold blocks; allocate past them.
-		// A failed Frontier aborts construction: allocating blind over
-		// recovered state could clobber surviving blocks.
-		for i := range next {
-			frontier, err := fs.Frontier(i)
-			if err != nil {
-				return nil, fmt.Errorf("pdisk: frontier of disk %d: %w", i, err)
-			}
-			next[i] = frontier
-		}
-	}
-	serial := false
-	if ss, ok := st.(SerialStore); ok {
-		serial = ss.SerialTransfers()
-	}
 	if cfg.Gate != nil && cfg.Gate.D() < cfg.D {
 		return nil, fmt.Errorf("pdisk: gate covers %d disks, system has D=%d", cfg.Gate.D(), cfg.D)
+	}
+	eng := newEngine(st, cfg.Gate, cfg.Retry, cfg.Deadline)
+	next := make([]int, cfg.D)
+	// A reopened backend may already hold blocks; allocate past them. A
+	// failed Frontier aborts construction: allocating blind over
+	// recovered state could clobber surviving blocks.
+	for i := range next {
+		frontier, err := eng.Frontier(i)
+		if err != nil {
+			return nil, fmt.Errorf("pdisk: frontier of disk %d: %w", i, err)
+		}
+		next[i] = frontier
+	}
+	var health HealthReporter
+	if hr, ok := st.(HealthReporter); ok && cfg.Deadline == nil {
+		health = hr
 	}
 	return &System{
 		d:      cfg.D,
 		b:      cfg.B,
 		store:  st,
-		serial: serial,
+		eng:    eng,
+		health: health,
 		retain: cfg.RetainStore,
-		gate:   cfg.Gate,
 		model:  cfg.Model,
 		stats: Stats{
 			PerDiskReads:  make([]int64, cfg.D),
@@ -239,30 +251,32 @@ func (s *System) D() int { return s.d }
 // B returns the block size in records.
 func (s *System) B() int { return s.b }
 
-// Stats returns a snapshot of the accumulated I/O statistics. When the
-// store stack includes a RetryStore, its retry accounting (attempts,
-// retries, give-ups) is folded in.
+// Stats returns a snapshot of the accumulated I/O statistics, with the
+// retry policy's counters and the deadline policy's health ledger. Health
+// is nil without a Deadline policy — unless the store is a hand-built
+// stack reporting one (HealthReporter) — so deadline-free Stats stay
+// comparable.
 func (s *System) Stats() Stats {
 	s.mu.Lock()
 	out := s.stats
 	out.PerDiskReads = append([]int64(nil), s.stats.PerDiskReads...)
 	out.PerDiskWrites = append([]int64(nil), s.stats.PerDiskWrites...)
-	store := s.store
+	out.Retries = s.eng.retries.Load()
+	out.RetryGiveUps = s.eng.giveups.Load()
 	s.mu.Unlock()
-	if rs, ok := store.(interface{ Counts() RetryCounts }); ok {
-		rc := rs.Counts()
-		out.Retries = rc.Retries
-		out.RetryGiveUps = rc.GiveUps
-	}
-	if hr, ok := store.(HealthReporter); ok {
-		// Nil when no DeadlineStore is in the stack (RetryStore forwards
-		// the nil), keeping deadline-free Stats comparable.
-		out.Health = hr.HealthSnapshot()
+	switch {
+	case s.eng.tracker != nil:
+		h := s.eng.tracker.Snapshot()
+		out.Health = &h
+	case s.health != nil:
+		out.Health = s.health.HealthSnapshot()
 	}
 	return out
 }
 
-// ResetStats zeroes the counters (the allocator and store are untouched).
+// ResetStats zeroes the counters, retry counters included (the
+// allocator, the store, the per-disk error budget and the health ledger
+// are untouched).
 func (s *System) ResetStats() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -270,12 +284,10 @@ func (s *System) ResetStats() {
 		PerDiskReads:  make([]int64, s.d),
 		PerDiskWrites: make([]int64, s.d),
 	}
+	s.eng.attempts.Store(0)
+	s.eng.retries.Store(0)
+	s.eng.giveups.Store(0)
 }
-
-// Store returns the system's backing store — what checkpoint and scrub
-// code reaches through for the optional ManifestStore/BlockLister
-// capabilities of the stack.
-func (s *System) Store() Store { return s.store }
 
 // StoreUsage returns the backend's current capacity accounting.
 func (s *System) StoreUsage() Usage {
@@ -307,144 +319,151 @@ type BlockWrite struct {
 var ErrDiskConflict = errors.New("pdisk: more than one block on the same disk in a single I/O operation")
 
 func (s *System) checkAddrs(addrs []BlockAddr) error {
-	if len(addrs) == 0 {
+	return s.checkOp(len(addrs), func(i int) BlockAddr { return addrs[i] })
+}
+
+// checkWrites validates a write operation's addresses and block sizes.
+func (s *System) checkWrites(writes []BlockWrite) error {
+	if err := s.checkOp(len(writes), func(i int) BlockAddr { return writes[i].Addr }); err != nil {
+		return err
+	}
+	for _, w := range writes {
+		if n := w.Block.NumRecords(); n > s.b {
+			return fmt.Errorf("pdisk: block of %d records exceeds B=%d at %v",
+				n, s.b, w.Addr)
+		}
+	}
+	return nil
+}
+
+// checkOp validates the n addresses of one parallel operation without
+// allocating: disks below 64 are tracked in a bit set, any others
+// compared pairwise.
+func (s *System) checkOp(n int, addr func(int) BlockAddr) error {
+	if n == 0 {
 		return errors.New("pdisk: empty I/O operation")
 	}
-	if len(addrs) > s.d {
-		return fmt.Errorf("pdisk: %d blocks in one operation with D=%d disks", len(addrs), s.d)
+	if n > s.d {
+		return fmt.Errorf("pdisk: %d blocks in one operation with D=%d disks", n, s.d)
 	}
-	seen := make([]bool, s.d)
-	for _, a := range addrs {
+	var seen uint64
+	for i := 0; i < n; i++ {
+		a := addr(i)
 		if a.Disk < 0 || a.Disk >= s.d {
 			return fmt.Errorf("pdisk: address %v out of range (D=%d)", a, s.d)
 		}
 		if a.Index < 0 {
 			return fmt.Errorf("pdisk: negative block index %v", a)
 		}
-		if seen[a.Disk] {
-			return fmt.Errorf("%w (disk %d)", ErrDiskConflict, a.Disk)
-		}
-		seen[a.Disk] = true
-	}
-	return nil
-}
-
-// checkWrites validates a write operation's addresses and block sizes,
-// returning the address list.
-func (s *System) checkWrites(writes []BlockWrite) ([]BlockAddr, error) {
-	addrs := make([]BlockAddr, len(writes))
-	for i, w := range writes {
-		addrs[i] = w.Addr
-	}
-	if err := s.checkAddrs(addrs); err != nil {
-		return nil, err
-	}
-	for _, w := range writes {
-		if n := w.Block.NumRecords(); n > s.b {
-			return nil, fmt.Errorf("pdisk: block of %d records exceeds B=%d at %v",
-				n, s.b, w.Addr)
-		}
-	}
-	return addrs, nil
-}
-
-// fanout runs one operation's n per-disk transfers and returns the first
-// failure in request order. Transfers normally run concurrently — one
-// goroutine each, the disks really are independent — but when the store
-// declared itself serial (SerialStore) or the operation touches a single
-// disk, they run inline: for a store whose transfers are memory operations
-// behind an internal lock, a goroutine per block costs far more than the
-// transfer itself. Every transfer runs either way, so the two modes are
-// observably identical apart from scheduling.
-func (s *System) fanout(n int, transfer func(i int) error) error {
-	if s.serial || n == 1 {
-		var first error
-		for i := 0; i < n; i++ {
-			if err := transfer(i); err != nil && first == nil {
-				first = err
+		dup := false
+		if a.Disk < 64 {
+			dup = seen&(1<<a.Disk) != 0
+			seen |= 1 << a.Disk
+		} else {
+			for k := 0; k < i; k++ {
+				dup = dup || addr(k).Disk == a.Disk
 			}
 		}
-		return first
-	}
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			errs[i] = transfer(i)
-		}(i)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
+		if dup {
+			return fmt.Errorf("%w (disk %d)", ErrDiskConflict, a.Disk)
 		}
 	}
 	return nil
+}
+
+// runOp runs an engine op and wraps its first failure, in request order,
+// with the failing transfer's attribution.
+func (s *System) runOp(o *op) error {
+	i := s.eng.run(o)
+	if i < 0 {
+		return nil
+	}
+	t := &o.xs[i]
+	return &IOError{Op: opNames[t.kind], Addr: t.addr, Err: t.err}
 }
 
 // ReadBlocks performs one parallel read operation fetching every addressed
-// block (at most one per disk) and returns them in request order. The
-// per-disk transfers run concurrently, one goroutine per disk involved.
+// block (at most one per disk) and returns them in request order.
 func (s *System) ReadBlocks(addrs []BlockAddr) ([]StoredBlock, error) {
 	if err := s.checkAddrs(addrs); err != nil {
 		return nil, err
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]StoredBlock, len(addrs))
-	err := s.fanout(len(addrs), func(i int) error {
-		s.gate.enter(addrs[i].Disk)
-		defer s.gate.exit(addrs[i].Disk)
-		blk, err := s.store.ReadBlock(addrs[i])
-		if err != nil {
-			return &IOError{Op: "read", Addr: addrs[i], Err: err}
-		}
-		out[i] = blk
-		return nil
-	})
-	if err != nil {
-		return nil, err
+	o := s.eng.getOp(opRead, len(addrs))
+	for i, a := range addrs {
+		o.set(i, a, StoredBlock{})
 	}
-	s.accountReadLocked(addrs)
-	return out, nil
+	err := s.runOp(o)
+	var out []StoredBlock
+	if err == nil {
+		out = make([]StoredBlock, len(addrs))
+		for i := range out {
+			out[i] = o.xs[i].blk
+		}
+		s.accountReadLocked(addrs)
+	}
+	s.eng.putOp(o)
+	return out, err
 }
 
 // WriteBlocks performs one parallel write operation storing every block (at
 // most one per disk). Records in each block must be at most B and sorted.
 func (s *System) WriteBlocks(writes []BlockWrite) error {
-	addrs, err := s.checkWrites(writes)
-	if err != nil {
+	if err := s.checkWrites(writes); err != nil {
 		return err
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	err = s.fanout(len(writes), func(i int) error {
-		s.gate.enter(writes[i].Addr.Disk)
-		defer s.gate.exit(writes[i].Addr.Disk)
-		if err := s.store.WriteBlock(writes[i].Addr, writes[i].Block.Clone()); err != nil {
-			return &IOError{Op: "write", Addr: writes[i].Addr, Err: err}
-		}
-		return nil
-	})
-	if err != nil {
-		return err
+	o := s.eng.getOp(opWrite, len(writes))
+	for i, w := range writes {
+		o.set(i, w.Addr, w.Block.Clone())
 	}
-	s.accountWriteLocked(addrs)
-	return nil
+	err := s.runOp(o)
+	if err == nil {
+		for _, w := range writes {
+			s.stats.PerDiskWrites[w.Addr.Disk]++
+		}
+		s.accountWriteLocked(len(writes))
+	}
+	s.eng.putOp(o)
+	return err
 }
 
-// FreeBlock releases a block's storage without performing (or counting) any
-// I/O: space reclamation is bookkeeping, not data transfer.
-func (s *System) FreeBlock(addr BlockAddr) error {
+// FreeBlocks releases the blocks' storage — any number, several per disk —
+// in one operation of the engine, without performing (or counting) any
+// I/O: space reclamation is bookkeeping, not data transfer. Every block
+// is freed even if one fails; the first failure in request order is
+// returned.
+func (s *System) FreeBlocks(addrs ...BlockAddr) error {
+	if len(addrs) == 0 {
+		return nil
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := s.store.Free(addr); err != nil {
-		return &IOError{Op: "free", Addr: addr, Err: err}
+	o := s.eng.getOp(opFree, len(addrs))
+	for i, a := range addrs {
+		o.set(i, a, StoredBlock{})
 	}
-	return nil
+	err := s.runOp(o)
+	s.eng.putOp(o)
+	return err
 }
+
+// SaveManifest persists the checkpoint manifest through the store,
+// retried under the System's policy (never bounded by its deadline).
+func (s *System) SaveManifest(data []byte) error { return s.eng.SaveManifest(data) }
+
+// LoadManifest fetches the checkpoint manifest and whether one exists;
+// (nil, false, nil) when the store cannot hold one.
+func (s *System) LoadManifest() ([]byte, bool, error) { return s.eng.LoadManifest() }
+
+// ClearManifest removes the checkpoint manifest, if the store holds one.
+func (s *System) ClearManifest() error { return s.eng.ClearManifest() }
+
+// Frontier reports the store's allocation frontier on disk (0 for a store
+// that cannot reopen state), retried like the manifest calls.
+func (s *System) Frontier(disk int) (int, error) { return s.eng.Frontier(disk) }
 
 // accountReadLocked counts one completed parallel read operation; the
 // caller holds s.mu.
@@ -459,21 +478,19 @@ func (s *System) accountReadLocked(addrs []BlockAddr) {
 	}
 }
 
-// accountWriteLocked counts one completed parallel write operation; the
-// caller holds s.mu.
-func (s *System) accountWriteLocked(addrs []BlockAddr) {
-	for _, a := range addrs {
-		s.stats.PerDiskWrites[a.Disk]++
-	}
+// accountWriteLocked counts one completed parallel write operation of n
+// blocks, whose per-disk counts the caller has added; the caller holds
+// s.mu.
+func (s *System) accountWriteLocked(n int) {
 	s.stats.WriteOps++
-	s.stats.BlocksWritten += int64(len(addrs))
+	s.stats.BlocksWritten += int64(n)
 	if s.model != nil {
 		s.stats.SimTime += s.model.OpSeconds(s.b)
 	}
 }
 
 // Close stops the async disk workers — draining every in-flight request —
-// and then closes the underlying store (unless Config.RetainStore left
+// and the engine's executors, and then closes the underlying store (unless Config.RetainStore left
 // its lifetime with the caller). Close is idempotent and safe to call
 // concurrently with in-flight async operations: requests already issued
 // complete (their Waits return normally), later issues return ErrClosed,
@@ -481,6 +498,7 @@ func (s *System) accountWriteLocked(addrs []BlockAddr) {
 func (s *System) Close() error {
 	s.closeOnce.Do(func() {
 		s.stopWorkers()
+		s.eng.stop()
 		if !s.retain {
 			s.closeErr = s.store.Close()
 		}

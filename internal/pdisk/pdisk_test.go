@@ -193,7 +193,7 @@ func TestFreeBlock(t *testing.T) {
 		t.Fatal(err)
 	}
 	ops := s.Stats().Ops()
-	if err := s.FreeBlock(a); err != nil {
+	if err := s.FreeBlocks(a); err != nil {
 		t.Fatal(err)
 	}
 	if s.Stats().Ops() != ops {
@@ -202,7 +202,7 @@ func TestFreeBlock(t *testing.T) {
 	if _, err := s.ReadBlocks([]BlockAddr{a}); err == nil {
 		t.Fatal("read of freed block succeeded")
 	}
-	if err := s.FreeBlock(a); err == nil {
+	if err := s.FreeBlocks(a); err == nil {
 		t.Fatal("double free succeeded")
 	}
 }

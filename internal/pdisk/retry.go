@@ -1,16 +1,12 @@
 package pdisk
 
 import (
-	"errors"
 	"fmt"
-	"math/rand"
-	"sync"
-	"sync/atomic"
 	"time"
 )
 
-// RetryPolicy configures a RetryStore. The zero value is usable: it
-// means DefaultRetryPolicy().
+// RetryPolicy configures the retries of a System (Config.Retry) or a
+// RetryStore. The zero value is usable: it means DefaultRetryPolicy().
 //
 // The backoff schedule is fully deterministic: the delay before the
 // n-th re-attempt is BaseDelay·2^(n-1), capped at MaxDelay, then shrunk
@@ -21,7 +17,7 @@ import (
 // and the whole retry behaviour becomes a pure function of (Seed,
 // failure schedule).
 type RetryPolicy struct {
-	// MaxAttempts bounds the tries per operation (first attempt
+	// MaxAttempts bounds the tries per transfer (first attempt
 	// included); 0 means DefaultMaxAttempts.
 	MaxAttempts int
 	// BaseDelay is the backoff before the first re-attempt; doubled for
@@ -90,11 +86,10 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 	return p
 }
 
-// RetryError reports an operation that exhausted its retry budget (or
-// hit an offline disk): the operation kind and address, how many
-// attempts were made, and the last underlying error. It is itself
-// terminal — a nested RetryStore will not re-retry an exhausted
-// operation.
+// RetryError reports a transfer that exhausted its retry budget (or hit
+// an offline disk): the operation kind and address, how many attempts
+// were made, and the last underlying error. It is itself terminal — a
+// nested retry layer will not re-retry an exhausted operation.
 type RetryError struct {
 	Op       string
 	Addr     BlockAddr
@@ -111,9 +106,9 @@ func (e *RetryError) Error() string {
 func (e *RetryError) Unwrap() error { return e.Err }
 
 // RetryCounts is a RetryStore's accounting: how many transfers were
-// re-attempted after a transient failure and how many operations gave
-// up (retry budget exhausted, terminal error after a retry, or offline
-// disk). They flow into the owning System's Stats.
+// re-attempted after a transient failure and how many gave up (retry
+// budget exhausted, terminal error after a retry, or offline disk). A
+// System keeps the same counters for its own policy in Stats.
 type RetryCounts struct {
 	// Attempts is the total store calls issued, first tries included.
 	Attempts int64
@@ -127,262 +122,31 @@ type RetryCounts struct {
 }
 
 // RetryStore wraps a Store and absorbs transient failures: every
-// ReadBlock/WriteBlock/Free (and manifest operation) is re-attempted
-// under the policy's deterministic exponential backoff until it
-// succeeds, turns out terminal (Retryable reports false — corruption
+// ReadBlock/WriteBlock/Free (and manifest and frontier operation) is
+// re-attempted under the policy's deterministic exponential backoff until
+// it succeeds, turns out terminal (Retryable reports false — corruption
 // and caller bugs are never masked), or the budget runs out. A per-disk
-// error budget optionally declares persistently failing disks offline
-// so a dying device degrades to fast failures instead of retry storms.
+// error budget optionally declares persistently failing disks offline so
+// a dying device degrades to fast failures instead of retry storms.
 //
-// The wrapper is transparent to the layers above: block contents,
-// operation ordering and the optional Store interfaces (SerialStore,
-// FrontierStore, ManifestStore, BlockLister) all pass through.
-type RetryStore struct {
-	inner  Store
-	policy RetryPolicy
-
-	attempts int64 // atomic
-	retries  int64 // atomic
-	giveups  int64 // atomic
-
-	mu        sync.Mutex
-	rng       *rand.Rand
-	diskFails map[int]int64 // cumulative failed attempts per disk
-	offline   map[int]bool
-}
+// It is the System's I/O engine (see engine.go) driven one transfer at a
+// time, for store stacks built by hand; a System takes the same policy
+// through Config.Retry instead. The wrapper is transparent to the layers
+// above: block contents, operation ordering and the optional Store
+// interfaces all pass through.
+type RetryStore struct{ *engine }
 
 // NewRetryStore wraps inner under the given policy (zero fields take
 // defaults; see DefaultRetryPolicy).
 func NewRetryStore(inner Store, policy RetryPolicy) *RetryStore {
-	return &RetryStore{
-		inner:     inner,
-		policy:    policy.withDefaults(),
-		rng:       rand.New(rand.NewSource(policy.Seed)),
-		diskFails: make(map[int]int64),
-		offline:   make(map[int]bool),
-	}
+	return &RetryStore{newEngine(inner, nil, &policy, nil)}
 }
 
 // Counts returns a snapshot of the accumulated retry accounting.
-func (r *RetryStore) Counts() RetryCounts {
-	r.mu.Lock()
-	offline := int64(len(r.offline))
-	r.mu.Unlock()
-	return RetryCounts{
-		Attempts:     atomic.LoadInt64(&r.attempts),
-		Retries:      atomic.LoadInt64(&r.retries),
-		GiveUps:      atomic.LoadInt64(&r.giveups),
-		DisksOffline: offline,
-	}
-}
-
-// delay returns the jittered backoff before re-attempt n (1-based). The
-// computation is pure given the policy and the seeded rand stream.
-func (r *RetryStore) delay(n int) time.Duration {
-	d := r.policy.BaseDelay << (n - 1)
-	if d > r.policy.MaxDelay || d <= 0 { // <= 0: shift overflow
-		d = r.policy.MaxDelay
-	}
-	if r.policy.Jitter > 0 {
-		r.mu.Lock()
-		u := r.rng.Float64()
-		r.mu.Unlock()
-		d = time.Duration(float64(d) * (1 - r.policy.Jitter*u))
-	}
-	return d
-}
-
-// diskDown reports whether the disk's error budget is exhausted.
-func (r *RetryStore) diskDown(disk int) bool {
-	if r.policy.DiskBudget <= 0 {
-		return false
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.offline[disk]
-}
-
-// noteFailure charges one failed attempt against the disk's budget and
-// reports whether the disk just went (or already was) offline.
-func (r *RetryStore) noteFailure(disk int) bool {
-	if r.policy.DiskBudget <= 0 {
-		return false
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.diskFails[disk]++
-	if r.diskFails[disk] >= r.policy.DiskBudget {
-		r.offline[disk] = true
-	}
-	return r.offline[disk]
-}
-
-// do runs one logical operation under the retry policy. disk is the
-// target disk for budget accounting (negative for disk-less operations
-// like the manifest).
-func (r *RetryStore) do(op string, addr BlockAddr, disk int, call func() error) error {
-	if disk >= 0 && r.diskDown(disk) {
-		atomic.AddInt64(&r.giveups, 1)
-		return &RetryError{Op: op, Addr: addr, Attempts: 0,
-			Err: fmt.Errorf("%w: disk %d", ErrDiskOffline, disk)}
-	}
-	var err error
-	var sawDeadline bool
-	for attempt := 1; ; attempt++ {
-		atomic.AddInt64(&r.attempts, 1)
-		err = call()
-		if err == nil {
-			return nil
-		}
-		if op == "free" && sawDeadline && errors.Is(err, ErrAbsent) {
-			// A deadline-abandoned earlier attempt of this same free
-			// completed late in the background: the block is gone, which
-			// is exactly what the caller asked for. Frees are at-most-
-			// once; do not surface the duplicate as corruption.
-			return nil
-		}
-		if errors.Is(err, ErrDeadline) {
-			sawDeadline = true
-		}
-		if disk >= 0 && r.noteFailure(disk) {
-			atomic.AddInt64(&r.giveups, 1)
-			return &RetryError{Op: op, Addr: addr, Attempts: attempt,
-				Err: fmt.Errorf("%w: disk %d: %v", ErrDiskOffline, disk, err)}
-		}
-		if !Retryable(err) || attempt >= r.policy.MaxAttempts {
-			atomic.AddInt64(&r.giveups, 1)
-			if !Retryable(err) && attempt == 1 {
-				// Terminal on the first try: no retry story to tell,
-				// surface the error undecorated.
-				return err
-			}
-			return &RetryError{Op: op, Addr: addr, Attempts: attempt, Err: err}
-		}
-		atomic.AddInt64(&r.retries, 1)
-		r.policy.Sleep(r.delay(attempt))
-	}
-}
-
-// ReadBlock implements Store.
-func (r *RetryStore) ReadBlock(addr BlockAddr) (StoredBlock, error) {
-	var out StoredBlock
-	err := r.do("read", addr, addr.Disk, func() error {
-		var err error
-		out, err = r.inner.ReadBlock(addr)
-		return err
-	})
-	if err != nil {
-		return StoredBlock{}, err
-	}
-	return out, nil
-}
-
-// WriteBlock implements Store.
-func (r *RetryStore) WriteBlock(addr BlockAddr, b StoredBlock) error {
-	return r.do("write", addr, addr.Disk, func() error {
-		return r.inner.WriteBlock(addr, b)
-	})
-}
-
-// Free implements Store.
-func (r *RetryStore) Free(addr BlockAddr) error {
-	return r.do("free", addr, addr.Disk, func() error {
-		return r.inner.Free(addr)
-	})
-}
-
-// Usage implements Store.
-func (r *RetryStore) Usage() Usage { return r.inner.Usage() }
-
-// Close implements Store; the wrapped store is closed exactly once by
-// the layer that owns the stack.
-func (r *RetryStore) Close() error { return r.inner.Close() }
-
-// SerialTransfers forwards the wrapped store's scheduling preference.
-func (r *RetryStore) SerialTransfers() bool {
-	if ss, ok := r.inner.(SerialStore); ok {
-		return ss.SerialTransfers()
-	}
-	return false
-}
-
-// Frontier forwards allocation recovery, retrying transient failures —
-// a flaky meta read during reopen should not abort recovery.
-func (r *RetryStore) Frontier(disk int) (int, error) {
-	fs, ok := r.inner.(FrontierStore)
-	if !ok {
-		return 0, nil
-	}
-	var n int
-	err := r.do("frontier", BlockAddr{Disk: disk}, disk, func() error {
-		var err error
-		n, err = fs.Frontier(disk)
-		return err
-	})
-	return n, err
-}
-
-// SaveManifest implements ManifestStore with retries; manifest I/O is
-// exactly the write a recovering sort cannot afford to lose to a
-// transient fault.
-func (r *RetryStore) SaveManifest(data []byte) error {
-	ms, ok := r.inner.(ManifestStore)
-	if !ok {
-		return fmt.Errorf("%w: store has no manifest support", ErrInvalid)
-	}
-	return r.do("manifest-save", BlockAddr{Disk: -1}, -1, func() error {
-		return ms.SaveManifest(data)
-	})
-}
-
-// LoadManifest implements ManifestStore with retries.
-func (r *RetryStore) LoadManifest() ([]byte, bool, error) {
-	ms, ok := r.inner.(ManifestStore)
-	if !ok {
-		return nil, false, nil
-	}
-	var data []byte
-	var present bool
-	err := r.do("manifest-load", BlockAddr{Disk: -1}, -1, func() error {
-		var err error
-		data, present, err = ms.LoadManifest()
-		return err
-	})
-	return data, present, err
-}
-
-// ClearManifest implements ManifestStore with retries.
-func (r *RetryStore) ClearManifest() error {
-	ms, ok := r.inner.(ManifestStore)
-	if !ok {
-		return nil
-	}
-	return r.do("manifest-clear", BlockAddr{Disk: -1}, -1, func() error {
-		return ms.ClearManifest()
-	})
-}
-
-// Sync forwards a durability flush to the wrapped store (FileStore
-// fsyncs; stores without the capability are already durable or
-// volatile-by-design, so it is a no-op).
-func (r *RetryStore) Sync() error {
-	if s, ok := r.inner.(interface{ Sync() error }); ok {
-		return s.Sync()
-	}
-	return nil
-}
-
-// Blocks forwards block enumeration to the wrapped store.
-func (r *RetryStore) Blocks() []BlockAddr {
-	if bl, ok := r.inner.(BlockLister); ok {
-		return bl.Blocks()
-	}
-	return nil
-}
+func (r *RetryStore) Counts() RetryCounts { return r.counts() }
 
 // HealthSnapshot forwards the deadline layer's latency tracker when one
-// sits below, so System.Stats reaches it through the retry wrapper (nil
-// when the stack has no DeadlineStore).
+// sits below (nil otherwise).
 func (r *RetryStore) HealthSnapshot() *HealthStats {
 	if hr, ok := r.inner.(HealthReporter); ok {
 		return hr.HealthSnapshot()

@@ -178,10 +178,11 @@ func TestRetryDiskBudgetTakesDiskOffline(t *testing.T) {
 	}
 }
 
+// A System's own retry policy counts into its Stats.
 func TestRetryStatsFlowIntoSystem(t *testing.T) {
-	_, _, retry, _ := retryStack(t,
-		FaultConfig{FailWriteAt: 1}, RetryPolicy{MaxAttempts: 3})
-	sys, err := NewSystem(Config{D: 2, B: 2, Store: retry})
+	fault := NewFaultStore(NewMemStore(), FaultConfig{FailWriteAt: 1})
+	sys, err := NewSystem(Config{D: 2, B: 2, Store: fault,
+		Retry: &RetryPolicy{MaxAttempts: 3, Sleep: func(time.Duration) {}}})
 	if err != nil {
 		t.Fatal(err)
 	}

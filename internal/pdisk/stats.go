@@ -12,15 +12,15 @@ type Stats struct {
 	// SimTime is the estimated elapsed I/O time in seconds under the
 	// system's TimeModel (zero if no model is attached).
 	SimTime float64
-	// Retries and RetryGiveUps report the fault-tolerance layer's work
-	// when the store stack includes a RetryStore: transfers re-attempted
-	// after a transient failure, and operations that exhausted the retry
-	// budget. Zero on an unwrapped store.
+	// Retries and RetryGiveUps report the work of the System's retry
+	// policy (Config.Retry): transfers re-attempted after a transient
+	// failure, and transfers that exhausted the retry budget. Zero
+	// without a policy; ResetStats zeroes them.
 	Retries      int64
 	RetryGiveUps int64
-	// Health reports the deadline/hedging layer's per-disk latency and
-	// timeout tracking when the store stack includes a DeadlineStore;
-	// nil otherwise (so Stats of deadline-free systems stay comparable).
+	// Health reports the deadline policy's per-disk latency and timeout
+	// tracking (Config.Deadline), or a hand-built DeadlineStore's; nil
+	// otherwise (so Stats of deadline-free systems stay comparable).
 	Health *HealthStats
 }
 

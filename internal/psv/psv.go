@@ -89,14 +89,13 @@ func ReadAllDiskRun[R record.KernelRecord](sys *pdisk.System, r *DiskRun) ([]R, 
 	return out, nil
 }
 
-// FreeDiskRun releases the run's blocks.
+// FreeDiskRun releases the run's blocks in one free batch.
 func FreeDiskRun(sys *pdisk.System, r *DiskRun) error {
-	for i := 0; i < r.NumBlocks(); i++ {
-		if err := sys.FreeBlock(r.Addr(i)); err != nil {
-			return err
-		}
+	addrs := make([]pdisk.BlockAddr, r.NumBlocks())
+	for i := range addrs {
+		addrs[i] = r.Addr(i)
 	}
-	return nil
+	return sys.FreeBlocks(addrs...)
 }
 
 // MergeStats reports one PSV merge.

@@ -360,58 +360,76 @@ func WriteRun[R record.KernelRecord](sys *pdisk.System, id, startDisk int, recor
 	return w.Finish()
 }
 
-// ReadAll reads a run back sequentially (one block per I/O operation) and
-// returns its records — a verification helper, not a merge path.
+// ReadAll reads a run back sequentially, one stripe per I/O operation,
+// and returns its records — a verification helper, not a merge path.
 func ReadAll[R record.KernelRecord](sys *pdisk.System, run *Run) ([]R, error) {
 	out := make([]R, 0, run.Records)
-	for i := 0; i < run.NumBlocks(); i++ {
-		blks, err := sys.ReadBlocks([]pdisk.BlockAddr{run.Addr(i)})
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, pdisk.RecsOf[R](blks[0])...)
+	err := Stream(sys, run, func(r R) error {
+		out = append(out, r)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }
 
-// Stream reads a run back sequentially (one block per I/O operation),
-// invoking fn on every record in order, without materialising the run —
-// the out-of-core counterpart of ReadAll.
+// stripe fills addrs with the addresses of the run's blocks from i on,
+// up to one per disk: consecutive blocks of a run sit on consecutive
+// disks, so up to D of them make one parallel operation.
+func (r *Run) stripe(addrs []pdisk.BlockAddr, i int) []pdisk.BlockAddr {
+	addrs = addrs[:0]
+	for k := i; k < r.NumBlocks() && k < i+r.D; k++ {
+		addrs = append(addrs, r.Addr(k))
+	}
+	return addrs
+}
+
+// Stream reads a run back sequentially, one stripe of up to D blocks per
+// I/O operation, invoking fn on every record in order, without
+// materialising the run — the out-of-core counterpart of ReadAll.
 func Stream[R record.KernelRecord](sys *pdisk.System, run *Run, fn func(R) error) error {
-	addr := make([]pdisk.BlockAddr, 1)
-	for i := 0; i < run.NumBlocks(); i++ {
-		addr[0] = run.Addr(i)
-		blks, err := sys.ReadBlocks(addr)
+	addrs := make([]pdisk.BlockAddr, 0, run.D)
+	for i := 0; i < run.NumBlocks(); i += run.D {
+		blks, err := sys.ReadBlocks(run.stripe(addrs, i))
 		if err != nil {
 			return err
 		}
-		for _, r := range pdisk.RecsOf[R](blks[0]) {
-			if err := fn(r); err != nil {
-				return err
-			}
+		if err := emitBlocks(blks, fn); err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
-// StreamAsync is Stream with single-block readahead: block i+1 is in
-// flight while fn consumes block i, hiding device latency behind the
-// caller's processing. The operation count is identical to Stream's (one
-// read per block).
+// StreamAsync is Stream with one stripe of readahead: stripe i+1 is in
+// flight while fn consumes stripe i, hiding device latency behind the
+// caller's processing. The operation count is identical to Stream's.
 func StreamAsync[R record.KernelRecord](sys *pdisk.System, run *Run, fn func(R) error) error {
 	if run.NumBlocks() == 0 {
 		return nil
 	}
-	fut := sys.ReadBlocksAsync([]pdisk.BlockAddr{run.Addr(0)})
-	for i := 0; i < run.NumBlocks(); i++ {
+	addrs := make([]pdisk.BlockAddr, 0, run.D)
+	fut := sys.ReadBlocksAsync(run.stripe(addrs, 0))
+	for i := 0; i < run.NumBlocks(); i += run.D {
 		blks, err := fut.Wait()
 		if err != nil {
 			return err
 		}
-		if i+1 < run.NumBlocks() {
-			fut = sys.ReadBlocksAsync([]pdisk.BlockAddr{run.Addr(i + 1)})
+		if i+run.D < run.NumBlocks() {
+			fut = sys.ReadBlocksAsync(run.stripe(addrs, i+run.D))
 		}
-		for _, r := range pdisk.RecsOf[R](blks[0]) {
+		if err := emitBlocks(blks, fn); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// emitBlocks invokes fn on every record of blks in order.
+func emitBlocks[R record.KernelRecord](blks []pdisk.StoredBlock, fn func(R) error) error {
+	for _, b := range blks {
+		for _, r := range pdisk.RecsOf[R](b) {
 			if err := fn(r); err != nil {
 				return err
 			}
@@ -420,15 +438,19 @@ func StreamAsync[R record.KernelRecord](sys *pdisk.System, run *Run, fn func(R) 
 	return nil
 }
 
-// Free releases every block of the run (no I/O is counted; reclamation is
-// bookkeeping).
+// Free releases every block of the run in one free batch (no I/O is
+// counted; reclamation is bookkeeping).
 func Free(sys *pdisk.System, run *Run) error {
-	for i := 0; i < run.NumBlocks(); i++ {
-		if err := sys.FreeBlock(run.Addr(i)); err != nil {
-			return err
-		}
+	return sys.FreeBlocks(run.Addrs()...)
+}
+
+// Addrs returns the addresses of the run's blocks in order.
+func (r *Run) Addrs() []pdisk.BlockAddr {
+	out := make([]pdisk.BlockAddr, r.NumBlocks())
+	for i := range out {
+		out[i] = r.Addr(i)
 	}
-	return nil
+	return out
 }
 
 // RunState is the serialisable form of a Run: the same descriptor with

@@ -87,9 +87,9 @@ func TestInjectedFaultsSurfaceAsErrors(t *testing.T) {
 	}
 }
 
-// TestSortUnderStragglers drives a whole SRM sort through the full
-// resilience stack — Retry over Deadline over a FaultStore drawing
-// seeded Pareto latency on every operation — and demands a correct,
+// TestSortUnderStragglers drives a whole SRM sort through the System's
+// retry and deadline policies over a FaultStore drawing seeded Pareto
+// latency on every operation — and demands a correct,
 // fully sorted output plus a health ledger that actually saw the
 // traffic. Run under -race this doubles as the concurrency check on
 // the hedging path: hedged duplicates and abandoned ops race the
@@ -97,24 +97,22 @@ func TestInjectedFaultsSurfaceAsErrors(t *testing.T) {
 func TestSortUnderStragglers(t *testing.T) {
 	all := record.NewGenerator(43).Random(800)
 	tracker := pdisk.NewHealthTracker()
-	var store pdisk.Store = pdisk.NewFaultStore(pdisk.NewMemStore(), pdisk.FaultConfig{
+	store := pdisk.NewFaultStore(pdisk.NewMemStore(), pdisk.FaultConfig{
 		Seed:         43,
 		ReadFailProb: 0.02,
 		ParetoScale:  20 * time.Microsecond,
 		ParetoAlpha:  1.1,
 		ParetoCap:    2 * time.Millisecond,
 	})
-	store = pdisk.NewDeadlineStore(store, pdisk.DeadlinePolicy{
-		OpDeadline: 20 * time.Millisecond,
-		HedgeAfter: time.Millisecond,
-		Tracker:    tracker,
-	})
 	policy := pdisk.DefaultRetryPolicy()
 	policy.Seed = 43
 	policy.Sleep = func(time.Duration) {}
-	store = pdisk.NewRetryStore(store, policy)
-
-	sys, err := pdisk.NewSystem(pdisk.Config{D: 4, B: 4, Store: store})
+	sys, err := pdisk.NewSystem(pdisk.Config{D: 4, B: 4, Store: store, Retry: &policy,
+		Deadline: &pdisk.DeadlinePolicy{
+			OpDeadline: 20 * time.Millisecond,
+			HedgeAfter: time.Millisecond,
+			Tracker:    tracker,
+		}})
 	if err != nil {
 		t.Fatal(err)
 	}

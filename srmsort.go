@@ -209,20 +209,22 @@ type Config struct {
 	// overlap-aware time models, simulated time change. SRM variants and
 	// DSM; PSV always runs synchronously.
 	Async bool
-	// Retry, if non-nil, wraps the store in a pdisk.RetryStore: transient
-	// I/O failures are re-attempted under the policy's deterministic
-	// exponential backoff instead of aborting the sort. Terminal errors
-	// (corruption, caller bugs) still surface immediately. Retry
-	// accounting appears in the system's pdisk.Stats.
+	// Retry, if non-nil, is the System's retry policy
+	// (pdisk.Config.Retry): transient I/O failures — of block transfers
+	// and of checkpoint manifest and frontier calls — are re-attempted
+	// under the policy's deterministic exponential backoff instead of
+	// aborting the sort. Terminal errors (corruption, caller bugs) still
+	// surface immediately.
 	Retry *pdisk.RetryPolicy
-	// Deadline, if non-nil, wraps the store in a pdisk.DeadlineStore
-	// beneath the retry layer: every block operation is bounded by a
-	// per-op deadline, straggling reads are hedged, and per-disk latency
-	// (EWMA and windowed p99) is tracked into Stats.Health. Deadline
-	// timeouts are retryable and charge the retry policy's per-disk
-	// error budget, so a stuck disk degrades to ErrDiskOffline instead
-	// of hanging the sort. Meaningful mostly with Retry set — without a
-	// retry layer a timeout surfaces directly to the caller.
+	// Deadline, if non-nil, is the System's deadline policy
+	// (pdisk.Config.Deadline): every block transfer is bounded by its
+	// own deadline, straggling reads are hedged, and per-disk latency
+	// (EWMA and windowed p99) is tracked into Stats.Health. A bounded
+	// parallel operation costs one executor handoff and one timer on an
+	// in-memory store. Deadline timeouts are retryable and charge the
+	// retry policy's per-disk error budget, so a stuck disk degrades to
+	// ErrDiskOffline instead of hanging the sort. Meaningful mostly with
+	// Retry set — without it a timeout surfaces directly to the caller.
 	Deadline *pdisk.DeadlinePolicy
 	// Checkpoint persists a recovery manifest through the store after run
 	// formation and after every completed merge pass, so an interrupted
@@ -365,8 +367,8 @@ func (c Config) backend() Backend {
 }
 
 // newSystem builds the disk system of a sort on the configured backend,
-// returning the top of the store stack (what checkpoint and scrub code
-// reach through) and a cleanup function that closes the System and
+// returning the backing store (what checkpoint code probes for manifest
+// and block-listing support) and a cleanup function that closes the System and
 // removes any file-backed scratch storage.
 func (c Config) newSystem() (*pdisk.System, pdisk.Store, func(), error) {
 	codec, err := c.codec()
@@ -412,24 +414,13 @@ func (c Config) newSystem() (*pdisk.System, pdisk.Store, func(), error) {
 	default:
 		return nil, nil, nil, fmt.Errorf("srmsort: unknown backend %q", c.Backend)
 	}
-	stopDeadline := func() {}
-	if c.Deadline != nil {
-		// Beneath the retry layer: a deadline timeout is a retryable
-		// failure the retry layer re-issues and charges to the disk's
-		// error budget. Teardown stops its executors even when the
-		// System leaves the store below open.
-		ds := pdisk.NewDeadlineStore(store, *c.Deadline)
-		store, stopDeadline = ds, ds.Stop
-	}
-	if c.Retry != nil {
-		store = pdisk.NewRetryStore(store, *c.Retry)
-	}
-	sys, err := pdisk.NewSystem(pdisk.Config{D: c.D, B: c.B, Store: store, Model: c.Model, RetainStore: retain, Gate: c.Gate})
+	sys, err := pdisk.NewSystem(pdisk.Config{D: c.D, B: c.B, Store: store, Model: c.Model,
+		RetainStore: retain, Gate: c.Gate, Retry: c.Retry, Deadline: c.Deadline})
 	if err != nil {
 		cleanupStore()
 		return nil, nil, nil, err
 	}
-	return sys, store, func() { sys.Close(); stopDeadline(); cleanupStore() }, nil
+	return sys, store, func() { sys.Close(); cleanupStore() }, nil
 }
 
 // runAlgorithm performs the sort proper (run formation + merge passes) and
@@ -625,7 +616,7 @@ func runSortTyped[R record.KernelRecord](cfg Config, codec record.Codec, resume 
 	var emit func(func(R) error) error
 	var man *manifest
 	if resume {
-		if man, err = loadManifest(store); err != nil {
+		if man, err = loadManifest(sys); err != nil {
 			return Stats{}, err
 		}
 	}
@@ -641,7 +632,7 @@ func runSortTyped[R record.KernelRecord](cfg Config, codec record.Codec, resume 
 		if resume {
 			// No checkpoint survived: restart from scratch over a store
 			// an earlier attempt may have dirtied.
-			if err := wipeStore(store); err != nil {
+			if err := wipeStore(sys, store); err != nil {
 				return Stats{}, err
 			}
 		}
@@ -668,15 +659,14 @@ func runSortTyped[R record.KernelRecord](cfg Config, codec record.Codec, resume 
 		}
 		var cp *checkpointer
 		if cfg.Checkpoint {
-			ms, ok := store.(pdisk.ManifestStore)
-			if !ok {
+			if _, ok := store.(pdisk.ManifestStore); !ok {
 				return Stats{}, fmt.Errorf("srmsort: backend cannot persist a checkpoint manifest")
 			}
-			frontier, err := storeFrontiers(store, cfg.D)
+			frontier, err := storeFrontiers(sys)
 			if err != nil {
 				return Stats{}, err
 			}
-			cp = &checkpointer{ms: ms, man: manifest{
+			cp = &checkpointer{sys: sys, store: store, man: manifest{
 				Version:       manifestVersion,
 				Algorithm:     cfg.Algorithm.String(),
 				Codec:         codec.Name(),
@@ -721,10 +711,8 @@ func runSortTyped[R record.KernelRecord](cfg Config, codec record.Codec, resume 
 	// The sort is complete and its result materialised: the recovery
 	// state has served its purpose.
 	if cfg.Checkpoint || man != nil {
-		if ms, ok := store.(pdisk.ManifestStore); ok {
-			if err := ms.ClearManifest(); err != nil {
-				return Stats{}, err
-			}
+		if err := sys.ClearManifest(); err != nil {
+			return Stats{}, err
 		}
 	}
 	return stats, nil
