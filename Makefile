@@ -45,17 +45,18 @@ aliascheck:
 # (a 250 ms read hang bounded by the deadline layer) and the server
 # drain-interrupted-kill cells. Raced, and under a hard deadline so a
 # hung resume loop fails fast instead of wedging CI. Then the I/O
-# engine's suite — deadlines, health, and the engine through the System
-# on serial and non-serial stores — raced ten times over: its executors,
-# joins and hedges race real stragglers, so one clean pass proves
-# little. Last, the
+# engine's suite — deadlines, health, the engine through the System on
+# serial and non-serial stores, and the async ops and Close that run on
+# the same executors, timers and joins — raced ten times over: its
+# executors, joins and hedges race real stragglers, so one clean pass
+# proves little. Last, the
 # determinism cell fifty times at each of 1, 2 and 4 procs (not raced, so
 # the goroutines really interleave): a fault draw that depends on the
 # order concurrent transfers reach the store fails here, not one CI run
 # in five.
 chaos:
 	go test -race -count=1 -timeout 10m ./internal/chaos/
-	go test -race -count=10 -timeout 10m -run 'Deadline|Health|Engine' ./internal/pdisk/
+	go test -race -count=10 -timeout 10m -run 'Deadline|Health|Engine|Async|Close' ./internal/pdisk/
 	go test -count=50 -cpu 1,2,4 -run 'TestChaosDeterministic$$' ./internal/chaos/
 
 # The sortd server load tests: dozens of concurrent jobs over the HTTP

@@ -2,9 +2,11 @@ package srmsort
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -172,4 +174,56 @@ func TestDeadlineCallerStoreNoLeak(t *testing.T) {
 		}
 	}
 	waitGoroutines(t, base)
+}
+
+// hangDiskStore parks every block read on one disk, once hung is set,
+// until release is closed: a disk that stops answering.
+type hangDiskStore struct {
+	pdisk.Store
+	disk    int
+	hung    atomic.Bool
+	release chan struct{}
+}
+
+func (s *hangDiskStore) ReadBlock(a pdisk.BlockAddr) (pdisk.StoredBlock, error) {
+	if a.Disk == s.disk && s.hung.Load() {
+		<-s.release
+		return pdisk.StoredBlock{}, errors.New("hung read released")
+	}
+	return s.Store.ReadBlock(a)
+}
+
+// An async sort sharing a narrow disk gate must not hang on a disk whose
+// reads stop returning once the merge begins: every read it has issued,
+// waited on or not, is abandoned at its deadline and gives up its gate
+// slot, so the disk's error budget runs out and the sort fails with
+// ErrDiskOffline. Step 1 issues every initial read before it waits on
+// the first, so reads nobody waits on yet hold the gate.
+func TestAsyncGatedHungDiskGoesOffline(t *testing.T) {
+	for _, width := range []int{1, 2} {
+		t.Run(fmt.Sprintf("width=%d", width), func(t *testing.T) {
+			store := &hangDiskStore{Store: pdisk.NewMemStore(), release: make(chan struct{})}
+			defer store.Close()
+			defer close(store.release)
+			done := make(chan error, 1)
+			go func() {
+				_, _, err := Sort(benchRecords(20000, 41), Config{
+					D: 4, B: 8, K: 3, Seed: 9, Async: true, Store: store,
+					Gate:     pdisk.NewDiskGate(4, width),
+					Deadline: &DeadlinePolicy{OpDeadline: 20 * time.Millisecond},
+					Retry:    &RetryPolicy{MaxAttempts: 100, DiskBudget: 3},
+					Progress: func(Progress) { store.hung.Store(true) },
+				})
+				done <- err
+			}()
+			select {
+			case err := <-done:
+				if !errors.Is(err, pdisk.ErrDiskOffline) {
+					t.Fatalf("err = %v, want ErrDiskOffline", err)
+				}
+			case <-time.After(30 * time.Second):
+				t.Fatal("sort still running 30 s after its disk hung")
+			}
+		})
+	}
 }

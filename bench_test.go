@@ -633,11 +633,16 @@ func BenchmarkOverlapMakespan(b *testing.B) {
 	}
 }
 
+// pipelineDepth is the async pipeline's bound in timesim's terms: after
+// Step 1, one read op in flight per merge, plus one write stripe per
+// writer.
+const pipelineDepth = 1
+
 // TestOverlapAsyncBeatsSync pins the acceptance criterion of the async
 // pipeline: under the paper-era disk model the overlapped schedule's
 // simulated makespan is strictly below the serial one for every D >= 2
-// (for D = 1 it must merely never be worse). Queue-depth bounds matching
-// pdisk's async layer must preserve the win.
+// (for D = 1 it must merely never be worse). The real pipeline's bound
+// must preserve the win.
 func TestOverlapAsyncBeatsSync(t *testing.T) {
 	for _, d := range []int{1, 2, 4, 8} {
 		rng := rand.New(rand.NewSource(int64(17 + d)))
@@ -659,7 +664,7 @@ func TestOverlapAsyncBeatsSync(t *testing.T) {
 			return res
 		}
 		sync := measure(false, 0)
-		async := measure(true, pdisk.DefaultAsyncQueueDepth)
+		async := measure(true, pipelineDepth)
 		if sync.ReadOps != async.ReadOps || sync.WriteOps != async.WriteOps {
 			t.Fatalf("D=%d: op counts diverge (%d/%d vs %d/%d)",
 				d, sync.ReadOps, sync.WriteOps, async.ReadOps, async.WriteOps)
@@ -676,7 +681,7 @@ func TestOverlapAsyncBeatsSync(t *testing.T) {
 
 // BenchmarkOverlapSyncVsAsync measures the async pipeline both ways per
 // disk count: the model-s metric is the timesim makespan of one merge
-// (serial vs overlapped with pdisk's default queue depth), and the wall
+// (serial vs overlapped at the pipeline's depth), and the wall
 // time is a real file-backed end-to-end Sort with and without
 // Config.Async — same bytes, same op counts, different clock.
 func BenchmarkOverlapSyncVsAsync(b *testing.B) {
@@ -700,7 +705,7 @@ func BenchmarkOverlapSyncVsAsync(b *testing.B) {
 					var err error
 					model, err = timesim.Merge(runs, d, 4*d, timesim.Params{
 						B: 16, OpSeconds: op, CPUPerRecord: 2e-6,
-						Overlap: async, QueueDepth: pdisk.DefaultAsyncQueueDepth,
+						Overlap: async, QueueDepth: pipelineDepth,
 					})
 					if err != nil {
 						b.Fatal(err)

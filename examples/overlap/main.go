@@ -58,7 +58,8 @@ func main() {
 	fmt.Println("resource fully hides the faster one — SRM's forecast-driven prefetching")
 	fmt.Println("achieves this except for the unavoidable startup and stall remainders.")
 
-	// The async pipeline (Config.Async) bounds each disk's request queue;
+	// After Step 1, the async pipeline (Config.Async) keeps one read op
+	// in flight per merge and one write stripe per writer;
 	// timesim.Params.QueueDepth models that bound. Depth 1 is strict
 	// double buffering (the paper's 2D-block M_W); deeper queues absorb
 	// burstier schedules. Sweep it at a balanced CPU speed.
@@ -84,7 +85,7 @@ func main() {
 			res.Makespan, serialRes.Makespan/res.Makespan)
 	}
 	fmt.Println("double buffering (depth 1) already captures most of the win;")
-	fmt.Println("the real pipeline defaults to depth", pdisk.DefaultAsyncQueueDepth, "(pdisk.DefaultAsyncQueueDepth).")
+	fmt.Println("the real pipeline runs at depth 1: after Step 1, one read op in flight per merge.")
 
 	// DSM overlaps too (double buffering), but needs more operations for
 	// the same data under the same memory; compare one pass at 2 us/rec.

@@ -24,6 +24,7 @@ import (
 	"srmsort/internal/pmerge"
 	"srmsort/internal/record"
 	"srmsort/internal/runform"
+	"srmsort/internal/runio"
 )
 
 // MergeOrder returns R_DSM, the number of runs DSM merges at a time with
@@ -201,9 +202,14 @@ func (w *Writer[R]) Finish() (*Run, error) {
 	return w.run, nil
 }
 
-// readStripe fetches logical block s of a run in one I/O operation.
-func readStripe[R record.KernelRecord](sys *pdisk.System, r *Run, s int) ([]R, error) {
-	blocks, err := sys.ReadBlocks(r.stripes[s])
+// reader returns a stripe reader over the run's logical blocks.
+func (r *Run) reader(sys *pdisk.System, async bool) *runio.StripeReader {
+	return runio.NewStripeReader(sys, len(r.stripes), func(s int) []pdisk.BlockAddr { return r.stripes[s] }, async)
+}
+
+// readRecs reads the reader's next logical block as one slice of records.
+func readRecs[R record.KernelRecord](rd *runio.StripeReader) ([]R, error) {
+	blocks, err := rd.Read()
 	if err != nil {
 		return nil, err
 	}
@@ -218,45 +224,6 @@ func readStripe[R record.KernelRecord](sys *pdisk.System, r *Run, s int) ([]R, e
 type MergeStats struct {
 	ReadOps  int64
 	WriteOps int64
-}
-
-// stripePrefetcher hands out one run's logical blocks in order, keeping the
-// next one in flight — the run's second read buffer.
-type stripePrefetcher[R record.KernelRecord] struct {
-	sys  *pdisk.System
-	run  *Run
-	next int // stripe the in-flight future (if any) will deliver
-	fut  *pdisk.ReadFuture
-}
-
-// fetch returns the records of the next stripe and issues the read of the
-// one after. The caller must not call it past the last stripe.
-func (p *stripePrefetcher[R]) fetch() ([]R, error) {
-	if p.fut == nil {
-		p.fut = p.sys.ReadBlocksAsync(p.run.stripes[p.next])
-	}
-	blocks, err := p.fut.Wait()
-	p.fut = nil
-	if err != nil {
-		return nil, err
-	}
-	p.next++
-	if p.next < p.run.NumStripes() {
-		p.fut = p.sys.ReadBlocksAsync(p.run.stripes[p.next])
-	}
-	var out []R
-	for _, b := range blocks {
-		out = append(out, pdisk.RecsOf[R](b)...)
-	}
-	return out, nil
-}
-
-// drain collects an abandoned in-flight read (error-path cleanup).
-func (p *stripePrefetcher[R]) drain() {
-	if p.fut != nil {
-		p.fut.Wait()
-		p.fut = nil
-	}
 }
 
 // mergeRuns merges the given runs into one, reading one logical block per
@@ -276,34 +243,23 @@ func mergeRuns[R record.KernelRecord](sys *pdisk.System, runs []*Run, outID int,
 	writesBefore := sys.Stats().WriteOps
 
 	bufs := make([][]R, len(runs))
-	nextStripe := make([]int, len(runs))
-	var prefetchers []*stripePrefetcher[R]
-	if async {
-		prefetchers = make([]*stripePrefetcher[R], len(runs))
-		for i, r := range runs {
-			prefetchers[i] = &stripePrefetcher[R]{sys: sys, run: r}
-		}
-		// On any return, no read may be left in flight: an unwaited future
-		// is an unaccounted operation and a live reference to worker state.
-		defer func() {
-			for _, p := range prefetchers {
-				p.drain()
-			}
-		}()
+	readers := make([]*runio.StripeReader, len(runs))
+	for i, r := range runs {
+		readers[i] = r.reader(sys, async)
 	}
+	// On any return, no read may be left in flight: an unwaited future
+	// is an unaccounted operation.
+	defer func() {
+		for _, rd := range readers {
+			rd.Close()
+		}
+	}()
 	refill := func(i int) error {
-		for len(bufs[i]) == 0 && nextStripe[i] < runs[i].NumStripes() {
-			var recs []R
-			var err error
-			if async {
-				recs, err = prefetchers[i].fetch()
-			} else {
-				recs, err = readStripe[R](sys, runs[i], nextStripe[i])
-			}
+		for len(bufs[i]) == 0 && readers[i].Left() > 0 {
+			recs, err := readRecs[R](readers[i])
 			if err != nil {
 				return err
 			}
-			nextStripe[i]++
 			bufs[i] = recs
 		}
 		return nil
@@ -531,36 +487,12 @@ func ReadAll[R record.KernelRecord](sys *pdisk.System, r *Run) ([]R, error) {
 // Stream reads a DSM run back one logical block at a time, invoking fn on
 // every record without materialising the run.
 func Stream[R record.KernelRecord](sys *pdisk.System, r *Run, fn func(R) error) error {
-	for s := 0; s < r.NumStripes(); s++ {
-		recs, err := readStripe[R](sys, r, s)
-		if err != nil {
-			return err
-		}
-		for _, rec := range recs {
-			if err := fn(rec); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
+	return runio.StreamStripes(r.reader(sys, false), fn)
 }
 
 // StreamAsync is Stream with single-stripe readahead: logical block s+1 is
 // in flight while fn consumes block s. The operation count is identical to
 // Stream's.
 func StreamAsync[R record.KernelRecord](sys *pdisk.System, r *Run, fn func(R) error) error {
-	p := &stripePrefetcher[R]{sys: sys, run: r}
-	defer p.drain()
-	for s := 0; s < r.NumStripes(); s++ {
-		recs, err := p.fetch()
-		if err != nil {
-			return err
-		}
-		for _, rec := range recs {
-			if err := fn(rec); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
+	return runio.StreamStripes(r.reader(sys, true), fn)
 }

@@ -152,8 +152,8 @@ func TestAsyncWaitIdempotent(t *testing.T) {
 	}
 }
 
-// Injected faults come back as clean errors from Wait, and the worker
-// goroutines shut down with the system regardless.
+// Injected faults come back as clean errors from Wait, and the engine's
+// executors shut down with the system regardless.
 func TestAsyncFaultsSurfaceAndWorkersStop(t *testing.T) {
 	base := runtime.NumGoroutine()
 
@@ -197,7 +197,7 @@ func TestAsyncConcurrentIssuers(t *testing.T) {
 		issuers = 8
 		opsEach = 25
 	)
-	sys, err := NewSystem(Config{D: d, B: 2, AsyncQueueDepth: 2})
+	sys, err := NewSystem(Config{D: d, B: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,32 +248,8 @@ func TestAsyncConcurrentIssuers(t *testing.T) {
 	}
 }
 
-// The async layer and the synchronous methods may be mixed freely; per-disk
-// FIFO makes an async write visible to a later async read from the same
-// goroutine without an intervening Wait.
-func TestAsyncPerDiskFIFO(t *testing.T) {
-	sys, err := NewSystem(Config{D: 1, B: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sys.Close()
-	a := sys.Alloc(0)
-	wf := sys.WriteBlocksAsync([]BlockWrite{{Addr: a, Block: mkBlock(77)}})
-	rf := sys.ReadBlocksAsync([]BlockAddr{a}) // enqueued behind the write
-	if err := wf.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	blocks, err := rf.Wait()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if blocks[0].Records.FirstKey() != 77 {
-		t.Fatalf("read-after-write got key %d, want 77", blocks[0].Records.FirstKey())
-	}
-}
-
-// A System that never used async I/O must not start (or leak) workers; one
-// that did must return to the baseline goroutine count after Close.
+// A System that used async I/O must return to the baseline goroutine
+// count after Close: its executors stop.
 func TestAsyncLifecycleNoLeak(t *testing.T) {
 	base := runtime.NumGoroutine()
 	for i := 0; i < 3; i++ {
@@ -293,4 +269,88 @@ func TestAsyncLifecycleNoLeak(t *testing.T) {
 		}
 	}
 	waitGoroutines(t, base)
+}
+
+// An async read nobody waits on yet still gives up its gate slot at its
+// deadline: a later read of the same disk, behind it at a one-wide gate,
+// completes instead of queueing forever behind a stuck transfer.
+func TestAsyncUnwaitedStuckReadFreesGate(t *testing.T) {
+	release := make(chan struct{})
+	defer close(release)
+	fs := NewFaultStore(NewMemStore(), FaultConfig{
+		StuckReadAt: 1,
+		Sleep:       func(time.Duration) { <-release },
+	})
+	a, b := BlockAddr{Disk: 0, Index: 0}, BlockAddr{Disk: 0, Index: 1}
+	for _, x := range []BlockAddr{a, b} {
+		if err := fs.WriteBlock(x, mkBlock(record.Key(x.Index))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sys, err := NewSystem(Config{D: 1, B: 2, Store: fs, Gate: NewDiskGate(1, 1),
+		Deadline: &DeadlinePolicy{OpDeadline: 20 * time.Millisecond}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	stuck := sys.ReadBlocksAsync([]BlockAddr{a})
+	for fs.OpCount("read") < 1 {
+		time.Sleep(time.Millisecond) // until the stuck read holds the slot
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, err := sys.ReadBlocks([]BlockAddr{b})
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("read queued forever behind an un-waited stuck read")
+	}
+	if _, err := stuck.Wait(); !errors.Is(err, ErrDeadline) {
+		t.Fatalf("stuck read: %v, want ErrDeadline", err)
+	}
+}
+
+// A straggling async read is hedged at HedgeAfter while its caller works
+// on, not only once the caller waits.
+func TestAsyncUnwaitedReadIsHedged(t *testing.T) {
+	release := make(chan struct{})
+	defer close(release)
+	fs := NewFaultStore(NewMemStore(), FaultConfig{
+		StuckReadAt: 1,
+		Sleep:       func(time.Duration) { <-release },
+	})
+	a := BlockAddr{Disk: 0, Index: 0}
+	if err := fs.WriteBlock(a, mkBlock(5)); err != nil {
+		t.Fatal(err)
+	}
+	tracker := NewHealthTracker()
+	sys, err := NewSystem(Config{D: 1, B: 2, Store: fs,
+		Deadline: &DeadlinePolicy{HedgeAfter: 10 * time.Millisecond, Tracker: tracker}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	fut := sys.ReadBlocksAsync([]BlockAddr{a})
+	deadline := time.Now().Add(5 * time.Second)
+	for fs.OpCount("read") < 2 {
+		if time.Now().After(deadline) {
+			t.Fatal("no hedge leg issued before Wait")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	blocks, err := fut.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if blocks[0].Records.FirstKey() != 5 {
+		t.Fatalf("hedged read got key %d, want 5", blocks[0].Records.FirstKey())
+	}
+	if h := tracker.Snapshot(); h.HedgedReads != 1 || h.HedgeWins != 1 {
+		t.Fatalf("hedged %d, won %d; want 1 and 1", h.HedgedReads, h.HedgeWins)
+	}
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"sync"
 	"testing"
+	"time"
 
 	"srmsort/internal/record"
 )
@@ -50,7 +51,7 @@ func TestCloseIdempotent(t *testing.T) {
 // -race for the full effect.
 func TestCloseConcurrentWithAsyncIssues(t *testing.T) {
 	for round := 0; round < 20; round++ {
-		sys, err := NewSystem(Config{D: 4, B: 2, AsyncQueueDepth: 1})
+		sys, err := NewSystem(Config{D: 4, B: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -114,5 +115,39 @@ func TestCloseDrainsInFlight(t *testing.T) {
 	}
 	if got := sys.Stats().WriteOps; got != 10 {
 		t.Fatalf("WriteOps = %d, want 10 (drained ops must be counted)", got)
+	}
+}
+
+// Close never hangs on an async op nobody waited on: it finishes the op,
+// which abandons the stuck transfer at its deadline, and the later Wait
+// reports that.
+func TestCloseAbandonsStuckUnwaitedOp(t *testing.T) {
+	release := make(chan struct{})
+	defer close(release)
+	fs := NewFaultStore(NewMemStore(), FaultConfig{
+		StuckReadAt: 1,
+		Sleep:       func(time.Duration) { <-release },
+	})
+	a := BlockAddr{Disk: 0, Index: 0}
+	if err := fs.WriteBlock(a, mkBlock(1)); err != nil {
+		t.Fatal(err)
+	}
+	sys, err := NewSystem(Config{D: 1, B: 2, Store: fs, Deadline: &DeadlinePolicy{OpDeadline: 20 * time.Millisecond}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fut := sys.ReadBlocksAsync([]BlockAddr{a})
+	closed := make(chan error, 1)
+	go func() { closed <- sys.Close() }()
+	select {
+	case err := <-closed:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("Close hung on an un-waited op with a stuck transfer")
+	}
+	if _, err := fut.Wait(); !errors.Is(err, ErrDeadline) {
+		t.Fatalf("Wait after Close: %v, want ErrDeadline", err)
 	}
 }

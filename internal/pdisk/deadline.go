@@ -61,7 +61,8 @@ type DeadlinePolicy struct {
 	// event: a hedged read asks for the hedge delay first and, once it
 	// fires, for the rest of the deadline. A tick is authoritative for
 	// the in-flight transfer it was armed for; any other in-flight
-	// transfer is judged by Now.
+	// transfer is judged by Now. Only an op's waiter receives an injected
+	// tick, so an async op's ticks wait until it is waited.
 	After func(time.Duration) <-chan time.Time
 	// Now is the clock latency samples are measured with; nil means
 	// time.Now.

@@ -4,14 +4,17 @@
 //
 // An op is a set of transfers of one kind — the blocks of one parallel
 // read or write, a batch of frees, or one control call (manifest,
-// frontier). The caller runs it and waits for the lot:
+// frontier). Its caller starts it and finishes it, which waits for the
+// lot: a sync op does both back to back, an async op hands its caller a
+// future in between (async.go).
 //
-//   - Unbounded ops (no deadline) run inline when the store is serial,
-//     the op touches one disk, or it is a free batch.
+//   - Unbounded sync ops (no deadline) run inline when the store is
+//     serial, the op touches one disk, or it is a free batch.
 //   - Every other op runs on the engine's long-lived executors: one
 //     executor runs every transfer of a serial or free op in turn, one
 //     per transfer otherwise. A bounded op's caller also waits on one
-//     pooled timer. A tick checks each in-flight transfer's own start:
+//     pooled timer; until an async op's caller waits, the timer handles
+//     its own ticks. A tick checks each in-flight transfer's own start:
 //     one that has run OpDeadline is abandoned and re-issued on another
 //     executor together with the transfers queued behind it (that
 //     re-issue is not charged as a failure); one still running at
@@ -89,6 +92,7 @@ type op struct {
 	xs      []xfer
 	kind    int
 	oneLeg  bool // every transfer runs on one leg, in order
+	inline  bool // that leg runs on the caller
 	bounded bool
 	dirty   bool // a leg was abandoned or out-raced
 	reuse   bool
@@ -96,6 +100,10 @@ type op struct {
 	wake chan struct{} // cap 1: legs and the timer signal without blocking
 	legs atomic.Int32  // legs issued and not yet answered
 	tick atomic.Bool
+	// An async op's ticks are the timer's own until finish takes them
+	// over: mu serialises the two, and unattended says whose they are.
+	mu         sync.Mutex
+	unattended bool
 
 	timer *time.Timer
 	after <-chan time.Time
@@ -157,6 +165,7 @@ type engine struct {
 	diskFails map[int]int64 // cumulative failed attempts per disk
 	offline   map[int]bool
 	idle      []chan leg // parked executors' inboxes, most recent last
+	maxIdle   int        // executors parked at most; 0 = no bound
 	free      []*op
 	stopped   bool
 	pending   map[joinKey]*joinedOp
@@ -242,6 +251,15 @@ func (e *engine) putOp(o *op) {
 // run executes the op and returns the index of its first failed transfer
 // in request order, or -1. Every transfer runs either way.
 func (e *engine) run(o *op) int {
+	e.start(o, false)
+	return e.finish(o)
+}
+
+// start issues the op: the per-disk budget check, then its legs and, for
+// a bounded op, its timer. A sync op that is unbounded and runs on one
+// leg runs inline, so it is done when start returns; an async op always
+// hands off, so its caller is free until it calls finish.
+func (e *engine) start(o *op, async bool) {
 	n := len(o.xs)
 	e.ops[o.kind].Add(1)
 	if e.retry != nil {
@@ -262,6 +280,7 @@ func (e *engine) run(o *op) int {
 	}
 	o.bounded = e.dl != nil && o.kind != opControl && (e.dl.OpDeadline > 0 || o.kind == opRead && e.hedging)
 	o.oneLeg = e.serial || n == 1 || o.kind == opFree || o.kind == opControl
+	o.inline = !async && !o.bounded && o.oneLeg
 	if o.oneLeg {
 		e.issue(o, leg{o: o, first: 0, end: n})
 	} else {
@@ -270,8 +289,22 @@ func (e *engine) run(o *op) int {
 		}
 	}
 	if o.bounded {
-		hedge := o.kind == opRead && e.hedging
-		o.arm(e, 0, 0, hedge)
+		o.mu.Lock()
+		o.unattended = async
+		o.arm(e, 0, 0, o.kind == opRead && e.hedging)
+		o.mu.Unlock()
+	}
+}
+
+// finish waits for a started op — settling results, retrying, and
+// handling its timer's deadline and hedge ticks — samples its health,
+// and returns the index of its first failed transfer in request order,
+// or -1.
+func (e *engine) finish(o *op) int {
+	if o.unattended {
+		o.mu.Lock()
+		o.unattended = false
+		o.mu.Unlock()
 	}
 	for e.collect(o) > 0 {
 		if o.wait() {
@@ -304,11 +337,10 @@ func (o *op) end(i int) int {
 	return i + 1
 }
 
-// issue starts a leg: inline for an unbounded one-leg op, otherwise on
-// an executor — the most recently parked, starting a new one only when
-// none is idle.
+// issue starts a leg: inline if start chose so, otherwise on an executor
+// — the most recently parked, starting a new one only when none is idle.
 func (e *engine) issue(o *op, l leg) {
-	if !o.bounded && o.oneLeg {
+	if o.inline {
 		e.work(l)
 		return
 	}
@@ -340,20 +372,21 @@ func (o *op) signal() {
 }
 
 // execute is an executor's life: run a leg, park, answer, take the next
-// leg from its inbox — until the engine stops. It parks before answering,
+// leg from its inbox — until the engine stops, or its leg ends a burst
+// that left maxIdle executors parked already. It parks before answering,
 // so a caller whose next op follows the answer finds it idle rather than
 // starting another.
 func (e *engine) execute(in chan leg, l leg) {
 	for {
 		e.work(l)
 		e.mu.Lock()
-		stopped := e.stopped
-		if !stopped {
+		park := !e.stopped && (e.maxIdle == 0 || len(e.idle) < e.maxIdle)
+		if park {
 			e.idle = append(e.idle, in)
 		}
 		e.mu.Unlock()
 		e.answer(l.o)
-		if stopped {
+		if !park {
 			return
 		}
 		var ok bool
@@ -387,7 +420,7 @@ func (e *engine) work(l leg) {
 	if l.hedge {
 		t := &o.xs[i]
 		blk, err := e.inner.ReadBlock(t.addr)
-		e.finish(t, l.gen, blk, err, true, false)
+		e.publish(t, l.gen, blk, err, true, false)
 		i++
 	}
 	for ; i < l.end; i++ {
@@ -425,15 +458,15 @@ func (e *engine) work(l leg) {
 		default:
 			err = t.call()
 		}
-		e.finish(t, s>>8, blk, err, false, gated)
+		e.publish(t, s>>8, blk, err, false, gated)
 	}
 }
 
-// finish publishes an attempt's result if its leg wins the attempt. A
+// publish publishes an attempt's result if its leg wins the attempt. A
 // leg that loses — its attempt was abandoned, or the other leg of a
 // hedged read won — discards its result; an abandoned write or free it
 // issued settles the join its caller registered.
-func (e *engine) finish(t *xfer, gen uint64, blk StoredBlock, err error, hedge, gated bool) {
+func (e *engine) publish(t *xfer, gen uint64, blk StoredBlock, err error, hedge, gated bool) {
 	if !t.st.CompareAndSwap(gen<<8|xRunning, gen<<8|xFinishing) {
 		if gated && t.kind != opRead {
 			e.settle(t, err)
@@ -725,14 +758,27 @@ func (o *op) arm(e *engine, i int, d time.Duration, hedge bool) {
 	case e.dl.After != nil:
 		o.after = e.dl.After(d)
 	case o.timer == nil:
-		o.timer = time.AfterFunc(d, o.fire)
+		o.timer = time.AfterFunc(d, func() { e.fire(o) })
 	default:
 		o.timer.Reset(d)
 	}
 }
 
-// fire is the runtime timer's callback.
-func (o *op) fire() {
+// fire is the runtime timer's callback. It wakes the op's waiter with the
+// tick — or, for an async op nobody waits on yet, handles the tick itself,
+// so a stuck transfer gives up its gate slot at its deadline and a
+// straggling read is hedged while the caller works on. Holding mu through
+// a retry's backoff only delays a finish that would have slept it anyway.
+// An injected After's ticks always wait for the waiter.
+func (e *engine) fire(o *op) {
+	o.mu.Lock()
+	if o.unattended {
+		o.live = false
+		e.onTick(o)
+		o.mu.Unlock()
+		return
+	}
+	o.mu.Unlock()
 	o.tick.Store(true)
 	o.signal()
 }
@@ -771,7 +817,7 @@ func (o *op) disarm() bool {
 	return o.timer.Stop()
 }
 
-// do1 runs a one-transfer op — the wrappers' and async workers' unit.
+// do1 runs a one-transfer op — the wrappers' unit.
 func (e *engine) do1(kind int, addr BlockAddr, b StoredBlock) (StoredBlock, error) {
 	o := e.getOp(kind, 1)
 	o.set(0, addr, b)

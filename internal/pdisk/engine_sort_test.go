@@ -1,6 +1,7 @@
 package pdisk_test
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -13,8 +14,15 @@ import (
 
 // A fault-free bounded sort over a serial store pays one executor handoff
 // per System op — each parallel read, parallel write and free batch —
-// not one per block.
+// not one per block, whether its merges and egest issue ops sync or
+// async.
 func TestEngineBoundedSortOneHandoffPerOp(t *testing.T) {
+	for _, async := range []bool{false, true} {
+		t.Run(fmt.Sprintf("async=%v", async), func(t *testing.T) { boundedSortHandoffs(t, async) })
+	}
+}
+
+func boundedSortHandoffs(t *testing.T, async bool) {
 	all := record.NewGenerator(7).Random(20_000)
 	retry := pdisk.DefaultRetryPolicy()
 	sys, err := pdisk.NewSystem(pdisk.Config{D: 4, B: 16, Store: pdisk.NewMemStore(),
@@ -34,12 +42,19 @@ func TestEngineBoundedSortOneHandoffPerOp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	final, _, _, err := srm.SortRunsOpts[record.Record](sys, formed.Runs, 4, placement, formed.NextSeq, srm.SortOpts{})
+	final, _, _, err := srm.SortRunsOpts[record.Record](sys, formed.Runs, 4, placement, formed.NextSeq, srm.SortOpts{Async: async})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := runio.ReadAll[record.Record](sys, final)
-	if err != nil {
+	stream := runio.Stream[record.Record]
+	if async {
+		stream = runio.StreamAsync[record.Record]
+	}
+	var got []record.Record
+	if err := stream(sys, final, func(r record.Record) error {
+		got = append(got, r)
+		return nil
+	}); err != nil {
 		t.Fatal(err)
 	}
 	if err := runio.Free(sys, final); err != nil {

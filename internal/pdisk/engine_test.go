@@ -294,7 +294,8 @@ func (freeOK) Free(BlockAddr) error { return nil }
 
 // Op validation allocates nothing: a read allocates only its result, a
 // write only its clones, a free batch nothing — with or without a
-// bounded policy.
+// bounded policy. An async op allocates one object more than its sync
+// twin: the future.
 func TestEngineOpsAllocateOnlyResults(t *testing.T) {
 	for _, dl := range []*DeadlinePolicy{nil, {OpDeadline: time.Minute}} {
 		sys := engineSystem(t, freeOK{NewMemStore()}, nil, dl)
@@ -317,6 +318,12 @@ func TestEngineOpsAllocateOnlyResults(t *testing.T) {
 		}
 		if got := testing.AllocsPerRun(100, func() { sys.WriteBlocks(writes) }); got != 4 {
 			t.Errorf("deadline=%v: WriteBlocks of 4 allocates %.1f, want 4 (its clones)", dl != nil, got)
+		}
+		if got := testing.AllocsPerRun(100, func() { sys.ReadBlocksAsync(addrs).Wait() }); got > 2 {
+			t.Errorf("deadline=%v: ReadBlocksAsync of 4 allocates %.1f, want <= 2 (its result and future)", dl != nil, got)
+		}
+		if got := testing.AllocsPerRun(100, func() { sys.WriteBlocksAsync(writes).Wait() }); got > 5 {
+			t.Errorf("deadline=%v: WriteBlocksAsync of 4 allocates %.1f, want <= 5 (its clones and future)", dl != nil, got)
 		}
 		if err := sys.FreeBlocks(addrs...); err != nil {
 			t.Fatal(err)
@@ -368,5 +375,55 @@ func TestEngineControlOpsRetried(t *testing.T) {
 	}
 	if st := sys.Stats(); st.Retries != 2 { // NewSystem's frontier probe and the save
 		t.Fatalf("Retries = %d, want 2", st.Retries)
+	}
+}
+
+// holdReads parks every block read until release is closed.
+type holdReads struct {
+	Store
+	release chan struct{}
+}
+
+func (h holdReads) ReadBlock(a BlockAddr) (StoredBlock, error) {
+	<-h.release
+	return h.Store.ReadBlock(a)
+}
+
+// A burst of async legs in flight at once — Step 1 of an async merge
+// issues one per initial block — leaves at most 4D executors parked once
+// it has landed, not one per leg.
+func TestEngineBurstParksAtMost4D(t *testing.T) {
+	const d, ops = 2, 40
+	store := holdReads{NewMemStore(), make(chan struct{})}
+	sys, err := NewSystem(Config{D: d, B: 2, Store: store})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	addrs := make([][]BlockAddr, ops)
+	for i := range addrs {
+		for disk := 0; disk < d; disk++ {
+			a := sys.Alloc(disk)
+			if err := sys.WriteBlocks([]BlockWrite{{Addr: a, Block: mkBlock(record.Key(i))}}); err != nil {
+				t.Fatal(err)
+			}
+			addrs[i] = append(addrs[i], a)
+		}
+	}
+	futs := make([]*ReadFuture, ops)
+	for i := range futs {
+		futs[i] = sys.ReadBlocksAsync(addrs[i])
+	}
+	close(store.release)
+	for _, f := range futs {
+		if _, err := f.Wait(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sys.eng.mu.Lock()
+	parked := len(sys.eng.idle)
+	sys.eng.mu.Unlock()
+	if parked != 4*d {
+		t.Fatalf("%d executors parked after a burst of %d legs, want 4D = %d", parked, ops*d, 4*d)
 	}
 }

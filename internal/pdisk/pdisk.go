@@ -8,16 +8,16 @@
 // Tables 1-4.
 //
 // The System itself is a thin coordinator: it owns statistics, address
-// checking, block allocation, the async worker pipeline and the I/O
-// engine that applies retries, deadlines, hedges and the shared disk gate
-// to each parallel operation (engine.go), and delegates all persistence
-// to a pluggable Store backend — in-memory (MemStore, the
-// default) for experiments, file-backed (FileStore) to sort real bytes on
-// real storage, or fault-injecting (FaultStore) to drive error paths. The
-// algorithms above are backend-blind: the same sort produces byte-identical
-// output and identical Stats on every backend. An optional
-// Ruemmler–Wilkes-style TimeModel converts operation counts into estimated
-// wall-clock time.
+// checking, block allocation and the I/O engine (engine.go) — the one
+// scheduler of every parallel operation, sync or async (async.go), which
+// applies retries, deadlines, hedges and the shared disk gate — and
+// delegates all persistence to a pluggable Store backend — in-memory
+// (MemStore, the default) for experiments, file-backed (FileStore) to
+// sort real bytes on real storage, or fault-injecting (FaultStore) to
+// drive error paths. The algorithms above are backend-blind: the same
+// sort produces byte-identical output and identical Stats on every
+// backend. An optional Ruemmler–Wilkes-style TimeModel converts
+// operation counts into estimated wall-clock time.
 package pdisk
 
 import (
@@ -132,31 +132,27 @@ func MakeStored[R record.KernelRecord](rs []R, forecast []record.Key) StoredBloc
 
 // System is a D-disk parallel I/O system with block size B records.
 //
-// A System is safe for concurrent use: operations are serialised by an
-// internal mutex (two merges sharing the disks interleave their operations,
-// as they would on real hardware), while within one operation the D
-// per-disk transfers run concurrently unless the store is serial — the
-// disks really are independent.
+// A System is safe for concurrent use: sync operations are serialised by
+// an internal mutex (two merges sharing the disks interleave their
+// operations, as they would on real hardware), while within one operation
+// the D per-disk transfers run concurrently on the engine's executors
+// unless the store is serial — the disks really are independent.
 type System struct {
 	mu     sync.Mutex
 	d, b   int
 	store  Store
 	eng    *engine
 	health HealthReporter // a hand-built deadline layer's, when the System has no policy
-	retain bool           // Close stops workers but leaves the store open
+	retain bool           // Close stops the executors but leaves the store open
 	model  *TimeModel
 	stats  Stats
 	next   []int // per-disk bump allocator for fresh block indexes
 
-	// Async I/O layer (see async.go): per-disk worker goroutines fed by
-	// bounded queues, started lazily on the first ReadBlocksAsync /
-	// WriteBlocksAsync call and stopped by Close.
+	// asyncMu guards the async ops issued and not yet finished (see
+	// async.go), and closed, which Close sets before it finishes them.
 	asyncMu     sync.Mutex
-	issueMu     sync.RWMutex // held (shared) across enqueue, (exclusive) by shutdown
-	queues      []chan diskReq
-	asyncWG     sync.WaitGroup
-	asyncClosed bool
-	queueDepth  int
+	outstanding *future
+	closed      bool
 
 	closeOnce sync.Once
 	closeErr  error
@@ -170,14 +166,11 @@ type Config struct {
 	Store Store
 	// Model, if non-nil, accumulates estimated I/O time in Stats.SimTime.
 	Model *TimeModel
-	// AsyncQueueDepth bounds the in-flight requests per disk of the async
-	// I/O layer; 0 means DefaultAsyncQueueDepth. Issuing past the bound
-	// blocks until the disk's worker drains (backpressure).
-	AsyncQueueDepth int
 	// RetainStore leaves the store open when the System closes: Close
-	// still stops the async workers but does not close the backend. Set
-	// when the store's lifetime is owned by the caller — e.g. a sort
-	// resuming over a store that must survive the System.
+	// still finishes the async ops and stops the executors but does not
+	// close the backend. Set when the store's lifetime is owned by the
+	// caller — e.g. a sort resuming over a store that must survive the
+	// System.
 	RetainStore bool
 	// Gate, if non-nil, throttles every block transfer through a shared
 	// per-disk semaphore, so several Systems (concurrent sort jobs)
@@ -213,6 +206,11 @@ func NewSystem(cfg Config) (*System, error) {
 		return nil, fmt.Errorf("pdisk: gate covers %d disks, system has D=%d", cfg.Gate.D(), cfg.D)
 	}
 	eng := newEngine(st, cfg.Gate, cfg.Retry, cfg.Deadline)
+	// Park at most the executors two merges keep busy after Step 1 — a
+	// read op and a write stripe each — so Step 1's burst of R initial
+	// reads does not leave R of them parked until Close, and a second
+	// concurrent merge (Workers 2) still finds one parked per leg.
+	eng.maxIdle = 4 * cfg.D
 	next := make([]int, cfg.D)
 	// A reopened backend may already hold blocks; allocate past them. A
 	// failed Frontier aborts construction: allocating blind over
@@ -240,8 +238,7 @@ func NewSystem(cfg Config) (*System, error) {
 			PerDiskReads:  make([]int64, cfg.D),
 			PerDiskWrites: make([]int64, cfg.D),
 		},
-		next:       next,
-		queueDepth: cfg.AsyncQueueDepth,
+		next: next,
 	}, nil
 }
 
@@ -371,62 +368,89 @@ func (s *System) checkOp(n int, addr func(int) BlockAddr) error {
 	return nil
 }
 
-// runOp runs an engine op and wraps its first failure, in request order,
-// with the failing transfer's attribution.
-func (s *System) runOp(o *op) error {
-	i := s.eng.run(o)
-	if i < 0 {
-		return nil
+// readOp validates a parallel read and fills an engine op for it.
+func (s *System) readOp(addrs []BlockAddr) (*op, error) {
+	if err := s.checkAddrs(addrs); err != nil {
+		return nil, err
 	}
-	t := &o.xs[i]
-	return &IOError{Op: opNames[t.kind], Addr: t.addr, Err: t.err}
+	o := s.eng.getOp(opRead, len(addrs))
+	for i, a := range addrs {
+		o.set(i, a, StoredBlock{})
+	}
+	return o, nil
+}
+
+// writeOp validates a parallel write and fills an engine op for it with
+// clones of the blocks, so the caller may reuse its buffers at once.
+func (s *System) writeOp(writes []BlockWrite) (*op, error) {
+	if err := s.checkWrites(writes); err != nil {
+		return nil, err
+	}
+	o := s.eng.getOp(opWrite, len(writes))
+	for i, w := range writes {
+		o.set(i, w.Addr, w.Block.Clone())
+	}
+	return o, nil
+}
+
+// endLocked settles a finished op, whose first failed transfer is failed
+// (-1 for none), and returns it to the engine. A failure is wrapped with
+// the failing transfer's attribution and counts nothing; a successful
+// read or write counts as one parallel operation, and a read returns its
+// blocks in request order. The caller holds s.mu.
+func (s *System) endLocked(o *op, failed int) ([]StoredBlock, error) {
+	defer s.eng.putOp(o)
+	if failed >= 0 {
+		t := &o.xs[failed]
+		return nil, &IOError{Op: opNames[t.kind], Addr: t.addr, Err: t.err}
+	}
+	var out []StoredBlock
+	switch o.kind {
+	case opFree:
+		return nil, nil
+	case opRead:
+		out = make([]StoredBlock, len(o.xs))
+		for i := range o.xs {
+			out[i] = o.xs[i].blk
+			s.stats.PerDiskReads[o.xs[i].addr.Disk]++
+		}
+		s.stats.ReadOps++
+		s.stats.BlocksRead += int64(len(o.xs))
+	case opWrite:
+		for i := range o.xs {
+			s.stats.PerDiskWrites[o.xs[i].addr.Disk]++
+		}
+		s.stats.WriteOps++
+		s.stats.BlocksWritten += int64(len(o.xs))
+	}
+	if s.model != nil {
+		s.stats.SimTime += s.model.OpSeconds(s.b)
+	}
+	return out, nil
 }
 
 // ReadBlocks performs one parallel read operation fetching every addressed
 // block (at most one per disk) and returns them in request order.
 func (s *System) ReadBlocks(addrs []BlockAddr) ([]StoredBlock, error) {
-	if err := s.checkAddrs(addrs); err != nil {
+	o, err := s.readOp(addrs)
+	if err != nil {
 		return nil, err
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	o := s.eng.getOp(opRead, len(addrs))
-	for i, a := range addrs {
-		o.set(i, a, StoredBlock{})
-	}
-	err := s.runOp(o)
-	var out []StoredBlock
-	if err == nil {
-		out = make([]StoredBlock, len(addrs))
-		for i := range out {
-			out[i] = o.xs[i].blk
-		}
-		s.accountReadLocked(addrs)
-	}
-	s.eng.putOp(o)
-	return out, err
+	return s.endLocked(o, s.eng.run(o))
 }
 
 // WriteBlocks performs one parallel write operation storing every block (at
 // most one per disk). Records in each block must be at most B and sorted.
 func (s *System) WriteBlocks(writes []BlockWrite) error {
-	if err := s.checkWrites(writes); err != nil {
+	o, err := s.writeOp(writes)
+	if err != nil {
 		return err
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	o := s.eng.getOp(opWrite, len(writes))
-	for i, w := range writes {
-		o.set(i, w.Addr, w.Block.Clone())
-	}
-	err := s.runOp(o)
-	if err == nil {
-		for _, w := range writes {
-			s.stats.PerDiskWrites[w.Addr.Disk]++
-		}
-		s.accountWriteLocked(len(writes))
-	}
-	s.eng.putOp(o)
+	_, err = s.endLocked(o, s.eng.run(o))
 	return err
 }
 
@@ -445,8 +469,7 @@ func (s *System) FreeBlocks(addrs ...BlockAddr) error {
 	for i, a := range addrs {
 		o.set(i, a, StoredBlock{})
 	}
-	err := s.runOp(o)
-	s.eng.putOp(o)
+	_, err := s.endLocked(o, s.eng.run(o))
 	return err
 }
 
@@ -465,39 +488,25 @@ func (s *System) ClearManifest() error { return s.eng.ClearManifest() }
 // that cannot reopen state), retried like the manifest calls.
 func (s *System) Frontier(disk int) (int, error) { return s.eng.Frontier(disk) }
 
-// accountReadLocked counts one completed parallel read operation; the
-// caller holds s.mu.
-func (s *System) accountReadLocked(addrs []BlockAddr) {
-	for _, a := range addrs {
-		s.stats.PerDiskReads[a.Disk]++
-	}
-	s.stats.ReadOps++
-	s.stats.BlocksRead += int64(len(addrs))
-	if s.model != nil {
-		s.stats.SimTime += s.model.OpSeconds(s.b)
-	}
-}
-
-// accountWriteLocked counts one completed parallel write operation of n
-// blocks, whose per-disk counts the caller has added; the caller holds
-// s.mu.
-func (s *System) accountWriteLocked(n int) {
-	s.stats.WriteOps++
-	s.stats.BlocksWritten += int64(n)
-	if s.model != nil {
-		s.stats.SimTime += s.model.OpSeconds(s.b)
-	}
-}
-
-// Close stops the async disk workers — draining every in-flight request —
-// and the engine's executors, and then closes the underlying store (unless Config.RetainStore left
-// its lifetime with the caller). Close is idempotent and safe to call
-// concurrently with in-flight async operations: requests already issued
-// complete (their Waits return normally), later issues return ErrClosed,
-// and the backend is closed only after the workers have stopped.
+// Close finishes every async operation issued and not yet waited — so
+// their Waits return normally, their stats are counted, and a stuck
+// transfer in one is abandoned at its deadline — stops the engine's
+// executors, and then closes the underlying store (unless
+// Config.RetainStore left its lifetime with the caller). Close is
+// idempotent and safe to call concurrently with async issues and Waits:
+// later issues fail with ErrClosed at Wait.
 func (s *System) Close() error {
 	s.closeOnce.Do(func() {
-		s.stopWorkers()
+		s.asyncMu.Lock()
+		s.closed = true
+		f := s.outstanding
+		s.outstanding = nil
+		s.asyncMu.Unlock()
+		// The list is Close's now: resolve leaves the links alone once
+		// closed is set.
+		for ; f != nil; f = f.next {
+			f.once.Do(f.resolve)
+		}
 		s.eng.stop()
 		if !s.retain {
 			s.closeErr = s.store.Close()

@@ -9,15 +9,16 @@ import (
 
 // Store is the persistence backend beneath a System: a block container
 // indexed by BlockAddr. The System is a thin coordinator — it owns
-// statistics, address checking and the async worker pipeline — and
-// delegates every byte of persistence to its Store, so the same merge
-// algorithms run unchanged on process memory (MemStore), real files
-// (FileStore) or a fault-injecting wrapper (FaultStore).
+// statistics, address checking and the I/O engine that schedules every
+// operation — and delegates every byte of persistence to its Store, so
+// the same merge algorithms run unchanged on process memory (MemStore),
+// real files (FileStore) or a fault-injecting wrapper (FaultStore).
 //
-// Implementations must be safe for concurrent use (the System fans one
-// operation's transfers out to per-disk goroutines) and must return errors
-// — never panic — for missing blocks, so the simulator surfaces scheduling
-// bugs as test failures on every backend alike.
+// Implementations must be safe for concurrent use — the engine's
+// executors run one operation's transfers concurrently, and async
+// operations in flight together may address the same disk — and must
+// return errors — never panic — for missing blocks, so the simulator
+// surfaces scheduling bugs as test failures on every backend alike.
 type Store interface {
 	// WriteBlock stores b at addr, overwriting any previous block. The
 	// block is owned by the store after the call (the System clones on
@@ -47,11 +48,12 @@ type Store interface {
 
 // SerialStore is optionally implemented by backends whose per-block
 // transfers are cheap memory operations serialized behind an internal lock
-// anyway (MemStore): SerialTransfers reporting true tells the System to
-// run one I/O operation's transfers inline rather than spawning a
-// goroutine per disk, which for such a store costs far more than the
-// transfers themselves. Backends with real per-block latency (FileStore)
-// simply don't implement it and keep the concurrent fan-out.
+// anyway (MemStore): SerialTransfers reporting true tells the System's
+// engine to run one I/O operation's transfers in turn on one leg — on
+// the caller when the op is sync and unbounded — rather than one executor
+// per transfer, which for such a store costs far more than the transfers
+// themselves. Backends with real per-block latency (FileStore) simply
+// don't implement it and keep one leg per transfer.
 type SerialStore interface {
 	Store
 	SerialTransfers() bool

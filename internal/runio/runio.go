@@ -374,56 +374,102 @@ func ReadAll[R record.KernelRecord](sys *pdisk.System, run *Run) ([]R, error) {
 	return out, nil
 }
 
-// stripe fills addrs with the addresses of the run's blocks from i on,
-// up to one per disk: consecutive blocks of a run sit on consecutive
-// disks, so up to D of them make one parallel operation.
-func (r *Run) stripe(addrs []pdisk.BlockAddr, i int) []pdisk.BlockAddr {
-	addrs = addrs[:0]
-	for k := i; k < r.NumBlocks() && k < i+r.D; k++ {
-		addrs = append(addrs, r.Addr(k))
+// reader returns a stripe reader over the run: stripe s is blocks sD to
+// sD+D-1 — consecutive blocks of a run sit on consecutive disks, so up to
+// D of them make one parallel operation.
+func (r *Run) reader(sys *pdisk.System, async bool) *StripeReader {
+	addrs := make([]pdisk.BlockAddr, 0, r.D)
+	stripe := func(s int) []pdisk.BlockAddr {
+		addrs = addrs[:0]
+		for k := s * r.D; k < r.NumBlocks() && k < (s+1)*r.D; k++ {
+			addrs = append(addrs, r.Addr(k))
+		}
+		return addrs
 	}
-	return addrs
+	return NewStripeReader(sys, (r.NumBlocks()+r.D-1)/r.D, stripe, async)
+}
+
+// StripeReader reads a sequence of stripes in order, one parallel read
+// operation each. It is the one sequential reader of both run layouts
+// (this package's and DSM's), sync and async: with async set its
+// read-ahead is one — the next stripe is in flight while the caller
+// consumes the current one, hiding device latency behind the caller's
+// processing at an unchanged operation count — and without it zero.
+type StripeReader struct {
+	sys     *pdisk.System
+	stripe  func(s int) []pdisk.BlockAddr
+	n, next int
+	async   bool
+	ahead   *pdisk.ReadFuture
+}
+
+// NewStripeReader returns a reader of the n stripes stripe(0), ...,
+// stripe(n-1). A stripe's addresses are copied when its read is issued,
+// so stripe may reuse one slice.
+func NewStripeReader(sys *pdisk.System, n int, stripe func(s int) []pdisk.BlockAddr, async bool) *StripeReader {
+	return &StripeReader{sys: sys, stripe: stripe, n: n, async: async}
+}
+
+// Left returns the number of stripes not yet read.
+func (r *StripeReader) Left() int { return r.n - r.next }
+
+// Read returns the blocks of the next stripe in address order. With
+// read-ahead it issues the read of the stripe after before it returns.
+func (r *StripeReader) Read() ([]pdisk.StoredBlock, error) {
+	s := r.next
+	r.next++
+	if !r.async {
+		return r.sys.ReadBlocks(r.stripe(s))
+	}
+	fut := r.ahead
+	if fut == nil {
+		fut = r.sys.ReadBlocksAsync(r.stripe(s))
+	}
+	r.ahead = nil
+	blks, err := fut.Wait()
+	if err == nil && r.next < r.n {
+		r.ahead = r.sys.ReadBlocksAsync(r.stripe(r.next))
+	}
+	return blks, err
+}
+
+// Close waits for the read-ahead, if one is in flight: every code path
+// that issues a read waits for it, so none outlives the reader.
+func (r *StripeReader) Close() {
+	if r.ahead != nil {
+		r.ahead.Wait()
+		r.ahead = nil
+	}
+}
+
+// StreamStripes invokes fn on every record of the reader's stripes in
+// order, and closes the reader.
+func StreamStripes[R record.KernelRecord](rd *StripeReader, fn func(R) error) error {
+	defer rd.Close()
+	for rd.Left() > 0 {
+		blks, err := rd.Read()
+		if err != nil {
+			return err
+		}
+		if err := emitBlocks(blks, fn); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Stream reads a run back sequentially, one stripe of up to D blocks per
 // I/O operation, invoking fn on every record in order, without
 // materialising the run — the out-of-core counterpart of ReadAll.
 func Stream[R record.KernelRecord](sys *pdisk.System, run *Run, fn func(R) error) error {
-	addrs := make([]pdisk.BlockAddr, 0, run.D)
-	for i := 0; i < run.NumBlocks(); i += run.D {
-		blks, err := sys.ReadBlocks(run.stripe(addrs, i))
-		if err != nil {
-			return err
-		}
-		if err := emitBlocks(blks, fn); err != nil {
-			return err
-		}
-	}
-	return nil
+	return StreamStripes(run.reader(sys, false), fn)
 }
 
-// StreamAsync is Stream with one stripe of readahead: stripe i+1 is in
-// flight while fn consumes stripe i, hiding device latency behind the
-// caller's processing. The operation count is identical to Stream's.
+// StreamAsync is Stream with one stripe of read-ahead: stripe i+1 is in
+// flight while fn consumes stripe i. The operation count is identical to
+// Stream's.
 func StreamAsync[R record.KernelRecord](sys *pdisk.System, run *Run, fn func(R) error) error {
-	if run.NumBlocks() == 0 {
-		return nil
-	}
-	addrs := make([]pdisk.BlockAddr, 0, run.D)
-	fut := sys.ReadBlocksAsync(run.stripe(addrs, 0))
-	for i := 0; i < run.NumBlocks(); i += run.D {
-		blks, err := fut.Wait()
-		if err != nil {
-			return err
-		}
-		if i+run.D < run.NumBlocks() {
-			fut = sys.ReadBlocksAsync(run.stripe(addrs, i+run.D))
-		}
-		if err := emitBlocks(blks, fn); err != nil {
-			return err
-		}
-	}
-	return nil
+	return StreamStripes(run.reader(sys, true), fn)
 }
 
 // emitBlocks invokes fn on every record of blks in order.

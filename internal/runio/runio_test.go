@@ -1,10 +1,13 @@
 package runio
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"srmsort/internal/pdisk"
 	"srmsort/internal/record"
@@ -353,5 +356,56 @@ func TestStreamPropagatesCallbackError(t *testing.T) {
 	}
 	if count != 3 {
 		t.Fatalf("callback ran %d times after error", count)
+	}
+}
+
+// parkStore lets its first free reads through and parks every later one
+// until release closes, counting the reads in flight.
+type parkStore struct {
+	*pdisk.MemStore
+	free     atomic.Int64
+	inflight atomic.Int64
+	release  chan struct{}
+}
+
+func (s *parkStore) ReadBlock(a pdisk.BlockAddr) (pdisk.StoredBlock, error) {
+	s.inflight.Add(1)
+	defer s.inflight.Add(-1)
+	if s.free.Add(-1) < 0 {
+		<-s.release
+	}
+	return s.MemStore.ReadBlock(a)
+}
+
+// When fn fails, StreamAsync waits for its read-ahead before it returns:
+// no read it issued outlives the call.
+func TestStreamAsyncWaitsForReadAhead(t *testing.T) {
+	st := &parkStore{MemStore: pdisk.NewMemStore(), release: make(chan struct{})}
+	sys, err := pdisk.NewSystem(pdisk.Config{D: 2, B: 2, Store: st})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	run, err := WriteRun(sys, 0, 0, sortedRecords(8, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.free.Store(2) // the first stripe; its read-ahead parks
+	go func() {
+		time.Sleep(50 * time.Millisecond)
+		close(st.release)
+	}()
+	stop := errors.New("stop")
+	err = StreamAsync(sys, run, func(record.Record) error { return stop })
+	if !errors.Is(err, stop) {
+		t.Fatalf("StreamAsync = %v, want the callback's error", err)
+	}
+	select {
+	case <-st.release:
+	default:
+		t.Fatal("StreamAsync returned before its parked read-ahead was released")
+	}
+	if n := st.inflight.Load(); n != 0 {
+		t.Fatalf("%d store reads still in flight after StreamAsync returned", n)
 	}
 }

@@ -45,8 +45,9 @@ type Params struct {
 	Overlap bool
 	// QueueDepth bounds the I/O channel backlog in overlap mode: issuing
 	// an operation while QueueDepth operations are already queued blocks
-	// the issuing flow until the backlog drains below the bound — the
-	// timed analogue of pdisk's bounded async queues. 0 means unbounded.
+	// the issuing flow until the backlog drains below the bound. The real
+	// async pipeline runs at depth 1: after Step 1, one read op in flight
+	// per merge, one write stripe per writer. 0 means unbounded.
 	// QueueDepth 1 is classic double buffering; the makespan decreases
 	// monotonically with depth (serial ≥ depth 1 ≥ depth k ≥ unbounded).
 	QueueDepth int
