@@ -100,6 +100,9 @@ bench-smoke:
 # Native-fuzz bursts CI runs exactly: 20 seconds on the parallel-merge
 # equivalence fuzzer (random runs, shard counts and data shapes, every
 # shard placement byte-compared against the serial merge), 20 seconds on
+# the gallop fuzzer (the repeat-winner emission rule against a per-record
+# merge on duplicate-heavy, MaxKey-bearing runs, then the SRM merge of the
+# same runs sync and async), 20 seconds on
 # the two-width kernel fuzzer (the pointer-free Rec16 and wide Record
 # instantiations must produce identical records and identical Stats),
 # 20 seconds on the codec round-trip fuzzer (truncated tails and
@@ -109,6 +112,7 @@ bench-smoke:
 # arbitrary bytes, malformed length prefixes included).
 fuzz-smoke:
 	go test -fuzz=FuzzParallelMergeEquiv -fuzztime=20s .
+	go test -fuzz=FuzzGallopMergeEquiv -fuzztime=20s .
 	go test -fuzz=FuzzTwoWidthKernelEquiv -fuzztime=20s .
 	go test -fuzz=FuzzCodecRoundTrip -fuzztime=20s ./internal/record/
 	go test -fuzz=FuzzCompareExt -fuzztime=20s ./internal/record/

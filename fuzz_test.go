@@ -157,11 +157,14 @@ func perRecordMerge(runs [][]record.Record) []record.Record {
 	return out
 }
 
-// gallopMerge is the bulk-emission kernel in isolation: each winner emits
-// the span below the runner-up's key (ties to the lower run index) in one
-// append, additionally clipped at artificial block boundaries of blockLen
-// records — early clipping must be harmless, exactly as the real kernels'
-// stall and block-event bounds are.
+// gallopMerge is the serial SRM consume loop's emission rule in
+// isolation: a winner that also won the previous selection emits the span
+// below the runner-up's key (ties to the lower run index) in one append,
+// any other winner its head record alone. Spans are additionally clipped
+// at artificial block boundaries of blockLen records — early clipping must
+// be harmless, exactly as the real kernels' stall and block-event bounds
+// are — and a block's end forgets the previous winner, as the end of the
+// kernel's consume call at a block event does.
 func gallopMerge(runs [][]record.Record, blockLen int) []record.Record {
 	lt := ltree.NewRetired(len(runs))
 	bufs := make([][]record.Record, len(runs))
@@ -175,20 +178,28 @@ func gallopMerge(runs [][]record.Record, blockLen int) []record.Record {
 		}
 	}
 	out := make([]record.Record, 0, total)
+	prev := -1
 	for lt.Len() > 0 {
 		i, _ := lt.Min()
-		span := blockLen - consumed[i]%blockLen
-		if span > len(bufs[i]) {
-			span = len(bufs[i])
-		}
-		if ch, chKey, ok := lt.Challenger(); ok {
-			if n := record.CountBelow(bufs[i][:span], record.Key(chKey), i < ch); n < span {
-				span = n
+		span := 1
+		if i == prev {
+			span = blockLen - consumed[i]%blockLen
+			if span > len(bufs[i]) {
+				span = len(bufs[i])
+			}
+			if ch, chKey, ok := lt.Challenger(); ok {
+				if n := record.CountBelow(bufs[i][:span], record.Key(chKey), i < ch); n < span {
+					span = n
+				}
 			}
 		}
+		prev = i
 		out = append(out, bufs[i][:span]...)
 		consumed[i] += span
 		bufs[i] = bufs[i][span:]
+		if consumed[i]%blockLen == 0 {
+			prev = -1
+		}
 		if len(bufs[i]) == 0 {
 			lt.Remove(i)
 		} else {
@@ -198,8 +209,9 @@ func gallopMerge(runs [][]record.Record, blockLen int) []record.Record {
 	return out
 }
 
-// FuzzGallopMergeEquiv drives the galloped bulk-emission logic against the
-// per-record reference kernel on adversarial run shapes: tiny key
+// FuzzGallopMergeEquiv drives the galloped bulk-emission logic, under the
+// repeat-winner rule, against the per-record reference kernel on
+// adversarial run shapes: tiny key
 // universes (runs of duplicate keys spanning block boundaries), MaxKey
 // records (which collide with the loser tree's legacy Infinite sentinel —
 // the explicit retired state must keep them live), and block lengths down

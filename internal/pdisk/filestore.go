@@ -491,6 +491,10 @@ func (f *FileStore) Free(addr BlockAddr) error {
 		return fmt.Errorf("%w: free of invalid address %v", ErrInvalid, addr)
 	}
 	f.mu.Lock()
+	if f.closed {
+		f.mu.Unlock()
+		return fmt.Errorf("%w: FileStore used after Close", ErrInvalid)
+	}
 	df, ok := f.disks[addr.Disk]
 	if !ok || addr.Index >= len(df.present) || !df.present[addr.Index] {
 		f.mu.Unlock()

@@ -117,46 +117,119 @@ func storedBytes(b StoredBlock) int64 {
 	return n
 }
 
-// MemStore is the default Store: a per-disk map of blocks held in process
-// memory. It is the store the experiments run on (the paper's own
-// evaluation is likewise a simulation).
+// MemStore is the default Store: blocks held in process memory. It is the
+// store the experiments run on (the paper's own evaluation is likewise a
+// simulation).
+//
+// Each disk's blocks live in slots indexed by block index, in chunks of
+// memChunkSlots consecutive slots: a lookup is two slice indexes, no
+// hashing. The System's bump allocator hands out dense indexes per disk
+// (FileStore's fixed slots rely on the same), so the chunk directory
+// grows with the allocation frontier, one pointer per chunk. A chunk is
+// allocated by the first write into it and dropped once every block in it
+// is freed, so the store's footprint follows its resident blocks, not the
+// frontier; freed slots are zeroed so their records can be collected. The
+// last chunk dropped is kept as a spare for the next one needed, so a
+// store that frees about as fast as it writes (a merge pass; one address
+// written and freed over and over) allocates no chunks in steady state.
 //
 // Reads are zero-copy: ReadBlock returns the resident block itself under
 // the Store ownership-handoff contract (readers never mutate). Build with
 // -tags=aliascheck to arm a per-block checksum that catches violations.
 type MemStore struct {
 	mu       sync.RWMutex
-	disks    map[int]map[int]StoredBlock
+	disks    [][]*memChunk        // disks[d][index/memChunkSlots]; nil = no resident block in that chunk
+	spare    *memChunk            // the last chunk dropped, all slots zero; nil = none
 	sums     map[BlockAddr]uint64 // aliascheck only: content checksum at write
 	blocks   int64
 	bytes    int64
 	manifest []byte // ManifestStore state; nil = no manifest
+	closed   bool
 }
+
+// memChunkSlots is the number of consecutive block slots of one disk a
+// MemStore chunk holds.
+const memChunkSlots = 256
+
+// memChunk is one run of memChunkSlots slots of a disk, and live the
+// number of them holding a block.
+type memChunk struct {
+	live  int
+	slots [memChunkSlots]memSlot
+}
+
+// memSlot holds one block; present tells a resident block from an empty
+// slot, since a written block may itself be empty.
+type memSlot struct {
+	b       StoredBlock
+	present bool
+}
+
+// errMemClosed is what every block op on a closed MemStore returns.
+var errMemClosed = fmt.Errorf("%w: MemStore used after Close", ErrInvalid)
 
 // NewMemStore returns an empty in-memory block store.
 func NewMemStore() *MemStore {
-	m := &MemStore{disks: make(map[int]map[int]StoredBlock)}
+	m := &MemStore{}
 	if aliasCheck {
 		m.sums = make(map[BlockAddr]uint64)
 	}
 	return m
 }
 
+// slot returns the chunk and slot of addr, or nils when no chunk covers
+// it. A negative disk or index converts to an out-of-range uint, so it is
+// never covered.
+func (m *MemStore) slot(addr BlockAddr) (*memChunk, *memSlot) {
+	if uint(addr.Disk) >= uint(len(m.disks)) {
+		return nil, nil
+	}
+	dir := m.disks[addr.Disk]
+	ci := uint(addr.Index) / memChunkSlots
+	if ci >= uint(len(dir)) || dir[ci] == nil {
+		return nil, nil
+	}
+	c := dir[ci]
+	return c, &c.slots[uint(addr.Index)%memChunkSlots]
+}
+
 // WriteBlock implements Store.
 func (m *MemStore) WriteBlock(addr BlockAddr, b StoredBlock) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	d, ok := m.disks[addr.Disk]
-	if !ok {
-		d = make(map[int]StoredBlock)
-		m.disks[addr.Disk] = d
+	if m.closed {
+		return errMemClosed
 	}
-	if old, ok := d[addr.Index]; ok {
-		m.bytes -= storedBytes(old)
+	if addr.Disk < 0 || addr.Index < 0 {
+		return fmt.Errorf("%w: write to invalid address %v", ErrInvalid, addr)
+	}
+	c, s := m.slot(addr)
+	if c == nil {
+		if n := addr.Disk + 1 - len(m.disks); n > 0 {
+			m.disks = append(m.disks, make([][]*memChunk, n)...)
+		}
+		dir := m.disks[addr.Disk]
+		ci := addr.Index / memChunkSlots
+		if n := ci + 1 - len(dir); n > 0 {
+			dir = append(dir, make([]*memChunk, n)...)
+			m.disks[addr.Disk] = dir
+		}
+		if c = m.spare; c != nil {
+			m.spare = nil
+		} else {
+			c = new(memChunk)
+		}
+		dir[ci] = c
+		s = &c.slots[addr.Index%memChunkSlots]
+	}
+	if s.present {
+		m.bytes -= storedBytes(s.b)
 	} else {
+		s.present = true
+		c.live++
 		m.blocks++
 	}
-	d[addr.Index] = b
+	s.b = b
 	m.bytes += storedBytes(b)
 	if aliasCheck {
 		m.sums[addr] = contentSum(b)
@@ -169,36 +242,59 @@ func (m *MemStore) WriteBlock(addr BlockAddr, b StoredBlock) error {
 func (m *MemStore) ReadBlock(addr BlockAddr) (StoredBlock, error) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	b, ok := m.disks[addr.Disk][addr.Index]
-	if !ok {
+	if m.closed {
+		return StoredBlock{}, errMemClosed
+	}
+	_, s := m.slot(addr)
+	if s == nil || !s.present {
 		return StoredBlock{}, fmt.Errorf("%w: no block at %v", ErrAbsent, addr)
 	}
 	if aliasCheck {
-		m.verifySum(addr, b)
+		m.verifySum(addr, s.b)
 	}
-	return b, nil
+	return s.b, nil
 }
 
-// Free implements Store.
+// Free implements Store. The slot is zeroed, and its chunk dropped once it
+// holds no block.
 func (m *MemStore) Free(addr BlockAddr) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	d, ok := m.disks[addr.Disk]
-	if !ok {
-		return fmt.Errorf("%w: free of absent block %v", ErrAbsent, addr)
+	if m.closed {
+		return errMemClosed
 	}
-	b, ok := d[addr.Index]
-	if !ok {
+	c, s := m.slot(addr)
+	if s == nil || !s.present {
 		return fmt.Errorf("%w: free of absent block %v", ErrAbsent, addr)
 	}
 	if aliasCheck {
-		m.verifySum(addr, b)
+		m.verifySum(addr, s.b)
 		delete(m.sums, addr)
 	}
-	delete(d, addr.Index)
 	m.blocks--
-	m.bytes -= storedBytes(b)
+	m.bytes -= storedBytes(s.b)
+	*s = memSlot{}
+	if c.live--; c.live == 0 {
+		m.disks[addr.Disk][addr.Index/memChunkSlots] = nil
+		m.spare = c
+	}
 	return nil
+}
+
+// each calls fn on every resident block, disk by disk in index order.
+func (m *MemStore) each(fn func(BlockAddr, StoredBlock)) {
+	for disk, dir := range m.disks {
+		for ci, c := range dir {
+			if c == nil {
+				continue
+			}
+			for i := range c.slots {
+				if c.slots[i].present {
+					fn(BlockAddr{Disk: disk, Index: ci*memChunkSlots + i}, c.slots[i].b)
+				}
+			}
+		}
+	}
 }
 
 // verifySum panics if the resident block no longer matches the checksum
@@ -253,18 +349,17 @@ func (m *MemStore) Usage() Usage {
 }
 
 // Close implements Store. Under -tags=aliascheck it gives every resident
-// block a final mutation audit before the store is discarded.
+// block a final mutation audit before the store is discarded. After Close
+// every block op and Frontier fail with ErrInvalid.
 func (m *MemStore) Close() error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if aliasCheck {
-		for disk, d := range m.disks {
-			for idx, b := range d {
-				m.verifySum(BlockAddr{Disk: disk, Index: idx}, b)
-			}
-		}
+		m.each(m.verifySum)
 	}
+	m.closed = true
 	m.disks = nil
+	m.spare = nil
 	m.sums = nil
 	m.manifest = nil
 	m.blocks, m.bytes = 0, 0
@@ -272,8 +367,8 @@ func (m *MemStore) Close() error {
 }
 
 // SerialTransfers implements SerialStore: every MemStore operation is a
-// map access behind m.mu, so fanning transfers out to goroutines only adds
-// scheduling cost.
+// slot access behind m.mu, so fanning transfers out to goroutines only
+// adds scheduling cost.
 func (m *MemStore) SerialTransfers() bool { return true }
 
 // Frontier implements FrontierStore: the lowest index strictly above
@@ -283,13 +378,23 @@ func (m *MemStore) SerialTransfers() bool { return true }
 func (m *MemStore) Frontier(disk int) (int, error) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	frontier := 0
-	for idx := range m.disks[disk] {
-		if idx+1 > frontier {
-			frontier = idx + 1
+	if m.closed {
+		return 0, errMemClosed
+	}
+	if uint(disk) >= uint(len(m.disks)) {
+		return 0, nil
+	}
+	dir := m.disks[disk]
+	for ci := len(dir) - 1; ci >= 0; ci-- {
+		if c := dir[ci]; c != nil {
+			for i := memChunkSlots - 1; i >= 0; i-- {
+				if c.slots[i].present {
+					return ci*memChunkSlots + i + 1, nil
+				}
+			}
 		}
 	}
-	return frontier, nil
+	return 0, nil
 }
 
 // SaveManifest implements ManifestStore, holding the manifest in memory
@@ -297,8 +402,8 @@ func (m *MemStore) Frontier(disk int) (int, error) {
 func (m *MemStore) SaveManifest(data []byte) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.disks == nil {
-		return fmt.Errorf("%w: MemStore used after Close", ErrInvalid)
+	if m.closed {
+		return errMemClosed
 	}
 	m.manifest = append([]byte(nil), data...)
 	return nil
@@ -327,10 +432,6 @@ func (m *MemStore) Blocks() []BlockAddr {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	out := make([]BlockAddr, 0, m.blocks)
-	for disk, d := range m.disks {
-		for idx := range d {
-			out = append(out, BlockAddr{Disk: disk, Index: idx})
-		}
-	}
+	m.each(func(addr BlockAddr, _ StoredBlock) { out = append(out, addr) })
 	return out
 }

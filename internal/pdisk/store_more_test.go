@@ -276,3 +276,65 @@ func TestStoredBlockCloneNilForecast(t *testing.T) {
 		t.Fatal("nil forecast became non-nil")
 	}
 }
+
+// MemStore's slot directory: Frontier and Blocks see across chunk
+// boundaries, a chunk goes once its last block is freed (and comes back
+// on the next write into it), and a freed slot keeps no reference to its
+// records.
+func TestMemStoreChunkedSlots(t *testing.T) {
+	m := NewMemStore()
+	const disk, n = 2, 2*memChunkSlots + 88
+	for i := 0; i < n; i++ {
+		if err := m.WriteBlock(BlockAddr{Disk: disk, Index: i}, blk(record.Key(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	frontier := func(want int) {
+		t.Helper()
+		if got, err := m.Frontier(disk); err != nil || got != want {
+			t.Fatalf("Frontier = %d, %v; want %d", got, err, want)
+		}
+	}
+	frontier(n)
+	for i := memChunkSlots; i < 2*memChunkSlots; i++ {
+		if err := m.Free(BlockAddr{Disk: disk, Index: i}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if m.disks[disk][1] != nil {
+		t.Fatal("chunk 1 kept after its last block was freed")
+	}
+	if _, err := m.ReadBlock(BlockAddr{Disk: disk, Index: memChunkSlots}); !errors.Is(err, ErrAbsent) {
+		t.Fatalf("read in a dropped chunk: %v, want ErrAbsent", err)
+	}
+	frontier(n)
+	if err := m.Free(BlockAddr{Disk: disk, Index: n - 1}); err != nil {
+		t.Fatal(err)
+	}
+	if s := m.disks[disk][2].slots[(n-1)%memChunkSlots]; s.present || s.b.Recs16 != nil || s.b.Records != nil || s.b.Forecast != nil {
+		t.Fatalf("freed slot not zeroed: %+v", s)
+	}
+	frontier(n - 1)
+	for i := 2 * memChunkSlots; i < n-1; i++ {
+		if err := m.Free(BlockAddr{Disk: disk, Index: i}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	frontier(memChunkSlots)
+	if err := m.WriteBlock(BlockAddr{Disk: disk, Index: memChunkSlots + 5}, blk(7)); err != nil {
+		t.Fatal(err)
+	}
+	frontier(memChunkSlots + 6)
+	if got := len(m.Blocks()); got != memChunkSlots+1 {
+		t.Fatalf("Blocks lists %d, want %d", got, memChunkSlots+1)
+	}
+	if u := m.Usage(); u.Blocks != memChunkSlots+1 {
+		t.Fatalf("Usage = %+v, want %d blocks", u, memChunkSlots+1)
+	}
+	if f, err := m.Frontier(disk + 1); err != nil || f != 0 {
+		t.Fatalf("Frontier of an unused disk = %d, %v", f, err)
+	}
+	if err := m.WriteBlock(BlockAddr{Disk: 0, Index: -1}, blk(1)); !errors.Is(err, ErrInvalid) {
+		t.Fatalf("write to a negative index: %v, want ErrInvalid", err)
+	}
+}

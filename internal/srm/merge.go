@@ -101,7 +101,7 @@ type merger[R record.KernelRecord] struct {
 	active *ltree.Tree // loser tree over active runs, keyed by their current record's key
 
 	// cores > 1 consumes through the sharded super-span kernel
-	// (pconsume.go); 1 is the serial per-winner gallop loop.
+	// (pconsume.go); 1 is the serial repeat-winner gallop loop.
 	cores   int
 	scratch []R // super-span merge-back buffer, reused
 
@@ -180,7 +180,7 @@ type MergeOpts struct {
 	Async bool
 	// Cores > 1 computes each inter-block-event emission as one sharded
 	// super-span (pconsume.go) over up to that many goroutines; 0 or 1 is
-	// the serial per-winner gallop.
+	// the serial repeat-winner gallop.
 	Cores int
 	// Sink, when non-nil, receives every parallel read, virtual flush,
 	// depletion, stall and promotion as a trace.Event, in schedule order.
@@ -377,17 +377,22 @@ func (m *merger[R]) pumpIO() (int, error) {
 // because the awaited on-disk record could truly precede the active
 // minimum.
 //
-// Emission gallops: when run h wins, the span of its leading block that h
+// Emission gallops on a repeat winner: when run h wins the selection right
+// after it won the previous one, the span of its leading block that h
 // would emit one record at a time — bounded by the runner-up's key and the
 // stall-heap minimum, both constant while h keeps winning — is located by
 // binary search and written with one AppendBlock call and one loser-tree
-// update, instead of a tree round-trip per record.
+// update, instead of a tree round-trip per record. Any other winner emits
+// its head record alone: on interleaved runs the next record comes from
+// the same run only about once in R, so the span probe would almost always
+// find one record at the price of a Challenger walk and two searches.
 func (m *merger[R]) consume(stallInclusive bool) (int, error) {
 	if m.cores > 1 && !m.varlen {
 		return m.consumeSuperSpan(stallInclusive)
 	}
 	consumed := 0
 	sKey, haveStall := m.core.StallMin() // fixed until the next block event
+	prev := -1                           // the previous selection's winner
 	for m.active.Len() > 0 {
 		h, hKey := m.active.Min()
 		if haveStall && (sKey < hKey || (sKey == hKey && (!stallInclusive || m.varlen))) {
@@ -395,8 +400,18 @@ func (m *merger[R]) consume(stallInclusive bool) (int, error) {
 			// awaited block; the merge must wait for I/O.
 			return consumed, nil
 		}
-		span := m.gallopSpan(h, haveStall, sKey, stallInclusive)
-		if err := m.out.AppendBlock(m.lead[h][:span]); err != nil {
+		// The guard above admitted h's head, and the loser tree ranked it
+		// first, so one record is always a valid span.
+		span := 1
+		var err error
+		if h == prev {
+			span = m.gallopSpan(h, haveStall, sKey, stallInclusive)
+			err = m.out.AppendBlock(m.lead[h][:span])
+		} else {
+			err = m.out.Append(m.lead[h][0])
+		}
+		prev = h
+		if err != nil {
 			return consumed, err
 		}
 		consumed += span
