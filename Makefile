@@ -107,15 +107,19 @@ bench-smoke:
 # instantiations must produce identical records and identical Stats),
 # 20 seconds on the codec round-trip fuzzer (truncated tails and
 # bit-flips must surface as ErrCorrupt, never as a panic or silent
-# corruption), and 20 seconds on the in-place varlen parser (CompareExt
+# corruption), 20 seconds on the in-place varlen parser (CompareExt
 # and VarParts must agree with the byte-slice reference parser on
-# arbitrary bytes, malformed length prefixes included).
+# arbitrary bytes, malformed length prefixes included), and 20 seconds
+# on the block wire readers (fixed16 and varlen streams of arbitrary
+# bytes, read in random chunks into random block sizes, must decode to
+# exactly what per-record ReadRecord decodes and end the same way).
 fuzz-smoke:
 	go test -fuzz=FuzzParallelMergeEquiv -fuzztime=20s .
 	go test -fuzz=FuzzGallopMergeEquiv -fuzztime=20s .
 	go test -fuzz=FuzzTwoWidthKernelEquiv -fuzztime=20s .
 	go test -fuzz=FuzzCodecRoundTrip -fuzztime=20s ./internal/record/
 	go test -fuzz=FuzzCompareExt -fuzztime=20s ./internal/record/
+	go test -fuzz=FuzzWireBlocks -fuzztime=20s ./internal/record/
 
 tables:
 	go run ./cmd/tables

@@ -315,7 +315,7 @@ func dsmRunStates(runs []*dsm.Run) []dsm.RunState {
 // generation and returns the final-run iterator, exactly like
 // runAlgorithm does for a fresh sort. Completed passes are not redone:
 // stats counts only the work performed now.
-func resumeMerge[R record.KernelRecord](sys *pdisk.System, store pdisk.Store, man *manifest, cfg Config, r int, stats *Stats, tr *progressTracker) (func(func(R) error) error, error) {
+func resumeMerge[R record.KernelRecord](sys *pdisk.System, store pdisk.Store, man *manifest, cfg Config, r int, stats *Stats, tr *progressTracker) (emitter[R], error) {
 	gen, err := chooseGen(sys, man)
 	if err != nil {
 		return nil, err

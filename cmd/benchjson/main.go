@@ -129,22 +129,38 @@ func loadJSON(path string) ([]result, error) {
 // cells without them (the micro-benchmarks) fall back to ns/op.
 var diffMetrics = []string{"ns/rec", "B/rec", "allocs/rec", "ns/op"}
 
+// cellName is the name a benchmark cell is matched by across runs: its
+// name without the "-N" suffix `go test` appends when GOMAXPROCS is N > 1,
+// so a run on a multi-CPU host matches a baseline archived from -cpu 1.
+func cellName(name string) string {
+	i := strings.LastIndexByte(name, '-')
+	if i < 0 || i == len(name)-1 {
+		return name
+	}
+	for _, c := range name[i+1:] {
+		if c < '0' || c > '9' {
+			return name
+		}
+	}
+	return name[:i]
+}
+
 // printDiff writes a per-cell comparison of fresh results against the
-// baseline. Delta percentages are fresh relative to baseline: negative is
-// faster/smaller.
+// baseline, cells matched by cellName. Delta percentages are fresh
+// relative to baseline: negative is faster/smaller.
 func printDiff(w io.Writer, base, fresh []result) {
 	baseBy := make(map[string]result, len(base))
 	for _, r := range base {
-		baseBy[r.Name] = r
+		baseBy[cellName(r.Name)] = r
 	}
 	freshBy := make(map[string]result, len(fresh))
 	for _, r := range fresh {
-		freshBy[r.Name] = r
+		freshBy[cellName(r.Name)] = r
 	}
 
 	var onlyBase, onlyFresh []string
 	for _, r := range base {
-		if _, ok := freshBy[r.Name]; !ok {
+		if _, ok := freshBy[cellName(r.Name)]; !ok {
 			onlyBase = append(onlyBase, r.Name)
 		}
 	}
@@ -152,7 +168,7 @@ func printDiff(w io.Writer, base, fresh []result) {
 	tw := newTabWriter(w)
 	fmt.Fprintf(tw, "benchmark\tmetric\tbaseline\tcurrent\tdelta\n")
 	for _, r := range fresh {
-		b, ok := baseBy[r.Name]
+		b, ok := baseBy[cellName(r.Name)]
 		if !ok {
 			onlyFresh = append(onlyFresh, r.Name)
 			continue

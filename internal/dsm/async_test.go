@@ -58,7 +58,8 @@ func TestSortAsyncEquivalence(t *testing.T) {
 	}
 }
 
-// StreamAsync must deliver the same records as Stream at the same read cost.
+// StreamBlocks with read-ahead must deliver the same records as without
+// it, at the same read cost.
 func TestStreamAsyncEquivalence(t *testing.T) {
 	sys := newSys(t, 3, 4)
 	defer sys.Close()
@@ -77,14 +78,14 @@ func TestStreamAsyncEquivalence(t *testing.T) {
 
 	before := sys.Stats().ReadOps
 	var syncRecs []record.Record
-	if err := Stream[record.Record](sys, run, func(r record.Record) error { syncRecs = append(syncRecs, r); return nil }); err != nil {
+	if err := StreamBlocks(sys, run, false, func(blk []record.Record) error { syncRecs = append(syncRecs, blk...); return nil }); err != nil {
 		t.Fatal(err)
 	}
 	syncReads := sys.Stats().ReadOps - before
 
 	before = sys.Stats().ReadOps
 	var asyncRecs []record.Record
-	if err := StreamAsync[record.Record](sys, run, func(r record.Record) error { asyncRecs = append(asyncRecs, r); return nil }); err != nil {
+	if err := StreamBlocks(sys, run, true, func(blk []record.Record) error { asyncRecs = append(asyncRecs, blk...); return nil }); err != nil {
 		t.Fatal(err)
 	}
 	asyncReads := sys.Stats().ReadOps - before
@@ -105,9 +106,9 @@ func TestStreamAsyncEquivalence(t *testing.T) {
 	// readahead is collected, not leaked).
 	sentinel := errors.New("stop")
 	n := 0
-	err = StreamAsync[record.Record](sys, run, func(record.Record) error {
+	err = StreamBlocks(sys, run, true, func([]record.Record) error {
 		n++
-		if n == 5 {
+		if n == 3 {
 			return sentinel
 		}
 		return nil

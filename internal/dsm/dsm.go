@@ -477,22 +477,18 @@ func MergeAll[R record.KernelRecord](sys *pdisk.System, runs []*Run, r, seqStart
 // verification helper.
 func ReadAll[R record.KernelRecord](sys *pdisk.System, r *Run) ([]R, error) {
 	var out []R
-	err := Stream(sys, r, func(rec R) error {
-		out = append(out, rec)
+	err := StreamBlocks(sys, r, false, func(blk []R) error {
+		out = append(out, blk...)
 		return nil
 	})
 	return out, err
 }
 
-// Stream reads a DSM run back one logical block at a time, invoking fn on
-// every record without materialising the run.
-func Stream[R record.KernelRecord](sys *pdisk.System, r *Run, fn func(R) error) error {
-	return runio.StreamStripes(r.reader(sys, false), fn)
-}
-
-// StreamAsync is Stream with single-stripe readahead: logical block s+1 is
-// in flight while fn consumes block s. The operation count is identical to
-// Stream's.
-func StreamAsync[R record.KernelRecord](sys *pdisk.System, r *Run, fn func(R) error) error {
-	return runio.StreamStripes(r.reader(sys, true), fn)
+// StreamBlocks reads a DSM run back one logical block (stripe) per
+// operation, invoking fn on each physical block's records in order under
+// runio.StreamStripes's contract, without materialising the run. With
+// async set, logical block s+1 is in flight while fn consumes block s;
+// the operation count is the same.
+func StreamBlocks[R record.KernelRecord](sys *pdisk.System, r *Run, async bool, fn func([]R) error) error {
+	return runio.StreamStripes(r.reader(sys, async), fn)
 }

@@ -38,7 +38,7 @@ func NewHandler(m *Manager) http.Handler {
 			httpError(w, http.StatusBadRequest, err)
 			return
 		}
-		j, err := m.Submit(spec, r.Body)
+		j, err := m.submit(spec, r.Body, r.ContentLength)
 		if err != nil {
 			code := http.StatusBadRequest
 			if errors.Is(err, ErrDraining) || errors.Is(err, ErrKilled) {

@@ -219,8 +219,9 @@ type Job struct {
 	progress  srmsort.Progress
 	stats     *srmsort.Stats
 	errText   string
-	input     []byte // volatile managers only
-	output    []byte // volatile managers only
+	input     [][]byte // volatile managers only: the wire input, in chunks
+	inBytes   int64    // volatile managers only: the input's size
+	output    []byte   // volatile managers only
 	store     *killableStore
 }
 
@@ -430,6 +431,12 @@ func (m *Manager) Cores() (total, inUse, peak int) {
 // before Submit returns (ingest is part of submission: a durable job's
 // input must be on disk before the job can promise to survive a crash).
 func (m *Manager) Submit(spec Spec, input io.Reader) (*Job, error) {
+	return m.submit(spec, input, -1)
+}
+
+// submit is Submit with the input's claimed size in bytes (negative when
+// unknown), a hint that only sizes ingest's buffers.
+func (m *Manager) submit(spec Spec, input io.Reader, hint int64) (*Job, error) {
 	spec = spec.withDefaults(m.opts.Defaults)
 	memNeed, coreNeed, err := m.validate(spec)
 	if err != nil {
@@ -458,7 +465,7 @@ func (m *Manager) Submit(spec Spec, input io.Reader) (*Job, error) {
 		cancelCh: make(chan struct{}),
 		done:     make(chan struct{}),
 	}
-	if err := m.ingest(j, input); err != nil {
+	if err := m.ingest(j, input, hint); err != nil {
 		if j.dir != "" {
 			os.RemoveAll(j.dir)
 		}
@@ -511,7 +518,8 @@ func (m *Manager) validate(spec Spec) (memNeed, coreNeed int, err error) {
 	return memNeed, spec.Cores, nil
 }
 
-// ingest drains the job's input. Durable layout per job directory:
+// ingest drains the job's input and counts its records. Durable layout
+// per job directory:
 //
 //	input.rec   the raw wire-format input (written and synced first)
 //	spec.json   the job spec (written atomically LAST — its presence is
@@ -520,7 +528,12 @@ func (m *Manager) validate(spec Spec) (memNeed, coreNeed int, err error) {
 //	output.rec  the sorted result (renamed into place = job done)
 //	stats.json  final srmsort.Stats
 //	canceled / failed   terminal markers
-func (m *Manager) ingest(j *Job, input io.Reader) error {
+//
+// A volatile job keeps its input in memory, read in chunks (readChunks).
+// Neither kind decodes a record to count it: a fixed-size codec's count
+// is the byte total over the record size, a varlen one's a walk over the
+// length prefixes (countVarlen).
+func (m *Manager) ingest(j *Job, input io.Reader, hint int64) error {
 	if input == nil {
 		input = bytes.NewReader(nil)
 	}
@@ -529,15 +542,20 @@ func (m *Manager) ingest(j *Job, input io.Reader) error {
 		return fmt.Errorf("jobs: %w", err) // validated at submit; defensive
 	}
 	if m.opts.Root == "" {
-		data, err := io.ReadAll(input)
+		chunks, total, err := readChunks(input, hint)
 		if err != nil {
 			return fmt.Errorf("jobs: reading input: %w", err)
 		}
-		n, maxRec, err := countWireRecords(bytes.NewReader(data), codec)
+		var n, maxRec int
+		if codec.FixedSize() > 0 {
+			n, maxRec, err = countFixed(codec, total)
+		} else {
+			n, maxRec, err = countVarlen(chunkReader(chunks), codec)
+		}
 		if err != nil {
 			return err
 		}
-		j.input = data
+		j.input, j.inBytes = chunks, total
 		j.records = n
 		j.maxRecBytes = maxRec
 		return nil
@@ -551,10 +569,19 @@ func (m *Manager) ingest(j *Job, input io.Reader) error {
 	if err != nil {
 		return err
 	}
-	// Decode while copying: the count and largest record come from the
-	// same pass that makes the input durable.
-	n, maxRec, derr := countWireRecords(io.TeeReader(input, f), codec)
-	err = derr
+	var n, maxRec int
+	if codec.FixedSize() > 0 {
+		var total int64
+		if total, err = io.Copy(f, input); err != nil {
+			err = fmt.Errorf("jobs: copying input: %w", err)
+		} else {
+			n, maxRec, err = countFixed(codec, total)
+		}
+	} else {
+		// Walk while copying: the count and largest record come from the
+		// same pass that makes the input durable.
+		n, maxRec, err = countVarlen(io.TeeReader(input, f), codec)
+	}
 	if err == nil {
 		err = f.Sync()
 	}
@@ -569,26 +596,103 @@ func (m *Manager) ingest(j *Job, input io.Reader) error {
 	return m.writeSpec(j)
 }
 
-// countWireRecords decodes a codec wire stream to its end, returning the
-// record count and the largest single record's in-memory size (the
-// 16 prefix bytes plus any variable-length payload). This is how ingest
-// is content-length aware: a varlen stream is measured by decoding, not
-// by dividing a byte total.
-func countWireRecords(r io.Reader, codec record.Codec) (n, maxRec int, err error) {
-	br := bufio.NewReader(r)
+// Chunk sizes of a volatile job's in-memory input.
+const (
+	ingestMinChunk = 4 << 10
+	ingestMaxChunk = 1 << 20
+)
+
+// readChunks reads r to its end in chunks of at most ingestMaxChunk
+// bytes, each filled before the next is made: every byte is copied once
+// and no buffer is ever regrown. hint, the size the client claimed
+// (negative when unknown), sizes the chunks and nothing else — each is
+// what the hint says is left plus one byte, so an honest hint needs no
+// allocation to see the end, and the cap bounds what a false one costs.
+// Past the hint, chunk sizes start at ingestMinChunk and double.
+//
+// Only io.EOF ends the input. Any other error, io.ErrUnexpectedEOF
+// included, is returned: it is what a request body shorter than its
+// Content-Length reports, so a truncated upload is refused even when it
+// ends on a record boundary.
+func readChunks(r io.Reader, hint int64) (chunks [][]byte, total int64, err error) {
+	next := int64(ingestMinChunk)
+	for {
+		size := next
+		if left := hint - total; left >= 0 {
+			size = left + 1
+		} else {
+			next = min(2*next, ingestMaxChunk)
+		}
+		buf := make([]byte, min(size, ingestMaxChunk))
+		n := 0
+		for n < len(buf) && err == nil {
+			var m int
+			m, err = r.Read(buf[n:])
+			n += m
+		}
+		if n > 0 {
+			chunks = append(chunks, buf[:n])
+			total += int64(n)
+		}
+		if err == io.EOF {
+			return chunks, total, nil
+		}
+		if err != nil {
+			return nil, 0, err
+		}
+	}
+}
+
+// chunkReader reads a chunked input back as one stream.
+func chunkReader(chunks [][]byte) io.Reader {
+	rs := make([]io.Reader, len(chunks))
+	for i, c := range chunks {
+		rs[i] = bytes.NewReader(c)
+	}
+	return io.MultiReader(rs...)
+}
+
+// notWhole is ingest's refusal of an input that is not whole records:
+// err, from the codec, names what is wrong with record n.
+func notWhole(codec record.Codec, n int, err error) error {
+	return fmt.Errorf("jobs: input is not whole %s records (record size check failed at record %d): %w",
+		codec.Name(), n, err)
+}
+
+// countFixed counts a fixed-size codec's input of total bytes, returning
+// the record count and the record's in-memory size. A partial trailing
+// record is refused as corrupt, as the codec's own reader would.
+func countFixed(codec record.Codec, total int64) (n, maxRec int, err error) {
+	size := int64(codec.FixedSize())
+	if tail := total % size; tail != 0 {
+		return 0, 0, notWhole(codec, int(total/size), fmt.Errorf("%w: truncated %d-byte record: %d trailing bytes",
+			record.ErrCorrupt, size, tail))
+	}
+	return int(total / size), record.Bytes, nil
+}
+
+// countVarlen walks a varlen wire stream to its end by its length
+// prefixes (record.Varlen.SkipRecord: ReadRecord's checks, without
+// building records), returning the record count and the largest single
+// record's in-memory size (the 16 prefix bytes plus its encoding). This
+// is how ingest is content-length aware: a varlen stream is measured
+// record by record, not by dividing a byte total.
+func countVarlen(r io.Reader, codec record.Codec) (n, maxRec int, err error) {
+	v, ok := codec.(record.Varlen)
+	if !ok {
+		return 0, 0, fmt.Errorf("jobs: codec %s has no length prefixes to count by", codec.Name())
+	}
+	br := bufio.NewReaderSize(r, 64<<10)
 	maxRec = record.Bytes
 	for {
-		rec, err := codec.ReadRecord(br)
+		size, err := v.SkipRecord(br)
 		if err == io.EOF {
 			return n, maxRec, nil
 		}
 		if err != nil {
-			return 0, 0, fmt.Errorf("jobs: input is not whole %s records (record size check failed at record %d): %w",
-				codec.Name(), n, err)
+			return 0, 0, notWhole(codec, n, err)
 		}
-		if sz := record.Bytes + len(rec.Ext); sz > maxRec {
-			maxRec = sz
-		}
+		maxRec = max(maxRec, record.Bytes+size)
 		n++
 	}
 }
@@ -891,7 +995,7 @@ func (m *Manager) attempt(j *Job, cfg srmsort.Config, resume bool) (srmsort.Stat
 	var closeIn func()
 	if j.dir == "" {
 		j.mu.Lock()
-		in = bytes.NewReader(j.input)
+		in = chunkReader(j.input)
 		j.mu.Unlock()
 		closeIn = func() {}
 	} else {
@@ -905,13 +1009,16 @@ func (m *Manager) attempt(j *Job, cfg srmsort.Config, resume bool) (srmsort.Stat
 	defer closeIn()
 
 	if j.dir == "" {
-		var buf bytes.Buffer
+		// The sorted output is the input's records in another order, so
+		// it has the input's wire size exactly: one allocation, no
+		// regrowth.
+		buf := bytes.NewBuffer(make([]byte, 0, j.inBytes))
 		var stats srmsort.Stats
 		var err error
 		if resume {
-			stats, err = srmsort.ResumeStream(in, &buf, cfg)
+			stats, err = srmsort.ResumeStream(in, buf, cfg)
 		} else {
-			stats, err = srmsort.SortStream(in, &buf, cfg)
+			stats, err = srmsort.SortStream(in, buf, cfg)
 		}
 		if err != nil {
 			return srmsort.Stats{}, err

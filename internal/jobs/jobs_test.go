@@ -109,7 +109,7 @@ func TestManagerVolatile(t *testing.T) {
 // TestAdmissionBudget: with a budget that fits exactly one job, several
 // jobs complete correctly and the ledger's peak never exceeds the total.
 // TestManagerVarlenJob: a varlen job round-trips end to end — submit →
-// decode-counting ingest → byte-scaled admission → sorted varlen result
+// prefix-walking ingest → byte-scaled admission → sorted varlen result
 // — on both the volatile and the durable manager.
 func TestManagerVarlenJob(t *testing.T) {
 	spec := testSpec(1)
@@ -170,7 +170,7 @@ func TestManagerVarlenJob(t *testing.T) {
 				t.Fatalf("state = %s (%s)", st.State, st.Error)
 			}
 			if st.Records != len(vrecs) {
-				t.Errorf("records = %d, want %d (decode-counting ingest)", st.Records, len(vrecs))
+				t.Errorf("records = %d, want %d (prefix-walking ingest)", st.Records, len(vrecs))
 			}
 			rc, _, err := m.Result(j.ID())
 			if err != nil {
@@ -189,7 +189,7 @@ func TestManagerVarlenJob(t *testing.T) {
 }
 
 // TestSubmitVarlenBadInput: truncated varlen wire input is refused at
-// submit (the decode-counting ingest finds the tear).
+// submit (the prefix-walking ingest finds the tear).
 func TestSubmitVarlenBadInput(t *testing.T) {
 	m, err := NewManager(Options{MemoryBudget: 100_000, Defaults: testSpec(1)})
 	if err != nil {

@@ -89,25 +89,70 @@ func (s *stuckStore) Free(addr BlockAddr) error {
 	return s.MemStore.Free(addr)
 }
 
-// timerCtl is a deterministic timer source: every After call yields a
-// fresh buffered channel the test fires explicitly, so deadline and
-// hedge expiry happen exactly when the test says — never from the wall
-// clock.
+// timerCtl is a deterministic timer source and the clock that goes with
+// it: every After call yields a fresh buffered channel the test fires
+// explicitly, and Now stands still until a timer fires, which moves it
+// to that timer's due time. Deadline and hedge expiry happen exactly
+// when the test says — never from the wall clock — and a transfer that
+// started before a timer was due has, by Now, run for as long as that.
 type timerCtl struct {
 	mu     sync.Mutex
 	timers []chan time.Time
+	due    []time.Duration
+	fired  []bool
+	now    time.Duration
+	reads  int // Now calls so far
 }
 
-func (c *timerCtl) After(time.Duration) <-chan time.Time {
+// ctlEpoch is the instant timerCtl's clock starts at.
+var ctlEpoch = time.Unix(1<<30, 0)
+
+func (c *timerCtl) After(d time.Duration) <-chan time.Time {
 	ch := make(chan time.Time, 1)
 	c.mu.Lock()
 	c.timers = append(c.timers, ch)
+	c.due = append(c.due, c.now+d)
+	c.fired = append(c.fired, false)
 	c.mu.Unlock()
 	return ch
 }
 
+// Now is the policy clock: it moves only when a timer fires or sleep
+// advances it.
+func (c *timerCtl) Now() time.Time {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.reads++
+	return ctlEpoch.Add(c.now)
+}
+
+// clockReads returns how many times Now has been called so far.
+func (c *timerCtl) clockReads() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.reads
+}
+
+// waitJoined blocks until the clock has been read more than n times,
+// n being clockReads before a write or free was retried while its
+// abandoned attempt was still in flight. The engine reads the clock
+// when a leg starts an attempt, after the leg has looked for an
+// in-flight attempt to join, and nowhere else until an attempt finishes
+// or a timer fires; so once this returns, the retry has made its choice
+// and releasing the stuck attempt can no longer change it.
+func (c *timerCtl) waitJoined(t *testing.T, n int) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for c.clockReads() <= n {
+		if time.Now().After(deadline) {
+			t.Fatal("the retry never started its attempt")
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+}
+
 // fire waits for the i-th registered timer (in After-call order) to
-// exist and expires it.
+// exist, moves the clock to its due time, and expires it.
 func (c *timerCtl) fire(t *testing.T, i int) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
@@ -115,6 +160,8 @@ func (c *timerCtl) fire(t *testing.T, i int) {
 		c.mu.Lock()
 		if len(c.timers) > i {
 			ch := c.timers[i]
+			c.now = max(c.now, c.due[i])
+			c.fired[i] = true
 			c.mu.Unlock()
 			ch <- time.Time{}
 			return
@@ -124,6 +171,32 @@ func (c *timerCtl) fire(t *testing.T, i int) {
 			t.Fatalf("timer %d never registered", i)
 		}
 		time.Sleep(100 * time.Microsecond)
+	}
+}
+
+// sleep is a FaultConfig.Sleep on the policy clock: it moves the clock
+// on by d and expires every timer that has come due, so a store's
+// latency and the deadlines that judge it share one clock and no test
+// outcome hangs on how promptly the host wakes a sleeper. After a tick
+// it waits (up to a second) for the engine to arm its next timer, so
+// the tick is handled while the sleeping transfer is still in flight.
+func (c *timerCtl) sleep(d time.Duration) {
+	c.mu.Lock()
+	c.now += d
+	var due []chan time.Time
+	for i, ch := range c.timers {
+		if !c.fired[i] && c.due[i] <= c.now {
+			c.fired[i] = true
+			due = append(due, ch)
+		}
+	}
+	armed := len(c.timers)
+	c.mu.Unlock()
+	for _, ch := range due {
+		ch <- time.Time{}
+	}
+	for limit := time.Now().Add(time.Second); len(due) > 0 && c.count() == armed && time.Now().Before(limit); {
+		time.Sleep(50 * time.Microsecond)
 	}
 }
 
@@ -159,6 +232,7 @@ func TestDeadlineTimeoutIsRetryable(t *testing.T) {
 	ds := NewDeadlineStore(inner, DeadlinePolicy{
 		OpDeadline: 50 * time.Millisecond,
 		After:      ctl.After,
+		Now:        ctl.Now,
 	})
 	errc := make(chan error, 1)
 	go func() {
@@ -204,6 +278,7 @@ func TestDeadlineHedgeWins(t *testing.T) {
 	ds := NewDeadlineStore(inner, DeadlinePolicy{
 		HedgeAfter: 5 * time.Millisecond,
 		After:      ctl.After,
+		Now:        ctl.Now,
 	})
 	type res struct {
 		blk StoredBlock
@@ -253,6 +328,7 @@ func TestDeadlineHedgeThenDeadline(t *testing.T) {
 		OpDeadline: 50 * time.Millisecond,
 		HedgeAfter: 5 * time.Millisecond,
 		After:      ctl.After,
+		Now:        ctl.Now,
 	})
 	errc := make(chan error, 1)
 	go func() {
@@ -294,6 +370,7 @@ func TestDeadlineChargesRetryBudget(t *testing.T) {
 	ds := NewDeadlineStore(inner, DeadlinePolicy{
 		OpDeadline: 20 * time.Millisecond,
 		After:      ctl.After,
+		Now:        ctl.Now,
 	})
 	rs := NewRetryStore(ds, RetryPolicy{
 		MaxAttempts: 5,
@@ -350,6 +427,7 @@ func TestDeadlineLateFreeCompletes(t *testing.T) {
 	ds := NewDeadlineStore(inner, DeadlinePolicy{
 		OpDeadline: 20 * time.Millisecond,
 		After:      ctl.After,
+		Now:        ctl.Now,
 	})
 	var once sync.Once
 	rs := NewRetryStore(ds, RetryPolicy{
@@ -382,6 +460,7 @@ func TestDeadlineJoinedWriteSingleIssue(t *testing.T) {
 	ds := NewDeadlineStore(inner, DeadlinePolicy{
 		OpDeadline: 20 * time.Millisecond,
 		After:      ctl.After,
+		Now:        ctl.Now,
 	})
 	errc := make(chan error, 1)
 	go func() { errc <- ds.WriteBlock(addr, blk(4)) }()
@@ -392,9 +471,10 @@ func TestDeadlineJoinedWriteSingleIssue(t *testing.T) {
 	}
 	// Retry while the first transfer is still parked: must join, not
 	// re-issue.
+	reads := ctl.clockReads()
 	errc2 := make(chan error, 1)
 	go func() { errc2 <- ds.WriteBlock(addr, blk(4)) }()
-	ctl.waitTimers(t, 2) // the retry is inside its select, joined
+	ctl.waitJoined(t, reads)
 	if got := inner.callCount("write"); got != 1 {
 		t.Fatalf("inner writes = %d, want 1 (joined, not duplicated)", got)
 	}

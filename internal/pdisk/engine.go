@@ -109,9 +109,13 @@ type op struct {
 	after <-chan time.Time
 	live  bool // the timer is armed and its tick not yet received
 	// The timer is armed for attempt armedGen of transfer armed: its
-	// hedge point, or its deadline.
+	// hedge point, or its deadline. armedStart is that attempt's start
+	// when the timer was armed, 0 if it was still queued (at the disk
+	// gate, or for an executor): only a tick armed for an attempt in
+	// flight, from its own start, marks the attempt's event as due.
 	armed      int
 	armedGen   uint64
+	armedStart int64
 	armedHedge bool
 }
 
@@ -637,9 +641,12 @@ func (e *engine) counts() RetryCounts {
 }
 
 // onTick handles the op's timer: each in-flight attempt that has run its
-// deadline — or is the one the timer was armed for — is abandoned, and an
-// in-flight read past its hedge point gets a second leg. The timer is
-// then re-armed for whatever is due next.
+// deadline — or is the one the timer was armed for, from its start — is
+// abandoned, and an in-flight read past its hedge point gets a second
+// leg. A timer armed while its attempt was still queued says nothing
+// about how long the attempt has run since it started, so that attempt
+// is judged by its own start. The timer is then re-armed for whatever is
+// due next.
 func (e *engine) onTick(o *op) {
 	p := e.dl
 	now := e.clock()
@@ -650,7 +657,7 @@ func (e *engine) onTick(o *op) {
 		if t.final || s&stateMask != xRunning || start == 0 {
 			continue
 		}
-		armed := i == o.armed && s>>8 == o.armedGen
+		armed := i == o.armed && s>>8 == o.armedGen && start == o.armedStart
 		ran := time.Duration(now - start)
 		switch {
 		case p.OpDeadline > 0 && (armed && !o.armedHedge || ran >= p.OpDeadline):
@@ -752,7 +759,8 @@ func (o *op) arm(e *engine, i int, d time.Duration, hedge bool) {
 			d = e.dl.HedgeAfter
 		}
 	}
-	o.armed, o.armedGen, o.armedHedge = i, o.xs[i].st.Load()>>8, hedge
+	t := &o.xs[i]
+	o.armed, o.armedGen, o.armedStart, o.armedHedge = i, t.st.Load()>>8, t.start.Load(), hedge
 	o.live = true
 	switch {
 	case e.dl.After != nil:

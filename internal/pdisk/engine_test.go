@@ -57,7 +57,7 @@ func TestEngineTimeoutChargesBudget(t *testing.T) {
 		ctl := &timerCtl{}
 		sys := engineSystem(t, st,
 			&RetryPolicy{MaxAttempts: 5, DiskBudget: 2, Sleep: func(time.Duration) {}},
-			&DeadlinePolicy{OpDeadline: 20 * time.Millisecond, After: ctl.After})
+			&DeadlinePolicy{OpDeadline: 20 * time.Millisecond, After: ctl.After, Now: ctl.Now})
 		defer sys.Close()
 		errc := make(chan error, 1)
 		go func() {
@@ -96,7 +96,7 @@ func TestEngineTimeoutSurfacesWithoutRetry(t *testing.T) {
 	engineStores(t, map[string]int{"write": 1}, func(t *testing.T, inner *stuckStore, st Store) {
 		defer close(inner.release)
 		ctl := &timerCtl{}
-		sys := engineSystem(t, st, nil, &DeadlinePolicy{OpDeadline: 20 * time.Millisecond, After: ctl.After})
+		sys := engineSystem(t, st, nil, &DeadlinePolicy{OpDeadline: 20 * time.Millisecond, After: ctl.After, Now: ctl.Now})
 		defer sys.Close()
 		errc := make(chan error, 1)
 		go func() { errc <- sys.WriteBlocks([]BlockWrite{{Addr: BlockAddr{Disk: 2}, Block: blk(1)}}) }()
@@ -123,7 +123,7 @@ func TestEngineHedgeWins(t *testing.T) {
 			}
 		}
 		ctl := &timerCtl{}
-		sys := engineSystem(t, st, nil, &DeadlinePolicy{HedgeAfter: 5 * time.Millisecond, After: ctl.After})
+		sys := engineSystem(t, st, nil, &DeadlinePolicy{HedgeAfter: 5 * time.Millisecond, After: ctl.After, Now: ctl.Now})
 		defer sys.Close()
 		type res struct {
 			blks []StoredBlock
@@ -183,7 +183,7 @@ func TestEngineLateFreeSucceeds(t *testing.T) {
 					close(inner.release) // let the abandoned free land
 				}
 			}},
-			&DeadlinePolicy{OpDeadline: 20 * time.Millisecond, After: ctl.After})
+			&DeadlinePolicy{OpDeadline: 20 * time.Millisecond, After: ctl.After, Now: ctl.Now})
 		defer sys.Close()
 		errc := make(chan error, 1)
 		go func() { errc <- sys.FreeBlocks(a0, a1) }()
@@ -206,7 +206,7 @@ func TestEngineJoinedWriteSingleIssue(t *testing.T) {
 	engineStores(t, map[string]int{"write": 1}, func(t *testing.T, inner *stuckStore, st Store) {
 		addr := BlockAddr{Disk: 0, Index: 0}
 		ctl := &timerCtl{}
-		sys := engineSystem(t, st, nil, &DeadlinePolicy{OpDeadline: 20 * time.Millisecond, After: ctl.After})
+		sys := engineSystem(t, st, nil, &DeadlinePolicy{OpDeadline: 20 * time.Millisecond, After: ctl.After, Now: ctl.Now})
 		defer sys.Close()
 		write := func(k record.Key) error { return sys.WriteBlocks([]BlockWrite{{Addr: addr, Block: blk(k)}}) }
 		errc := make(chan error, 1)
@@ -216,9 +216,10 @@ func TestEngineJoinedWriteSingleIssue(t *testing.T) {
 		if err := <-errc; !errors.Is(err, ErrDeadline) {
 			t.Fatalf("want deadline error, got %v", err)
 		}
+		reads := ctl.clockReads()
 		errc2 := make(chan error, 1)
 		go func() { errc2 <- write(4) }()
-		ctl.waitTimers(t, 2)
+		ctl.waitJoined(t, reads)
 		if got := inner.callCount("write"); got != 1 {
 			t.Fatalf("inner writes = %d, want 1 (joined, not duplicated)", got)
 		}
@@ -240,10 +241,14 @@ func TestEngineJoinedWriteSingleIssue(t *testing.T) {
 
 // A deadline counts from a transfer's own start: the transfers of a long
 // op on a serial store each run well inside it, so none times out though
-// the op as a whole outlasts it many times over.
+// the op as a whole outlasts it many times over. Store latency and
+// deadlines run on one test clock (timerCtl.sleep), so the op's 40
+// transfers of up to 2ms span up to 80ms of it with every timer firing
+// when due, and a slow host cannot stretch a transfer past its deadline.
 func TestEngineDeadlineIsPerTransfer(t *testing.T) {
-	fault := NewFaultStore(NewMemStore(), FaultConfig{MaxLatency: 2 * time.Millisecond})
-	sys := engineSystem(t, fault, nil, &DeadlinePolicy{OpDeadline: 10 * time.Millisecond})
+	ctl := &timerCtl{}
+	fault := NewFaultStore(NewMemStore(), FaultConfig{MaxLatency: 2 * time.Millisecond, Sleep: ctl.sleep})
+	sys := engineSystem(t, fault, nil, &DeadlinePolicy{OpDeadline: 10 * time.Millisecond, After: ctl.After, Now: ctl.Now})
 	defer sys.Close()
 	addrs := make([]BlockAddr, 40)
 	for i := range addrs {
@@ -252,11 +257,15 @@ func TestEngineDeadlineIsPerTransfer(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	start := ctl.Now()
 	if err := sys.FreeBlocks(addrs...); err != nil {
 		t.Fatalf("a batch longer than the deadline failed: %v", err)
 	}
 	if h := sys.Stats().Health; h.Timeouts != 0 {
 		t.Fatalf("Timeouts = %d, want 0", h.Timeouts)
+	}
+	if took := ctl.Now().Sub(start); took < 2*10*time.Millisecond {
+		t.Fatalf("the batch took %v of the test clock, want several deadlines' worth", took)
 	}
 }
 
@@ -425,5 +434,68 @@ func TestEngineBurstParksAtMost4D(t *testing.T) {
 	sys.eng.mu.Unlock()
 	if parked != 4*d {
 		t.Fatalf("%d executors parked after a burst of %d legs, want 4D = %d", parked, ops*d, 4*d)
+	}
+}
+
+// A transfer queued at the disk gate behind a stuck one is timed from its
+// own start, not from when its op's timer was armed: one that gets its
+// slot just before that timer fires must not be abandoned moments after
+// it started.
+func TestEngineQueuedTransferTimedFromItsStart(t *testing.T) {
+	inner := newStuckStore(map[string]int{"read": 2})
+	released := false
+	release := func() {
+		if !released {
+			released = true
+			close(inner.release)
+		}
+	}
+	defer release()
+	a, b := BlockAddr{Disk: 0, Index: 0}, BlockAddr{Disk: 0, Index: 1}
+	for _, x := range []BlockAddr{a, b} {
+		if err := inner.MemStore.WriteBlock(x, blk(record.Key(x.Index))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ctl := &timerCtl{}
+	sys, err := NewSystem(Config{D: 1, B: 4, Store: inner, Gate: NewDiskGate(1, 1), RetainStore: true,
+		Deadline: &DeadlinePolicy{OpDeadline: 20 * time.Millisecond, After: ctl.After, Now: ctl.Now}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	// Async reads, so both are in flight at once (sync ops take turns);
+	// their waiters handle the injected ticks.
+	read := func(addr BlockAddr) chan error {
+		fut := sys.ReadBlocksAsync([]BlockAddr{addr})
+		errc := make(chan error, 1)
+		go func() {
+			_, err := fut.Wait()
+			errc <- err
+		}()
+		return errc
+	}
+	errA := read(a)
+	inner.waitParked(t, "read", 1) // a holds the disk's one gate slot
+	ctl.waitTimers(t, 1)
+	errB := read(b)
+	ctl.waitTimers(t, 2) // b's timer, armed while b waits at the gate
+	ctl.fire(t, 0)       // a's deadline: a is abandoned, b takes the slot
+	if err := <-errA; !errors.Is(err, ErrDeadline) {
+		t.Fatalf("stuck read: %v, want ErrDeadline", err)
+	}
+	inner.waitParked(t, "read", 2) // b is in flight, from the same instant
+	ctl.fire(t, 1)                 // b's timer is due, but b has not run at all
+	release()
+	select {
+	case err := <-errB:
+		if err != nil {
+			t.Fatalf("read that started as its timer fired was abandoned: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("read behind the stuck one never finished")
+	}
+	if h := sys.Stats().Health; h.Timeouts != 1 {
+		t.Fatalf("Timeouts = %d, want 1 (the stuck read only)", h.Timeouts)
 	}
 }

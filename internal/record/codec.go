@@ -128,7 +128,7 @@ func VarParts(r Record) (key, payload []byte, err error) {
 // key is ext[used : used+klen] and the payload everything after it. ok
 // is false when the first MaxVarintLen32 bytes hold no valid uvarint or
 // the key overruns the encoding.
-func splitExt(ext string) (klen, used int, ok bool) {
+func splitExt[T string | []byte](ext T) (klen, used int, ok bool) {
 	k, n := binary.Uvarint([]byte(ext[:min(len(ext), binary.MaxVarintLen32)]))
 	if n <= 0 || k > uint64(len(ext)-n) {
 		return 0, 0, false
@@ -237,13 +237,18 @@ func (Fixed16) DecodeBlock16(data []byte, nrec int) ([]Rec16, error) {
 			ErrCorrupt, len(data), nrec*Bytes, nrec)
 	}
 	rs := make([]Rec16, nrec)
-	for i := range rs {
-		rs[i] = Rec16{
+	decode16(rs, data)
+	return rs, nil
+}
+
+// decode16 decodes len(dst) fixed16 records from the front of data.
+func decode16(dst []Rec16, data []byte) {
+	for i := range dst {
+		dst[i] = Rec16{
 			Key: Key(binary.LittleEndian.Uint64(data[i*Bytes:])),
 			Val: binary.LittleEndian.Uint64(data[i*Bytes+8:]),
 		}
 	}
-	return rs, nil
 }
 
 // AppendRecord implements Codec.
@@ -257,19 +262,68 @@ func (Fixed16) AppendRecord(dst []byte, r Record) ([]byte, error) {
 	return append(dst, buf[:]...), nil
 }
 
-// ReadRecord implements Codec.
+// ReadRecord implements Codec. It decodes straight from br's buffer
+// (Peek, then Discard), so reading a record allocates nothing.
 func (Fixed16) ReadRecord(br *bufio.Reader) (Record, error) {
-	var buf [Bytes]byte
-	if _, err := io.ReadFull(br, buf[:]); err != nil {
-		if err == io.EOF {
-			return Record{}, io.EOF
-		}
-		return Record{}, fmt.Errorf("%w: truncated %d-byte record: %v", ErrCorrupt, Bytes, err)
+	p, err := br.Peek(Bytes)
+	if len(p) < Bytes {
+		return Record{}, fixed16Tail(len(p), err)
 	}
-	return Record{
-		Key: Key(binary.LittleEndian.Uint64(buf[0:])),
-		Val: binary.LittleEndian.Uint64(buf[8:]),
-	}, nil
+	r := Record{
+		Key: Key(binary.LittleEndian.Uint64(p[0:])),
+		Val: binary.LittleEndian.Uint64(p[8:]),
+	}
+	br.Discard(Bytes)
+	return r, nil
+}
+
+// ReadBlock16 reads fixed16 wire records from br into dst until dst is
+// full or the stream ends, decoding whole buffers of records straight
+// from br (Peek, then Discard): no call and no allocation per record. It
+// returns the number of records read, and — as ReadRecord would at the
+// next record — io.EOF when the stream ends exactly at a record boundary
+// and an error wrapping ErrCorrupt on a partial trailing record; either
+// may come with n > 0 records read before it.
+func (Fixed16) ReadBlock16(br *bufio.Reader, dst []Rec16) (n int, err error) {
+	for n < len(dst) {
+		p, err := br.Peek(min(len(dst)-n, br.Size()/Bytes) * Bytes)
+		k := len(p) / Bytes
+		decode16(dst[n:n+k], p)
+		br.Discard(k * Bytes)
+		n += k
+		if err != nil {
+			return n, fixed16Tail(len(p)-k*Bytes, err)
+		}
+	}
+	return n, nil
+}
+
+// fixed16Tail is the error of a fixed16 read that found only tail bytes
+// of a record before br reported err: io.EOF at a clean record boundary,
+// corruption otherwise.
+func fixed16Tail(tail int, err error) error {
+	if tail == 0 && err == io.EOF {
+		return io.EOF
+	}
+	if err == io.EOF {
+		err = io.ErrUnexpectedEOF
+	}
+	return fmt.Errorf("%w: truncated %d-byte record: %v", ErrCorrupt, Bytes, err)
+}
+
+// ReadBlock reads wire records of codec c from br into dst, under
+// ReadBlock16's contract: it returns the number read, which is len(dst)
+// unless the stream ended (io.EOF at a record boundary) or failed (an
+// error wrapping ErrCorrupt for a malformed record), either possibly
+// after n > 0 records. Records are framed one at a time by c.ReadRecord.
+func ReadBlock(c Codec, br *bufio.Reader, dst []Record) (n int, err error) {
+	for n < len(dst) {
+		if dst[n], err = c.ReadRecord(br); err != nil {
+			return n, err
+		}
+		n++
+	}
+	return n, nil
 }
 
 // Block body flags of the Varlen codec: the first byte of every encoded
@@ -454,22 +508,66 @@ func (Varlen) AppendRecord(dst []byte, r Record) ([]byte, error) {
 }
 
 // ReadRecord implements Codec.
-func (Varlen) ReadRecord(br *bufio.Reader) (Record, error) {
+func (v Varlen) ReadRecord(br *bufio.Reader) (Record, error) {
+	ext, peeked, err := v.frame(br)
+	if err != nil {
+		return Record{}, err
+	}
+	r, err := recordFromExt(string(ext))
+	if peeked {
+		br.Discard(len(ext))
+	}
+	return r, err
+}
+
+// SkipRecord advances br past the next wire record without building it,
+// returning the size of its canonical encoding. It makes exactly
+// ReadRecord's checks — the length prefix, the size bound, a truncated
+// tail and the key length inside the encoding — with the same errors,
+// so a stream SkipRecord walks to io.EOF is one ReadRecord decodes.
+func (v Varlen) SkipRecord(br *bufio.Reader) (int, error) {
+	ext, peeked, err := v.frame(br)
+	if err != nil {
+		return 0, err
+	}
+	if _, _, ok := splitExt(ext); !ok {
+		return 0, fmt.Errorf("%w: key length overruns %d-byte encoding", ErrCorrupt, len(ext))
+	}
+	if peeked {
+		br.Discard(len(ext))
+	}
+	return len(ext), nil
+}
+
+// frame reads the next wire record's length prefix and returns its
+// canonical encoding. The encoding is peeked from br's buffer (valid
+// until br's next read; the caller discards it) when it fits there, and
+// otherwise read into a fresh slice (peeked false, already consumed).
+func (Varlen) frame(br *bufio.Reader) (ext []byte, peeked bool, err error) {
 	n, err := binary.ReadUvarint(br)
 	if err != nil {
 		if err == io.EOF {
-			return Record{}, io.EOF
+			return nil, false, io.EOF
 		}
-		return Record{}, fmt.Errorf("%w: record length prefix: %v", ErrCorrupt, err)
+		return nil, false, fmt.Errorf("%w: record length prefix: %v", ErrCorrupt, err)
 	}
 	if n < 1 || n > MaxVarRecordBytes {
-		return Record{}, fmt.Errorf("%w: record claims %d bytes, max %d", ErrCorrupt, n, MaxVarRecordBytes)
+		return nil, false, fmt.Errorf("%w: record claims %d bytes, max %d", ErrCorrupt, n, MaxVarRecordBytes)
 	}
-	ext := make([]byte, n)
-	if _, err := io.ReadFull(br, ext); err != nil {
-		return Record{}, fmt.Errorf("%w: record truncated inside its %d bytes: %v", ErrCorrupt, n, err)
+	if int(n) <= br.Size() {
+		ext, err = br.Peek(int(n))
+		peeked = true
+	} else {
+		ext = make([]byte, n)
+		_, err = io.ReadFull(br, ext)
 	}
-	return recordFromExt(string(ext))
+	if err != nil {
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		return nil, false, fmt.Errorf("%w: record truncated inside its %d bytes: %v", ErrCorrupt, n, err)
+	}
+	return ext, peeked, nil
 }
 
 // recordFromExt rebuilds a Record from its canonical encoding, deriving

@@ -74,6 +74,25 @@ func (l *Loader[R]) Append(r R) error {
 	return nil
 }
 
+// AppendBlock adds records in order and takes ownership of rs: the
+// caller must not touch it again. A full block (B records) arriving at a
+// block boundary becomes the stored block as it is, without a copy —
+// the path of a feed that hands over whole blocks; any other span is
+// appended record by record.
+func (l *Loader[R]) AppendBlock(rs []R) error {
+	if len(l.cur) == 0 && len(rs) == l.sys.B() && !l.finished {
+		l.cur = rs
+		l.file.Records += len(rs)
+		return l.cutBlock()
+	}
+	for _, r := range rs {
+		if err := l.Append(r); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 func (l *Loader[R]) cutBlock() error {
 	disk := len(l.file.addrs) % l.sys.D()
 	addr := l.sys.Alloc(disk)

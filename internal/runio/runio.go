@@ -364,8 +364,8 @@ func WriteRun[R record.KernelRecord](sys *pdisk.System, id, startDisk int, recor
 // and returns its records — a verification helper, not a merge path.
 func ReadAll[R record.KernelRecord](sys *pdisk.System, run *Run) ([]R, error) {
 	out := make([]R, 0, run.Records)
-	err := Stream(sys, run, func(r R) error {
-		out = append(out, r)
+	err := StreamBlocks(sys, run, false, func(blk []R) error {
+		out = append(out, blk...)
 		return nil
 	})
 	if err != nil {
@@ -442,46 +442,57 @@ func (r *StripeReader) Close() {
 	}
 }
 
-// StreamStripes invokes fn on every record of the reader's stripes in
-// order, and closes the reader.
-func StreamStripes[R record.KernelRecord](rd *StripeReader, fn func(R) error) error {
+// StreamStripes invokes fn on the records of every block of the reader's
+// stripes, one block per call, in order, and closes the reader. Each
+// slice is the stored block's own records: fn must neither modify nor
+// keep it.
+func StreamStripes[R record.KernelRecord](rd *StripeReader, fn func([]R) error) error {
 	defer rd.Close()
 	for rd.Left() > 0 {
 		blks, err := rd.Read()
 		if err != nil {
 			return err
 		}
-		if err := emitBlocks(blks, fn); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Stream reads a run back sequentially, one stripe of up to D blocks per
-// I/O operation, invoking fn on every record in order, without
-// materialising the run — the out-of-core counterpart of ReadAll.
-func Stream[R record.KernelRecord](sys *pdisk.System, run *Run, fn func(R) error) error {
-	return StreamStripes(run.reader(sys, false), fn)
-}
-
-// StreamAsync is Stream with one stripe of read-ahead: stripe i+1 is in
-// flight while fn consumes stripe i. The operation count is identical to
-// Stream's.
-func StreamAsync[R record.KernelRecord](sys *pdisk.System, run *Run, fn func(R) error) error {
-	return StreamStripes(run.reader(sys, true), fn)
-}
-
-// emitBlocks invokes fn on every record of blks in order.
-func emitBlocks[R record.KernelRecord](blks []pdisk.StoredBlock, fn func(R) error) error {
-	for _, b := range blks {
-		for _, r := range pdisk.RecsOf[R](b) {
-			if err := fn(r); err != nil {
+		for _, b := range blks {
+			if err := fn(pdisk.RecsOf[R](b)); err != nil {
 				return err
 			}
 		}
 	}
 	return nil
+}
+
+// StreamBlocks reads a run back sequentially, one stripe of up to D
+// blocks per I/O operation, invoking fn on each block's records in order
+// (under StreamStripes's contract), without materialising the run — the
+// out-of-core counterpart of ReadAll. With async set, stripe i+1 is in
+// flight while fn consumes stripe i; the operation count is the same.
+func StreamBlocks[R record.KernelRecord](sys *pdisk.System, run *Run, async bool, fn func([]R) error) error {
+	return StreamStripes(run.reader(sys, async), fn)
+}
+
+// Stream is StreamBlocks without read-ahead, invoking fn on every record.
+func Stream[R record.KernelRecord](sys *pdisk.System, run *Run, fn func(R) error) error {
+	return StreamBlocks(sys, run, false, eachRecord(fn))
+}
+
+// StreamAsync is StreamBlocks with read-ahead, invoking fn on every
+// record.
+func StreamAsync[R record.KernelRecord](sys *pdisk.System, run *Run, fn func(R) error) error {
+	return StreamBlocks(sys, run, true, eachRecord(fn))
+}
+
+// eachRecord adapts a per-record callback to the block callbacks of
+// StreamStripes.
+func eachRecord[R record.KernelRecord](fn func(R) error) func([]R) error {
+	return func(blk []R) error {
+		for _, r := range blk {
+			if err := fn(r); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
 }
 
 // Free releases every block of the run in one free batch (no I/O is

@@ -429,7 +429,7 @@ func (c Config) newSystem() (*pdisk.System, pdisk.Store, func(), error) {
 // reading the result back out is verification, not sorting cost. cp, when
 // non-nil, receives a checkpoint after formation and every merge pass; tr,
 // when non-nil, receives Progress snapshots at the same points.
-func runAlgorithm[R record.KernelRecord](sys *pdisk.System, file *runform.InputFile, cfg Config, m, r int, stats *Stats, cp *checkpointer, tr *progressTracker) (func(func(R) error) error, error) {
+func runAlgorithm[R record.KernelRecord](sys *pdisk.System, file *runform.InputFile, cfg Config, m, r int, stats *Stats, cp *checkpointer, tr *progressTracker) (emitter[R], error) {
 	switch cfg.Algorithm {
 	case DSM:
 		return sortDSM[R](sys, file, m, r, cfg, stats, cp, tr)
@@ -461,24 +461,76 @@ func Resume(records []Record, cfg Config) ([]Record, Stats, error) {
 }
 
 func sortOrResume(records []Record, cfg Config, resume bool) ([]Record, Stats, error) {
+	codec, err := cfg.codec()
+	if err != nil {
+		return nil, Stats{}, err
+	}
+	if wideKernel(codec) {
+		return sortRecords[record.Record](records, cfg, codec, resume)
+	}
+	return sortRecords[record.Rec16](records, cfg, codec, resume)
+}
+
+// sortRecords is Sort/Resume at kernel width R: the input goes to the
+// loader in blocks of B records, each narrowed into a fresh slice.
+func sortRecords[R record.KernelRecord](records []Record, cfg Config, codec record.Codec, resume bool) ([]Record, Stats, error) {
 	result := make([]Record, 0, len(records))
-	stats, err := runSort(cfg, resume, len(records),
-		func(app func(record.Record) error) error {
-			for _, rec := range records {
-				if err := app(record.Record{Key: record.Key(rec.Key), Val: rec.Val}); err != nil {
+	stats, err := runSort(cfg, codec, resume, len(records),
+		func(load func([]R) error) error {
+			if codec.FixedSize() == 0 && len(records) > 0 {
+				return fmt.Errorf("srmsort: codec %s needs variable-length records; use SortVar or a varlen wire stream", codec.Name())
+			}
+			for off := 0; off < len(records); off += cfg.B {
+				if err := load(narrow[R](records[off:min(off+cfg.B, len(records))])); err != nil {
 					return err
 				}
 			}
 			return nil
 		},
-		func(rec record.Record) error {
-			result = append(result, Record{Key: uint64(rec.Key), Val: rec.Val})
+		func(blk []R) error {
+			result = widen(result, blk)
 			return nil
 		})
 	if err != nil {
 		return nil, Stats{}, err
 	}
 	return result, stats, nil
+}
+
+// narrow copies fixed-size records into a fresh block at kernel width R.
+func narrow[R record.KernelRecord](rs []Record) []R {
+	blk := make([]R, len(rs))
+	switch b := any(blk).(type) {
+	case []record.Rec16:
+		for i, r := range rs {
+			b[i] = record.Rec16{Key: record.Key(r.Key), Val: r.Val}
+		}
+	case []record.Record:
+		for i, r := range rs {
+			b[i] = record.Record{Key: record.Key(r.Key), Val: r.Val}
+		}
+	default:
+		panic("srmsort: narrow at an unknown kernel width")
+	}
+	return blk
+}
+
+// widen appends a block's records to dst as fixed-size Records (an Ext,
+// should a resumed varlen sort carry one, is dropped).
+func widen[R record.KernelRecord](dst []Record, blk []R) []Record {
+	switch b := any(blk).(type) {
+	case []record.Rec16:
+		for _, r := range b {
+			dst = append(dst, Record{Key: uint64(r.Key), Val: r.Val})
+		}
+	case []record.Record:
+		for _, r := range b {
+			dst = append(dst, Record{Key: uint64(r.Key), Val: r.Val})
+		}
+	default:
+		panic("srmsort: widen at an unknown kernel width")
+	}
+	return dst
 }
 
 // VarRecord is a variable-length record for the varlen codecs: Key is an
@@ -517,26 +569,39 @@ func sortOrResumeVar(records []VarRecord, cfg Config, resume bool) ([]VarRecord,
 	if cfg.Codec == "" {
 		cfg.Codec = "varlen"
 	}
+	codec, err := cfg.codec()
+	if err != nil {
+		return nil, Stats{}, err
+	}
 	result := make([]VarRecord, 0, len(records))
-	stats, err := runSort(cfg, resume, len(records),
-		func(app func(record.Record) error) error {
-			for i, rec := range records {
-				r, err := record.MakeVar(rec.Key, rec.Payload)
-				if err != nil {
-					return fmt.Errorf("srmsort: record %d: %w", i, err)
+	stats, err := runSort(cfg, codec, resume, len(records),
+		func(load func([]record.Record) error) error {
+			if codec.FixedSize() != 0 && len(records) > 0 {
+				return fmt.Errorf("srmsort: variable-length records need Config.Codec varlen or varlen+flate (codec is %s)", codec.Name())
+			}
+			for off := 0; off < len(records); off += cfg.B {
+				blk := make([]record.Record, min(cfg.B, len(records)-off))
+				for i := range blk {
+					r, err := record.MakeVar(records[off+i].Key, records[off+i].Payload)
+					if err != nil {
+						return fmt.Errorf("srmsort: record %d: %w", off+i, err)
+					}
+					blk[i] = r
 				}
-				if err := app(r); err != nil {
+				if err := load(blk); err != nil {
 					return err
 				}
 			}
 			return nil
 		},
-		func(rec record.Record) error {
-			key, payload, err := record.VarParts(rec)
-			if err != nil {
-				return err
+		func(blk []record.Record) error {
+			for _, rec := range blk {
+				key, payload, err := record.VarParts(rec)
+				if err != nil {
+					return err
+				}
+				result = append(result, VarRecord{Key: key, Payload: payload})
 			}
-			result = append(result, VarRecord{Key: key, Payload: payload})
 			return nil
 		})
 	if err != nil {
@@ -545,13 +610,19 @@ func sortOrResumeVar(records []VarRecord, cfg Config, resume bool) ([]VarRecord,
 	return result, stats, nil
 }
 
-// recordFeed streams a sort's unsorted input into its loader through the
-// supplied append function; recordSink consumes one record of the sorted
-// output stream. They are the seams Sort/Resume (slices) and
-// SortStream/ResumeStream (wire-format readers and writers) share.
+// recordFeed streams a sort's unsorted input into its loader: it calls
+// load with consecutive spans of the input, each a fresh slice the
+// loader takes over — whole blocks of the sort's B records, but for the
+// last. recordSink consumes one block of the sorted output stream: the
+// stored block's own records, valid only for the call. An emitter streams
+// the final run into a sink. They are the seams Sort, SortVar and their
+// resumes (slices) and SortStream/ResumeStream (wire-format readers and
+// writers) share, instantiated at the kernel width the codec selects, so
+// no record crosses them one call at a time.
 type (
-	recordFeed func(app func(record.Record) error) error
-	recordSink func(rec record.Record) error
+	recordFeed[R record.KernelRecord] func(load func([]R) error) error
+	recordSink[R record.KernelRecord] func(blk []R) error
+	emitter[R record.KernelRecord]    func(sink recordSink[R]) error
 )
 
 // forceWideKernel routes fixed16 sorts through the wide record.Record
@@ -560,36 +631,23 @@ type (
 // instantiations produce byte-identical output.
 var forceWideKernel = false
 
-// runSort is the sorting core behind Sort, Resume, SortStream and
-// ResumeStream: it resolves the codec and dispatches to the kernel
-// instantiation matching the record representation — the 16-byte
-// pointer-free record.Rec16 for the fixed16 codec, the wide record.Record
-// for the varlen codecs (whose Ext payload the kernel must carry and
-// adjudicate). feed supplies the unsorted input (not invoked when a
-// resume finds a checkpoint manifest — the input already lives on the
-// store); sink receives the sorted output stream. nrec is the input size
-// when the caller knows it (0 for streamed inputs), used only to
-// cross-check a resume manifest against the supplied input.
-func runSort(cfg Config, resume bool, nrec int, feed recordFeed, sink recordSink) (Stats, error) {
-	codec, err := cfg.codec()
-	if err != nil {
-		return Stats{}, err
-	}
-	if codec.FixedSize() != 0 && !forceWideKernel {
-		return runSortTyped(cfg, codec, resume, nrec, feed, sink,
-			func(rec record.Record) record.Rec16 {
-				return record.Rec16{Key: rec.Key, Val: rec.Val}
-			})
-	}
-	return runSortTyped(cfg, codec, resume, nrec, feed, sink,
-		func(rec record.Record) record.Record { return rec })
+// wideKernel reports whether a sort under codec runs the wide
+// record.Record kernel instantiation — the varlen codecs, whose Ext
+// payload the kernel must carry and adjudicate — rather than the 16-byte
+// pointer-free record.Rec16 one the fixed16 codec selects.
+func wideKernel(codec record.Codec) bool {
+	return codec.FixedSize() == 0 || forceWideKernel
 }
 
-// runSortTyped is runSort instantiated at one kernel record width.
-// fromWide narrows one ingested wide record to the kernel representation
-// (the identity for record.Record); emission widens through R.Wide() at
-// the sink boundary only.
-func runSortTyped[R record.KernelRecord](cfg Config, codec record.Codec, resume bool, nrec int, feed recordFeed, sink recordSink, fromWide func(record.Record) R) (Stats, error) {
+// runSort is the sorting core behind Sort, Resume, SortVar, ResumeVar,
+// SortStream and ResumeStream, at the kernel width R its caller picked by
+// wideKernel. feed supplies the unsorted input (not invoked when a
+// resume finds a checkpoint manifest — the input already lives on the
+// store); each feed makes sure its records suit the codec. sink receives
+// the sorted output stream. nrec is the input size when the caller knows
+// it (0 for streamed inputs), used only to cross-check a resume manifest
+// against the supplied input.
+func runSort[R record.KernelRecord](cfg Config, codec record.Codec, resume bool, nrec int, feed recordFeed[R], sink recordSink[R]) (Stats, error) {
 	r, m, err := cfg.MergeOrder()
 	if err != nil {
 		return Stats{}, err
@@ -613,7 +671,7 @@ func runSortTyped[R record.KernelRecord](cfg Config, codec record.Codec, resume 
 	}
 	defer cleanup()
 
-	var emit func(func(R) error) error
+	var emit emitter[R]
 	var man *manifest
 	if resume {
 		if man, err = loadManifest(sys); err != nil {
@@ -637,20 +695,7 @@ func runSortTyped[R record.KernelRecord](cfg Config, codec record.Codec, resume 
 			}
 		}
 		loader := runform.NewLoader[R](sys)
-		// Records and codec must agree: a varlen sort needs canonical
-		// MakeVar encodings in every record, and the fixed16 codec cannot
-		// carry an Ext payload. Catch the mismatch at ingest with a clear
-		// message instead of deep inside a store write.
-		app := func(rec record.Record) error {
-			if varlen && rec.Ext == "" {
-				return fmt.Errorf("srmsort: codec %s needs variable-length records; use SortVar or a varlen wire stream", codec.Name())
-			}
-			if !varlen && rec.Ext != "" {
-				return fmt.Errorf("srmsort: variable-length records need Config.Codec varlen or varlen+flate (codec is %s)", codec.Name())
-			}
-			return loader.Append(fromWide(rec))
-		}
-		if err := feed(app); err != nil {
+		if err := feed(loader.AppendBlock); err != nil {
 			return Stats{}, err
 		}
 		file, err := loader.Finish()
@@ -698,11 +743,11 @@ func runSortTyped[R record.KernelRecord](cfg Config, codec record.Codec, resume 
 	stats.SimTime = final.SimTime
 	stats.Health = final.Health
 
-	if err := emit(func(rec R) error {
-		if err := sink(rec.Wide()); err != nil {
+	if err := emit(func(blk []R) error {
+		if err := sink(blk); err != nil {
 			return err
 		}
-		tr.emitted(1)
+		tr.emitted(int64(len(blk)))
 		return nil
 	}); err != nil {
 		return Stats{}, err
@@ -744,7 +789,7 @@ func chainPassFuncs(hooks ...srm.PassFunc) srm.PassFunc {
 	}
 }
 
-func sortSRM[R record.KernelRecord](sys *pdisk.System, file *runform.InputFile, m, r int, cfg Config, stats *Stats, cp *checkpointer, tr *progressTracker) (func(func(R) error) error, error) {
+func sortSRM[R record.KernelRecord](sys *pdisk.System, file *runform.InputFile, m, r int, cfg Config, stats *Stats, cp *checkpointer, tr *progressTracker) (emitter[R], error) {
 	var placement runio.Placement
 	if cfg.Algorithm == SRMDeterministic {
 		placement = runio.StaggeredPlacement{D: cfg.D}
@@ -775,7 +820,7 @@ func sortSRM[R record.KernelRecord](sys *pdisk.System, file *runform.InputFile, 
 	stats.InitialRuns = len(formed.Runs)
 	if len(formed.Runs) == 0 {
 		tr.formed(0, 0, r, 0)
-		return func(func(R) error) error { return nil }, nil
+		return func(recordSink[R]) error { return nil }, nil
 	}
 	tr.formed(len(formed.Runs), len(formed.Runs), r, 0)
 
@@ -813,7 +858,7 @@ func sortSRM[R record.KernelRecord](sys *pdisk.System, file *runform.InputFile, 
 // mergeSRM runs the SRM merge passes over runs — a fresh sort's formed
 // runs or a resumed sort's recovered ones — records their statistics, and
 // returns the iterator over the final run.
-func mergeSRM[R record.KernelRecord](sys *pdisk.System, runs []*runio.Run, r int, placement runio.Placement, seq int, cfg Config, afterPass srm.PassFunc, stats *Stats) (func(func(R) error) error, error) {
+func mergeSRM[R record.KernelRecord](sys *pdisk.System, runs []*runio.Run, r int, placement runio.Placement, seq int, cfg Config, afterPass srm.PassFunc, stats *Stats) (emitter[R], error) {
 	final, ss, _, err := srm.SortRunsOpts[R](sys, runs, r, placement, seq, srm.SortOpts{
 		Async:     cfg.Async,
 		Workers:   cfg.Workers,
@@ -829,13 +874,10 @@ func mergeSRM[R record.KernelRecord](sys *pdisk.System, runs []*runio.Run, r int
 	stats.Flushes = ss.Flushes
 	stats.BlocksFlushed = ss.BlocksFlushed
 	stats.BlocksReread = ss.BlocksReread
-	if cfg.Async {
-		return func(fn func(R) error) error { return runio.StreamAsync(sys, final, fn) }, nil
-	}
-	return func(fn func(R) error) error { return runio.Stream(sys, final, fn) }, nil
+	return func(sink recordSink[R]) error { return runio.StreamBlocks(sys, final, cfg.Async, sink) }, nil
 }
 
-func sortPSV[R record.KernelRecord](sys *pdisk.System, file *runform.InputFile, m int, stats *Stats, tr *progressTracker) (func(func(R) error) error, error) {
+func sortPSV[R record.KernelRecord](sys *pdisk.System, file *runform.InputFile, m int, stats *Stats, tr *progressTracker) (emitter[R], error) {
 	bufBlocks := (m/sys.B() - 2*sys.D()) / sys.D()
 	final, ps, err := psv.Sort[R](sys, file, (m+1)/2, bufBlocks)
 	if err != nil {
@@ -851,13 +893,13 @@ func sortPSV[R record.KernelRecord](sys *pdisk.System, file *runform.InputFile, 
 	stats.MergeReads = ps.MergeReadOps + ps.TransposeReadOps
 	stats.MergeWrites = ps.MergeWriteOps + ps.TransposeWriteOps
 	stats.TransposeOps = ps.TransposeReadOps + ps.TransposeWriteOps
-	return func(fn func(R) error) error { return runio.Stream(sys, final, fn) }, nil
+	return func(sink recordSink[R]) error { return runio.StreamBlocks(sys, final, false, sink) }, nil
 }
 
 // sortDSM forms DSM's striped runs and merges them. Run formation and
 // merging are driven separately so pass 0 (the formed runs) can be
 // checkpointed and reported before any merge pass.
-func sortDSM[R record.KernelRecord](sys *pdisk.System, file *runform.InputFile, m, r int, cfg Config, stats *Stats, cp *checkpointer, tr *progressTracker) (func(func(R) error) error, error) {
+func sortDSM[R record.KernelRecord](sys *pdisk.System, file *runform.InputFile, m, r int, cfg Config, stats *Stats, cp *checkpointer, tr *progressTracker) (emitter[R], error) {
 	runs, err := dsm.FormRunsCores[R](sys, file, (m+1)/2, cfg.Async, cfg.cores())
 	if err != nil {
 		return nil, err
@@ -868,7 +910,7 @@ func sortDSM[R record.KernelRecord](sys *pdisk.System, file *runform.InputFile, 
 	stats.InitialRuns = len(runs)
 	tr.formed(len(runs), len(runs), r, 0)
 	if len(runs) == 0 {
-		return func(func(R) error) error { return nil }, nil
+		return func(recordSink[R]) error { return nil }, nil
 	}
 	var afterPass dsm.PassFunc
 	if cp != nil {
@@ -892,7 +934,7 @@ func sortDSM[R record.KernelRecord](sys *pdisk.System, file *runform.InputFile, 
 }
 
 // mergeDSM is mergeSRM for the striped baseline.
-func mergeDSM[R record.KernelRecord](sys *pdisk.System, runs []*dsm.Run, r, seq int, cfg Config, afterPass dsm.PassFunc, stats *Stats) (func(func(R) error) error, error) {
+func mergeDSM[R record.KernelRecord](sys *pdisk.System, runs []*dsm.Run, r, seq int, cfg Config, afterPass dsm.PassFunc, stats *Stats) (emitter[R], error) {
 	final, ms, _, err := dsm.MergeAll[R](sys, runs, r, seq, dsm.MergeAllOpts{Async: cfg.Async, AfterPass: afterPass})
 	if err != nil {
 		return nil, err
@@ -900,8 +942,5 @@ func mergeDSM[R record.KernelRecord](sys *pdisk.System, runs []*dsm.Run, r, seq 
 	stats.MergePasses = ms.MergePasses
 	stats.MergeReads = ms.MergeReadOps
 	stats.MergeWrites = ms.MergeWriteOps
-	if cfg.Async {
-		return func(fn func(R) error) error { return dsm.StreamAsync(sys, final, fn) }, nil
-	}
-	return func(fn func(R) error) error { return dsm.Stream(sys, final, fn) }, nil
+	return func(sink recordSink[R]) error { return dsm.StreamBlocks(sys, final, cfg.Async, sink) }, nil
 }

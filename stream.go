@@ -127,44 +127,55 @@ func ResumeStream(r io.Reader, w io.Writer, cfg Config) (Stats, error) {
 	return streamSort(r, w, cfg, true)
 }
 
+// wireBufBytes sizes the buffers between a stream sort and its reader and
+// writer.
+const wireBufBytes = 64 << 10
+
+// streamSort is SortStream and ResumeStream. Records cross the wire a
+// block at a time: a fixed16 stream decodes straight into blocks of
+// record.Rec16 and the final run encodes straight from them into the
+// writer's buffer — the fixed16 wire format is its block format — while
+// a varlen stream frames records one by one into whole blocks for the
+// loader and encodes each block's records into the writer's buffer.
 func streamSort(r io.Reader, w io.Writer, cfg Config, resume bool) (Stats, error) {
 	codec, err := cfg.codec()
 	if err != nil {
 		return Stats{}, err
 	}
-	bw := bufio.NewWriter(w)
-	var buf []byte
-	stats, err := runSort(cfg, resume, 0,
-		func(app func(record.Record) error) error {
-			// Decode the input straight onto the striped disks.
-			if r == nil {
-				return fmt.Errorf("srmsort: no checkpoint manifest to resume from and no input stream to restart with")
-			}
-			br := bufio.NewReader(r)
-			n := 0
-			for {
-				rec, err := codec.ReadRecord(br)
-				if err == io.EOF {
-					return nil
+	bw := bufio.NewWriterSize(w, max(wireBufBytes, cfg.B*record.Bytes))
+	var stats Stats
+	if wideKernel(codec) {
+		read := func(br *bufio.Reader, dst []record.Record) (int, error) { return record.ReadBlock(codec, br, dst) }
+		stats, err = runSort(cfg, codec, resume, 0, wireFeed(r, cfg.B, read),
+			func(blk []record.Record) error {
+				for _, rec := range blk {
+					if bw.Available() < codec.MaxRecordBytes() {
+						if err := bw.Flush(); err != nil {
+							return err
+						}
+					}
+					buf, err := codec.AppendRecord(bw.AvailableBuffer(), rec)
+					if err != nil {
+						return err
+					}
+					if _, err := bw.Write(buf); err != nil {
+						return err
+					}
 				}
-				if err != nil {
-					return fmt.Errorf("srmsort: input record %d: %w", n, err)
+				return nil
+			})
+	} else {
+		stats, err = runSort(cfg, codec, resume, 0, wireFeed(r, cfg.B, record.Fixed16{}.ReadBlock16),
+			func(blk []record.Rec16) error {
+				if bw.Available() < len(blk)*record.Bytes {
+					if err := bw.Flush(); err != nil {
+						return err
+					}
 				}
-				if err := app(rec); err != nil {
-					return err
-				}
-				n++
-			}
-		},
-		func(rec record.Record) error {
-			// Encode the final run straight off the disks.
-			var err error
-			if buf, err = codec.AppendRecord(buf[:0], rec); err != nil {
+				_, err := bw.Write(record.Fixed16{}.AppendBlock16(bw.AvailableBuffer(), blk))
 				return err
-			}
-			_, err = bw.Write(buf)
-			return err
-		})
+			})
+	}
 	if err != nil {
 		return Stats{}, err
 	}
@@ -172,4 +183,32 @@ func streamSort(r io.Reader, w io.Writer, cfg Config, resume bool) (Stats, error
 		return Stats{}, err
 	}
 	return stats, nil
+}
+
+// wireFeed decodes the wire stream r into fresh blocks of b records with
+// read (a block reader under record.ReadBlock's contract) and hands each
+// to the loader. A malformed record fails the sort with its index.
+func wireFeed[R record.KernelRecord](r io.Reader, b int, read func(*bufio.Reader, []R) (int, error)) recordFeed[R] {
+	return func(load func([]R) error) error {
+		if r == nil {
+			return fmt.Errorf("srmsort: no checkpoint manifest to resume from and no input stream to restart with")
+		}
+		br := bufio.NewReaderSize(r, wireBufBytes)
+		for n := 0; ; {
+			blk := make([]R, b)
+			k, err := read(br, blk)
+			if k > 0 {
+				if err := load(blk[:k]); err != nil {
+					return err
+				}
+				n += k
+			}
+			if err == io.EOF {
+				return nil
+			}
+			if err != nil {
+				return fmt.Errorf("srmsort: input record %d: %w", n, err)
+			}
+		}
+	}
 }
