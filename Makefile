@@ -97,23 +97,27 @@ bench-diff:
 bench-smoke:
 	go test -run='^$$' -bench='SortEndToEnd|SortDeadline|ServerThroughput|ParallelMerge' -benchtime=1x .
 
-# Native-fuzz bursts CI runs exactly: 20 seconds on the parallel-merge
-# equivalence fuzzer (random runs, shard counts and data shapes, every
-# shard placement byte-compared against the serial merge), 20 seconds on
-# the gallop fuzzer (the repeat-winner emission rule against a per-record
-# merge on duplicate-heavy, MaxKey-bearing runs, then the SRM merge of the
-# same runs sync and async), 20 seconds on
-# the two-width kernel fuzzer (the pointer-free Rec16 and wide Record
-# instantiations must produce identical records and identical Stats),
-# 20 seconds on the codec round-trip fuzzer (truncated tails and
+# Native-fuzz bursts CI runs exactly, 20 seconds each: the public stream
+# sort (arbitrary byte streams through SortStream must sort or fail with
+# an error, never panic — torn streams and the reserved key included),
+# the parallel-merge equivalence fuzzer (random runs, shard counts and
+# data shapes, every shard placement byte-compared against the serial
+# merge), the merge-kernel fuzzer (ltree.Kernel, fed in blocks down to
+# one record, against a per-record merge and SortRecords in key,
+# (key, val) and varlen order, then the SRM merge of the same runs sync
+# and async), the two-width kernel fuzzer (the pointer-free Rec16 and
+# wide Record instantiations must produce identical records and
+# identical Stats), the codec round-trip fuzzer (truncated tails and
 # bit-flips must surface as ErrCorrupt, never as a panic or silent
-# corruption), 20 seconds on the in-place varlen parser (CompareExt
-# and VarParts must agree with the byte-slice reference parser on
-# arbitrary bytes, malformed length prefixes included), and 20 seconds
-# on the block wire readers (fixed16 and varlen streams of arbitrary
-# bytes, read in random chunks into random block sizes, must decode to
-# exactly what per-record ReadRecord decodes and end the same way).
+# corruption), the in-place varlen parser (CompareExt and VarParts must
+# agree with the byte-slice reference parser on arbitrary bytes,
+# malformed length prefixes included, and the prefix words must
+# coarsen CompareExt), and the block wire readers (fixed16 and varlen
+# streams of arbitrary bytes, read in random chunks into random block
+# sizes, must decode to exactly what per-record ReadRecord decodes and
+# end the same way).
 fuzz-smoke:
+	go test -fuzz='^FuzzSortStream$$' -fuzztime=20s .
 	go test -fuzz=FuzzParallelMergeEquiv -fuzztime=20s .
 	go test -fuzz=FuzzGallopMergeEquiv -fuzztime=20s .
 	go test -fuzz=FuzzTwoWidthKernelEquiv -fuzztime=20s .

@@ -19,6 +19,12 @@ import (
 // Every mode of a cell (sync and async, mem and file) must reproduce the
 // one recorded digest and op count. If an intentional change moves these,
 // re-record them deliberately and say why.
+//
+// The other mergers' cells — DSM, PSV, SRM-deterministic, and SRM and DSM
+// at Cores 4 (super-span merging and parallel run formation) — run
+// mem/sync only: the equivalence matrices already show that mode and
+// backend do not move output. They skip under the race detector, which
+// would push the raced root package past go test's default timeout.
 func TestGoldenOutputDigests(t *testing.T) {
 	const n = 40_000
 	type golden struct {
@@ -32,6 +38,37 @@ func TestGoldenOutputDigests(t *testing.T) {
 		"varlen/uniform":      {0xba32d9c537adbaaa, 3885},
 		"varlen/dups":         {0x56e6525599e98df2, 5237},
 		"varlen/near-sorted":  {0x92844be641a0b419, 3885},
+
+		"fixed16/uniform/dsm":            {0x3e6950b99f63090a, 6422},
+		"fixed16/uniform/psv":            {0x3e6950b99f63090a, 13203},
+		"fixed16/uniform/srm-det":        {0x3e6950b99f63090a, 3845},
+		"fixed16/uniform/srm/cores4":     {0x3e6950b99f63090a, 3886},
+		"fixed16/uniform/dsm/cores4":     {0x3e6950b99f63090a, 6422},
+		"fixed16/dups/dsm":               {0x56109c6c24340b89, 6422},
+		"fixed16/dups/psv":               {0x56109c6c24340b89, 15858},
+		"fixed16/dups/srm-det":           {0x56109c6c24340b89, 3845},
+		"fixed16/dups/srm/cores4":        {0x56109c6c24340b89, 3885},
+		"fixed16/dups/dsm/cores4":        {0x56109c6c24340b89, 6422},
+		"fixed16/near-sorted/dsm":        {0x4c3731d08d521595, 6422},
+		"fixed16/near-sorted/psv":        {0x4c3731d08d521595, 18938},
+		"fixed16/near-sorted/srm-det":    {0x4c3731d08d521595, 3845},
+		"fixed16/near-sorted/srm/cores4": {0x4c3731d08d521595, 3885},
+		"fixed16/near-sorted/dsm/cores4": {0x4c3731d08d521595, 6422},
+		"varlen/uniform/dsm":             {0xba32d9c537adbaaa, 6422},
+		"varlen/uniform/psv":             {0xba32d9c537adbaaa, 13203},
+		"varlen/uniform/srm-det":         {0xba32d9c537adbaaa, 3845},
+		"varlen/uniform/srm/cores4":      {0xba32d9c537adbaaa, 3885},
+		"varlen/uniform/dsm/cores4":      {0xba32d9c537adbaaa, 6422},
+		"varlen/dups/dsm":                {0x56e6525599e98df2, 6422},
+		"varlen/dups/psv":                {0x56e6525599e98df2, 15585},
+		"varlen/dups/srm-det":            {0x56e6525599e98df2, 5202},
+		"varlen/dups/srm/cores4":         {0x56e6525599e98df2, 5237},
+		"varlen/dups/dsm/cores4":         {0x56e6525599e98df2, 6422},
+		"varlen/near-sorted/dsm":         {0x92844be641a0b419, 6422},
+		"varlen/near-sorted/psv":         {0x92844be641a0b419, 18938},
+		"varlen/near-sorted/srm-det":     {0x92844be641a0b419, 3845},
+		"varlen/near-sorted/srm/cores4":  {0x92844be641a0b419, 3885},
+		"varlen/near-sorted/dsm/cores4":  {0x92844be641a0b419, 6422},
 	}
 	type input struct {
 		name string
@@ -57,8 +94,34 @@ func TestGoldenOutputDigests(t *testing.T) {
 		{"varlen/dups", varlen(dupVarRecords(n, 35))},
 		{"varlen/near-sorted", varlen(nearSortedVarRecords(n, 36))},
 	}
+	mergers := []struct {
+		name  string
+		alg   Algorithm
+		cores int
+	}{
+		{"dsm", DSM, 1},
+		{"psv", PSV, 1},
+		{"srm-det", SRMDeterministic, 1},
+		{"srm/cores4", SRM, 4},
+		{"dsm/cores4", DSM, 4},
+	}
 	for _, in := range inputs {
 		t.Run(in.name, func(t *testing.T) {
+			for _, mg := range mergers {
+				if raceEnabled {
+					break
+				}
+				cfg := Config{D: 4, B: 16, K: 3, Seed: 5, Algorithm: mg.alg, Cores: mg.cores}
+				digest, st, err := in.sort(cfg)
+				if err != nil {
+					t.Fatalf("%s: %v", mg.name, err)
+				}
+				got := golden{digest, st.TotalOps()}
+				if w, ok := want[in.name+"/"+mg.name]; !ok || got != w {
+					t.Errorf("%s: output drifted from the recorded digest:\n got {%#x, %d}\nwant {%#x, %d}",
+						mg.name, got.digest, got.ops, w.digest, w.ops)
+				}
+			}
 			for _, backend := range []Backend{MemBackend, FileBackend} {
 				for _, async := range []bool{false, true} {
 					cfg := Config{D: 4, B: 16, K: 3, Seed: 5, Cores: 1, Backend: backend, Async: async}

@@ -3,6 +3,8 @@ package srmsort
 import (
 	"bytes"
 	"cmp"
+	"encoding/binary"
+	"errors"
 	"math/rand"
 	"slices"
 	"testing"
@@ -16,9 +18,11 @@ import (
 )
 
 // FuzzSortStream feeds arbitrary byte streams through the wire decoder and
-// the full sorter. Well-formed streams must sort correctly; malformed ones
-// must produce an error, never a panic. Run with `go test -fuzz FuzzSortStream`
-// for continuous fuzzing; the seeds below run in normal test mode.
+// the full sorter. Well-formed streams must sort correctly; malformed ones,
+// and well-formed ones holding the reserved key 2^64−1, must produce an
+// error, never a panic. Run with `go test -fuzz FuzzSortStream` for
+// continuous fuzzing; the seeds below and testdata/fuzz/FuzzSortStream
+// run in normal test mode.
 func FuzzSortStream(f *testing.F) {
 	// Seeds: empty, one record, two out-of-order records, a truncated tail.
 	f.Add([]byte{})
@@ -42,6 +46,12 @@ func FuzzSortStream(f *testing.F) {
 			}
 			return
 		}
+		if holdsReservedKey(data) {
+			if !errors.Is(err, errReservedKey) {
+				t.Fatalf("stream holding the reserved key: err = %v, want the reserved-key refusal", err)
+			}
+			return
+		}
 		if err != nil {
 			t.Fatalf("well-formed stream of %d bytes rejected: %v", len(data), err)
 		}
@@ -61,6 +71,17 @@ func FuzzSortStream(f *testing.F) {
 			t.Fatal("negative op count")
 		}
 	})
+}
+
+// holdsReservedKey reports whether a fixed16 wire stream holds a record
+// with the reserved key 2^64−1.
+func holdsReservedKey(data []byte) bool {
+	for off := 0; off+RecordWireSize <= len(data); off += RecordWireSize {
+		if binary.LittleEndian.Uint64(data[off:]) == ^uint64(0) {
+			return true
+		}
+	}
+	return false
 }
 
 // FuzzRecordWire round-trips arbitrary record slices through the encoder.
@@ -140,7 +161,7 @@ func perRecordMerge(runs [][]record.Record) []record.Record {
 	for i, r := range runs {
 		total += len(r)
 		if len(r) > 0 {
-			lt.Push(i, uint64(r[0].Key))
+			lt.Push(i, uint64(r[0].Key), 0)
 		}
 	}
 	out := make([]record.Record, 0, total)
@@ -151,78 +172,73 @@ func perRecordMerge(runs [][]record.Record) []record.Record {
 		if heads[i] == len(runs[i]) {
 			lt.Remove(i)
 		} else {
-			lt.Update(i, uint64(runs[i][heads[i]].Key))
+			lt.Update(i, uint64(runs[i][heads[i]].Key), 0)
 		}
 	}
 	return out
 }
 
-// gallopMerge is the serial SRM consume loop's emission rule in
-// isolation: a winner that also won the previous selection emits the span
-// below the runner-up's key (ties to the lower run index) in one append,
-// any other winner its head record alone. Spans are additionally clipped
-// at artificial block boundaries of blockLen records — early clipping must
-// be harmless, exactly as the real kernels' stall and block-event bounds
-// are — and a block's end forgets the previous winner, as the end of the
-// kernel's consume call at a block event does.
-func gallopMerge(runs [][]record.Record, blockLen int) []record.Record {
-	lt := ltree.NewRetired(len(runs))
-	bufs := make([][]record.Record, len(runs))
-	consumed := make([]int, len(runs))
-	total := 0
-	for i, r := range runs {
-		total += len(r)
-		bufs[i] = r
-		if len(r) > 0 {
-			lt.Push(i, uint64(r[0].Key))
+// kernelMerge merges sorted runs through ltree.Kernel the way the
+// mergers drive it: each run enters in blocks of blockLen records, and a
+// block's end pushes the run's next block — the refill DSM and PSV
+// perform and the block event SRM's consumer stops at.
+func kernelMerge[R record.KernelRecord](runs [][]R, blockLen int, byVal bool) []R {
+	k := ltree.NewKernel[R](len(runs), byVal)
+	rest := slices.Clone(runs)
+	push := func(i int) {
+		if n := min(blockLen, len(rest[i])); n > 0 {
+			k.Push(i, rest[i][:n])
+			rest[i] = rest[i][n:]
 		}
 	}
-	out := make([]record.Record, 0, total)
-	prev := -1
-	for lt.Len() > 0 {
-		i, _ := lt.Min()
-		span := 1
-		if i == prev {
-			span = blockLen - consumed[i]%blockLen
-			if span > len(bufs[i]) {
-				span = len(bufs[i])
-			}
-			if ch, chKey, ok := lt.Challenger(); ok {
-				if n := record.CountBelow(bufs[i][:span], record.Key(chKey), i < ch); n < span {
-					span = n
-				}
-			}
+	for i := range runs {
+		push(i)
+	}
+	var out []R
+	for {
+		h, span, ended := k.Next()
+		if h < 0 {
+			return out
 		}
-		prev = i
-		out = append(out, bufs[i][:span]...)
-		consumed[i] += span
-		bufs[i] = bufs[i][span:]
-		if consumed[i]%blockLen == 0 {
-			prev = -1
-		}
-		if len(bufs[i]) == 0 {
-			lt.Remove(i)
-		} else {
-			lt.Update(i, uint64(bufs[i][0].Key))
+		out = append(out, span...)
+		if ended {
+			push(h)
 		}
 	}
-	return out
 }
 
-// FuzzGallopMergeEquiv drives the galloped bulk-emission logic, under the
-// repeat-winner rule, against the per-record reference kernel on
-// adversarial run shapes: tiny key
-// universes (runs of duplicate keys spanning block boundaries), MaxKey
-// records (which collide with the loser tree's legacy Infinite sentinel —
-// the explicit retired state must keep them live), and block lengths down
-// to 1 (every span a single record). It then merges the same runs through
-// the full SRM machinery — sync and async, whose outputs must agree with
-// each other and hold the same multiset in sorted order.
+// varlenAlphabet is the varlen leg's key universe: short keys, prefix
+// ties past the 16 bytes the prefix words cover, and keys of eight 0xFF
+// bytes, whose first prefix word the codec clamps onto that of ff×7 fe.
+var varlenAlphabet = []string{
+	"", "a", "ab", "b",
+	"AAAAAAAAAAAAAAAAB", "AAAAAAAAAAAAAAAAAB",
+	"\xff\xff\xff\xff\xff\xff\xff\xfe", "\xff\xff\xff\xff\xff\xff\xff\xfe\xff",
+	"\xff\xff\xff\xff\xff\xff\xff\xff", "\xff\xff\xff\xff\xff\xff\xff\xff\x00",
+	"\xff\xff\xff\xff\xff\xff\xff\xff\xff", "\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff",
+}
+
+// FuzzGallopMergeEquiv drives the merge kernel (ltree.Kernel, with its
+// repeat-winner gallop) against references on adversarial run shapes:
+// tiny key universes (runs of duplicate keys spanning block boundaries),
+// MaxKey records (a legal key: the tree tracks aliveness explicitly), and
+// block lengths down to 1 (every span a single record). Three legs:
+//
+//  1. Key order, at both record widths, against the per-record loser-tree
+//     merge: byte-identical, duplicates in run order.
+//  2. (Key, Val) order against record.SortRecords.
+//  3. Variable-length records over a tiny alphabet, keys of eight 0xFF
+//     bytes included, against record.SortRecords.
+//
+// It then merges the same runs through the full SRM machinery — sync and
+// async, whose outputs must agree with each other and hold the same
+// multiset in sorted order.
 func FuzzGallopMergeEquiv(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8}, uint8(3), uint8(2), uint8(2))
 	f.Add([]byte{5, 5, 5, 5, 5, 5}, uint8(2), uint8(1), uint8(3))
 	f.Add([]byte{255, 255, 0, 255, 1}, uint8(2), uint8(2), uint8(1))
 	f.Add([]byte{}, uint8(1), uint8(4), uint8(4))
+	f.Add([]byte{8, 9, 10, 11, 8, 9, 10, 11, 6, 7, 8, 9}, uint8(3), uint8(1), uint8(1))
 
 	f.Fuzz(func(t *testing.T, data []byte, numRunsRaw, dRaw, blkRaw uint8) {
 		numRuns := 1 + int(numRunsRaw%8)
@@ -232,14 +248,14 @@ func FuzzGallopMergeEquiv(f *testing.F) {
 			data = data[:512]
 		}
 		// One byte per record: a tiny key universe forces duplicate keys;
-		// byte 255 maps to MaxKey to exercise the Infinite collision.
+		// byte 255 maps to MaxKey.
 		recs := make([]record.Record, len(data))
 		for i, by := range data {
 			k := record.Key(by)
 			if by == 255 {
 				k = record.MaxKey
 			}
-			recs[i] = record.Record{Key: k, Val: uint64(i)}
+			recs[i] = record.Record{Key: k, Val: uint64(i % 5)}
 		}
 		gen := record.NewGenerator(1)
 		runs := gen.SplitIntoSortedRuns(recs, numRuns)
@@ -247,16 +263,38 @@ func FuzzGallopMergeEquiv(f *testing.F) {
 			return
 		}
 
+		// Leg 1: key order, duplicates in run order.
 		want := perRecordMerge(runs)
-		got := gallopMerge(runs, blockLen)
-		if len(got) != len(want) {
-			t.Fatalf("gallop emitted %d records, reference %d", len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("record %d: gallop %+v, reference %+v", i, got[i], want[i])
+		sameRecords(t, "kernel, key order", kernelMerge(runs, blockLen, false), want)
+		runs16 := make([][]record.Rec16, len(runs))
+		for i, r := range runs {
+			for _, rec := range r {
+				runs16[i] = append(runs16[i], record.Rec16{Key: rec.Key, Val: rec.Val})
 			}
 		}
+		for i, r := range kernelMerge(runs16, blockLen, false) {
+			if r.Wide() != want[i] {
+				t.Fatalf("Rec16 kernel, record %d: %+v, reference %+v", i, r, want[i])
+			}
+		}
+
+		// Leg 2: (Key, Val) order.
+		sorted := slices.Clone(recs)
+		record.SortRecords(sorted)
+		sameRecords(t, "kernel, (key, val) order", kernelMerge(runs, blockLen, true), sorted)
+
+		// Leg 3: variable-length records.
+		vrecs := make([]record.Record, len(data))
+		for i, by := range data {
+			r, err := record.MakeVar([]byte(varlenAlphabet[int(by)%len(varlenAlphabet)]), []byte{by / 64})
+			if err != nil {
+				t.Fatal(err)
+			}
+			vrecs[i] = r
+		}
+		vsorted := slices.Clone(vrecs)
+		record.SortRecords(vsorted)
+		sameRecords(t, "kernel, varlen order", kernelMerge(gen.SplitIntoSortedRuns(vrecs, numRuns), blockLen, false), vsorted)
 
 		// Full-kernel pass: SRM merge of the same runs, sync and async.
 		// MaxKey first keys collide with the forecast sentinel in the FDS,
@@ -354,6 +392,12 @@ func FuzzSortStreamAsync(f *testing.F) {
 			}
 			return
 		}
+		if holdsReservedKey(data) {
+			if !errors.Is(err, errReservedKey) {
+				t.Fatalf("stream holding the reserved key: err = %v, want the reserved-key refusal", err)
+			}
+			return
+		}
 		if err != nil {
 			t.Fatalf("well-formed stream of %d bytes rejected: %v", len(data), err)
 		}
@@ -397,8 +441,8 @@ func sameRecords(t *testing.T, label string, got, want []record.Record) {
 //     record.SortRecords.
 //
 // The byte universe is deliberately tiny (one byte per key) so duplicate
-// keys straddle every boundary; byte 255 maps to MaxKey to pin the loser
-// tree's retired/sentinel handling; shapes cover duplicate-heavy,
+// keys straddle every boundary; byte 255 maps to MaxKey, which the loser
+// tree must keep live like any other key; shapes cover duplicate-heavy,
 // all-equal, presorted and reversed inputs.
 func FuzzParallelMergeEquiv(f *testing.F) {
 	f.Add([]byte{}, uint8(3), uint8(16), uint8(0))                         // zero records, 16 shards: all empty

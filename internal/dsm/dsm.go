@@ -14,6 +14,10 @@
 // plus 2 logical blocks of write buffer), against SRM's R = kD. The extra
 // passes are DSM's entire disadvantage: per pass it performs the minimal
 // N/DB reads and N/DB writes.
+//
+// Internal merging runs the merge kernel every merger shares
+// (ltree.Kernel); DSM adds only the refill of a run's logical block when
+// the kernel reports its end.
 package dsm
 
 import (
@@ -242,7 +246,6 @@ func mergeRuns[R record.KernelRecord](sys *pdisk.System, runs []*Run, outID int,
 	readsBefore := sys.Stats().ReadOps
 	writesBefore := sys.Stats().WriteOps
 
-	bufs := make([][]R, len(runs))
 	readers := make([]*runio.StripeReader, len(runs))
 	for i, r := range runs {
 		readers[i] = r.reader(sys, async)
@@ -254,87 +257,40 @@ func mergeRuns[R record.KernelRecord](sys *pdisk.System, runs []*Run, outID int,
 			rd.Close()
 		}
 	}()
-	refill := func(i int) error {
-		for len(bufs[i]) == 0 && readers[i].Left() > 0 {
-			recs, err := readRecs[R](readers[i])
-			if err != nil {
-				return err
-			}
-			bufs[i] = recs
-		}
-		return nil
-	}
 	// Internal merging uses the classical tournament tree of losers
-	// ([Knu73], the paper's reference for internal merge processing).
-	keys := make([]uint64, len(runs))
-	varlen := false
+	// ([Knu73], the paper's reference for internal merge processing),
+	// over each run's current logical block.
+	k := ltree.NewKernel[R](len(runs), false)
+	// refill pushes run i's next logical block, if any.
+	refill := func(i int) error {
+		if readers[i].Left() == 0 {
+			return nil
+		}
+		recs, err := readRecs[R](readers[i])
+		if err == nil {
+			k.Push(i, recs)
+		}
+		return err
+	}
 	for i := range runs {
 		if err := refill(i); err != nil {
 			return nil, stats, err
 		}
-		if len(bufs[i]) > 0 {
-			keys[i] = uint64(bufs[i][0].K())
-			if bufs[i][0].X() != "" {
-				varlen = true
-			}
-		} else {
-			keys[i] = ltree.Infinite
-		}
-	}
-	var lt *ltree.Tree
-	if varlen {
-		// Variable-length records: prefix-word ties are adjudicated by the
-		// tied runs' current head records. The comparator must be live
-		// before the first tournament is played (ltree.New would seed a
-		// prefix-tied pair by index), so build retired and push.
-		lt = ltree.NewRetired(len(runs))
-		lt.SetTie(func(a, b int) int {
-			return record.CompareExt(bufs[a][0].X(), bufs[b][0].X())
-		})
-		for i := range runs {
-			if len(bufs[i]) > 0 {
-				lt.Push(i, keys[i])
-			}
-		}
-	} else {
-		lt = ltree.New(keys)
 	}
 	w := NewWriter[R](sys, outID)
 	w.async = async
-	for lt.Len() > 0 {
-		i, _ := lt.Min()
-		// Galloped emission: run i keeps winning while its key is below the
-		// runner-up's (or equal with the lower run index), and the
-		// runner-up's key cannot change while i wins — so the whole span is
-		// located by binary search and emitted in one bulk call. Varlen
-		// bounds are exclusive (prefix equality needs content adjudication);
-		// a zero span still emits the one record the tree adjudicated.
-		span := len(bufs[i])
-		if ch, chKey, ok := lt.Challenger(); ok {
-			incl := i < ch
-			if varlen {
-				incl = false
-			}
-			if n := record.CountBelow(bufs[i], record.Key(chKey), incl); n < span {
-				span = n
-			}
-			if varlen && span == 0 {
-				span = 1
-			}
+	for {
+		i, span, ended := k.Next()
+		if i < 0 {
+			break
 		}
-		if err := w.AppendBlock(bufs[i][:span]); err != nil {
+		if err := w.AppendBlock(span); err != nil {
 			return nil, stats, err
 		}
-		bufs[i] = bufs[i][span:]
-		if len(bufs[i]) == 0 {
+		if ended {
 			if err := refill(i); err != nil {
 				return nil, stats, err
 			}
-		}
-		if len(bufs[i]) == 0 {
-			lt.DeleteMin()
-		} else {
-			lt.ReplaceMin(uint64(bufs[i][0].K()))
 		}
 	}
 	out, err := w.Finish()

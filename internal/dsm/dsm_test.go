@@ -109,6 +109,44 @@ func TestMergeCorrectAndCounted(t *testing.T) {
 	}
 }
 
+// TestMergeKeepsMaxKeyRecords: 2^64−1 is a legal key inside a merge, so a
+// run whose head record or refilled logical block starts with it stays in
+// the tournament until its records are out.
+func TestMergeKeepsMaxKeyRecords(t *testing.T) {
+	sys := newSys(t, 2, 2)
+	g := record.NewGenerator(3)
+	all := g.Random(300)
+	for i := 0; i < len(all); i += 7 {
+		all[i].Key = record.MaxKey
+	}
+	var runs []*Run
+	for i, p := range g.SplitIntoSortedRuns(all, 4) {
+		w := NewWriter[record.Record](sys, i)
+		if err := w.AppendBlock(p); err != nil {
+			t.Fatal(err)
+		}
+		run, err := w.Finish()
+		if err != nil {
+			t.Fatal(err)
+		}
+		runs = append(runs, run)
+	}
+	out, _, _, err := MergeAll[record.Record](sys, runs, len(runs), 99, MergeAllOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := ReadAll[record.Record](sys, out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(all) {
+		t.Fatalf("merged %d of %d records", len(got), len(all))
+	}
+	if !record.IsSortedRecords(got) || record.Checksum(got) != record.Checksum(all) {
+		t.Fatal("DSM merge output is not a sorted permutation of the input")
+	}
+}
+
 func TestSortEndToEnd(t *testing.T) {
 	sys := newSys(t, 4, 4)
 	g := record.NewGenerator(3)

@@ -2,6 +2,7 @@ package jobs
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -183,6 +184,72 @@ func TestManagerVarlenJob(t *testing.T) {
 			}
 			if !bytes.Equal(got, want.Bytes()) {
 				t.Fatalf("result bytes differ from a direct SortVar (%d vs %d bytes)", len(got), want.Len())
+			}
+		})
+	}
+}
+
+// TestReservedKeyJobFails: a fixed16 upload holding the reserved key
+// 2^64−1 passes ingest (no scan there) and ends failed with the sort's
+// refusal, not a panic that would take the process down. The manager
+// keeps serving, and a durable job's failure survives a restart instead
+// of being rerun.
+func TestReservedKeyJobFails(t *testing.T) {
+	bad := genRaw(t, 500, 3)
+	for i := 100; i < 500; i += 10 { // enough that some block starts with the key
+		binary.LittleEndian.PutUint64(bad[i*srmsort.RecordWireSize:], ^uint64(0))
+	}
+	for _, root := range []string{"", t.TempDir()} {
+		name := "volatile"
+		if root != "" {
+			name = "durable"
+		}
+		t.Run(name, func(t *testing.T) {
+			m, err := NewManager(Options{Root: root, MemoryBudget: 100_000, Defaults: testSpec(1)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer m.Kill()
+			j, err := m.Submit(Spec{}, bytes.NewReader(bad))
+			if err != nil {
+				t.Fatal(err)
+			}
+			st := waitJob(t, j)
+			if st.State != StateFailed || !strings.Contains(st.Error, "record 100") || !strings.Contains(st.Error, "reserved") {
+				t.Fatalf("state = %s (%s), want failed naming record 100's reserved key", st.State, st.Error)
+			}
+			in, want := genInput(t, testSpec(1), 2000, 11)
+			j2, err := m.Submit(Spec{}, bytes.NewReader(in))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st := waitJob(t, j2); st.State != StateDone {
+				t.Fatalf("next job: state = %s (%s)", st.State, st.Error)
+			}
+			rc, _, err := m.Result(j2.ID())
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, _ := io.ReadAll(rc)
+			rc.Close()
+			if !bytes.Equal(got, want) {
+				t.Fatal("next job's result differs from a direct sort")
+			}
+			if root == "" {
+				return
+			}
+			m.Kill()
+			m2, err := NewManager(Options{Root: root, MemoryBudget: 100_000, Defaults: testSpec(1)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer m2.Kill()
+			j3, ok := m2.Get(j.ID())
+			if !ok {
+				t.Fatalf("job %s not recovered", j.ID())
+			}
+			if st := waitJob(t, j3); st.State != StateFailed {
+				t.Fatalf("after restart: state = %s (%s), want failed", st.State, st.Error)
 			}
 		})
 	}

@@ -1,0 +1,173 @@
+package ltree
+
+import "srmsort/internal/record"
+
+// Kernel is the R-way merge loop of every merger in this repository —
+// SRM's consumer, DSM's striped merge, PSV's merge and pmerge's shards:
+// a loser tree over each input's current block, the repeat-winner
+// gallop, the variable-length tie rule and one optional key bound. Next
+// selects the winning input and the span of its block it may emit now;
+// the caller writes the span to its own output and handles the end of a
+// block (SRM's block event, DSM's refill of a logical block, PSV's read
+// decisions) by pushing the input's next block or leaving it retired.
+//
+// Order. Inputs compare by their head record's key, ties going to the
+// lower input index. A kernel built with byVal compares (Key, Val)
+// first: record.SortRecords' order for fixed-size records. Variable-
+// length records (the first block pushed carries an Ext) always compare
+// by their (Key, Val) prefix words and then by record.CompareExt on their
+// encodings: their full content order.
+//
+// Gallop. An input that wins a selection right after it won the previous
+// one emits, in one span, every record of its block that still precedes
+// the runner-up (Challenger) and the bound, found by CountBelow's or
+// CountBelowKV's exponential probe. Any other winner emits its head
+// record alone: on interleaved inputs the next record comes from the
+// same input only about once in R, so a span search would almost always
+// find one record at the price of a Challenger walk and two searches.
+// Prefix words only coarsen the varlen order, so its spans stop before a
+// record that merely ties a bound at the prefix level; the tree has
+// already ordered the winner's head first, so a span is never empty.
+type Kernel[R record.KernelRecord] struct {
+	tree   Tree
+	heads  [][]R // unconsumed tail of each input's current block; empty when retired
+	byVal  bool  // inputs compare by (Key, Val), not by Key alone
+	varlen bool  // prefix ties go to record.CompareExt; bounds are exclusive
+	prev   int   // the previous selection's winner; -1 after a block end or a stop
+
+	// The key bound SetBound installs: when bounded, Next emits no record
+	// whose key is above bound, or equal to it unless inclusive.
+	bounded   bool
+	inclusive bool
+	bound     record.Key
+}
+
+// NewKernel returns a kernel over n inputs, all retired until pushed.
+// byVal selects the (Key, Val) order for fixed-size records.
+func NewKernel[R record.KernelRecord](n int, byVal bool) *Kernel[R] {
+	k := &Kernel[R]{heads: make([][]R, n), byVal: byVal, prev: -1}
+	k.tree.init(n)
+	return k
+}
+
+// Head returns the unconsumed tail of input h's current block, empty when
+// h is retired. The caller must not modify it.
+func (k *Kernel[R]) Head(h int) []R { return k.heads[h] }
+
+// Varlen reports whether the kernel merges variable-length records.
+func (k *Kernel[R]) Varlen() bool { return k.varlen }
+
+// Push makes blk, which must not be empty, the current block of retired
+// input h. A block of variable-length records switches the kernel to
+// their order; a merge pushes one before its first selection.
+func (k *Kernel[R]) Push(h int, blk []R) {
+	if !k.varlen && blk[0].X() != "" {
+		k.varlen, k.byVal = true, true
+		k.tree.tie = func(a, b int) int {
+			return record.CompareExt(k.heads[a][0].X(), k.heads[b][0].X())
+		}
+	}
+	k.heads[h] = blk
+	key, val := k.words(blk[0])
+	k.tree.Push(h, key, val)
+}
+
+// SetBound installs the key bound Next respects until the next call:
+// with bounded set, Next emits no record whose key is above bound, or
+// equal to it unless inclusive. A variable-length bound is always
+// exclusive: a record tying it at the prefix level may truly follow it.
+func (k *Kernel[R]) SetBound(bound record.Key, bounded, inclusive bool) {
+	k.bound, k.bounded, k.inclusive = bound, bounded, inclusive && !k.varlen
+}
+
+// Next selects the winning input h and advances it past span, the
+// records of its block it may emit now. h is -1, and span empty, when no
+// input is live or the bound blocks the winner's head record. ended
+// reports that span finished h's block: h is then retired until the
+// caller pushes its next block. span aliases the block and is never
+// empty when h >= 0.
+func (k *Kernel[R]) Next() (h int, span []R, ended bool) {
+	t := &k.tree
+	if t.alive == 0 {
+		k.prev = -1
+		return -1, nil, false
+	}
+	h = t.losers[0]
+	if k.bounded {
+		if key := record.Key(t.keys[h]); k.bound < key || (k.bound == key && !k.inclusive) {
+			k.prev = -1
+			return -1, nil, false
+		}
+	}
+	b := k.heads[h]
+	n := 1
+	if h == k.prev {
+		n = k.gallop(h, b)
+	}
+	// Advance's work, written out: this is the per-selection path, and a
+	// generic method call here is a real call, so the winner's new words
+	// are stored and its path replayed in place.
+	span, b = b[:n], b[n:]
+	k.heads[h] = b
+	if len(b) == 0 {
+		k.prev = -1
+		t.Remove(h)
+		return h, span, true
+	}
+	k.prev = h
+	if r := b[0]; k.byVal {
+		t.keys[h], t.vals[h] = uint64(r.K()), r.V()
+	} else {
+		t.keys[h] = uint64(r.K())
+	}
+	t.replay(h)
+	return h, span, false
+}
+
+// gallop returns how many leading records of b, the block of the repeat
+// winner h, precede both the runner-up's head and the bound. Both stay
+// fixed while h keeps winning, so the span is exactly what one selection
+// per record would emit; both admit b's first record, so it is at least
+// one.
+func (k *Kernel[R]) gallop(h int, b []R) int {
+	n := len(b)
+	if ch, key, val, ok := k.tree.Challenger(); ok {
+		switch {
+		case k.varlen:
+			n = min(n, max(record.CountBelowKV(b, record.Key(key), val, false), 1))
+		case k.byVal:
+			n = min(n, record.CountBelowKV(b, record.Key(key), val, h < ch))
+		default:
+			n = min(n, record.CountBelow(b, record.Key(key), h < ch))
+		}
+	}
+	if k.bounded {
+		n = min(n, record.CountBelow(b, k.bound, k.inclusive))
+	}
+	return n
+}
+
+// Advance moves input h past its next n records, which the caller has
+// emitted itself (SRM's super-span path merges several inputs' spans at
+// once). It reports whether they finished h's block, retiring h as Next
+// does.
+func (k *Kernel[R]) Advance(h, n int) (ended bool) {
+	b := k.heads[h][n:]
+	k.heads[h] = b
+	if len(b) == 0 {
+		k.prev = -1
+		k.tree.Remove(h)
+		return true
+	}
+	key, val := k.words(b[0])
+	k.tree.Update(h, key, val)
+	return false
+}
+
+// words returns the (key, val) pair input order compares for record r.
+func (k *Kernel[R]) words(r R) (key, val uint64) {
+	if k.byVal {
+		return uint64(r.K()), r.V()
+	}
+	return uint64(r.K()), 0
+}

@@ -1,91 +1,67 @@
 // Package ltree implements a tournament tree of losers, Knuth's classical
 // structure for R-way internal merging (TAOCP vol. 3, Section 5.4.1 —
 // exactly the reference the paper gives for internal merge processing in
-// Section 5).
+// Section 5), and Kernel, the one merge loop built on it that every
+// merger in this repository runs (kernel.go).
 //
 // Compared with a binary heap, the loser tree performs one root-to-leaf
 // pass of exactly ceil(log2 R) comparisons per emitted record regardless
 // of input order, which is why external sorters traditionally prefer it
-// for their inner loop. The API is shaped for merging: every player holds
-// one key; the winner is read with Min and replaced (the next record of
-// the same run) or retired (run exhausted) in O(log R).
+// for their inner loop. Every player holds one (key, val) pair; the
+// winner is read with Min and re-keyed (Update) or retired (Remove) in
+// O(log R).
 //
 // Beyond the classical winner-only operations, the tree supports the
-// dynamic membership the SRM merge needs — Push re-activates a retired
+// dynamic membership the SRM merge needs — Push activates a retired
 // player (a stalled run whose leading block arrived) and Remove retires an
 // arbitrary one — and Challenger exposes the runner-up, which bounds how
 // many records the winner may emit in one galloped span. Push and
-// non-winner updates rebuild the tournament in O(R); the merge kernels
-// only perform them at block events, never per record, so the per-record
+// non-winner updates rebuild the tournament in O(R); the kernel only
+// performs them at block events, never per record, so the per-record
 // cost stays at the winner-replay O(log R).
 //
-// Aliveness is tracked explicitly, not through the key value: a live
-// player may legitimately hold Infinite (a record whose key is the maximal
-// uint64). The Infinite sentinel keeps its historical meaning only at the
-// legacy entry points New (players born retired) and ReplaceMin
-// (retirement).
+// Aliveness is tracked explicitly, not through the key value, so every
+// uint64 — the maximal one included — is a legal key.
 //
-// Ties are broken by player index, matching the iheap-based mergers, so
-// the two engines produce byte-identical merge output. The KV entry
-// points (PushKV, UpdateKV, ChallengerKV) interpose a secondary value
-// between the key and the index — (key, val, index) — which is how the
-// parallel sort's merge-back reproduces SortRecords' (key, val) order
-// exactly; the plain entry points pin the value to zero, so trees that
-// never call a KV method behave exactly as before.
+// Players compare by (key, val, index): the smaller key wins, key ties go
+// to the smaller val, full ties to the lower index. A tree whose players
+// all hold val zero orders by (key, index) alone.
 package ltree
 
 import "fmt"
 
-// Infinite is the sentinel key accepted by New and ReplaceMin to mean
-// "retired". Key reports it for retired players.
-const Infinite = ^uint64(0)
-
-// Tree is a loser tree over players 0..n-1. Construct with New.
+// Tree is a loser tree over players 0..n-1. Construct with NewRetired.
 type Tree struct {
 	n       int
 	keys    []uint64 // current key of each player
-	vals    []uint64 // secondary tie value; zero unless set via a KV method
+	vals    []uint64 // secondary tie value of each player
 	retired []bool   // explicit aliveness: retired players lose every match
 	losers  []int    // internal nodes: player index of the match loser; losers[0] is the winner
 	alive   int
 	scratch []int // rebuild's winner array, allocated once with the tree
-	tie     func(a, b int) int
-}
-
-// New builds a tree over the given initial keys (one per player). Players
-// whose runs are empty can be passed Infinite and count as retired.
-func New(keys []uint64) *Tree {
-	n := len(keys)
-	if n == 0 {
-		panic("ltree: no players")
-	}
-	t := &Tree{
-		n:       n,
-		keys:    append([]uint64(nil), keys...),
-		vals:    make([]uint64, n),
-		retired: make([]bool, n),
-		losers:  make([]int, n),
-		scratch: make([]int, 2*n),
-	}
-	for p, k := range keys {
-		if k == Infinite {
-			t.retired[p] = true
-		} else {
-			t.alive++
-		}
-	}
-	t.rebuild()
-	return t
+	// tie, when set, breaks (key, val) ties between live players before
+	// the index does: the variable-length record hook of Kernel, which
+	// compares the players' head records with record.CompareExt. It is
+	// consulted during rebuilds, so both players' head records must be
+	// current before any Push or Update that triggers one.
+	tie func(a, b int) int
 }
 
 // NewRetired builds a tree over n players, all retired — the starting
 // state of a merge that activates runs with Push as their leading blocks
 // arrive.
 func NewRetired(n int) *Tree {
+	t := new(Tree)
+	t.init(n)
+	return t
+}
+
+// init makes t a tree over n retired players.
+func (t *Tree) init(n int) {
 	if n == 0 {
 		panic("ltree: no players")
 	}
-	t := &Tree{
+	*t = Tree{
 		n:       n,
 		keys:    make([]uint64, n),
 		vals:    make([]uint64, n),
@@ -97,7 +73,6 @@ func NewRetired(n int) *Tree {
 		t.retired[p] = true
 	}
 	t.rebuild()
-	return t
 }
 
 // rebuild recomputes the whole tournament in O(n).
@@ -126,27 +101,9 @@ func (t *Tree) play(a, b int) (w, l int) {
 	return b, a
 }
 
-// SetTie installs a tie-break comparator consulted only when two LIVE
-// players hold equal (key, val) pairs, before the final index tie-break.
-// It returns negative/zero/positive like a three-way compare; a zero
-// result (or a nil comparator, the default) falls through to the index.
-//
-// This is the variable-length record hook: prefix words can tie while
-// full keys differ, and the comparator adjudicates by the players'
-// current head records (CompareExt). For fixed-size records no
-// comparator is installed and the tree's behavior is bit-for-bit its
-// historical (key, val, index) order. The comparator must be consistent
-// while installed: it is invoked during rebuilds, so both players' head
-// records must be current before any Push/Update that triggers one.
-func (t *Tree) SetTie(tie func(a, b int) int) { t.tie = tie }
-
 // beats reports whether player a wins a match against player b: retired
-// players lose to live ones, live players compare by (key, val, index) —
-// the smaller key wins, key ties go to the smaller val, full ties to the
-// lower index — and retired pairs order by index (irrelevant, but total).
-// Players never touched by a KV method all hold val zero, so for them
-// the order collapses to the classical (key, index). A SetTie comparator,
-// when installed, interposes between the val and index tie-breaks.
+// players lose to live ones, live players compare by (key, val, tie,
+// index), and retired pairs order by index (irrelevant, but total).
 func (t *Tree) beats(a, b int) bool {
 	if t.retired[a] != t.retired[b] {
 		return !t.retired[a]
@@ -180,14 +137,14 @@ func (t *Tree) Min() (player int, key uint64) {
 	return w, t.keys[w]
 }
 
-// Challenger returns the runner-up: the player that would win if the
-// current winner retired, and its key. ok is false when fewer than two
-// players are live. The runner-up necessarily lost its match against the
-// winner, so it is the best of the losers stored on the winner's
-// leaf-to-root path — an O(log R) scan with no mutation.
-func (t *Tree) Challenger() (player int, key uint64, ok bool) {
+// Challenger returns the runner-up — the player that would win if the
+// current winner retired — with its key and val. ok is false when fewer
+// than two players are live. The runner-up necessarily lost its match
+// against the winner, so it is the best of the losers stored on the
+// winner's leaf-to-root path — an O(log R) scan with no mutation.
+func (t *Tree) Challenger() (player int, key, val uint64, ok bool) {
 	if t.alive < 2 {
-		return -1, Infinite, false
+		return -1, 0, 0, false
 	}
 	w := t.losers[0]
 	best := -1
@@ -200,62 +157,14 @@ func (t *Tree) Challenger() (player int, key uint64, ok bool) {
 			best = l
 		}
 	}
-	return best, t.keys[best], true
+	return best, t.keys[best], t.vals[best], true
 }
 
-// ChallengerKV is Challenger extended with the runner-up's secondary tie
-// value, for merges galloping under the (key, val, index) order.
-func (t *Tree) ChallengerKV() (player int, key, val uint64, ok bool) {
-	p, k, ok := t.Challenger()
-	if !ok {
-		return p, k, 0, false
-	}
-	return p, k, t.vals[p], true
-}
-
-// ReplaceMin gives the current winner a new key (the next record of its
-// run) and replays its path to the root in O(log R). ReplaceMin(Infinite)
-// retires the winner (the legacy sentinel); use Update to hand a live
-// player a genuine Infinite key. The secondary tie value resets to zero.
-func (t *Tree) ReplaceMin(key uint64) {
-	if t.alive == 0 {
-		panic("ltree: ReplaceMin of empty tree")
-	}
-	w := t.losers[0]
-	if key == Infinite {
-		t.retired[w] = true
-		t.alive--
-	}
-	t.keys[w] = key
-	t.vals[w] = 0
-	t.replay(w)
-}
-
-// DeleteMin retires the current winner (its run is exhausted).
-func (t *Tree) DeleteMin() {
-	if t.alive == 0 {
-		panic("ltree: DeleteMin of empty tree")
-	}
-	w := t.losers[0]
-	t.retired[w] = true
-	t.alive--
-	t.replay(w)
-}
-
-// Update gives a live player a new key, taken at face value (Infinite is a
-// legal key here), and resets its secondary tie value to zero. Updating
-// the current winner is the per-span hot path and costs one O(log R)
-// replay; any other player costs an O(n) rebuild — merge kernels only do
-// that at block events.
-func (t *Tree) Update(player int, key uint64) {
-	t.UpdateKV(player, key, 0)
-}
-
-// UpdateKV is Update with an explicit secondary tie value: until its next
-// reassignment the player compares by (key, val, index). The parallel
-// sort's merge-back uses it to order duplicate keys exactly as
-// SortRecords does.
-func (t *Tree) UpdateKV(player int, key, val uint64) {
+// Update gives a live player a new (key, val) pair. Updating the current
+// winner is the per-span hot path and costs one O(log R) replay; any
+// other player costs an O(n) rebuild — the kernel only does that at
+// block events.
+func (t *Tree) Update(player int, key, val uint64) {
 	t.check(player)
 	if t.retired[player] {
 		panic(fmt.Sprintf("ltree: Update of retired player %d", player))
@@ -269,16 +178,10 @@ func (t *Tree) UpdateKV(player int, key, val uint64) {
 	}
 }
 
-// Push activates a retired player with the given key (taken at face
-// value), rebuilding the tournament in O(n). Merge kernels call it when a
-// stalled run's leading block arrives — once per block, never per record.
-// The secondary tie value resets to zero.
-func (t *Tree) Push(player int, key uint64) {
-	t.PushKV(player, key, 0)
-}
-
-// PushKV is Push with an explicit secondary tie value.
-func (t *Tree) PushKV(player int, key, val uint64) {
+// Push activates a retired player with the given (key, val) pair,
+// rebuilding the tournament in O(n). The kernel calls it when an input's
+// next block arrives — once per block, never per record.
+func (t *Tree) Push(player int, key, val uint64) {
 	t.check(player)
 	if !t.retired[player] {
 		panic(fmt.Sprintf("ltree: Push of live player %d", player))
@@ -290,8 +193,8 @@ func (t *Tree) PushKV(player int, key, val uint64) {
 	t.rebuild()
 }
 
-// Remove retires a live player. Retiring the current winner is the
-// O(log R) DeleteMin; any other player costs an O(n) rebuild.
+// Remove retires a live player. Retiring the current winner costs one
+// O(log R) replay; any other player an O(n) rebuild.
 func (t *Tree) Remove(player int) {
 	t.check(player)
 	if t.retired[player] {
@@ -304,15 +207,6 @@ func (t *Tree) Remove(player int) {
 	} else {
 		t.rebuild()
 	}
-}
-
-// Key returns the current key of a player (Infinite if retired).
-func (t *Tree) Key(player int) uint64 {
-	t.check(player)
-	if t.retired[player] {
-		return Infinite
-	}
-	return t.keys[player]
 }
 
 // check panics on an out-of-range player index.

@@ -7,10 +7,20 @@ import (
 	"testing/quick"
 
 	"srmsort/internal/iheap"
+	"srmsort/internal/record"
 )
 
+// pushAll returns a tree over len(keys) players, each pushed with its key.
+func pushAll(keys []uint64) *Tree {
+	tr := NewRetired(len(keys))
+	for p, k := range keys {
+		tr.Push(p, k, 0)
+	}
+	return tr
+}
+
 func TestSingleRunDrain(t *testing.T) {
-	tr := New([]uint64{5})
+	tr := pushAll([]uint64{5})
 	if tr.Len() != 1 {
 		t.Fatalf("Len = %d", tr.Len())
 	}
@@ -18,11 +28,11 @@ func TestSingleRunDrain(t *testing.T) {
 	if p != 0 || k != 5 {
 		t.Fatalf("Min = %d,%d", p, k)
 	}
-	tr.ReplaceMin(9)
+	tr.Update(0, 9, 0)
 	if _, k := tr.Min(); k != 9 {
-		t.Fatalf("after replace, key = %d", k)
+		t.Fatalf("after update, key = %d", k)
 	}
-	tr.DeleteMin()
+	tr.Remove(0)
 	if tr.Len() != 0 {
 		t.Fatalf("Len = %d after retirement", tr.Len())
 	}
@@ -40,16 +50,16 @@ func TestMergeThreeRuns(t *testing.T) {
 		keys[i] = r[0]
 		pos[i] = 1
 	}
-	tr := New(keys)
+	tr := pushAll(keys)
 	var out []uint64
 	for tr.Len() > 0 {
 		p, k := tr.Min()
 		out = append(out, k)
 		if pos[p] < len(runs[p]) {
-			tr.ReplaceMin(runs[p][pos[p]])
+			tr.Update(p, runs[p][pos[p]], 0)
 			pos[p]++
 		} else {
-			tr.DeleteMin()
+			tr.Remove(p)
 		}
 	}
 	if len(out) != 12 {
@@ -62,33 +72,63 @@ func TestMergeThreeRuns(t *testing.T) {
 	}
 }
 
-func TestInitialInfinitePlayers(t *testing.T) {
-	tr := New([]uint64{Infinite, 3, Infinite, 1})
+// A player holding the maximal uint64 key is live: aliveness is explicit,
+// so no key value means "retired".
+func TestMaxKeyIsLive(t *testing.T) {
+	tr := NewRetired(4)
+	tr.Push(1, ^uint64(0), 0)
+	tr.Push(3, 1, 0)
 	if tr.Len() != 2 {
 		t.Fatalf("Len = %d, want 2", tr.Len())
 	}
 	if p, k := tr.Min(); p != 3 || k != 1 {
 		t.Fatalf("Min = %d,%d", p, k)
 	}
+	tr.Remove(3)
+	if p, k := tr.Min(); p != 1 || k != ^uint64(0) {
+		t.Fatalf("Min = %d,%#x, want the MaxKey player", p, k)
+	}
 }
 
 func TestTieBreakByPlayer(t *testing.T) {
-	tr := New([]uint64{7, 7, 7})
+	tr := pushAll([]uint64{7, 7, 7})
 	for want := 0; want < 3; want++ {
 		p, _ := tr.Min()
 		if p != want {
 			t.Fatalf("Min player = %d, want %d", p, want)
 		}
-		tr.DeleteMin()
+		tr.Remove(p)
+	}
+}
+
+// Vals break key ties before the player index does.
+func TestTieBreakByVal(t *testing.T) {
+	tr := NewRetired(3)
+	tr.Push(0, 7, 2)
+	tr.Push(1, 7, 1)
+	tr.Push(2, 7, 2)
+	for _, want := range []int{1, 0, 2} {
+		if p, _ := tr.Min(); p != want {
+			t.Fatalf("Min player = %d, want %d", p, want)
+		}
+		if want != 2 {
+			if ch, _, _, ok := tr.Challenger(); !ok || ch == want {
+				t.Fatalf("Challenger = %d,%v", ch, ok)
+			}
+		}
+		p, _ := tr.Min()
+		tr.Remove(p)
 	}
 }
 
 func TestPanics(t *testing.T) {
 	cases := map[string]func(){
-		"empty new":     func() { New(nil) },
-		"min empty":     func() { tr := New([]uint64{Infinite}); tr.Min() },
-		"replace empty": func() { tr := New([]uint64{Infinite}); tr.ReplaceMin(1) },
-		"key oob":       func() { New([]uint64{1}).Key(1) },
+		"no players":     func() { NewRetired(0) },
+		"min empty":      func() { NewRetired(1).Min() },
+		"update retired": func() { NewRetired(1).Update(0, 1, 0) },
+		"push live":      func() { pushAll([]uint64{1}).Push(0, 2, 0) },
+		"remove retired": func() { NewRetired(2).Remove(1) },
+		"player oob":     func() { pushAll([]uint64{1}).Update(1, 1, 0) },
 	}
 	for name, fn := range cases {
 		func() {
@@ -119,26 +159,23 @@ func TestMatchesIndexedHeap(t *testing.T) {
 		}
 
 		mergeLT := func() []uint64 {
-			keys := make([]uint64, nRuns)
+			tr := NewRetired(nRuns)
 			pos := make([]int, nRuns)
 			for i, r := range runs {
 				if len(r) > 0 {
-					keys[i] = r[0]
+					tr.Push(i, r[0], 0)
 					pos[i] = 1
-				} else {
-					keys[i] = Infinite
 				}
 			}
-			tr := New(keys)
 			var out []uint64
 			for tr.Len() > 0 {
 				p, k := tr.Min()
 				out = append(out, k)
 				if pos[p] < len(runs[p]) {
-					tr.ReplaceMin(runs[p][pos[p]])
+					tr.Update(p, runs[p][pos[p]], 0)
 					pos[p]++
 				} else {
-					tr.DeleteMin()
+					tr.Remove(p)
 				}
 			}
 			return out
@@ -187,21 +224,149 @@ func TestLargeTournament(t *testing.T) {
 	keys := make([]uint64, n)
 	rng := rand.New(rand.NewSource(9))
 	for i := range keys {
-		keys[i] = rng.Uint64() >> 1
+		keys[i] = rng.Uint64()
 	}
-	tr := New(keys)
+	tr := pushAll(keys)
 	prev := uint64(0)
 	for tr.Len() > 0 {
-		_, k := tr.Min()
+		p, k := tr.Min()
 		if k < prev {
 			t.Fatal("not monotone")
 		}
 		prev = k
-		tr.DeleteMin()
+		tr.Remove(p)
 	}
 }
 
-func BenchmarkReplaceMin(b *testing.B) {
+// kernelMerge drains a kernel over runs, one Next per selection, and
+// returns the emitted records and the span lengths.
+func kernelMerge(runs [][]record.Rec16, byVal bool) (out []record.Rec16, spans []int) {
+	k := NewKernel[record.Rec16](len(runs), byVal)
+	for i, r := range runs {
+		if len(r) > 0 {
+			k.Push(i, r)
+		}
+	}
+	for {
+		h, span, _ := k.Next()
+		if h < 0 {
+			return out, spans
+		}
+		out = append(out, span...)
+		spans = append(spans, len(span))
+	}
+}
+
+// The kernel emits a first-time winner's head alone and gallops only on a
+// repeat winner, whose span runs up to the runner-up's head (inclusive
+// when the winner has the lower index).
+func TestKernelRepeatWinnerGallop(t *testing.T) {
+	runs := [][]record.Rec16{
+		{{Key: 1}, {Key: 2}, {Key: 3}, {Key: 5}, {Key: 9}},
+		{{Key: 5}, {Key: 6}},
+	}
+	out, spans := kernelMerge(runs, false)
+	wantSpans := []int{1, 3, 1, 1, 1} // 1 | 2 3 5 | 5 | 6 | 9
+	if len(spans) != len(wantSpans) {
+		t.Fatalf("spans %v, want %v", spans, wantSpans)
+	}
+	for i := range spans {
+		if spans[i] != wantSpans[i] {
+			t.Fatalf("spans %v, want %v", spans, wantSpans)
+		}
+	}
+	for i := 1; i < len(out); i++ {
+		if out[i-1].Key > out[i].Key {
+			t.Fatalf("output not sorted: %v", out)
+		}
+	}
+}
+
+// A byVal kernel merges (key, val)-sorted inputs into SortRecords' order;
+// a key-only kernel keeps equal keys in input order.
+func TestKernelOrders(t *testing.T) {
+	runs := [][]record.Rec16{
+		{{Key: 4, Val: 3}, {Key: 4, Val: 5}},
+		{{Key: 4, Val: 1}, {Key: 4, Val: 4}, {Key: ^record.Key(0), Val: 0}},
+	}
+	byVal, _ := kernelMerge(runs, true)
+	want := append(append([]record.Rec16(nil), runs[0]...), runs[1]...)
+	record.SortRecords(want)
+	byKey, _ := kernelMerge(runs, false)
+	wantKey := []record.Rec16{runs[0][0], runs[0][1], runs[1][0], runs[1][1], runs[1][2]}
+	for i := range want {
+		if byVal[i] != want[i] || byKey[i] != wantKey[i] {
+			t.Fatalf("byVal %v (want %v), byKey %v (want %v)", byVal, want, byKey, wantKey)
+		}
+	}
+}
+
+// The bound stops Next at the first head above it (or equal, unless
+// inclusive), and clips a galloped span there.
+func TestKernelBound(t *testing.T) {
+	for _, inclusive := range []bool{false, true} {
+		k := NewKernel[record.Rec16](1, false)
+		k.Push(0, []record.Rec16{{Key: 1}, {Key: 2}, {Key: 3}, {Key: 3}, {Key: 4}})
+		k.SetBound(3, true, inclusive)
+		var got []record.Key
+		for {
+			h, span, _ := k.Next()
+			if h < 0 {
+				break
+			}
+			for _, r := range span {
+				got = append(got, r.Key)
+			}
+		}
+		want := 2
+		if inclusive {
+			want = 4
+		}
+		if len(got) != want {
+			t.Fatalf("inclusive=%v: emitted %v, want %d records", inclusive, got, want)
+		}
+	}
+}
+
+// Variable-length inputs compare by content when their prefix words tie,
+// and a tied runner-up still lets the winner emit its head.
+func TestKernelVarlen(t *testing.T) {
+	mk := func(key string) record.Record {
+		r, err := record.MakeVar([]byte(key), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	runs := [][]record.Record{
+		{mk("AAAAAAAAAAAAAAAAB"), mk("AAAAAAAAAAAAAAAAD")},
+		{mk("AAAAAAAAAAAAAAAAA"), mk("AAAAAAAAAAAAAAAAC"), mk("AAAAAAAAAAAAAAAAE")},
+	}
+	k := NewKernel[record.Record](len(runs), false)
+	for i, r := range runs {
+		k.Push(i, r)
+	}
+	k.SetBound(record.MaxKey, true, true)
+	var got []string
+	for {
+		h, span, _ := k.Next()
+		if h < 0 {
+			break
+		}
+		for _, r := range span {
+			key, _, _ := record.VarParts(r)
+			got = append(got, string(key[16:]))
+		}
+	}
+	if len(got) != 5 || got[0] != "A" || got[1] != "B" || got[2] != "C" || got[3] != "D" || got[4] != "E" {
+		t.Fatalf("merged %v, want A..E", got)
+	}
+	if !k.Varlen() {
+		t.Fatal("kernel did not switch to the varlen order")
+	}
+}
+
+func BenchmarkUpdateWinner(b *testing.B) {
 	const players = 512
 	rng := rand.New(rand.NewSource(1))
 	keys := make([]uint64, players)
@@ -209,10 +374,10 @@ func BenchmarkReplaceMin(b *testing.B) {
 		keys[i] = uint64(rng.Intn(1 << 30))
 	}
 	b.Run("ltree", func(b *testing.B) {
-		tr := New(keys)
+		tr := pushAll(keys)
 		for i := 0; i < b.N; i++ {
-			_, k := tr.Min()
-			tr.ReplaceMin(k + uint64(rng.Intn(64)))
+			p, k := tr.Min()
+			tr.Update(p, k+uint64(rng.Intn(64)), 0)
 		}
 	})
 	b.Run("iheap", func(b *testing.B) {

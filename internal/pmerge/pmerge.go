@@ -11,19 +11,18 @@
 // under an explicit total order (Order):
 //
 //   - KeyRun orders ties by (sequence index, position) — the order the
-//     serial loser-tree kernels produce (ltree breaks ties by player
-//     index, positions within a run are already ordered).
+//     serial mergers produce (ltree breaks ties by player index,
+//     positions within a run are already ordered).
 //   - KeyVal orders ties by (val, sequence index, position) — the order
 //     record.SortRecords produces. Records are exactly their (key, val)
 //     bytes, so identical-(key,val) records are interchangeable and the
 //     residual sequence-index tie-break cannot affect output bytes.
 //
-// Each shard reuses the ordinary loser-tree + gallop kernel
-// (internal/ltree, record.CountBelow/CountBelowKV), emitting runs of
-// records in bulk. Sort parallelizes an in-memory sort the same way:
-// per-core chunks sorted with record.SortRecords, merged back under
-// KeyVal, which is how parallel run formation stays byte-identical to the
-// serial path.
+// Each shard runs ltree.Kernel, the merge loop of the serial mergers,
+// under the order's tie rule. Sort parallelizes an in-memory sort the
+// same way: per-core chunks sorted with record.SortRecords, merged back
+// under KeyVal, which is how parallel run formation stays byte-identical
+// to the serial path.
 package pmerge
 
 import (
@@ -187,8 +186,8 @@ func searchUint64(pred func(uint64) bool) uint64 {
 
 // Merge merges the sorted sequences into out (whose length must equal the
 // sum of sequence lengths) under order, using up to cores goroutines.
-// cores <= 1, or a total too small to shard profitably, runs the ordinary
-// serial loser-tree kernel; either way the output bytes are identical.
+// cores <= 1, or a total too small to shard profitably, runs one serial
+// kernel; either way the output bytes are identical.
 func Merge[R record.KernelRecord](seqs [][]R, out []R, cores int, order Order) {
 	total := 0
 	for _, s := range seqs {
@@ -205,7 +204,7 @@ func Merge[R record.KernelRecord](seqs [][]R, out []R, cores int, order Order) {
 		p = total / minShard
 	}
 	if p <= 1 {
-		mergeSerial(append([][]R(nil), seqs...), out, order)
+		mergeSerial(seqs, out, order)
 		return
 	}
 	shards := Split(seqs, p, order)
@@ -227,49 +226,22 @@ func Merge[R record.KernelRecord](seqs [][]R, out []R, cores int, order Order) {
 	wg.Wait()
 }
 
-// mergeSerial is the ordinary loser-tree + gallop merge kernel, shared by
-// the serial path and by every shard of the parallel path. It consumes
-// the slice headers of seqs (callers pass a private copy).
+// mergeSerial merges seqs into out with one ltree.Kernel: the serial
+// path, and every shard of the parallel path.
 func mergeSerial[R record.KernelRecord](seqs [][]R, out []R, order Order) {
-	tree := ltree.NewRetired(len(seqs))
+	k := ltree.NewKernel[R](len(seqs), order == KeyVal)
 	for i, s := range seqs {
 		if len(s) > 0 {
-			tree.PushKV(i, uint64(s[0].K()), tieVal(s[0], order))
+			k.Push(i, s)
 		}
 	}
-	pos := 0
-	for tree.Len() > 0 {
-		h, _ := tree.Min()
-		b := seqs[h]
-		span := len(b)
-		if ch, chKey, chVal, ok := tree.ChallengerKV(); ok {
-			// The winner may emit every record preceding the runner-up's
-			// head; "preceding" is weak when the winner also wins the tie
-			// (lower sequence index).
-			if order == KeyVal {
-				span = record.CountBelowKV(b, record.Key(chKey), chVal, h < ch)
-			} else {
-				span = record.CountBelow(b, record.Key(chKey), h < ch)
-			}
+	for pos := 0; ; {
+		h, span, _ := k.Next()
+		if h < 0 {
+			return
 		}
-		pos += copy(out[pos:], b[:span])
-		b = b[span:]
-		seqs[h] = b
-		if len(b) == 0 {
-			tree.DeleteMin()
-		} else {
-			tree.UpdateKV(h, uint64(b[0].K()), tieVal(b[0], order))
-		}
+		pos += copy(out[pos:], span)
 	}
-}
-
-// tieVal returns the secondary tie value a record carries into the loser
-// tree: its val under KeyVal, zero (index-only ties) under KeyRun.
-func tieVal[R record.KernelRecord](r R, order Order) uint64 {
-	if order == KeyVal {
-		return r.V()
-	}
-	return 0
 }
 
 // Sort sorts rs in place by (key, val) — exactly record.SortRecords'

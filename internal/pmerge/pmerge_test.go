@@ -19,9 +19,9 @@ type shape struct {
 
 // testShapes builds the input families the splitter and merge are tested
 // against: distinct random keys, duplicate-heavy, all-equal keys,
-// presorted with degenerate runs, reversed-then-run-formed, MaxKey
-// sentinels (including one sequence that is entirely MaxKey, so its loser
-// tree player holds Infinite while live), and tiny/empty inputs that
+// presorted with degenerate runs, reversed-then-run-formed, MaxKey keys
+// (including one sequence that is entirely MaxKey, so its loser tree
+// player holds the maximal key while live), and tiny/empty inputs that
 // force zero-record shards.
 func testShapes(seed int64) []shape {
 	g := record.NewGenerator(seed)
@@ -128,7 +128,7 @@ func orderName(o Order) string {
 // documented rank cuts, and respect the tie-break order — each shard,
 // merged on its own, must reproduce exactly its slice of the reference
 // order, including when MaxKey records keep loser-tree players live at
-// key Infinite and when shards receive zero records.
+// the maximal key and when shards receive zero records.
 func TestSplitProperties(t *testing.T) {
 	for _, sh := range testShapes(1) {
 		for _, order := range []Order{KeyRun, KeyVal} {
@@ -181,7 +181,7 @@ func TestSplitProperties(t *testing.T) {
 							sub[i] = seqs[i][shard.Lo[i]:shard.Hi[i]]
 						}
 						got := make([]record.Record, n)
-						mergeSerial(cloneSeqs(sub), got, order)
+						Merge(sub, got, 1, order)
 						if !bytes.Equal(encode(got), encode(ref[shard.Out:shard.Out+n])) {
 							t.Fatalf("shard %d output diverges from reference ranks [%d,%d)",
 								s, shard.Out, shard.Out+n)

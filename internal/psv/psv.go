@@ -23,7 +23,10 @@
 // The package exists as a faithful comparator: tests verify correctness
 // and the cost model (merge reads ≈ the slowest disk's block count;
 // transposition = one full read pass + one full write pass), and the
-// benchmark harness compares full sorts against SRM and DSM.
+// benchmark harness compares full sorts against SRM and DSM. Its merge
+// runs the kernel every merger shares (ltree.Kernel) over each run's
+// queue of buffered blocks; PSV adds only the read decisions it makes
+// when a block ends.
 package psv
 
 import (
@@ -134,12 +137,12 @@ func Merge[R record.KernelRecord](sys *pdisk.System, runs []*DiskRun, bufBlocks,
 
 	var stats MergeStats
 	writesBefore := sys.Stats().WriteOps
-	bufs := make([][]R, len(runs))     // per-run buffered records
-	buffered := make([]int, len(runs)) // per-run buffered BLOCKS
-	next := make([]int, len(runs))     // next block index to read
+	// queue[i] holds run i's buffered blocks, the one being merged first.
+	queue := make([][][]R, len(runs))
+	next := make([]int, len(runs)) // next block index to read
 
 	readable := func(i int) bool {
-		return buffered[i] < bufBlocks && next[i] < runs[i].NumBlocks()
+		return len(queue[i]) < bufBlocks && next[i] < runs[i].NumBlocks()
 	}
 	parRead := func() error {
 		var addrs []pdisk.BlockAddr
@@ -158,19 +161,16 @@ func Merge[R record.KernelRecord](sys *pdisk.System, runs []*DiskRun, bufBlocks,
 			return err
 		}
 		stats.ReadOps++
-		total := 0
 		for j, blk := range blocks {
 			i := who[j]
-			bufs[i] = append(bufs[i], pdisk.RecsOf[R](blk)...)
-			buffered[i]++
+			queue[i] = append(queue[i], pdisk.RecsOf[R](blk))
 			next[i]++
 		}
+		total := 0
 		for i := range runs {
-			total += buffered[i]
+			total += len(queue[i])
 		}
-		if total > stats.MaxBuffered {
-			stats.MaxBuffered = total
-		}
+		stats.MaxBuffered = max(stats.MaxBuffered, total)
 		return nil
 	}
 
@@ -182,90 +182,44 @@ func Merge[R record.KernelRecord](sys *pdisk.System, runs []*DiskRun, bufBlocks,
 	}
 
 	w := runio.NewWriter[R](sys, outID, outStartDisk)
-	h := ltree.NewRetired(len(runs))
-	varlen := false
+	k := ltree.NewKernel[R](len(runs), false)
 	for i := range runs {
-		if len(bufs[i]) > 0 && bufs[i][0].X() != "" {
-			varlen = true
+		if len(queue[i]) > 0 {
+			k.Push(i, queue[i][0])
+		}
+	}
+	for {
+		// The kernel merges one block per run at a time, so no span
+		// crosses a block boundary, where PSV's read decisions happen.
+		i, span, ended := k.Next()
+		if i < 0 {
 			break
 		}
-	}
-	if varlen {
-		// Variable-length records: prefix-word ties in the tree are
-		// adjudicated by the tied runs' buffered head records. Installed
-		// before the first Push so every tournament is played under the
-		// content order.
-		h.SetTie(func(a, b int) int {
-			return record.CompareExt(bufs[a][0].X(), bufs[b][0].X())
-		})
-	}
-	blockEnd := make([]int, len(runs)) // records until the current block ends
-	for i := range runs {
-		if len(bufs[i]) > 0 {
-			h.Push(i, uint64(bufs[i][0].K()))
-			blockEnd[i] = blockLen(runs[i], 0, sys.B())
-		}
-	}
-	for h.Len() > 0 {
-		i, _ := h.Min()
-		// Galloped emission, bounded by the runner-up's key and by the
-		// current block's end — PSV's read decisions happen at block
-		// boundaries, so a span may not cross one. Within the span no
-		// buffer's head key can change, so bulk emission is equivalent to
-		// the per-record loop.
-		span := blockEnd[i]
-		if span > len(bufs[i]) {
-			span = len(bufs[i])
-		}
-		if ch, chKey, ok := h.Challenger(); ok {
-			// Varlen bounds are exclusive: a prefix-equal record needs the
-			// tree's content adjudication, so a clipped-to-zero span still
-			// emits the single record the tournament already ordered.
-			incl := i < ch
-			if varlen {
-				incl = false
-			}
-			if n := record.CountBelow(bufs[i][:span], record.Key(chKey), incl); n < span {
-				span = n
-			}
-			if varlen && span == 0 {
-				span = 1
-			}
-		}
-		if err := w.AppendBlock(bufs[i][:span]); err != nil {
+		if err := w.AppendBlock(span); err != nil {
 			return nil, stats, err
 		}
-		bufs[i] = bufs[i][span:]
-		blockEnd[i] -= span
-		if blockEnd[i] == 0 {
-			buffered[i]--
-			consumedBlocks := next[i] - buffered[i]
-			if consumedBlocks < runs[i].NumBlocks() {
-				blockEnd[i] = blockLen(runs[i], consumedBlocks, sys.B())
-			}
-			// Opportunistic prefetch, but only when it achieves full
-			// parallelism: every run that still has blocks on disk can
-			// accept one. Reading on every freed slot would fetch single
-			// blocks and waste the other disks' positions in the op.
-			if allReadable(readable, next, runs) {
-				if err := parRead(); err != nil {
-					return nil, stats, err
-				}
+		if !ended {
+			continue
+		}
+		queue[i] = queue[i][1:]
+		// Opportunistic prefetch, but only when it achieves full
+		// parallelism: every run that still has blocks on disk can
+		// accept one. Reading on every freed slot would fetch single
+		// blocks and waste the other disks' positions in the op.
+		if allReadable(readable, next, runs) {
+			if err := parRead(); err != nil {
+				return nil, stats, err
 			}
 		}
-		if len(bufs[i]) == 0 {
-			if next[i] < runs[i].NumBlocks() {
-				// The merge is blocked on this run: PSV reads on demand.
-				stats.Stalls++
-				if err := parRead(); err != nil {
-					return nil, stats, err
-				}
+		if len(queue[i]) == 0 && next[i] < runs[i].NumBlocks() {
+			// The merge is blocked on this run: PSV reads on demand.
+			stats.Stalls++
+			if err := parRead(); err != nil {
+				return nil, stats, err
 			}
 		}
-		if len(bufs[i]) == 0 {
-			h.Remove(i)
-		} else {
-			h.Update(i, uint64(bufs[i][0].K()))
+		if len(queue[i]) > 0 {
+			k.Push(i, queue[i][0])
 		}
 	}
 	out, err := w.Finish()
@@ -300,14 +254,4 @@ func allReadable(readable func(int) bool, next []int, runs []*DiskRun) bool {
 		some = true
 	}
 	return some
-}
-
-// blockLen returns the record count of block i of the run (the final block
-// may be partial).
-func blockLen(r *DiskRun, i, b int) int {
-	if i < r.NumBlocks()-1 {
-		return b
-	}
-	last := r.Records - (r.NumBlocks()-1)*b
-	return last
 }

@@ -137,16 +137,18 @@ func splitExt[T string | []byte](ext T) (klen, used int, ok bool) {
 }
 
 // extPrefixes derives the (Key, Val) prefix words of a variable-length
-// key: Key is the big-endian first 8 bytes zero-padded (clamped below
-// MaxKey, which the forecasting machinery reserves as its "no successor"
-// sentinel — the clamp is monotone, so prefix order stays a coarsening
-// of lexicographic order), Val the big-endian bytes 8..16 zero-padded.
+// key: Key is the big-endian first 8 bytes zero-padded, Val the
+// big-endian bytes 8..16 zero-padded. A Key of MaxKey, which the
+// forecasting machinery reserves as its "no successor" sentinel, is
+// clamped to MaxKey−1 with Val 2^64−1: the clamped key then ties with
+// the largest pair of its new first word, so CompareExt decides, and the
+// (Key, Val) order stays a coarsening of lexicographic order.
 func extPrefixes[T string | []byte](key T) (Key, uint64) {
 	var w [16]byte
 	copy(w[:], key)
 	k := Key(binary.BigEndian.Uint64(w[0:8]))
 	if k == MaxKey {
-		k = MaxKey - 1
+		return MaxKey - 1, ^uint64(0)
 	}
 	return k, binary.BigEndian.Uint64(w[8:16])
 }

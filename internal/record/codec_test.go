@@ -63,13 +63,17 @@ func TestCodecByName(t *testing.T) {
 }
 
 // MakeVar/VarParts round-trip, and the derived prefix words coarsen —
-// never invert — the lexicographic key order.
+// never invert — the lexicographic key order, also where a key of eight
+// 0xFF bytes is clamped onto the first prefix word of keys starting
+// ff×7 fe.
 func TestMakeVarPrefixOrder(t *testing.T) {
 	keys := [][]byte{
 		{}, {0}, {1}, {0xff}, []byte("A"), []byte("AA"), []byte("AAAAAAAA"),
 		[]byte("AAAAAAAAA"), []byte("AAAAAAAAZ"), []byte("AAAAAAAAAB"),
 		[]byte("AAAAAAAAAAAAAAAA"), []byte("AAAAAAAAAAAAAAAAB"),
 		bytes.Repeat([]byte{0xff}, 20),
+		append(bytes.Repeat([]byte{0xff}, 8), 0x00),
+		append(bytes.Repeat([]byte{0xff}, 7), 0xfe, 0xff),
 	}
 	var recs []Record
 	for _, k := range keys {
@@ -393,10 +397,22 @@ func FuzzCompareExt(f *testing.F) {
 	f.Add([]byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x01}, valid("k", ""))
 	f.Add([]byte{0x05, 'a'}, []byte{0x01, 'a'})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0x0f, 'x'}, []byte{0x00, 'x'})
+	f.Add(valid("\xff\xff\xff\xff\xff\xff\xff\xff\x00", ""), valid("\xff\xff\xff\xff\xff\xff\xff\xfe\xff", ""))
 	f.Fuzz(func(t *testing.T, a, b []byte) {
 		sa, sb := string(a), string(b)
 		if got, want := cmp.Compare(CompareExt(sa, sb), 0), cmp.Compare(refCompareExt(sa, sb), 0); got != want {
 			t.Fatalf("CompareExt(%x, %x) sign %d, reference %d", a, b, got, want)
+		}
+		// The prefix words coarsen CompareExt: a record strictly below
+		// another in (Key, Val) is strictly below it in full.
+		ka, _, aerr := VarParts(Record{Ext: sa})
+		kb, _, berr := VarParts(Record{Ext: sb})
+		if aerr == nil && berr == nil {
+			pa, va := extPrefixes(ka)
+			pb, vb := extPrefixes(kb)
+			if (pa < pb || (pa == pb && va < vb)) && CompareExt(sa, sb) >= 0 {
+				t.Fatalf("prefix words (%#x, %#x) < (%#x, %#x) but CompareExt(%x, %x) >= 0", pa, va, pb, vb, a, b)
+			}
 		}
 		for _, ext := range []string{sa, sb} {
 			key, payload, err := VarParts(Record{Ext: ext})

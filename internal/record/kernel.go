@@ -21,7 +21,10 @@
 //     instantiation entirely.
 package record
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Rec16 is the 16-byte pointer-free kernel record of the fixed16 codec:
 // the paper's fixed-size record, bit-compatible with the pre-codec
@@ -92,6 +95,19 @@ func LastKeyOf[R KernelRecord](rs []R) Key {
 		return MaxKey
 	}
 	return rs[len(rs)-1].K()
+}
+
+// IndexKey returns the index of the first record of rs whose key is k,
+// or -1 when there is none. The width dispatch happens once per call.
+func IndexKey[R KernelRecord](rs []R, k Key) int {
+	switch v := any(rs).(type) {
+	case []Rec16:
+		return slices.IndexFunc(v, func(r Rec16) bool { return r.Key == k })
+	case []Record:
+		return slices.IndexFunc(v, func(r Record) bool { return r.Key == k })
+	default:
+		panic("record: IndexKey of an unknown kernel width")
+	}
 }
 
 // CloneOf returns a deep copy of a record slice.

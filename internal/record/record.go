@@ -34,11 +34,11 @@ const MaxKey = Key(^uint64(0))
 // codec Ext holds the record's canonical encoding (uvarint key length,
 // key bytes, payload bytes — see MakeVar) and Key/Val are derived prefix
 // words: Key is the big-endian first 8 bytes of the key (zero-padded,
-// clamped below MaxKey) and Val the big-endian bytes 8..16. Because
-// zero-padded prefixes are a monotone coarsening of lexicographic key
-// order, every prefix-level comparison in the merge machinery (loser
-// trees, gallop bounds, forecasting keys) remains correct — prefix-equal
-// records are adjudicated by CompareExt. Ext is a string so Record stays
+// clamped below MaxKey) and Val the big-endian bytes 8..16 (2^64−1 for
+// a clamped key). Because the (Key, Val) pair is a monotone coarsening
+// of lexicographic key order, every prefix-level comparison in the merge
+// machinery (loser trees, gallop bounds, forecasting keys) remains
+// correct — prefix-equal records are adjudicated by CompareExt. Ext is a string so Record stays
 // comparable (==, map keys) and immutable once built.
 type Record struct {
 	Key Key

@@ -60,8 +60,9 @@
 //
 // The schedule itself lives in package sched, shared with the simulators
 // of packages sim and timesim; this package is its record consumer: the
-// loser tree, gallop and super-span emission, the async overlap window,
-// the run writer and the I/O calls.
+// stall guard and block events around the merge kernel (ltree.Kernel,
+// shared with every other merger), the super-span emission, the async
+// overlap window, the run writer and the I/O calls.
 package srm
 
 import (
@@ -97,21 +98,14 @@ type merger[R record.KernelRecord] struct {
 	core *sched.Core[R]
 	out  *runio.Writer[R]
 
-	lead   [][]R       // unconsumed tail of each run's leading block
-	active *ltree.Tree // loser tree over active runs, keyed by their current record's key
+	// k merges the runs' leading blocks: its heads are their unconsumed
+	// tails, and a run is active iff its head is nonempty.
+	k *ltree.Kernel[R]
 
 	// cores > 1 consumes through the sharded super-span kernel
-	// (pconsume.go); 1 is the serial repeat-winner gallop loop.
+	// (pconsume.go); 1 is the kernel's serial repeat-winner gallop loop.
 	cores   int
 	scratch []R // super-span merge-back buffer, reused
-
-	// varlen is set when the leading blocks carry variable-length records
-	// (Ext != ""). Prefix words then only coarsen the true key order, so
-	// the consumer compares (Key, Val) pairs, breaks prefix ties through
-	// the loser tree's CompareExt callback, waits on prefix-equal stalls,
-	// and gallops with exclusive bounds. Fixed-size merges never set it
-	// and keep the historical byte-for-byte behavior.
-	varlen bool
 
 	// async overlaps each ParRead with consumption (see the package doc).
 	async bool
@@ -123,53 +117,9 @@ type merger[R record.KernelRecord] struct {
 	pendingKey record.Key
 }
 
-// setVarlen switches the merge into variable-length mode: prefix-word ties
-// in the active loser tree are adjudicated by comparing the tied players'
-// current head records with record.CompareExt, and the core applies its
-// varlen rules. Idempotent; triggered by the first leading block that
-// carries an Ext payload.
-func (m *merger[R]) setVarlen() {
-	if m.varlen {
-		return
-	}
-	m.varlen = true
-	m.core.Varlen = true
-	m.active.SetTie(func(a, b int) int {
-		return record.CompareExt(m.lead[a][0].X(), m.lead[b][0].X())
-	})
-}
-
 // onLead is the core's lead callback: recs becomes run h's leading block
-// and the run joins the loser tree.
-func (m *merger[R]) onLead(h, _ int, recs []R) {
-	m.lead[h] = recs
-	m.pushHead(h)
-}
-
-// pushHead activates run h in the loser tree keyed by its current head
-// record. Variable-length merges push the (Key, Val) prefix pair so prefix
-// ties narrow to the CompareExt callback; fixed-size merges push the key
-// alone (val 0), bit-for-bit the historical order.
-func (m *merger[R]) pushHead(h int) {
-	r := m.lead[h][0]
-	if m.varlen {
-		m.active.PushKV(h, uint64(r.K()), r.V())
-	} else {
-		m.active.Push(h, uint64(r.K()))
-	}
-}
-
-// updateHead re-keys live run h after its head record advanced; the
-// winner-replay fast path of the loser tree. Same prefix-pair rule as
-// pushHead.
-func (m *merger[R]) updateHead(h int) {
-	r := m.lead[h][0]
-	if m.varlen {
-		m.active.UpdateKV(h, uint64(r.K()), r.V())
-	} else {
-		m.active.Update(h, uint64(r.K()))
-	}
-}
+// and the run joins the merge.
+func (m *merger[R]) onLead(h, _ int, recs []R) { m.k.Push(h, recs) }
 
 // MergeOpts selects how Merge executes. No option changes the output run,
 // the statistics or the trace.
@@ -203,6 +153,9 @@ func Merge[R record.KernelRecord](sys *pdisk.System, runs []*runio.Run, r, outID
 	if err := m.loadInitialBlocks(); err != nil {
 		return nil, MergeStats{}, err
 	}
+	// Variable-length leading blocks switch on the core's varlen rules,
+	// as they switched on the kernel's.
+	m.core.Varlen = m.k.Varlen()
 	for !m.core.Done() {
 		progress, err := m.pumpIO()
 		if err != nil {
@@ -252,8 +205,7 @@ func newMerger[R record.KernelRecord](sys *pdisk.System, runs []*runio.Run, r, o
 		sys:        sys,
 		runs:       runs,
 		out:        newWriter(sys, outID, outStartDisk),
-		lead:       make([][]R, len(runs)),
-		active:     ltree.NewRetired(len(runs)),
+		k:          ltree.NewKernel[R](len(runs), false),
 		cores:      opts.Cores,
 		async:      opts.Async,
 		pendingRun: -1,
@@ -305,9 +257,6 @@ func (m *merger[R]) loadInitialBlocks() error {
 					m.runs[handles[j]].ID, len(blk.Forecast), m.sys.D()))
 			}
 			recs[j], forecasts[j] = pdisk.RecsOf[R](blk), blk.Forecast
-			if len(recs[j]) > 0 && recs[j][0].X() != "" {
-				m.setVarlen()
-			}
 		}
 		m.core.LandInitial(handles, recs, forecasts)
 	}
@@ -367,112 +316,44 @@ func (m *merger[R]) pumpIO() (int, error) {
 // the merge loop hands it to the core as a block event. It returns the
 // number of records written.
 //
-// stallInclusive selects the stall guard. After the pump (true) a
-// fixed-size record waits only on a strictly smaller stall key. In the
-// overlap window (false) it also waits on an equal one: the in-flight read
-// may be about to promote a stalled run, and with duplicate keys the
-// tie-break could order that run's equal-keyed record first. Stopping on
-// equality defers the decision to the post-pump call, which sees the
-// selector state a sync merge sees. A varlen prefix tie always waits,
-// because the awaited on-disk record could truly precede the active
-// minimum.
+// The stall-heap minimum, fixed until the next block event, is the
+// kernel's key bound, and stallInclusive selects how it binds. After the
+// pump (true) a fixed-size record waits only on a strictly smaller stall
+// key. In the overlap window (false) it also waits on an equal one: the
+// in-flight read may be about to promote a stalled run, and with
+// duplicate keys the tie-break could order that run's equal-keyed record
+// first. Stopping on equality defers the decision to the post-pump call,
+// which sees the selector state a sync merge sees. A varlen prefix tie
+// always waits, because the awaited on-disk record could truly precede
+// the active minimum.
 //
-// Emission gallops on a repeat winner: when run h wins the selection right
-// after it won the previous one, the span of its leading block that h
-// would emit one record at a time — bounded by the runner-up's key and the
-// stall-heap minimum, both constant while h keeps winning — is located by
-// binary search and written with one AppendBlock call and one loser-tree
-// update, instead of a tree round-trip per record. Any other winner emits
-// its head record alone: on interleaved runs the next record comes from
-// the same run only about once in R, so the span probe would almost always
-// find one record at the price of a Challenger walk and two searches.
+// The kernel gallops on a repeat winner (see ltree.Kernel); a single
+// record goes out with Append, a span with one AppendBlock call.
 func (m *merger[R]) consume(stallInclusive bool) (int, error) {
-	if m.cores > 1 && !m.varlen {
-		return m.consumeSuperSpan(stallInclusive)
+	sKey, haveStall := m.core.StallMin()
+	m.k.SetBound(record.Key(sKey), haveStall, stallInclusive)
+	if m.cores > 1 && !m.k.Varlen() {
+		return m.consumeSuperSpan(sKey, haveStall, stallInclusive)
 	}
 	consumed := 0
-	sKey, haveStall := m.core.StallMin() // fixed until the next block event
-	prev := -1                           // the previous selection's winner
-	for m.active.Len() > 0 {
-		h, hKey := m.active.Min()
-		if haveStall && (sKey < hKey || (sKey == hKey && (!stallInclusive || m.varlen))) {
-			// The globally next record may be on disk in a stalled run's
-			// awaited block; the merge must wait for I/O.
+	for {
+		h, span, ended := m.k.Next()
+		if h < 0 {
 			return consumed, nil
 		}
-		// The guard above admitted h's head, and the loser tree ranked it
-		// first, so one record is always a valid span.
-		span := 1
 		var err error
-		if h == prev {
-			span = m.gallopSpan(h, haveStall, sKey, stallInclusive)
-			err = m.out.AppendBlock(m.lead[h][:span])
+		if len(span) == 1 {
+			err = m.out.Append(span[0])
 		} else {
-			err = m.out.Append(m.lead[h][0])
+			err = m.out.AppendBlock(span)
 		}
-		prev = h
 		if err != nil {
 			return consumed, err
 		}
-		consumed += span
-		lastKey := m.lead[h][span-1].K()
-		m.lead[h] = m.lead[h][span:]
-		if len(m.lead[h]) > 0 {
-			m.updateHead(h)
-			continue
-		}
-		m.active.Remove(h)
-		m.pendingRun, m.pendingKey = h, lastKey
-		return consumed, nil
-	}
-	return consumed, nil
-}
-
-// gallopSpan returns how many leading records of run h (the current
-// winner) may be emitted before the selector must re-decide: records that
-// beat the runner-up under the (key, run index) tie-break, and — when a
-// run is stalled — records admitted by the stall guard (inclusive after
-// the pump, exclusive in the overlap window). The guards the per-record
-// loop would evaluate are constant across the span, so bulk emission is
-// exactly equivalent; both bounds admit the current first record, so the
-// span is ≥ 1 and the merge always progresses.
-func (m *merger[R]) gallopSpan(h int, haveStall bool, sKey uint64, stallInclusive bool) int {
-	b := m.lead[h]
-	span := len(b)
-	if m.varlen {
-		// Prefix words only coarsen the true order, so bulk emission may
-		// cover only records STRICTLY below both bounds at the prefix-pair
-		// level — strict prefix inequality implies strict true inequality.
-		// A zero challenger span still emits one record: the loser tree
-		// adjudicated the tie by CompareExt, so h's head truly precedes the
-		// runner-up's. The stall bound never reaches zero — the caller's
-		// guard admits h only when hKey is strictly below sKey.
-		if _, chKey, chVal, ok := m.active.ChallengerKV(); ok {
-			if n := record.CountBelowKV(b, record.Key(chKey), chVal, false); n < span {
-				span = n
-			}
-		}
-		if span == 0 {
-			span = 1
-		}
-		if haveStall {
-			if n := record.CountBelow(b, record.Key(sKey), false); n < span {
-				span = n
-			}
-		}
-		return span
-	}
-	if ch, chKey, ok := m.active.Challenger(); ok {
-		// h keeps winning while its key is below the runner-up's, or equal
-		// with the lower run index.
-		if n := record.CountBelow(b, record.Key(chKey), h < ch); n < span {
-			span = n
+		consumed += len(span)
+		if ended {
+			m.pendingRun, m.pendingKey = h, span[len(span)-1].K()
+			return consumed, nil
 		}
 	}
-	if haveStall {
-		if n := record.CountBelow(b, record.Key(sKey), stallInclusive); n < span {
-			span = n
-		}
-	}
-	return span
 }

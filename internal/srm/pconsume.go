@@ -30,8 +30,8 @@
 //
 // The per-run spans are therefore fixed slices of the leading blocks, and
 // their merge under the (key, run index) order — pmerge with the KeyRun
-// tie-break, whose shards each rerun the ordinary loser-tree + gallop
-// kernel — is byte-identical to the serial emission sequence. One
+// tie-break, whose shards each run the same ltree.Kernel as the serial
+// consumer — is byte-identical to the serial emission sequence. One
 // AppendBlock call emits the merged span (the run writer's stripes do not
 // depend on append granularity), and at most one depletion is noted per
 // call, with the same last key, precisely the serial contract.
@@ -46,19 +46,15 @@ import (
 )
 
 // consumeSuperSpan is consume's multicore branch: it computes every
-// active run's admissible span, merges the spans across up to m.cores
-// goroutines, and emits the result in one AppendBlock. It returns the
-// records consumed; a depletion is noted in pendingRun as the serial
-// consumer notes it.
-func (m *merger[R]) consumeSuperSpan(stallInclusive bool) (int, error) {
-	if m.active.Len() == 0 {
-		return 0, nil
-	}
-	sKey, haveStall := m.core.StallMin()
+// active run's admissible span from the kernel's heads, merges the spans
+// across up to m.cores goroutines, and emits the result in one
+// AppendBlock. It returns the records consumed; a depletion is noted in
+// pendingRun as the serial consumer notes it.
+func (m *merger[R]) consumeSuperSpan(sKey uint64, haveStall, stallInclusive bool) (int, error) {
 	seqs, total, dRun := m.superSpans(haveStall, sKey, stallInclusive)
 	if total == 0 {
-		// The stall guard blocks even the first record — the serial
-		// consumer's "wait for I/O" return.
+		// No run is active, or the stall guard blocks even the first
+		// record — the serial consumer's "wait for I/O" return.
 		return 0, nil
 	}
 	if cap(m.scratch) < total {
@@ -69,7 +65,16 @@ func (m *merger[R]) consumeSuperSpan(stallInclusive bool) (int, error) {
 	if err := m.out.AppendBlock(out); err != nil {
 		return 0, err
 	}
-	m.applySuperSpans(seqs, dRun)
+	// The kernel advances past every span; the depleted run's retires.
+	for h, s := range seqs {
+		if len(s) > 0 {
+			m.k.Advance(h, len(s))
+		}
+	}
+	if dRun >= 0 {
+		s := seqs[dRun]
+		m.pendingRun, m.pendingKey = dRun, s[len(s)-1].K()
+	}
 	return total, nil
 }
 
@@ -80,13 +85,11 @@ func (m *merger[R]) consumeSuperSpan(stallInclusive bool) (int, error) {
 // (-1 when the stall guard ends the call before any depletion).
 func (m *merger[R]) superSpans(haveStall bool, sKey uint64, stallInclusive bool) (seqs [][]R, total, dRun int) {
 	// The run that depletes first is the (key, run)-minimum of the
-	// leading blocks' last records. A run is active iff its leading
-	// block is nonempty: promotions set lead, depletion/stall/exhaustion
-	// leave it empty.
+	// leading blocks' last records.
 	dRun = -1
 	var dKey uint64
 	for h := range m.runs {
-		b := m.lead[h]
+		b := m.k.Head(h)
 		if len(b) == 0 {
 			continue
 		}
@@ -98,7 +101,7 @@ func (m *merger[R]) superSpans(haveStall bool, sKey uint64, stallInclusive bool)
 	depletes := !haveStall || dKey < sKey || (stallInclusive && dKey == sKey)
 	seqs = make([][]R, len(m.runs))
 	for h := range m.runs {
-		b := m.lead[h]
+		b := m.k.Head(h)
 		if len(b) == 0 {
 			continue
 		}
@@ -119,25 +122,4 @@ func (m *merger[R]) superSpans(haveStall bool, sKey uint64, stallInclusive bool)
 		dRun = -1
 	}
 	return seqs, total, dRun
-}
-
-// applySuperSpans advances the leading blocks past their emitted spans
-// and updates the active tree: surviving runs re-key to their new first
-// record, the depleted run (if any) retires and is noted as pending — the
-// same state transitions the serial consumer performs, batched.
-func (m *merger[R]) applySuperSpans(seqs [][]R, dRun int) {
-	for h, s := range seqs {
-		if len(s) == 0 {
-			continue
-		}
-		m.lead[h] = m.lead[h][len(s):]
-		if h != dRun {
-			m.active.Update(h, uint64(m.lead[h][0].K()))
-		}
-	}
-	if dRun >= 0 {
-		m.active.Remove(dRun)
-		s := seqs[dRun]
-		m.pendingRun, m.pendingKey = dRun, s[len(s)-1].K()
-	}
 }

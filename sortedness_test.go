@@ -3,6 +3,7 @@ package srmsort
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
 	"slices"
 	"testing"
 
@@ -101,6 +102,47 @@ func TestSortVarInputShapes(t *testing.T) {
 					}
 				}
 			})
+		}
+	}
+}
+
+// TestSortVarClampedPrefixKeys sorts keys on both sides of the varlen
+// prefix clamp: a key whose first 8 bytes are all 0xFF gets the prefix
+// word MaxKey−1, which it shares with keys starting ff×7 fe. Every
+// algorithm, at one core and at four, must order them lexicographically;
+// a clamped key's second prefix word must not put it before a smaller
+// key of the same first word.
+func TestSortVarClampedPrefixKeys(t *testing.T) {
+	const n = 400
+	heads := [][]byte{bytes.Repeat([]byte{0xff}, 8), append(bytes.Repeat([]byte{0xff}, 7), 0xfe)}
+	tails := []byte{0x00, 0x7f, 0xff}
+	rng := rand.New(rand.NewSource(41))
+	in := make([]VarRecord, n)
+	for i := range in {
+		key := slices.Clone(heads[rng.Intn(len(heads))])
+		for j := rng.Intn(4); j > 0; j-- {
+			key = append(key, tails[rng.Intn(len(tails))])
+		}
+		in[i] = VarRecord{Key: key, Payload: []byte(fmt.Sprint(i))}
+	}
+	for _, alg := range []Algorithm{SRM, SRMDeterministic, DSM, PSV} {
+		for _, cores := range []int{1, 4} {
+			out, _, err := SortVar(in, Config{D: 2, B: 4, K: 2, Algorithm: alg, Cores: cores, Seed: 3})
+			if err != nil {
+				t.Fatalf("%v cores=%d: %v", alg, cores, err)
+			}
+			if len(out) != n {
+				t.Fatalf("%v cores=%d: sorted %d of %d records", alg, cores, len(out), n)
+			}
+			inversions := 0
+			for i := 1; i < n; i++ {
+				if bytes.Compare(out[i-1].Key, out[i].Key) > 0 {
+					inversions++
+				}
+			}
+			if inversions > 0 {
+				t.Errorf("%v cores=%d: %d inversions", alg, cores, inversions)
+			}
 		}
 	}
 }

@@ -46,11 +46,17 @@ import (
 // Record is a fixed-size sortable record: records are ordered by Key; Val
 // is an opaque payload carried alongside (duplicate keys are permitted and
 // sorted stably with respect to nothing in particular — any permutation of
-// equal keys is a valid sort).
+// equal keys is a valid sort). Key 2^64−1 is reserved: the forecast
+// format stores it as "no successor block", and a sort refuses input
+// holding it.
 type Record struct {
 	Key uint64
 	Val uint64
 }
+
+// errReservedKey is the error a sort returns for an input record whose
+// key is 2^64−1, the forecast format's "no successor" value.
+var errReservedKey = errors.New("key 2^64-1 is reserved")
 
 // Algorithm selects the sorting algorithm.
 type Algorithm int
@@ -442,7 +448,8 @@ func runAlgorithm[R record.KernelRecord](sys *pdisk.System, file *runform.InputF
 
 // Sort externally sorts records under the given configuration and returns
 // the sorted records along with full I/O statistics. The input slice is not
-// modified.
+// modified. A record with the reserved key 2^64−1 fails the sort with an
+// error naming the record, under every algorithm.
 func Sort(records []Record, cfg Config) ([]Record, Stats, error) {
 	return sortOrResume(records, cfg, false)
 }
@@ -695,7 +702,14 @@ func runSort[R record.KernelRecord](cfg Config, codec record.Codec, resume bool,
 			}
 		}
 		loader := runform.NewLoader[R](sys)
-		if err := feed(loader.AppendBlock); err != nil {
+		loaded := 0
+		if err := feed(func(blk []R) error {
+			if i := record.IndexKey(blk, record.MaxKey); i >= 0 {
+				return fmt.Errorf("srmsort: input record %d: %w", loaded+i, errReservedKey)
+			}
+			loaded += len(blk)
+			return loader.AppendBlock(blk)
+		}); err != nil {
 			return Stats{}, err
 		}
 		file, err := loader.Finish()

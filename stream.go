@@ -111,7 +111,8 @@ func ReadVarRecords(r io.Reader) ([]VarRecord, error) {
 // Config.Backend: FileBackend this sorts inputs larger than RAM. The
 // full Config surface applies — including Checkpoint, Retry, Progress
 // and Gate — so a streamed sort is recoverable via ResumeStream exactly
-// like a slice sort is via Resume.
+// like a slice sort is via Resume. As in Sort, a fixed16 record with the
+// reserved key 2^64−1 fails the sort with an error naming the record.
 func SortStream(r io.Reader, w io.Writer, cfg Config) (Stats, error) {
 	return streamSort(r, w, cfg, false)
 }
