@@ -32,10 +32,13 @@ check: fmt-check build
 	go test -run='^$$' -bench='SortEndToEnd|SortDeadline|ServerThroughput|ParallelMerge' -benchtime=1x .
 	cd perfbench && go vet ./... && go test ./...
 
-# The whole suite with MemStore's zero-copy mutation guard armed: every
-# block read is checksum-audited, so any merge path that mutates a block
-# it does not own panics.
+# The whole suite with the zero-copy mutation guard armed: every block a
+# write issues is checksum-audited when its transfer runs, and every
+# MemStore read, free and close audits it again, so any path that mutates
+# a block after writing it, or one it read, panics. Vetted first: the
+# guard's files compile only under the tag, so plain `go vet` skips them.
 aliascheck:
+	go vet -tags=aliascheck ./...
 	go test -tags=aliascheck ./...
 
 # The fault-tolerance matrix: seeded faults and mid-write kills across

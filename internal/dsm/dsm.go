@@ -121,10 +121,12 @@ func (w *Writer[R]) Append(r R) error {
 }
 
 // AppendBlock bulk-appends a sorted span of records — one galloped merge
-// emission — copying it into the logical-block buffer in one pass instead
-// of one Append call per record. The ordering panic survives as a
-// span-boundary check; spans are slices of sorted stripes, so internal
-// order is the caller's invariant.
+// emission, or a whole sorted load at run formation — in one pass instead
+// of one Append call per record: while the logical-block buffer is empty,
+// whole logical blocks go to disk straight from the span, and the rest is
+// copied into the buffer. The ordering panic survives as a span-boundary
+// check; spans are slices of sorted stripes, so internal order is the
+// caller's invariant.
 func (w *Writer[R]) AppendBlock(rs []R) error {
 	if len(rs) == 0 {
 		return nil
@@ -136,10 +138,15 @@ func (w *Writer[R]) AppendBlock(rs []R) error {
 	w.lastKey = rs[len(rs)-1].K()
 	logical := w.sys.D() * w.sys.B()
 	for len(rs) > 0 {
-		n := logical - len(w.buf)
-		if n > len(rs) {
-			n = len(rs)
+		if len(w.buf) == 0 && len(rs) >= logical {
+			w.run.Records += logical
+			if err := w.write(rs[:logical]); err != nil {
+				return err
+			}
+			rs = rs[logical:]
+			continue
 		}
+		n := min(logical-len(w.buf), len(rs))
 		w.buf = append(w.buf, rs[:n]...)
 		w.run.Records += n
 		rs = rs[n:]
@@ -152,26 +159,29 @@ func (w *Writer[R]) AppendBlock(rs []R) error {
 	return nil
 }
 
-// flush writes one logical block (up to D*B records) in a single parallel
-// I/O operation.
+// flush writes the buffered logical block, if any, and empties the buffer
+// for the next one.
 func (w *Writer[R]) flush() error {
 	if len(w.buf) == 0 {
 		return nil
 	}
-	b := w.sys.B()
+	err := w.write(w.buf)
+	w.buf = w.buf[:0]
+	return err
+}
+
+// write stores rs (up to D*B records) as one logical block in a single
+// parallel I/O operation. Each disk's block is a fresh copy, which the
+// write hands to the System.
+func (w *Writer[R]) write(rs []R) error {
 	var writes []pdisk.BlockWrite
 	var addrs []pdisk.BlockAddr
-	for disk := 0; len(w.buf) > 0 && disk < w.sys.D(); disk++ {
-		n := b
-		if n > len(w.buf) {
-			n = len(w.buf)
-		}
-		blk := make([]R, n)
-		copy(blk, w.buf[:n])
-		w.buf = w.buf[n:]
+	for disk := 0; len(rs) > 0 && disk < w.sys.D(); disk++ {
+		n := min(w.sys.B(), len(rs))
 		addr := w.sys.Alloc(disk)
-		writes = append(writes, pdisk.BlockWrite{Addr: addr, Block: pdisk.MakeStored(blk, nil)})
+		writes = append(writes, pdisk.BlockWrite{Addr: addr, Block: pdisk.MakeStored(record.CloneOf(rs[:n]), nil)})
 		addrs = append(addrs, addr)
+		rs = rs[n:]
 	}
 	if w.async {
 		if err := w.awaitInflight(); err != nil {
@@ -327,6 +337,7 @@ func FormRunsCores[R record.KernelRecord](sys *pdisk.System, file *runform.Input
 	}
 	rd := runform.NewReader[R](sys, file)
 	var runs []*Run
+	var scratch []R // radix/merge-back buffer, reused across loads
 	for {
 		chunk, err := rd.Read(load)
 		if err != nil {
@@ -335,12 +346,15 @@ func FormRunsCores[R record.KernelRecord](sys *pdisk.System, file *runform.Input
 		if len(chunk) == 0 {
 			return runs, nil
 		}
-		sorted := make([]R, len(chunk))
-		copy(sorted, chunk)
-		pmerge.Sort(sorted, cores)
+		if len(scratch) < len(chunk) {
+			scratch = make([]R, len(chunk))
+		}
+		// The load is the reader's buffer, ours until the next Read: sort
+		// it in place; the writer copies it into the run's blocks.
+		pmerge.SortScratch(chunk, scratch, cores)
 		w := NewWriter[R](sys, len(runs))
 		w.async = async
-		if err := w.AppendBlock(sorted); err != nil {
+		if err := w.AppendBlock(chunk); err != nil {
 			return nil, err
 		}
 		run, err := w.Finish()

@@ -40,6 +40,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"runtime/debug"
 	"sort"
 	"strings"
 	"sync"
@@ -884,10 +885,19 @@ func (m *Manager) logf(format string, args ...any) {
 	}
 }
 
-// run drives one job to a terminal state.
+// run drives one job to a terminal state. A panic in the job's sort ends
+// the job failed, not the server: runJob's defers release the job's
+// budget and store as the panic unwinds, and a durable job's failed
+// marker keeps a restart from running it into the same panic.
 func (m *Manager) run(j *Job, resume bool) {
 	defer m.wg.Done()
 	defer close(j.done)
+	defer func() {
+		if p := recover(); p != nil {
+			m.logf("jobs: %s panicked: %v\n%s", j.id, p, debug.Stack())
+			m.finishFailed(j, fmt.Errorf("sort panicked: %v", p))
+		}
+	}()
 	m.runJob(j, resume)
 }
 

@@ -13,6 +13,8 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -205,54 +207,146 @@ func TestReservedKeyJobFails(t *testing.T) {
 			name = "durable"
 		}
 		t.Run(name, func(t *testing.T) {
-			m, err := NewManager(Options{Root: root, MemoryBudget: 100_000, Defaults: testSpec(1)})
-			if err != nil {
-				t.Fatal(err)
+			opts := Options{Root: root, MemoryBudget: 100_000, Defaults: testSpec(1)}
+			failThenServe(t, opts, bad, "record 100", "reserved")
+		})
+	}
+}
+
+// recoverableStore is what both job backends (MemStore, FileStore) offer
+// beyond Store: a checkpointed sort needs the manifest and the frontier.
+type recoverableStore interface {
+	pdisk.ManifestStore
+	Frontier(disk int) (int, error)
+}
+
+// forecastDropper reads every block back without its forecast keys, so
+// an SRM merge panics on its first read ("block 0 of run ... carries 0
+// forecast keys").
+type forecastDropper struct{ recoverableStore }
+
+func (s forecastDropper) ReadBlock(addr pdisk.BlockAddr) (pdisk.StoredBlock, error) {
+	b, err := s.recoverableStore.ReadBlock(addr)
+	b.Forecast = nil
+	return b, err
+}
+
+// TestPanickingSortFailsJob: a sort that panics on the job's goroutine
+// ends that job failed with the panic value, and the panic's stack is
+// logged. The manager keeps serving, and a durable job's failure
+// survives a restart without the job running again.
+func TestPanickingSortFailsJob(t *testing.T) {
+	in, _ := genInput(t, testSpec(1), 2000, 11)
+	for _, root := range []string{"", t.TempDir()} {
+		name := "volatile"
+		if root != "" {
+			name = "durable"
+		}
+		t.Run(name, func(t *testing.T) {
+			var mu sync.Mutex
+			var broken string // the first job's ID; only its store drops forecasts
+			var logs []string
+			opts := Options{
+				Root:         root,
+				MemoryBudget: 100_000,
+				Defaults:     testSpec(1),
+				StoreWrap: func(id string, inner pdisk.Store) pdisk.Store {
+					mu.Lock()
+					defer mu.Unlock()
+					if broken == "" {
+						broken = id
+					}
+					if id != broken {
+						return inner
+					}
+					return forecastDropper{inner.(recoverableStore)}
+				},
+				Logf: func(format string, args ...any) {
+					mu.Lock()
+					defer mu.Unlock()
+					logs = append(logs, fmt.Sprintf(format, args...))
+				},
 			}
-			defer m.Kill()
-			j, err := m.Submit(Spec{}, bytes.NewReader(bad))
-			if err != nil {
-				t.Fatal(err)
-			}
-			st := waitJob(t, j)
-			if st.State != StateFailed || !strings.Contains(st.Error, "record 100") || !strings.Contains(st.Error, "reserved") {
-				t.Fatalf("state = %s (%s), want failed naming record 100's reserved key", st.State, st.Error)
-			}
-			in, want := genInput(t, testSpec(1), 2000, 11)
-			j2, err := m.Submit(Spec{}, bytes.NewReader(in))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if st := waitJob(t, j2); st.State != StateDone {
-				t.Fatalf("next job: state = %s (%s)", st.State, st.Error)
-			}
-			rc, _, err := m.Result(j2.ID())
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, _ := io.ReadAll(rc)
-			rc.Close()
-			if !bytes.Equal(got, want) {
-				t.Fatal("next job's result differs from a direct sort")
-			}
-			if root == "" {
-				return
-			}
-			m.Kill()
-			m2, err := NewManager(Options{Root: root, MemoryBudget: 100_000, Defaults: testSpec(1)})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer m2.Kill()
-			j3, ok := m2.Get(j.ID())
-			if !ok {
-				t.Fatalf("job %s not recovered", j.ID())
-			}
-			if st := waitJob(t, j3); st.State != StateFailed {
-				t.Fatalf("after restart: state = %s (%s), want failed", st.State, st.Error)
+			j := failThenServe(t, opts, in, "panicked", "forecast keys")
+			mu.Lock()
+			defer mu.Unlock()
+			if logged := strings.Join(logs, "\n"); !strings.Contains(logged, j.ID()+" panicked") || !strings.Contains(logged, "goroutine") {
+				t.Fatalf("the panic and its stack were not logged:\n%s", logged)
 			}
 		})
 	}
+}
+
+// failThenServe submits bad to a manager built from opts and requires
+// the job to end failed with an error holding every string of want, and
+// the manager's next job to sort normally. With opts.Root set it then
+// restarts the manager on the root and requires the job to come back
+// failed without running again. It returns the failed job.
+func failThenServe(t *testing.T, opts Options, bad []byte, want ...string) *Job {
+	t.Helper()
+	m, err := NewManager(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Kill()
+	j, err := m.Submit(Spec{}, bytes.NewReader(bad))
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := waitJob(t, j)
+	for _, w := range want {
+		if st.State != StateFailed || !strings.Contains(st.Error, w) {
+			t.Fatalf("state = %s (%s), want failed with %q", st.State, st.Error, w)
+		}
+	}
+	in, sorted := genInput(t, testSpec(1), 2000, 11)
+	j2, err := m.Submit(Spec{}, bytes.NewReader(in))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := waitJob(t, j2); st.State != StateDone {
+		t.Fatalf("next job: state = %s (%s)", st.State, st.Error)
+	}
+	rc, _, err := m.Result(j2.ID())
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _ := io.ReadAll(rc)
+	rc.Close()
+	if !bytes.Equal(got, sorted) {
+		t.Fatal("next job's result differs from a direct sort")
+	}
+	if opts.Root == "" {
+		return j
+	}
+	m.Kill()
+	var reran atomic.Bool
+	m2, err := NewManager(Options{
+		Root:         opts.Root,
+		MemoryBudget: opts.MemoryBudget,
+		Defaults:     opts.Defaults,
+		StoreWrap: func(id string, inner pdisk.Store) pdisk.Store {
+			if id == j.ID() {
+				reran.Store(true)
+			}
+			return inner
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m2.Kill()
+	j3, ok := m2.Get(j.ID())
+	if !ok {
+		t.Fatalf("job %s not recovered", j.ID())
+	}
+	if st := waitJob(t, j3); st.State != StateFailed || !strings.Contains(st.Error, want[0]) {
+		t.Fatalf("after restart: state = %s (%s), want failed with %q", st.State, st.Error, want[0])
+	}
+	if reran.Load() {
+		t.Fatal("the failed job ran again after the restart")
+	}
+	return j
 }
 
 // TestSubmitVarlenBadInput: truncated varlen wire input is refused at

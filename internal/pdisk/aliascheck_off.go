@@ -2,7 +2,8 @@
 
 package pdisk
 
-// aliasCheck gates MemStore's zero-copy mutation guard. In normal builds
-// it is a false constant, so the checksum bookkeeping compiles away; build
-// with -tags=aliascheck to arm it (see aliascheck_on.go).
+// aliasCheck gates the zero-copy mutation guard of the System's writes
+// and MemStore. In normal builds it is a false constant, so the checksum
+// bookkeeping compiles away; build with -tags=aliascheck to arm it (see
+// aliascheck_on.go).
 const aliasCheck = false

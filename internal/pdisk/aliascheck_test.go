@@ -3,6 +3,9 @@
 package pdisk
 
 import (
+	"flag"
+	"os"
+	"os/exec"
 	"strings"
 	"testing"
 
@@ -20,7 +23,7 @@ func TestAliasCheckCatchesReaderMutation(t *testing.T) {
 		Records:  record.Block{{Key: 1, Val: 10}, {Key: 2, Val: 20}},
 		Forecast: []record.Key{7},
 	}
-	if err := m.WriteBlock(addr, blk.Clone()); err != nil {
+	if err := m.WriteBlock(addr, blk); err != nil {
 		t.Fatal(err)
 	}
 	got, err := m.ReadBlock(addr)
@@ -50,7 +53,7 @@ func TestAliasCheckCleanPathsStayQuiet(t *testing.T) {
 	defer m.Close()
 	addr := BlockAddr{Disk: 1, Index: 3}
 	blk := StoredBlock{Records: record.Block{{Key: 5, Val: 1}, {Key: 6, Val: 2}}}
-	if err := m.WriteBlock(addr, blk.Clone()); err != nil {
+	if err := m.WriteBlock(addr, blk); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
@@ -64,4 +67,49 @@ func TestAliasCheckCleanPathsStayQuiet(t *testing.T) {
 	if err := m.Free(addr); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// asyncMutationChild is the argument that tells a re-run of this test
+// binary to act as TestAliasCheckCatchesAsyncWriterMutation's child.
+const asyncMutationChild = "mutate-after-issue"
+
+// TestAliasCheckCatchesAsyncWriterMutation violates the write side of
+// the ownership contract: it modifies a block after WriteBlocksAsync has
+// issued it and before its transfer runs. The guard's checksum, taken at
+// issue, must catch the change when the transfer runs. That panic comes
+// on an engine executor, where it ends the process, so the violation
+// runs in a child process and the test reads the child's death.
+func TestAliasCheckCatchesAsyncWriterMutation(t *testing.T) {
+	if flag.Arg(0) == asyncMutationChild {
+		mutateAfterIssue(t)
+		return
+	}
+	out, err := exec.Command(os.Args[0],
+		"-test.run=^TestAliasCheckCatchesAsyncWriterMutation$", asyncMutationChild).CombinedOutput()
+	if err == nil {
+		t.Fatalf("a block modified between issue and transfer was written without a panic:\n%s", out)
+	}
+	if !strings.Contains(string(out), "mutated after write") || !strings.Contains(string(out), "between issue and transfer") {
+		t.Fatalf("the child did not die of the write-side guard: %v\n%s", err, out)
+	}
+}
+
+// mutateAfterIssue holds disk 0's only gate slot, so the issued write's
+// transfer waits for it, modifies the block meanwhile, and frees the
+// slot. The guard then panics on the executor and ends the process;
+// returning from Wait is the failure.
+func mutateAfterIssue(t *testing.T) {
+	gate := NewDiskGate(1, 1)
+	sys, err := NewSystem(Config{D: 1, B: 2, Gate: gate})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	gate.enter(0)
+	b := mkBlock(1, 2)
+	fut := sys.WriteBlocksAsync([]BlockWrite{{Addr: sys.Alloc(0), Block: b}})
+	b.Records[0].Key = 999 // the contract violation
+	gate.exit(0)
+	fut.Wait()
+	t.Fatal("the transfer of a block modified after issue did not panic")
 }

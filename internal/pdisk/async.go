@@ -11,9 +11,9 @@
 //
 // Mechanics: an async operation is an op of the System's one I/O engine
 // (engine.go), split where a sync operation runs straight through. The
-// issue validates it, clones a write's blocks and starts it — its legs go
-// to the engine's executors, one leg per op on a serial store and one per
-// transfer otherwise, never inline, and a bounded op arms its timer. Wait
+// issue validates it and starts it — its legs go to the engine's
+// executors, one leg per op on a serial store and one per transfer
+// otherwise, never inline, and a bounded op arms its timer. Wait
 // finishes it: collects the results, applies the retry rule, handles the
 // deadline and hedge ticks, and accounts it. Retries, deadlines, hedges,
 // the disk gate and health sampling therefore apply exactly as they do to
@@ -139,10 +139,11 @@ func (f *ReadFuture) Wait() ([]StoredBlock, error) {
 type WriteFuture struct{ future }
 
 // WriteBlocksAsync issues one parallel write operation (same rules as
-// WriteBlocks) and returns immediately with a future. The blocks are
-// deep-copied at issue time, so the caller may reuse its buffers as soon
-// as the call returns — the write-behind contract the M_W double buffer
-// relies on.
+// WriteBlocks) and returns immediately with a future. The blocks pass to
+// the System at issue, as they do for WriteBlocks: the caller must not
+// modify them after the call, even before Wait. The write-behind M_W
+// double buffer relies on this — each stripe's writer cuts fresh blocks
+// and drops them once issued.
 func (s *System) WriteBlocksAsync(writes []BlockWrite) *WriteFuture {
 	f := &WriteFuture{}
 	o, err := s.writeOp(writes)

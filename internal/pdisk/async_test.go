@@ -75,31 +75,6 @@ func TestAsyncReadWriteRoundTrip(t *testing.T) {
 	}
 }
 
-// A caller may reuse its record buffers as soon as WriteBlocksAsync
-// returns: blocks are cloned at issue time.
-func TestAsyncWriteClonesAtIssue(t *testing.T) {
-	sys, err := NewSystem(Config{D: 1, B: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sys.Close()
-
-	blk := mkBlock(1, 2)
-	a := sys.Alloc(0)
-	fut := sys.WriteBlocksAsync([]BlockWrite{{Addr: a, Block: blk}})
-	blk.Records[0].Key = 999 // mutate after issue, before wait
-	if err := fut.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	got, err := sys.ReadBlocks([]BlockAddr{a})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got[0].Records.FirstKey() != 1 {
-		t.Fatalf("stored key %d, want the value at issue time (1)", got[0].Records.FirstKey())
-	}
-}
-
 // Validation failures (disk conflicts, oversize blocks, bad addresses)
 // surface at Wait, never as panics, and count nothing.
 func TestAsyncValidationErrors(t *testing.T) {

@@ -61,6 +61,7 @@ type xfer struct {
 	kind int
 	addr BlockAddr
 	blk  StoredBlock  // the write's block in, the read's block out
+	sum  uint64       // aliascheck only: the write's block checksum at issue
 	call func() error // a control op's body
 	name string       // a control op's name in errors
 
@@ -228,10 +229,15 @@ func (e *engine) getOp(kind, n int) *op {
 	return o
 }
 
-// set fills transfer i of a fresh op.
+// set fills transfer i of a fresh op. Under -tags=aliascheck it records
+// a write's block checksum, which the transfer verifies: the caller must
+// not modify a block once it has issued its write.
 func (o *op) set(i int, addr BlockAddr, blk StoredBlock) {
 	t := &o.xs[i]
 	t.kind, t.addr, t.blk = o.kind, addr, blk
+	if aliasCheck && o.kind == opWrite {
+		t.sum = contentSum(blk)
+	}
 	t.st.Store(0)
 	t.start.Store(0)
 	t.attempt, t.final, t.hedged, t.sawDeadline, t.join = 1, false, false, false, nil
@@ -456,6 +462,9 @@ func (e *engine) work(l leg) {
 		case t.kind == opRead:
 			blk, err = e.inner.ReadBlock(t.addr)
 		case t.kind == opWrite:
+			if aliasCheck {
+				checkSum(t.addr, t.blk, t.sum, "its writer modified it between issue and transfer")
+			}
 			err = e.inner.WriteBlock(t.addr, t.blk)
 		case t.kind == opFree:
 			err = e.inner.Free(t.addr)

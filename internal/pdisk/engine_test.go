@@ -302,9 +302,9 @@ type freeOK struct{ *MemStore }
 func (freeOK) Free(BlockAddr) error { return nil }
 
 // Op validation allocates nothing: a read allocates only its result, a
-// write only its clones, a free batch nothing — with or without a
-// bounded policy. An async op allocates one object more than its sync
-// twin: the future.
+// write and a free batch nothing — a write hands its blocks over without
+// a copy — with or without a bounded policy. An async op allocates one
+// object more than its sync twin: the future.
 func TestEngineOpsAllocateOnlyResults(t *testing.T) {
 	for _, dl := range []*DeadlinePolicy{nil, {OpDeadline: time.Minute}} {
 		sys := engineSystem(t, freeOK{NewMemStore()}, nil, dl)
@@ -325,14 +325,14 @@ func TestEngineOpsAllocateOnlyResults(t *testing.T) {
 		if got := testing.AllocsPerRun(100, func() { sys.ReadBlocks(addrs) }); got != 1 {
 			t.Errorf("deadline=%v: ReadBlocks of 4 allocates %.1f, want 1 (its result)", dl != nil, got)
 		}
-		if got := testing.AllocsPerRun(100, func() { sys.WriteBlocks(writes) }); got != 4 {
-			t.Errorf("deadline=%v: WriteBlocks of 4 allocates %.1f, want 4 (its clones)", dl != nil, got)
+		if got := testing.AllocsPerRun(100, func() { sys.WriteBlocks(writes) }); got != 0 {
+			t.Errorf("deadline=%v: WriteBlocks of 4 allocates %.1f, want 0", dl != nil, got)
 		}
 		if got := testing.AllocsPerRun(100, func() { sys.ReadBlocksAsync(addrs).Wait() }); got > 2 {
 			t.Errorf("deadline=%v: ReadBlocksAsync of 4 allocates %.1f, want <= 2 (its result and future)", dl != nil, got)
 		}
-		if got := testing.AllocsPerRun(100, func() { sys.WriteBlocksAsync(writes).Wait() }); got > 5 {
-			t.Errorf("deadline=%v: WriteBlocksAsync of 4 allocates %.1f, want <= 5 (its clones and future)", dl != nil, got)
+		if got := testing.AllocsPerRun(100, func() { sys.WriteBlocksAsync(writes).Wait() }); got > 1 {
+			t.Errorf("deadline=%v: WriteBlocksAsync of 4 allocates %.1f, want <= 1 (its future)", dl != nil, got)
 		}
 		if err := sys.FreeBlocks(addrs...); err != nil {
 			t.Fatal(err)

@@ -76,21 +76,6 @@ func (b StoredBlock) Wide() record.Block {
 	return b.Records
 }
 
-// Clone returns a deep copy, so store contents can never be aliased by
-// callers. The representation is preserved.
-func (b StoredBlock) Clone() StoredBlock {
-	var c StoredBlock
-	if b.Recs16 != nil {
-		c.Recs16 = append([]record.Rec16(nil), b.Recs16...)
-	} else {
-		c.Records = b.Records.Clone()
-	}
-	if b.Forecast != nil {
-		c.Forecast = append([]record.Key(nil), b.Forecast...)
-	}
-	return c
-}
-
 // RecsOf returns a block's records at the kernel width R. When the
 // resident representation already is R the slice is returned as-is
 // (zero-copy — the MemStore read path); on a mismatch it converts, so a
@@ -381,14 +366,15 @@ func (s *System) readOp(addrs []BlockAddr) (*op, error) {
 }
 
 // writeOp validates a parallel write and fills an engine op for it with
-// clones of the blocks, so the caller may reuse its buffers at once.
+// the blocks themselves: a write hands its blocks to the System, and the
+// caller must not modify them afterwards (see Store.WriteBlock).
 func (s *System) writeOp(writes []BlockWrite) (*op, error) {
 	if err := s.checkWrites(writes); err != nil {
 		return nil, err
 	}
 	o := s.eng.getOp(opWrite, len(writes))
 	for i, w := range writes {
-		o.set(i, w.Addr, w.Block.Clone())
+		o.set(i, w.Addr, w.Block)
 	}
 	return o, nil
 }
@@ -443,6 +429,8 @@ func (s *System) ReadBlocks(addrs []BlockAddr) ([]StoredBlock, error) {
 
 // WriteBlocks performs one parallel write operation storing every block (at
 // most one per disk). Records in each block must be at most B and sorted.
+// The blocks pass to the System: the caller must not modify them once
+// the call is made.
 func (s *System) WriteBlocks(writes []BlockWrite) error {
 	o, err := s.writeOp(writes)
 	if err != nil {

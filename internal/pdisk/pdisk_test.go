@@ -208,23 +208,33 @@ func TestFreeBlock(t *testing.T) {
 }
 
 func TestStoreOwnershipHandoff(t *testing.T) {
-	// The Store contract is asymmetric: writes copy in (the writer keeps
-	// ownership of its slice), while reads hand out the resident block
-	// zero-copy and the reader promises not to mutate it. See the
-	// aliascheck build tag for the guard that enforces the reader side.
+	// The Store contract hands blocks over without a copy both ways: a
+	// write passes its block to the store, which keeps it (the writer
+	// must not modify it again), and a read hands out the resident block
+	// (the reader must not modify it). See the aliascheck build tag for
+	// the guard that enforces both sides.
 	s := mustSystem(t, 1, 2)
-	a := s.Alloc(0)
-	in := blk(1, 2)
+	a, b := s.Alloc(0), s.Alloc(0)
+	in, inAsync := blk(1, 2), blk(3, 4)
 	if err := s.WriteBlocks([]BlockWrite{{Addr: a, Block: in}}); err != nil {
 		t.Fatal(err)
 	}
-	in.Records[0].Key = 42 // mutate caller copy after write
+	if err := s.WriteBlocksAsync([]BlockWrite{{Addr: b, Block: inAsync}}).Wait(); err != nil {
+		t.Fatal(err)
+	}
 	out, err := s.ReadBlocks([]BlockAddr{a})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out[0].Records[0].Key != 1 {
-		t.Fatal("store aliases the writer's slice")
+	if &out[0].Records[0] != &in.Records[0] {
+		t.Fatal("MemStore read returns a copy of a sync write's block: expected the written slice itself")
+	}
+	outAsync, err := s.ReadBlocks([]BlockAddr{b})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &outAsync[0].Records[0] != &inAsync.Records[0] {
+		t.Fatal("MemStore read returns a copy of an async write's block: expected the written slice itself")
 	}
 	// Zero-copy reads: successive reads of the same address share backing
 	// memory on the in-memory store (no defensive clone on the hot path).

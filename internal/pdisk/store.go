@@ -20,9 +20,16 @@ import (
 // return errors — never panic — for missing blocks, so the simulator
 // surfaces scheduling bugs as test failures on every backend alike.
 type Store interface {
-	// WriteBlock stores b at addr, overwriting any previous block. The
-	// block is owned by the store after the call (the System clones on
-	// behalf of its callers — writes always copy in).
+	// WriteBlock stores b at addr, overwriting any previous block.
+	//
+	// Ownership handoff: the block is the store's after the call, and the
+	// caller must not modify it again — the System passes its callers'
+	// blocks through without a copy, and MemStore keeps the block itself.
+	// A store may read the block's arrays for as long as it holds it, but
+	// never writes to them. Under the `aliascheck` build tag the System
+	// records each block's checksum when the write is issued and verifies
+	// it when the transfer runs, and MemStore verifies it again at every
+	// read, free and Close.
 	WriteBlock(addr BlockAddr, b StoredBlock) error
 	// ReadBlock returns the block at addr; reading an absent block is an
 	// error.
@@ -133,9 +140,11 @@ func storedBytes(b StoredBlock) int64 {
 // store that frees about as fast as it writes (a merge pass; one address
 // written and freed over and over) allocates no chunks in steady state.
 //
-// Reads are zero-copy: ReadBlock returns the resident block itself under
-// the Store ownership-handoff contract (readers never mutate). Build with
-// -tags=aliascheck to arm a per-block checksum that catches violations.
+// Writes and reads are zero-copy: WriteBlock keeps the block it is given
+// and ReadBlock returns the resident block itself, under the Store
+// ownership-handoff contracts (neither writers nor readers modify a block
+// once written). Build with -tags=aliascheck to arm a per-block checksum
+// that catches violations.
 type MemStore struct {
 	mu       sync.RWMutex
 	disks    [][]*memChunk        // disks[d][index/memChunkSlots]; nil = no resident block in that chunk
@@ -298,14 +307,21 @@ func (m *MemStore) each(fn func(BlockAddr, StoredBlock)) {
 }
 
 // verifySum panics if the resident block no longer matches the checksum
-// recorded when it was written — i.e. some reader mutated a block it
-// received through the zero-copy ReadBlock path. Compiled in only under
-// -tags=aliascheck.
+// recorded when it was written — a holder of the block modified it: a
+// reader that received it through the zero-copy ReadBlock path, or its
+// writer after the write. Compiled in only under -tags=aliascheck.
 func (m *MemStore) verifySum(addr BlockAddr, b StoredBlock) {
-	if got, want := contentSum(b), m.sums[addr]; got != want {
+	checkSum(addr, b, m.sums[addr], "a reader or its writer violated the Store ownership contract")
+}
+
+// checkSum panics if b no longer matches want, the checksum recorded when
+// its write was issued or stored; culprit names who broke the ownership
+// contract. Called only under -tags=aliascheck.
+func checkSum(addr BlockAddr, b StoredBlock, want uint64, culprit string) {
+	if got := contentSum(b); got != want {
 		panic(fmt.Sprintf(
-			"pdisk: aliascheck: block %v mutated after write (sum %#x, recorded %#x) — a reader violated the ReadBlock ownership contract",
-			addr, got, want))
+			"pdisk: aliascheck: block %v mutated after write (sum %#x, recorded %#x) — %s",
+			addr, got, want, culprit))
 	}
 }
 

@@ -269,14 +269,6 @@ func TestTimeModelPanicsOnBadRate(t *testing.T) {
 	(&TimeModel{AvgSeekMS: 1, RotationMS: 1}).OpSeconds(10)
 }
 
-func TestStoredBlockCloneNilForecast(t *testing.T) {
-	b := StoredBlock{Records: record.Block{{Key: 1}}}
-	c := b.Clone()
-	if c.Forecast != nil {
-		t.Fatal("nil forecast became non-nil")
-	}
-}
-
 // MemStore's slot directory: Frontier and Blocks see across chunk
 // boundaries, a chunk goes once its last block is freed (and comes back
 // on the next write into it), and a freed slot keeps no reference to its

@@ -83,14 +83,6 @@ func (b Block) IsSorted() bool {
 	return slices.IsSortedFunc(b, compareKeys)
 }
 
-// Clone returns a deep copy of the block. Stores hand out clones so callers
-// cannot alias disk contents.
-func (b Block) Clone() Block {
-	c := make(Block, len(b))
-	copy(c, b)
-	return c
-}
-
 // compareKeys orders records by key alone — the merge order, under which
 // equal-keyed records compare equal.
 func compareKeys(a, b Record) int { return cmp.Compare(a.Key, b.Key) }

@@ -17,12 +17,18 @@ func TestBlockFirstLastKey(t *testing.T) {
 	}
 }
 
-func TestBlockClone(t *testing.T) {
-	b := Block{{Key: 1, Val: 10}, {Key: 2, Val: 20}}
-	c := b.Clone()
+func TestCloneOf(t *testing.T) {
+	b := []Record{{Key: 1, Val: 10}, {Key: 2, Val: 20}}
+	c := CloneOf(b)
 	c[0].Key = 99
-	if b[0].Key != 1 {
-		t.Fatal("Clone aliases the original block")
+	if b[0].Key != 1 || len(c) != len(b) {
+		t.Fatal("CloneOf aliases the original records")
+	}
+	n := []Rec16{{Key: 1, Val: 10}}
+	cn := CloneOf(n)
+	cn[0].Key = 99
+	if n[0].Key != 1 {
+		t.Fatal("CloneOf aliases the original Rec16 records")
 	}
 }
 

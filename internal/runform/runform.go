@@ -18,6 +18,7 @@ package runform
 
 import (
 	"fmt"
+	"slices"
 
 	"srmsort/internal/iheap"
 	"srmsort/internal/pdisk"
@@ -115,8 +116,8 @@ func (l *Loader[R]) flush() error {
 	if err := l.sys.WriteBlocks(l.writes); err != nil {
 		return err
 	}
-	// WriteBlocks copied the blocks into the store, so the stripe buffer
-	// (though not the record slices it pointed at) can be reused.
+	// The blocks are the store's now, but the stripe's BlockWrite slice
+	// is the loader's own: reuse it for the next stripe.
 	l.writes = l.writes[:0]
 	return nil
 }
@@ -153,11 +154,17 @@ func LoadInput[R record.KernelRecord](sys *pdisk.System, records []R) (*InputFil
 // Reader streams the input file stripe by stripe with full read
 // parallelism (one I/O operation per stripe of D blocks). Both SRM and DSM
 // run formation consume the input through it.
+//
+// The reader copies each record once, into one buffer it keeps for the
+// whole file: a slice Read returns is the caller's to modify — run
+// formation sorts each load in place — until the next Read reuses its
+// memory.
 type Reader[R record.KernelRecord] struct {
 	sys  *pdisk.System
 	file *InputFile
 	next int // next block index to fetch
-	buf  []R
+	buf  []R // records fetched; buf[head:] not yet returned
+	head int
 }
 
 // NewReader returns a Reader positioned at the start of the file.
@@ -165,7 +172,7 @@ func NewReader[R record.KernelRecord](sys *pdisk.System, file *InputFile) *Reade
 	return &Reader[R]{sys: sys, file: file}
 }
 
-// more refills the buffer with one stripe; it reports false at EOF.
+// more appends one stripe to the buffer; it reports false at EOF.
 func (r *Reader[R]) more() (bool, error) {
 	if r.next >= len(r.file.addrs) {
 		return false, nil
@@ -186,22 +193,31 @@ func (r *Reader[R]) more() (bool, error) {
 }
 
 // Read returns up to n records from the file, fetching stripes as needed.
-// It returns an empty slice at EOF.
+// It returns an empty slice at EOF. The slice is valid until the next
+// Read.
 func (r *Reader[R]) Read(n int) ([]R, error) {
-	for len(r.buf) < n {
-		ok, err := r.more()
-		if err != nil {
-			return nil, err
+	if len(r.buf)-r.head < n {
+		// Move the records not yet returned to the front, over the ones
+		// returned before: the buffer never needs more than n records and
+		// one stripe, so it is sized once and never regrows.
+		r.buf = r.buf[:copy(r.buf, r.buf[r.head:])]
+		r.head = 0
+		if want := min(n, r.file.Records) + r.sys.D()*r.sys.B(); cap(r.buf) < want {
+			r.buf = slices.Grow(r.buf, want-len(r.buf))
 		}
-		if !ok {
-			break
+		for len(r.buf) < n {
+			ok, err := r.more()
+			if err != nil {
+				return nil, err
+			}
+			if !ok {
+				break
+			}
 		}
 	}
-	if n > len(r.buf) {
-		n = len(r.buf)
-	}
-	out := r.buf[:n]
-	r.buf = r.buf[n:]
+	n = min(n, len(r.buf)-r.head)
+	out := r.buf[r.head : r.head+n : r.head+n]
+	r.head += n
 	return out, nil
 }
 
@@ -239,13 +255,13 @@ func MemoryLoadCores[R record.KernelRecord](sys *pdisk.System, file *InputFile, 
 		if len(chunk) == 0 {
 			break
 		}
-		sorted := make([]R, len(chunk))
-		copy(sorted, chunk)
-		if len(scratch) < len(sorted) {
-			scratch = make([]R, len(sorted))
+		if len(scratch) < len(chunk) {
+			scratch = make([]R, len(chunk))
 		}
-		pmerge.SortScratch(sorted, scratch, cores)
-		run, err := runio.WriteRun(sys, res.NextSeq, placement.StartDisk(res.NextSeq), sorted)
+		// The load is the reader's buffer, ours until the next Read: sort
+		// it in place; WriteRun copies it into the run's blocks.
+		pmerge.SortScratch(chunk, scratch, cores)
+		run, err := runio.WriteRun(sys, res.NextSeq, placement.StartDisk(res.NextSeq), chunk)
 		if err != nil {
 			return Result{}, err
 		}
@@ -294,7 +310,10 @@ func ReplacementSelectionCores[R record.KernelRecord](sys *pdisk.System, file *I
 		return Result{}, fmt.Errorf("runform: replacement selection does not support variable-length records; use memory-load run formation")
 	}
 	cur = append(cur, fill...)
-	var pendingNext []R
+	// The next generation gathers here while the current one is emitted;
+	// the two buffers then swap roles. A generation never outnumbers the
+	// heap (the residency bound below), so neither buffer regrows.
+	pendingNext := make([]R, 0, heapSize)
 
 	// Admitted replacements live in a fixed arena of heapSize slots
 	// indexed by the heap's handles; slots are recycled through a
@@ -306,16 +325,15 @@ func ReplacementSelectionCores[R record.KernelRecord](sys *pdisk.System, file *I
 	// next-generation records number at most one per generation member.
 	slots := make([]R, heapSize)
 	free := make([]int, 0, heapSize)
+	h := iheap.New(heapSize) // empty again at the end of every generation
 
 	var scratch []R // radix/merge-back buffer, reused across generations
 	for len(cur) > 0 {
-		arena := make([]R, len(cur))
-		copy(arena, cur)
+		arena := cur // sorted in place: the generation is ours alone
 		if len(scratch) < len(arena) {
 			scratch = make([]R, len(arena))
 		}
 		pmerge.SortScratch(arena, scratch, cores)
-		h := iheap.New(heapSize)
 		free = free[:0]
 		for i := heapSize - 1; i >= 0; i-- {
 			free = append(free, i)
@@ -362,8 +380,7 @@ func ReplacementSelectionCores[R record.KernelRecord](sys *pdisk.System, file *I
 		}
 		res.NextSeq++
 		res.Runs = append(res.Runs, run)
-		cur = pendingNext
-		pendingNext = nil
+		cur, pendingNext = pendingNext, arena[:0]
 	}
 	return res, nil
 }

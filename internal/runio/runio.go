@@ -269,7 +269,9 @@ func (w *Writer[R]) forecastFor(i int) []record.Key {
 	// Every block past the first forecasts exactly one key. Carve those
 	// out of an arena chunk instead of allocating one-element slices: each
 	// forecast is a capacity-1 sub-slice written once here and then handed
-	// off (WriteBlocks copies it into the store), so slices never alias.
+	// to the System with its block (writes keep what they are given), so
+	// no key is ever rewritten under the store and no append can reach a
+	// neighbour.
 	if len(w.fcArena) == 0 {
 		w.fcArena = make([]record.Key, 512)
 	}
