@@ -78,11 +78,12 @@ fmt-check:
 
 # The measured end-to-end sort benchmark (alg x backend x D x cores),
 # the deadline layer's fault-free cost (bare vs deadline vs hedge rows),
-# plus the multicore merge kernel in isolation. Writes BENCH_sort.json
+# plus the multicore merge kernel and the serial merge kernel
+# (ltree.Kernel, fixed16 and varlen) in isolation. Writes BENCH_sort.json
 # with ns/record, B/record and allocs/record per cell — the perf
 # trajectory future PRs regress against (see EXPERIMENTS.md).
 bench:
-	go test -run='^$$' -bench='SortEndToEnd|SortDeadline|ServerThroughput|ParallelMerge' -benchmem . | tee bench_sort_output.txt
+	go test -run='^$$' -bench='SortEndToEnd|SortDeadline|ServerThroughput|ParallelMerge|MergeKernel' -benchmem . | tee bench_sort_output.txt
 	go run ./cmd/benchjson -o BENCH_sort.json bench_sort_output.txt
 
 # Every benchmark in the repository (micro and end-to-end).
@@ -93,12 +94,12 @@ bench-all:
 # deltas against the committed BENCH_sort.json baseline — the perf gate a
 # change is judged by before the baseline itself is refreshed.
 bench-diff:
-	go test -run='^$$' -bench='SortEndToEnd|SortDeadline|ServerThroughput|ParallelMerge' -benchmem . | tee bench_sort_output.txt
+	go test -run='^$$' -bench='SortEndToEnd|SortDeadline|ServerThroughput|ParallelMerge|MergeKernel' -benchmem . | tee bench_sort_output.txt
 	go run ./cmd/benchjson -diff BENCH_sort.json bench_sort_output.txt
 
 # One iteration per cell: proves the harness runs, measures nothing.
 bench-smoke:
-	go test -run='^$$' -bench='SortEndToEnd|SortDeadline|ServerThroughput|ParallelMerge' -benchtime=1x .
+	go test -run='^$$' -bench='SortEndToEnd|SortDeadline|ServerThroughput|ParallelMerge|MergeKernel' -benchtime=1x .
 
 # Native-fuzz bursts CI runs exactly, 20 seconds each: the public stream
 # sort (arbitrary byte streams through SortStream must sort or fail with
@@ -115,10 +116,14 @@ bench-smoke:
 # corruption), the in-place varlen parser (CompareExt and VarParts must
 # agree with the byte-slice reference parser on arbitrary bytes,
 # malformed length prefixes included, and the prefix words must
-# coarsen CompareExt), and the block wire readers (fixed16 and varlen
+# coarsen CompareExt), the block wire readers (fixed16 and varlen
 # streams of arbitrary bytes, read in random chunks into random block
 # sizes, must decode to exactly what per-record ReadRecord decodes and
-# end the same way).
+# end the same way), and the loser tree's operations (random Push,
+# Update and Remove on winner and non-winner players, with and without
+# a tie hook, checked after every call against a brute-force Min, Len
+# and Challenger; words 0, 1, 2^64-2 and 2^64-1 are drawn often, so a
+# live player holding the maximal words meets retired ones).
 fuzz-smoke:
 	go test -fuzz='^FuzzSortStream$$' -fuzztime=20s .
 	go test -fuzz=FuzzParallelMergeEquiv -fuzztime=20s .
@@ -127,6 +132,7 @@ fuzz-smoke:
 	go test -fuzz=FuzzCodecRoundTrip -fuzztime=20s ./internal/record/
 	go test -fuzz=FuzzCompareExt -fuzztime=20s ./internal/record/
 	go test -fuzz=FuzzWireBlocks -fuzztime=20s ./internal/record/
+	go test -fuzz=FuzzTreeOps -fuzztime=20s ./internal/ltree/
 
 tables:
 	go run ./cmd/tables

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"srmsort/internal/analysis"
+	"srmsort/internal/ltree"
 	"srmsort/internal/occupancy"
 	"srmsort/internal/pdisk"
 	"srmsort/internal/pmerge"
@@ -433,6 +434,82 @@ func BenchmarkParallelMerge(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(n)*float64(b.N)), "ns/rec")
 		})
 	}
+}
+
+// BenchmarkMergeKernel is the merge kernel alone: ltree.Kernel over 16
+// sorted inputs fed in 64-record blocks and merged in key order, the
+// shape of mem-fixed16's merges (R = kD = 16, B = 64, uniform keys), and
+// its varlen twin over keys of a four-letter alphabet, so prefix ties
+// reach record.CompareExt. No store, schedule or output copy runs, so
+// ns/rec is the selection loop's own cost: the merge-kernel layer the
+// SortEndToEnd cells fold in.
+func BenchmarkMergeKernel(b *testing.B) {
+	const r, blk, perRun = 16, 64, 1 << 14
+	rng := rand.New(rand.NewSource(3))
+	b.Run("R=16/codec=fixed16", func(b *testing.B) {
+		runs := make([][]record.Rec16, r)
+		for i := range runs {
+			runs[i] = make([]record.Rec16, perRun)
+			for j := range runs[i] {
+				runs[i][j] = record.Rec16{Key: record.Key(rng.Uint64() >> 1), Val: uint64(j)}
+			}
+			record.SortRecords(runs[i])
+		}
+		benchKernel(b, runs, blk)
+	})
+	b.Run("R=16/codec=varlen", func(b *testing.B) {
+		runs := make([][]record.Record, r)
+		for i := range runs {
+			runs[i] = make([]record.Record, perRun)
+			for j := range runs[i] {
+				key := make([]byte, 3+rng.Intn(16))
+				for c := range key {
+					key[c] = byte('a' + rng.Intn(4))
+				}
+				rec, err := record.MakeVar(key, nil)
+				if err != nil {
+					b.Fatal(err)
+				}
+				runs[i][j] = rec
+			}
+			record.SortRecords(runs[i])
+		}
+		benchKernel(b, runs, blk)
+	})
+}
+
+// benchKernel merges runs with one ltree.Kernel per iteration, pushing
+// each input's next blk records when its block ends, and reports ns/rec.
+func benchKernel[R record.KernelRecord](b *testing.B, runs [][]R, blk int) {
+	total := 0
+	for _, run := range runs {
+		total += len(run)
+	}
+	next := make([]int, len(runs)) // the start of each input's next block
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := ltree.NewKernel[R](len(runs), false)
+		for h, run := range runs {
+			next[h] = min(blk, len(run))
+			k.Push(h, run[:next[h]])
+		}
+		merged := 0
+		for {
+			h, span, ended := k.Next()
+			if h < 0 {
+				break
+			}
+			merged += len(span)
+			if end := min(next[h]+blk, len(runs[h])); ended && end > next[h] {
+				k.Push(h, runs[h][next[h]:end])
+				next[h] = end
+			}
+		}
+		if merged != total {
+			b.Fatalf("merged %d of %d records", merged, total)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(total)*float64(b.N)), "ns/rec")
 }
 
 // BenchmarkSortFaultTolerance quantifies what the fault-tolerance

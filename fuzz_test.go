@@ -221,8 +221,9 @@ var varlenAlphabet = []string{
 // FuzzGallopMergeEquiv drives the merge kernel (ltree.Kernel, with its
 // repeat-winner gallop) against references on adversarial run shapes:
 // tiny key universes (runs of duplicate keys spanning block boundaries),
-// MaxKey records (a legal key: the tree tracks aliveness explicitly), and
-// block lengths down to 1 (every span a single record). Three legs:
+// MaxKey records (a legal key: a retired player's rank, not its key,
+// places it after every live one), and block lengths down to 1 (every
+// span a single record). Three legs:
 //
 //  1. Key order, at both record widths, against the per-record loser-tree
 //     merge: byte-identical, duplicates in run order.

@@ -277,6 +277,56 @@ func TestPanickingSortFailsJob(t *testing.T) {
 	}
 }
 
+// panicReads is a job store whose every block read panics.
+type panicReads struct{ recoverableStore }
+
+func (panicReads) ReadBlock(pdisk.BlockAddr) (pdisk.StoredBlock, error) {
+	panic("store exploded")
+}
+
+// TestStorePanicOnExecutorFailsJob: a store that panics inside a transfer
+// on one of the I/O engine's executors — an async job's reads, or any
+// read under the deadline layer — fails only that job, with the panic
+// value in its error; the manager keeps serving, and a durable job's
+// failure survives a restart.
+func TestStorePanicOnExecutorFailsJob(t *testing.T) {
+	in, _ := genInput(t, testSpec(1), 2000, 11)
+	async := testSpec(1)
+	async.Async = true
+	for _, tc := range []struct {
+		name     string
+		root     string
+		defaults Spec
+		deadline *pdisk.DeadlinePolicy
+	}{
+		{"volatile-async", "", async, nil},
+		{"durable-deadline", t.TempDir(), testSpec(1), &pdisk.DeadlinePolicy{OpDeadline: time.Minute}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var mu sync.Mutex
+			var broken string // the first job's ID; only its store panics
+			opts := Options{
+				Root:         tc.root,
+				MemoryBudget: 100_000,
+				Defaults:     tc.defaults,
+				Deadline:     tc.deadline,
+				StoreWrap: func(id string, inner pdisk.Store) pdisk.Store {
+					mu.Lock()
+					defer mu.Unlock()
+					if broken == "" {
+						broken = id
+					}
+					if id != broken {
+						return inner
+					}
+					return panicReads{inner.(recoverableStore)}
+				},
+			}
+			failThenServe(t, opts, in, "store panicked", "store exploded")
+		})
+	}
+}
+
 // failThenServe submits bad to a manager built from opts and requires
 // the job to end failed with an error holding every string of want, and
 // the manager's next job to sort normally. With opts.Root set it then

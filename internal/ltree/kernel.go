@@ -29,11 +29,14 @@ import "srmsort/internal/record"
 // record that merely ties a bound at the prefix level; the tree has
 // already ordered the winner's head first, so a span is never empty.
 type Kernel[R record.KernelRecord] struct {
-	tree   Tree
-	heads  [][]R // unconsumed tail of each input's current block; empty when retired
-	byVal  bool  // inputs compare by (Key, Val), not by Key alone
-	varlen bool  // prefix ties go to record.CompareExt; bounds are exclusive
-	prev   int   // the previous selection's winner; -1 after a block end or a stop
+	tree  Tree
+	heads [][]R // unconsumed tail of each input's current block; empty when retired
+	// heads16 is &heads when R is record.Rec16, else nil: Next loads the
+	// winner's next head through it as fields, not by dictionary calls.
+	heads16 *[][]record.Rec16
+	byVal   bool // inputs compare by (Key, Val), not by Key alone
+	varlen  bool // prefix ties go to record.CompareExt; bounds are exclusive
+	prev    int  // the previous selection's winner; -1 after a block end or a stop
 
 	// The key bound SetBound installs: when bounded, Next emits no record
 	// whose key is above bound, or equal to it unless inclusive.
@@ -46,6 +49,7 @@ type Kernel[R record.KernelRecord] struct {
 // byVal selects the (Key, Val) order for fixed-size records.
 func NewKernel[R record.KernelRecord](n int, byVal bool) *Kernel[R] {
 	k := &Kernel[R]{heads: make([][]R, n), byVal: byVal, prev: -1}
+	k.heads16, _ = any(&k.heads).(*[][]record.Rec16)
 	k.tree.init(n)
 	return k
 }
@@ -92,9 +96,10 @@ func (k *Kernel[R]) Next() (h int, span []R, ended bool) {
 		k.prev = -1
 		return -1, nil, false
 	}
-	h = t.losers[0]
+	w := t.nodes[0]
+	h = w.rank
 	if k.bounded {
-		if key := record.Key(t.keys[h]); k.bound < key || (k.bound == key && !k.inclusive) {
+		if key := record.Key(w.key); k.bound < key || (k.bound == key && !k.inclusive) {
 			k.prev = -1
 			return -1, nil, false
 		}
@@ -104,9 +109,8 @@ func (k *Kernel[R]) Next() (h int, span []R, ended bool) {
 	if h == k.prev {
 		n = k.gallop(h, b)
 	}
-	// Advance's work, written out: this is the per-selection path, and a
-	// generic method call here is a real call, so the winner's new words
-	// are stored and its path replayed in place.
+	// Advance's work, written out: this is the per-selection path, where
+	// a generic method call is a real call.
 	span, b = b[:n], b[n:]
 	k.heads[h] = b
 	if len(b) == 0 {
@@ -115,12 +119,14 @@ func (k *Kernel[R]) Next() (h int, span []R, ended bool) {
 		return h, span, true
 	}
 	k.prev = h
-	if r := b[0]; k.byVal {
-		t.keys[h], t.vals[h] = uint64(r.K()), r.V()
+	if k.heads16 == nil {
+		w.key, w.val = k.words(b[0])
+	} else if r := (*k.heads16)[h][0]; k.byVal {
+		w.key, w.val = uint64(r.Key), r.Val
 	} else {
-		t.keys[h] = uint64(r.K())
+		w.key, w.val = uint64(r.Key), 0
 	}
-	t.replay(h)
+	t.replay(w)
 	return h, span, false
 }
 

@@ -1,6 +1,7 @@
 package ltree
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -72,8 +73,8 @@ func TestMergeThreeRuns(t *testing.T) {
 	}
 }
 
-// A player holding the maximal uint64 key is live: aliveness is explicit,
-// so no key value means "retired".
+// A player holding the maximal uint64 key is live: aliveness is in the
+// rank, so no key value means "retired".
 func TestMaxKeyIsLive(t *testing.T) {
 	tr := NewRetired(4)
 	tr.Push(1, ^uint64(0), 0)
@@ -366,28 +367,133 @@ func TestKernelVarlen(t *testing.T) {
 	}
 }
 
-func BenchmarkUpdateWinner(b *testing.B) {
-	const players = 512
-	rng := rand.New(rand.NewSource(1))
-	keys := make([]uint64, players)
-	for i := range keys {
-		keys[i] = uint64(rng.Intn(1 << 30))
+// FuzzTreeOps drives a tree through random Push, Update and Remove calls
+// on winner and non-winner players, checking Len, Min and Challenger
+// after every call against a brute-force reference in (key, val, index)
+// order — (key, val, tie, index) when withTie installs a tie hook. Words
+// come mostly from {0, 1, 2^64−2, 2^64−1}, so a live player holding the
+// maximal words meets retired ones, whose nodes carry those words too.
+func FuzzTreeOps(f *testing.F) {
+	f.Add(uint8(4), false, []byte{0, 3, 3, 4, 7, 7, 8, 0, 0, 2, 0, 0, 6, 0, 0})
+	f.Add(uint8(5), true, []byte{0, 3, 3, 4, 3, 3, 8, 3, 3, 1, 2, 2, 5, 0, 0, 10, 0, 0})
+	f.Add(uint8(16), false, []byte{0, 130, 7, 4, 155, 9, 8, 3, 3, 12, 131, 7, 1, 6, 6, 5, 9, 9, 2, 0, 0})
+	special := [4]uint64{0, 1, ^uint64(0) - 1, ^uint64(0)}
+	word := func(b byte) uint64 {
+		switch b % 4 {
+		case 0, 1:
+			return special[b>>2%4]
+		case 2:
+			return uint64(b >> 4) // small: ties between players are common
+		default:
+			return uint64(b) * 0x9e3779b97f4a7c15
+		}
 	}
-	b.Run("ltree", func(b *testing.B) {
-		tr := pushAll(keys)
-		for i := 0; i < b.N; i++ {
-			p, k := tr.Min()
-			tr.Update(p, k+uint64(rng.Intn(64)), 0)
+	f.Fuzz(func(t *testing.T, nRaw uint8, withTie bool, prog []byte) {
+		n := int(nRaw)%17 + 1
+		tr := NewRetired(n)
+		live := make([]bool, n)
+		keys, vals, ext := make([]uint64, n), make([]uint64, n), make([]int, n)
+		if withTie {
+			tr.tie = func(a, b int) int { return ext[a] - ext[b] }
+		}
+		less := func(a, b int) bool {
+			if keys[a] != keys[b] {
+				return keys[a] < keys[b]
+			}
+			if vals[a] != vals[b] {
+				return vals[a] < vals[b]
+			}
+			if withTie && ext[a] != ext[b] {
+				return ext[a] < ext[b]
+			}
+			return a < b
+		}
+		// rank returns the live players' best and second best, -1 if none.
+		rank := func() (cnt, best, second int) {
+			best, second = -1, -1
+			for p := range live {
+				switch {
+				case !live[p]:
+					continue
+				case best < 0 || less(p, best):
+					best, second = p, best
+				case second < 0 || less(p, second):
+					second = p
+				}
+				cnt++
+			}
+			return cnt, best, second
+		}
+		// pick returns the first player at or after start, cyclically,
+		// whose aliveness is want, or -1.
+		pick := func(start int, want bool) int {
+			for i := range n {
+				if p := (start + i) % n; live[p] == want {
+					return p
+				}
+			}
+			return -1
+		}
+		for ; len(prog) >= 3; prog = prog[3:] {
+			op, kb, vb := prog[0], prog[1], prog[2]
+			p := pick(int(op>>3), op%3 != 0)
+			if cnt, best, _ := rank(); op%3 != 0 && op&4 == 0 && cnt > 0 {
+				p = best // the winner: replay instead of rebuild
+			}
+			if p < 0 {
+				continue
+			}
+			switch op % 3 {
+			case 0:
+				keys[p], vals[p], ext[p], live[p] = word(kb), word(vb), int(kb>>6), true
+				tr.Push(p, keys[p], vals[p])
+			case 1:
+				keys[p], vals[p], ext[p] = word(kb), word(vb), int(vb>>6)
+				tr.Update(p, keys[p], vals[p])
+			case 2:
+				live[p] = false
+				tr.Remove(p)
+			}
+			cnt, best, second := rank()
+			if tr.Len() != cnt {
+				t.Fatalf("Len = %d, want %d", tr.Len(), cnt)
+			}
+			if cnt > 0 {
+				if w, k := tr.Min(); w != best || k != keys[best] {
+					t.Fatalf("Min = %d,%#x, want %d,%#x", w, k, best, keys[best])
+				}
+			}
+			ch, k, v, ok := tr.Challenger()
+			if ok != (cnt >= 2) || ok && (ch != second || k != keys[second] || v != vals[second]) {
+				t.Fatalf("Challenger = %d,%#x,%#x,%v, want %d (of %d live)", ch, k, v, ok, second, cnt)
+			}
 		}
 	})
-	b.Run("iheap", func(b *testing.B) {
-		h := iheap.New(players)
-		for i, k := range keys {
-			h.Push(i, k)
+}
+
+func BenchmarkUpdateWinner(b *testing.B) {
+	for _, players := range []int{16, 512} {
+		rng := rand.New(rand.NewSource(1))
+		keys := make([]uint64, players)
+		for i := range keys {
+			keys[i] = uint64(rng.Intn(1 << 30))
 		}
-		for i := 0; i < b.N; i++ {
-			p, k := h.Min()
-			h.Update(p, k+uint64(rng.Intn(64)))
-		}
-	})
+		b.Run(fmt.Sprintf("R=%d/ltree", players), func(b *testing.B) {
+			tr := pushAll(keys)
+			for i := 0; i < b.N; i++ {
+				p, k := tr.Min()
+				tr.Update(p, k+uint64(rng.Intn(64)), 0)
+			}
+		})
+		b.Run(fmt.Sprintf("R=%d/iheap", players), func(b *testing.B) {
+			h := iheap.New(players)
+			for i, k := range keys {
+				h.Push(i, k)
+			}
+			for i := 0; i < b.N; i++ {
+				p, k := h.Min()
+				h.Update(p, k+uint64(rng.Intn(64)))
+			}
+		})
+	}
 }

@@ -429,7 +429,7 @@ func (e *engine) work(l leg) {
 	o, i := l.o, l.first
 	if l.hedge {
 		t := &o.xs[i]
-		blk, err := e.inner.ReadBlock(t.addr)
+		blk, err := e.transfer(t)
 		e.publish(t, l.gen, blk, err, true, false)
 		i++
 	}
@@ -455,24 +455,39 @@ func (e *engine) work(l leg) {
 		}
 		var blk StoredBlock
 		var err error
-		switch {
-		case j != nil:
+		if j != nil {
 			<-j.done
 			err = j.err
-		case t.kind == opRead:
-			blk, err = e.inner.ReadBlock(t.addr)
-		case t.kind == opWrite:
-			if aliasCheck {
+		} else {
+			if aliasCheck && t.kind == opWrite {
 				checkSum(t.addr, t.blk, t.sum, "its writer modified it between issue and transfer")
 			}
-			err = e.inner.WriteBlock(t.addr, t.blk)
-		case t.kind == opFree:
-			err = e.inner.Free(t.addr)
-		default:
-			err = t.call()
+			blk, err = e.transfer(t)
 		}
 		e.publish(t, s>>8, blk, err, false, gated)
 	}
+}
+
+// transfer makes t's store call: its read, write, free or control call.
+// A panic in the store fails the attempt with a TerminalError holding
+// the panic value, so the op fails with an IOError naming the disk and
+// address: on an executor the panic would end the process, past any
+// recover of the op's caller.
+func (e *engine) transfer(t *xfer) (blk StoredBlock, err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			blk, err = StoredBlock{}, &TerminalError{Err: fmt.Errorf("pdisk: store panicked: %v", v)}
+		}
+	}()
+	switch t.kind {
+	case opRead:
+		return e.inner.ReadBlock(t.addr)
+	case opWrite:
+		return StoredBlock{}, e.inner.WriteBlock(t.addr, t.blk)
+	case opFree:
+		return StoredBlock{}, e.inner.Free(t.addr)
+	}
+	return StoredBlock{}, t.call()
 }
 
 // publish publishes an attempt's result if its leg wins the attempt. A

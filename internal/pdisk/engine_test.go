@@ -2,6 +2,7 @@ package pdisk
 
 import (
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -497,5 +498,72 @@ func TestEngineQueuedTransferTimedFromItsStart(t *testing.T) {
 	}
 	if h := sys.Stats().Health; h.Timeouts != 1 {
 		t.Fatalf("Timeouts = %d, want 1 (the stuck read only)", h.Timeouts)
+	}
+}
+
+// panicReads panics on every block read of one address; the store's
+// other calls pass through. It hides SerialTransfers, so a System fans a
+// multi-block read out to executors.
+type panicReads struct {
+	Store
+	at *BlockAddr
+}
+
+func (p panicReads) ReadBlock(a BlockAddr) (StoredBlock, error) {
+	if *p.at == a {
+		panic("store exploded")
+	}
+	return p.Store.ReadBlock(a)
+}
+
+// A store call that panics on an executor — an async read, or a read
+// bounded by a deadline — fails its op instead of ending the process:
+// Wait returns an IOError naming the disk and address, holding a
+// TerminalError with the panic value. The transfer's gate slot is freed
+// (the gate has one slot per disk), the System serves the next op on the
+// same disk, and Close returns.
+func TestEngineStorePanicFailsOp(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		async    bool
+		deadline *DeadlinePolicy
+	}{
+		{"async", true, nil},
+		{"deadline", false, &DeadlinePolicy{OpDeadline: time.Minute}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			at := BlockAddr{Disk: -1}
+			sys, err := NewSystem(Config{D: 2, B: 2, Store: panicReads{NewMemStore(), &at},
+				Gate: NewDiskGate(2, 1), Deadline: tc.deadline})
+			if err != nil {
+				t.Fatal(err)
+			}
+			addrs := []BlockAddr{sys.Alloc(0), sys.Alloc(1)}
+			if err := sys.WriteBlocks([]BlockWrite{{addrs[0], mkBlock(1)}, {addrs[1], mkBlock(2)}}); err != nil {
+				t.Fatal(err)
+			}
+			read := func() ([]StoredBlock, error) {
+				if tc.async {
+					return sys.ReadBlocksAsync(addrs).Wait()
+				}
+				return sys.ReadBlocks(addrs)
+			}
+			at = addrs[1]
+			_, err = read()
+			var ioe *IOError
+			var term *TerminalError
+			if !errors.As(err, &ioe) || ioe.Op != "read" || ioe.Addr != addrs[1] ||
+				!errors.As(err, &term) || !strings.Contains(err.Error(), "store exploded") {
+				t.Fatalf("a panicking read came back as %v", err)
+			}
+			at = BlockAddr{Disk: -1}
+			got, err := read()
+			if err != nil || got[1].Records[0].Key != 2 {
+				t.Fatalf("the next read: %v, %v", got, err)
+			}
+			if err := sys.Close(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }

@@ -7,18 +7,21 @@
 // is the constraint the kernels are generic over; the fixed16 codec
 // selects the Rec16 instantiation, the varlen codecs the wide one.
 //
-// Two disciplines keep the Rec16 instantiation as fast as the original
-// monomorphic kernel:
+// Go compiles generic code by gcshape stenciling: one body per memory
+// shape, with every method call on a type parameter made through the
+// generics dictionary — an indirect call, never inlined, even for
+// Rec16's constant methods. Two disciplines follow:
 //
 //   - The per-compare hot loops (SortRecords, CountBelow, CountBelowKV
 //     in record.go) dispatch ONCE per call to width-concrete loops via
-//     a type switch, because method calls on a type parameter go
-//     through the generics dictionary and are not inlined — an indirect
-//     call per comparison would cost more than the narrow layout saves.
-//   - X() returns the constant "" for Rec16, so every varlen branch in
-//     the generic kernels (`r.X() != ""`) is statically false and the
-//     compiler eliminates the Ext-adjudication paths from the fixed16
-//     instantiation entirely.
+//     a type switch — an indirect call per comparison would cost more
+//     than the narrow layout saves.
+//   - The varlen checks of the generic kernels (`r.X() != ""`) are not
+//     compiled away in the Rec16 instantiation: X() is a dictionary call
+//     evaluated at run time there too (`go tool objdump` shows it as a
+//     CALL through a register at ltree's Kernel.Push check). Each such
+//     check therefore sits where a sort runs it once per block, load or
+//     merge, never per record.
 package record
 
 import (
@@ -43,8 +46,8 @@ func (r Rec16) K() Key { return r.Key }
 func (r Rec16) V() uint64 { return r.Val }
 
 // X implements KernelRecord: a Rec16 never carries a varlen encoding.
-// Returning the constant "" lets the compiler dead-code every varlen
-// branch of the fixed16 kernel instantiation.
+// Generic code still calls it through the dictionary at run time (see
+// the package doc), so a varlen check costs a call per evaluation.
 func (r Rec16) X() string { return "" }
 
 // Wide implements KernelRecord: the widening conversion to the 32-byte
