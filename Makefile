@@ -2,6 +2,12 @@
 
 .PHONY: all build test race bench bench-all bench-diff bench-smoke fuzz-smoke aliascheck chaos loadtest check fmt-check tables tables-full verify
 
+# The archived benchmark cells (BENCH_sort.json): the end-to-end sort, the
+# deadline layer's cost, the sortd server, the multicore merge and the
+# serial merge kernel. bench, bench-diff, bench-smoke and check all run
+# exactly these.
+BENCH = SortEndToEnd|SortDeadline|ServerThroughput|ParallelMerge|MergeKernel
+
 all: build test
 
 build:
@@ -29,7 +35,7 @@ check: fmt-check build
 		echo "staticcheck not installed; skipping (go vet still ran)"; fi
 	go test -race ./...
 	go test -tags=aliascheck ./internal/pdisk/ ./internal/srm/
-	go test -run='^$$' -bench='SortEndToEnd|SortDeadline|ServerThroughput|ParallelMerge' -benchtime=1x .
+	go test -run='^$$' -bench='$(BENCH)' -benchtime=1x .
 	cd perfbench && go vet ./... && go test ./...
 
 # The whole suite with the zero-copy mutation guard armed: every block a
@@ -83,7 +89,7 @@ fmt-check:
 # with ns/record, B/record and allocs/record per cell — the perf
 # trajectory future PRs regress against (see EXPERIMENTS.md).
 bench:
-	go test -run='^$$' -bench='SortEndToEnd|SortDeadline|ServerThroughput|ParallelMerge|MergeKernel' -benchmem . | tee bench_sort_output.txt
+	go test -run='^$$' -bench='$(BENCH)' -benchmem . | tee bench_sort_output.txt
 	go run ./cmd/benchjson -o BENCH_sort.json bench_sort_output.txt
 
 # Every benchmark in the repository (micro and end-to-end).
@@ -94,12 +100,12 @@ bench-all:
 # deltas against the committed BENCH_sort.json baseline — the perf gate a
 # change is judged by before the baseline itself is refreshed.
 bench-diff:
-	go test -run='^$$' -bench='SortEndToEnd|SortDeadline|ServerThroughput|ParallelMerge|MergeKernel' -benchmem . | tee bench_sort_output.txt
+	go test -run='^$$' -bench='$(BENCH)' -benchmem . | tee bench_sort_output.txt
 	go run ./cmd/benchjson -diff BENCH_sort.json bench_sort_output.txt
 
 # One iteration per cell: proves the harness runs, measures nothing.
 bench-smoke:
-	go test -run='^$$' -bench='SortEndToEnd|SortDeadline|ServerThroughput|ParallelMerge|MergeKernel' -benchtime=1x .
+	go test -run='^$$' -bench='$(BENCH)' -benchtime=1x .
 
 # Native-fuzz bursts CI runs exactly, 20 seconds each: the public stream
 # sort (arbitrary byte streams through SortStream must sort or fail with

@@ -478,14 +478,17 @@ func BenchmarkMergeKernel(b *testing.B) {
 	})
 }
 
-// benchKernel merges runs with one ltree.Kernel per iteration, pushing
-// each input's next blk records when its block ends, and reports ns/rec.
+// benchKernel merges runs with one ltree.Kernel per iteration, filling a
+// reused blk-record output buffer as the mergers fill their writers'
+// blocks and pushing each input's next blk records when its block ends,
+// and reports ns/rec.
 func benchKernel[R record.KernelRecord](b *testing.B, runs [][]R, blk int) {
 	total := 0
 	for _, run := range runs {
 		total += len(run)
 	}
 	next := make([]int, len(runs)) // the start of each input's next block
+	out := make([]R, blk)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		k := ltree.NewKernel[R](len(runs), false)
@@ -493,16 +496,21 @@ func benchKernel[R record.KernelRecord](b *testing.B, runs [][]R, blk int) {
 			next[h] = min(blk, len(run))
 			k.Push(h, run[:next[h]])
 		}
-		merged := 0
+		merged, used := 0, 0
 		for {
-			h, span, ended := k.Next()
-			if h < 0 {
-				break
+			room := out[used:]
+			n, h, ended := k.Fill(room)
+			merged += n
+			if used += n; used == len(out) {
+				used = 0
 			}
-			merged += len(span)
-			if end := min(next[h]+blk, len(runs[h])); ended && end > next[h] {
-				k.Push(h, runs[h][next[h]:end])
-				next[h] = end
+			if ended {
+				if end := min(next[h]+blk, len(runs[h])); end > next[h] {
+					k.Push(h, runs[h][next[h]:end])
+					next[h] = end
+				}
+			} else if n < len(room) {
+				break
 			}
 		}
 		if merged != total {

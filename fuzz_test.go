@@ -179,10 +179,12 @@ func perRecordMerge(runs [][]record.Record) []record.Record {
 }
 
 // kernelMerge merges sorted runs through ltree.Kernel the way the
-// mergers drive it: each run enters in blocks of blockLen records, and a
-// block's end pushes the run's next block — the refill DSM and PSV
-// perform and the block event SRM's consumer stops at.
-func kernelMerge[R record.KernelRecord](runs [][]R, blockLen int, byVal bool) []R {
+// mergers drive it: each run enters in blocks of blockLen records, Fill
+// writes into an output block of room records, cut when full as a run
+// writer cuts its blocks, and a block's end pushes the run's next block —
+// the refill DSM and PSV perform and the block event SRM's consumer
+// stops at.
+func kernelMerge[R record.KernelRecord](runs [][]R, blockLen, room int, byVal bool) []R {
 	k := ltree.NewKernel[R](len(runs), byVal)
 	rest := slices.Clone(runs)
 	push := func(i int) {
@@ -195,14 +197,18 @@ func kernelMerge[R record.KernelRecord](runs [][]R, blockLen int, byVal bool) []
 		push(i)
 	}
 	var out []R
+	blk := make([]R, 0, room)
 	for {
-		h, span, ended := k.Next()
-		if h < 0 {
-			return out
+		free := blk[len(blk):cap(blk)]
+		n, h, ended := k.Fill(free)
+		blk = blk[:len(blk)+n]
+		if len(blk) == cap(blk) {
+			out, blk = append(out, blk...), blk[:0]
 		}
-		out = append(out, span...)
 		if ended {
 			push(h)
+		} else if n < len(free) {
+			return append(out, blk...)
 		}
 	}
 }
@@ -222,8 +228,9 @@ var varlenAlphabet = []string{
 // repeat-winner gallop) against references on adversarial run shapes:
 // tiny key universes (runs of duplicate keys spanning block boundaries),
 // MaxKey records (a legal key: a retired player's rank, not its key,
-// places it after every live one), and block lengths down to 1 (every
-// span a single record). Three legs:
+// places it after every live one), block lengths down to 1 (every span a
+// single record), and Fill rooms from 1 record to two blocks (galloped
+// spans clipped and resumed). Three legs:
 //
 //  1. Key order, at both record widths, against the per-record loser-tree
 //     merge: byte-identical, duplicates in run order.
@@ -235,16 +242,17 @@ var varlenAlphabet = []string{
 // async, whose outputs must agree with each other and hold the same
 // multiset in sorted order.
 func FuzzGallopMergeEquiv(f *testing.F) {
-	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8}, uint8(3), uint8(2), uint8(2))
-	f.Add([]byte{5, 5, 5, 5, 5, 5}, uint8(2), uint8(1), uint8(3))
-	f.Add([]byte{255, 255, 0, 255, 1}, uint8(2), uint8(2), uint8(1))
-	f.Add([]byte{}, uint8(1), uint8(4), uint8(4))
-	f.Add([]byte{8, 9, 10, 11, 8, 9, 10, 11, 6, 7, 8, 9}, uint8(3), uint8(1), uint8(1))
+	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8}, uint8(3), uint8(2), uint8(2), uint8(2))
+	f.Add([]byte{5, 5, 5, 5, 5, 5}, uint8(2), uint8(1), uint8(3), uint8(0))
+	f.Add([]byte{255, 255, 0, 255, 1}, uint8(2), uint8(2), uint8(1), uint8(1))
+	f.Add([]byte{}, uint8(1), uint8(4), uint8(4), uint8(7))
+	f.Add([]byte{8, 9, 10, 11, 8, 9, 10, 11, 6, 7, 8, 9}, uint8(3), uint8(1), uint8(1), uint8(5))
 
-	f.Fuzz(func(t *testing.T, data []byte, numRunsRaw, dRaw, blkRaw uint8) {
+	f.Fuzz(func(t *testing.T, data []byte, numRunsRaw, dRaw, blkRaw, roomRaw uint8) {
 		numRuns := 1 + int(numRunsRaw%8)
 		d := 1 + int(dRaw%4)
 		blockLen := 1 + int(blkRaw%4)
+		room := 1 + int(roomRaw)%(2*blockLen) // Fill's output room: 1 to 2*blockLen
 		if len(data) > 512 {
 			data = data[:512]
 		}
@@ -266,14 +274,14 @@ func FuzzGallopMergeEquiv(f *testing.F) {
 
 		// Leg 1: key order, duplicates in run order.
 		want := perRecordMerge(runs)
-		sameRecords(t, "kernel, key order", kernelMerge(runs, blockLen, false), want)
+		sameRecords(t, "kernel, key order", kernelMerge(runs, blockLen, room, false), want)
 		runs16 := make([][]record.Rec16, len(runs))
 		for i, r := range runs {
 			for _, rec := range r {
 				runs16[i] = append(runs16[i], record.Rec16{Key: rec.Key, Val: rec.Val})
 			}
 		}
-		for i, r := range kernelMerge(runs16, blockLen, false) {
+		for i, r := range kernelMerge(runs16, blockLen, room, false) {
 			if r.Wide() != want[i] {
 				t.Fatalf("Rec16 kernel, record %d: %+v, reference %+v", i, r, want[i])
 			}
@@ -282,7 +290,7 @@ func FuzzGallopMergeEquiv(f *testing.F) {
 		// Leg 2: (Key, Val) order.
 		sorted := slices.Clone(recs)
 		record.SortRecords(sorted)
-		sameRecords(t, "kernel, (key, val) order", kernelMerge(runs, blockLen, true), sorted)
+		sameRecords(t, "kernel, (key, val) order", kernelMerge(runs, blockLen, room, true), sorted)
 
 		// Leg 3: variable-length records.
 		vrecs := make([]record.Record, len(data))
@@ -295,7 +303,7 @@ func FuzzGallopMergeEquiv(f *testing.F) {
 		}
 		vsorted := slices.Clone(vrecs)
 		record.SortRecords(vsorted)
-		sameRecords(t, "kernel, varlen order", kernelMerge(gen.SplitIntoSortedRuns(vrecs, numRuns), blockLen, false), vsorted)
+		sameRecords(t, "kernel, varlen order", kernelMerge(gen.SplitIntoSortedRuns(vrecs, numRuns), blockLen, room, false), vsorted)
 
 		// Full-kernel pass: SRM merge of the same runs, sync and async.
 		// MaxKey first keys collide with the forecast sentinel in the FDS,

@@ -66,11 +66,7 @@ func TestStreamAsyncEquivalence(t *testing.T) {
 	g := record.NewGenerator(17)
 	all := g.Sorted(500)
 	w := NewWriter[record.Record](sys, 0)
-	for _, r := range all {
-		if err := w.Append(r); err != nil {
-			t.Fatal(err)
-		}
-	}
+	commitAll(t, w, all)
 	run, err := w.Finish()
 	if err != nil {
 		t.Fatal(err)

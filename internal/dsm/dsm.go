@@ -16,8 +16,9 @@
 // N/DB reads and N/DB writes.
 //
 // Internal merging runs the merge kernel every merger shares
-// (ltree.Kernel); DSM adds only the refill of a run's logical block when
-// the kernel reports its end.
+// (ltree.Kernel), filling the output writer's logical block in place; DSM
+// adds only the refill of a run's logical block when the kernel reports
+// its end.
 package dsm
 
 import (
@@ -88,9 +89,8 @@ func (r *Run) Addrs() []pdisk.BlockAddr {
 type Writer[R record.KernelRecord] struct {
 	sys     *pdisk.System
 	run     *Run
-	buf     []R
-	lastKey record.Key
-	started bool
+	buf     []R        // the logical block being formed, capacity D*B; nil until Room
+	lastKey record.Key // the run's last key so far; the zero Key precedes every key
 
 	// Write-behind state (async mode): at most one logical block is in
 	// flight, the striped analogue of SRM's M_W double buffer.
@@ -103,83 +103,71 @@ func NewWriter[R record.KernelRecord](sys *pdisk.System, id int) *Writer[R] {
 	return &Writer[R]{sys: sys, run: &Run{ID: id}}
 }
 
-// Append adds the next record; records must arrive in nondecreasing key
-// order.
-func (w *Writer[R]) Append(r R) error {
-	k := r.K()
-	if w.started && k < w.lastKey {
-		panic(fmt.Sprintf("dsm: run %d records out of order", w.run.ID))
+// Room lends the free tail of the logical block being formed, never
+// empty: the caller writes the run's next records into its head and
+// hands them over with Commit. It is the caller's to fill until then.
+func (w *Writer[R]) Room() []R {
+	if w.buf == nil {
+		w.buf = make([]R, 0, w.sys.D()*w.sys.B())
 	}
-	w.started = true
-	w.lastKey = k
-	w.buf = append(w.buf, r)
-	w.run.Records++
-	if len(w.buf) == w.sys.D()*w.sys.B() {
-		return w.flush()
+	return w.buf[len(w.buf):cap(w.buf)]
+}
+
+// Commit appends the first n records of the room Room lent to the run.
+// Records must arrive in nondecreasing key order; a violation is a caller
+// bug and panics, checked at every record. A logical block the commit
+// fills is written at once.
+func (w *Writer[R]) Commit(n int) error {
+	if n == 0 {
+		return nil
+	}
+	at := len(w.buf)
+	rs := w.buf[at : at+n]
+	if i := record.Descent(w.lastKey, rs); i >= 0 {
+		prev := w.lastKey
+		if i > 0 {
+			prev = rs[i-1].K()
+		}
+		panic(fmt.Sprintf("dsm: run %d records out of order (%d after %d)", w.run.ID, rs[i].K(), prev))
+	}
+	w.lastKey = rs[n-1].K()
+	w.buf = w.buf[:at+n]
+	w.run.Records += n
+	if len(w.buf) < cap(w.buf) {
+		return nil
+	}
+	return w.flush()
+}
+
+// AppendBlock appends a sorted load at run formation through Room and
+// Commit: one copy into the logical blocks the writer hands over.
+func (w *Writer[R]) AppendBlock(rs []R) error {
+	for len(rs) > 0 {
+		n := copy(w.Room(), rs)
+		if err := w.Commit(n); err != nil {
+			return err
+		}
+		rs = rs[n:]
 	}
 	return nil
 }
 
-// AppendBlock bulk-appends a sorted span of records — one galloped merge
-// emission, or a whole sorted load at run formation — in one pass instead
-// of one Append call per record: while the logical-block buffer is empty,
-// whole logical blocks go to disk straight from the span, and the rest is
-// copied into the buffer. The ordering panic survives as a span-boundary
-// check; spans are slices of sorted stripes, so internal order is the
-// caller's invariant.
-func (w *Writer[R]) AppendBlock(rs []R) error {
+// flush writes the logical block being formed, if any, in a single
+// parallel I/O operation. Each disk's share of it goes to the System as
+// it is (the write takes ownership), and the next block forms in a fresh
+// buffer.
+func (w *Writer[R]) flush() error {
+	rs := w.buf
 	if len(rs) == 0 {
 		return nil
 	}
-	if w.started && rs[0].K() < w.lastKey {
-		panic(fmt.Sprintf("dsm: run %d records out of order", w.run.ID))
-	}
-	w.started = true
-	w.lastKey = rs[len(rs)-1].K()
-	logical := w.sys.D() * w.sys.B()
-	for len(rs) > 0 {
-		if len(w.buf) == 0 && len(rs) >= logical {
-			w.run.Records += logical
-			if err := w.write(rs[:logical]); err != nil {
-				return err
-			}
-			rs = rs[logical:]
-			continue
-		}
-		n := min(logical-len(w.buf), len(rs))
-		w.buf = append(w.buf, rs[:n]...)
-		w.run.Records += n
-		rs = rs[n:]
-		if len(w.buf) == logical {
-			if err := w.flush(); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// flush writes the buffered logical block, if any, and empties the buffer
-// for the next one.
-func (w *Writer[R]) flush() error {
-	if len(w.buf) == 0 {
-		return nil
-	}
-	err := w.write(w.buf)
-	w.buf = w.buf[:0]
-	return err
-}
-
-// write stores rs (up to D*B records) as one logical block in a single
-// parallel I/O operation. Each disk's block is a fresh copy, which the
-// write hands to the System.
-func (w *Writer[R]) write(rs []R) error {
+	w.buf = nil
 	var writes []pdisk.BlockWrite
 	var addrs []pdisk.BlockAddr
 	for disk := 0; len(rs) > 0 && disk < w.sys.D(); disk++ {
 		n := min(w.sys.B(), len(rs))
 		addr := w.sys.Alloc(disk)
-		writes = append(writes, pdisk.BlockWrite{Addr: addr, Block: pdisk.MakeStored(record.CloneOf(rs[:n]), nil)})
+		writes = append(writes, pdisk.BlockWrite{Addr: addr, Block: pdisk.MakeStored(rs[:n:n], nil)})
 		addrs = append(addrs, addr)
 		rs = rs[n:]
 	}
@@ -290,17 +278,17 @@ func mergeRuns[R record.KernelRecord](sys *pdisk.System, runs []*Run, outID int,
 	w := NewWriter[R](sys, outID)
 	w.async = async
 	for {
-		i, span, ended := k.Next()
-		if i < 0 {
-			break
-		}
-		if err := w.AppendBlock(span); err != nil {
+		room := w.Room()
+		n, i, ended := k.Fill(room)
+		if err := w.Commit(n); err != nil {
 			return nil, stats, err
 		}
 		if ended {
 			if err := refill(i); err != nil {
 				return nil, stats, err
 			}
+		} else if n < len(room) {
+			break
 		}
 	}
 	out, err := w.Finish()

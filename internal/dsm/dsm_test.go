@@ -36,7 +36,8 @@ func TestWriterLogicalBlocks(t *testing.T) {
 	g := record.NewGenerator(1)
 	recs := g.Sorted(17) // DB = 8; 2 full stripes + partial of 1
 	for _, r := range recs {
-		if err := w.Append(r); err != nil {
+		w.Room()[0] = r
+		if err := w.Commit(1); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -64,6 +65,60 @@ func TestWriterLogicalBlocks(t *testing.T) {
 	}
 }
 
+// commitAll writes recs to w through Room and Commit, filling each room.
+func commitAll[R record.KernelRecord](t testing.TB, w *Writer[R], recs []R) {
+	for len(recs) > 0 {
+		n := copy(w.Room(), recs)
+		if err := w.Commit(n); err != nil {
+			t.Fatal(err)
+		}
+		recs = recs[n:]
+	}
+}
+
+// Commit checks every record it hands over, not just the first: an
+// out-of-order record panics, naming the run and both keys, whether it
+// opens a commit or sits in its middle, at both record widths.
+func TestCommitPanicsOutOfOrder(t *testing.T) {
+	t.Run("Rec16", func(t *testing.T) {
+		commitOutOfOrder(t, func(k record.Key) record.Rec16 { return record.Rec16{Key: k} })
+	})
+	t.Run("Record", func(t *testing.T) {
+		commitOutOfOrder(t, func(k record.Key) record.Record { return record.Record{Key: k} })
+	})
+}
+
+func commitOutOfOrder[R record.KernelRecord](t *testing.T, mk func(record.Key) R) {
+	commit := func(w *Writer[R], keys ...record.Key) error {
+		room := w.Room()
+		for i, k := range keys {
+			room[i] = mk(k)
+		}
+		return w.Commit(len(keys))
+	}
+	for _, tc := range []struct {
+		name string
+		keys []record.Key
+		want string
+	}{
+		{"first", []record.Key{4, 6}, "dsm: run 7 records out of order (4 after 5)"},
+		{"middle", []record.Key{6, 8, 3, 9}, "dsm: run 7 records out of order (3 after 8)"},
+	} {
+		w := NewWriter[R](newSys(t, 2, 4), 7)
+		if err := commit(w, 5); err != nil {
+			t.Fatal(err)
+		}
+		got := func() (msg any) {
+			defer func() { msg = recover() }()
+			_ = commit(w, tc.keys...)
+			return nil
+		}()
+		if got != tc.want {
+			t.Errorf("%s: panic %v, want %q", tc.name, got, tc.want)
+		}
+	}
+}
+
 func TestMergeCorrectAndCounted(t *testing.T) {
 	sys := newSys(t, 3, 4)
 	g := record.NewGenerator(2)
@@ -73,11 +128,7 @@ func TestMergeCorrectAndCounted(t *testing.T) {
 	totalStripes := 0
 	for i, p := range pieces {
 		w := NewWriter[record.Record](sys, i)
-		for _, r := range p {
-			if err := w.Append(r); err != nil {
-				t.Fatal(err)
-			}
-		}
+		commitAll(t, w, p)
 		run, err := w.Finish()
 		if err != nil {
 			t.Fatal(err)

@@ -5,11 +5,13 @@ import "srmsort/internal/record"
 // Kernel is the R-way merge loop of every merger in this repository —
 // SRM's consumer, DSM's striped merge, PSV's merge and pmerge's shards:
 // a loser tree over each input's current block, the repeat-winner
-// gallop, the variable-length tie rule and one optional key bound. Next
-// selects the winning input and the span of its block it may emit now;
-// the caller writes the span to its own output and handles the end of a
-// block (SRM's block event, DSM's refill of a logical block, PSV's read
-// decisions) by pushing the input's next block or leaving it retired.
+// gallop, the variable-length tie rule and one optional key bound. Fill
+// runs the selections itself and writes each winner's records straight
+// into the caller's buffer (an output writer's Room); it stops when the
+// buffer is full, when an input's block ends, or when the bound or an
+// empty tree stops it. The caller handles the end of a block (SRM's
+// block event, DSM's refill of a logical block, PSV's read decisions) by
+// pushing the input's next block or leaving it retired.
 //
 // Order. Inputs compare by their head record's key, ties going to the
 // lower input index. A kernel built with byVal compares (Key, Val)
@@ -21,24 +23,27 @@ import "srmsort/internal/record"
 // Gallop. An input that wins a selection right after it won the previous
 // one emits, in one span, every record of its block that still precedes
 // the runner-up (Challenger) and the bound, found by CountBelow's or
-// CountBelowKV's exponential probe. Any other winner emits its head
-// record alone: on interleaved inputs the next record comes from the
-// same input only about once in R, so a span search would almost always
-// find one record at the price of a Challenger walk and two searches.
-// Prefix words only coarsen the varlen order, so its spans stop before a
-// record that merely ties a bound at the prefix level; the tree has
-// already ordered the winner's head first, so a span is never empty.
+// CountBelowKV's exponential probe, clipped to the buffer's room. Any
+// other winner emits its head record alone: on interleaved inputs the
+// next record comes from the same input only about once in R, so a span
+// search would almost always find one record at the price of a
+// Challenger walk and two searches. Prefix words only coarsen the varlen
+// order, so its spans stop before a record that merely ties a bound at
+// the prefix level; the tree has already ordered the winner's head
+// first, so a span is never empty. The records Fill writes are the
+// same whatever the buffer sizes: a span clipped by the room resumes as
+// the next call's first selection, which the same input wins again.
 type Kernel[R record.KernelRecord] struct {
 	tree  Tree
 	heads [][]R // unconsumed tail of each input's current block; empty when retired
-	// heads16 is &heads when R is record.Rec16, else nil: Next loads the
+	// heads16 is &heads when R is record.Rec16, else nil: Fill loads the
 	// winner's next head through it as fields, not by dictionary calls.
 	heads16 *[][]record.Rec16
 	byVal   bool // inputs compare by (Key, Val), not by Key alone
 	varlen  bool // prefix ties go to record.CompareExt; bounds are exclusive
 	prev    int  // the previous selection's winner; -1 after a block end or a stop
 
-	// The key bound SetBound installs: when bounded, Next emits no record
+	// The key bound SetBound installs: when bounded, Fill emits no record
 	// whose key is above bound, or equal to it unless inclusive.
 	bounded   bool
 	inclusive bool
@@ -76,58 +81,75 @@ func (k *Kernel[R]) Push(h int, blk []R) {
 	k.tree.Push(h, key, val)
 }
 
-// SetBound installs the key bound Next respects until the next call:
-// with bounded set, Next emits no record whose key is above bound, or
+// SetBound installs the key bound Fill respects until the next call:
+// with bounded set, Fill emits no record whose key is above bound, or
 // equal to it unless inclusive. A variable-length bound is always
 // exclusive: a record tying it at the prefix level may truly follow it.
 func (k *Kernel[R]) SetBound(bound record.Key, bounded, inclusive bool) {
 	k.bound, k.bounded, k.inclusive = bound, bounded, inclusive && !k.varlen
 }
 
-// Next selects the winning input h and advances it past span, the
-// records of its block it may emit now. h is -1, and span empty, when no
-// input is live or the bound blocks the winner's head record. ended
-// reports that span finished h's block: h is then retired until the
-// caller pushes its next block. span aliases the block and is never
-// empty when h >= 0.
-func (k *Kernel[R]) Next() (h int, span []R, ended bool) {
+// Fill runs selections and writes the records they emit into dst, in
+// merge order: a winner's head record, or a repeat winner's galloped
+// span clipped to the room left. It returns the number n of records
+// written and stops when dst is full, or with h and ended set right after
+// a span that finished input h's block: h is then retired until the
+// caller pushes its next block. It also stops, with n < len(dst) and h
+// -1, when no input is live or the bound blocks the winner's head.
+func (k *Kernel[R]) Fill(dst []R) (n, h int, ended bool) {
 	t := &k.tree
-	if t.alive == 0 {
-		k.prev = -1
-		return -1, nil, false
-	}
-	w := t.nodes[0]
-	h = w.rank
-	if k.bounded {
-		if key := record.Key(w.key); k.bound < key || (k.bound == key && !k.inclusive) {
+	for n < len(dst) {
+		if t.alive == 0 {
 			k.prev = -1
-			return -1, nil, false
+			return n, -1, false
 		}
+		w := t.nodes[0]
+		h = w.rank
+		if k.bounded {
+			if key := record.Key(w.key); k.bound < key || (k.bound == key && !k.inclusive) {
+				k.prev = -1
+				return n, -1, false
+			}
+		}
+		b := k.heads[h]
+		c := k.span(h, b, len(dst)-n)
+		if c == 1 { // most selections: a store, where copy calls memmove
+			dst[n] = b[0]
+		} else {
+			copy(dst[n:], b[:c])
+		}
+		n += c
+		// Advance's work, written out: this is the per-selection path,
+		// where a generic method call is a real call.
+		b = b[c:]
+		k.heads[h] = b
+		if len(b) == 0 {
+			k.prev = -1
+			t.Remove(h)
+			return n, h, true
+		}
+		k.prev = h
+		if k.heads16 == nil {
+			w.key, w.val = k.words(b[0])
+		} else if r := (*k.heads16)[h][0]; k.byVal {
+			w.key, w.val = uint64(r.Key), r.Val
+		} else {
+			w.key, w.val = uint64(r.Key), 0
+		}
+		t.replay(w)
 	}
-	b := k.heads[h]
-	n := 1
-	if h == k.prev {
-		n = k.gallop(h, b)
+	return n, -1, false
+}
+
+// span returns how many records of b, the block of the winning input h,
+// its selection emits into room free slots: the head record alone unless
+// h also won the previous selection, whose galloped span is clipped to
+// the room.
+func (k *Kernel[R]) span(h int, b []R, room int) int {
+	if h != k.prev {
+		return 1
 	}
-	// Advance's work, written out: this is the per-selection path, where
-	// a generic method call is a real call.
-	span, b = b[:n], b[n:]
-	k.heads[h] = b
-	if len(b) == 0 {
-		k.prev = -1
-		t.Remove(h)
-		return h, span, true
-	}
-	k.prev = h
-	if k.heads16 == nil {
-		w.key, w.val = k.words(b[0])
-	} else if r := (*k.heads16)[h][0]; k.byVal {
-		w.key, w.val = uint64(r.Key), r.Val
-	} else {
-		w.key, w.val = uint64(r.Key), 0
-	}
-	t.replay(w)
-	return h, span, false
+	return min(k.gallop(h, b), room)
 }
 
 // gallop returns how many leading records of b, the block of the repeat
@@ -155,7 +177,7 @@ func (k *Kernel[R]) gallop(h int, b []R) int {
 
 // Advance moves input h past its next n records, which the caller has
 // emitted itself (SRM's super-span path merges several inputs' spans at
-// once). It reports whether they finished h's block, retiring h as Next
+// once). It reports whether they finished h's block, retiring h as Fill
 // does.
 func (k *Kernel[R]) Advance(h, n int) (ended bool) {
 	b := k.heads[h][n:]

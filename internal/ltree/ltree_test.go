@@ -3,6 +3,7 @@ package ltree
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -239,46 +240,71 @@ func TestLargeTournament(t *testing.T) {
 	}
 }
 
-// kernelMerge drains a kernel over runs, one Next per selection, and
-// returns the emitted records and the span lengths.
-func kernelMerge(runs [][]record.Rec16, byVal bool) (out []record.Rec16, spans []int) {
+// newKernel returns a kernel with each nonempty run pushed as one block.
+func newKernel(runs [][]record.Rec16, byVal bool) *Kernel[record.Rec16] {
 	k := NewKernel[record.Rec16](len(runs), byVal)
 	for i, r := range runs {
 		if len(r) > 0 {
 			k.Push(i, r)
 		}
 	}
+	return k
+}
+
+// kernelMerge drains a kernel over runs through Fill, room records at a
+// time, and returns the emitted records.
+func kernelMerge(runs [][]record.Rec16, byVal bool, room int) (out []record.Rec16) {
+	k := newKernel(runs, byVal)
+	buf := make([]record.Rec16, room)
 	for {
-		h, span, _ := k.Next()
-		if h < 0 {
-			return out, spans
+		n, _, ended := k.Fill(buf)
+		out = append(out, buf[:n]...)
+		if !ended && n < room {
+			return out
 		}
-		out = append(out, span...)
-		spans = append(spans, len(span))
 	}
 }
 
 // The kernel emits a first-time winner's head alone and gallops only on a
 // repeat winner, whose span runs up to the runner-up's head (inclusive
-// when the winner has the lower index).
+// when the winner has the lower index). A span clipped by the room
+// resumes at the next selection, which the same input wins again. The
+// test runs one selection per Fill, its room sized by span.
 func TestKernelRepeatWinnerGallop(t *testing.T) {
 	runs := [][]record.Rec16{
 		{{Key: 1}, {Key: 2}, {Key: 3}, {Key: 5}, {Key: 9}},
 		{{Key: 5}, {Key: 6}},
 	}
-	out, spans := kernelMerge(runs, false)
-	wantSpans := []int{1, 3, 1, 1, 1} // 1 | 2 3 5 | 5 | 6 | 9
-	if len(spans) != len(wantSpans) {
-		t.Fatalf("spans %v, want %v", spans, wantSpans)
-	}
-	for i := range spans {
-		if spans[i] != wantSpans[i] {
-			t.Fatalf("spans %v, want %v", spans, wantSpans)
+	for _, tc := range []struct {
+		room  int
+		spans []int
+	}{
+		{8, []int{1, 3, 1, 1, 1}},    // 1 | 2 3 5 | 5 | 6 | 9
+		{2, []int{1, 2, 1, 1, 1, 1}}, // 1 | 2 3 | 5 | 5 | 6 | 9
+	} {
+		k := newKernel(runs, false)
+		dst := make([]record.Rec16, tc.room)
+		var spans []int
+		var out []record.Rec16
+		for k.tree.Len() > 0 {
+			h := k.tree.nodes[0].rank
+			c := k.span(h, k.heads[h], tc.room)
+			if n, _, _ := k.Fill(dst[:c]); n != c {
+				t.Fatalf("room %d: Fill of a %d-record span wrote %d", tc.room, c, n)
+			}
+			spans = append(spans, c)
+			out = append(out, dst[:c]...)
 		}
-	}
-	for i := 1; i < len(out); i++ {
-		if out[i-1].Key > out[i].Key {
-			t.Fatalf("output not sorted: %v", out)
+		if !slices.Equal(spans, tc.spans) {
+			t.Fatalf("room %d: spans %v, want %v", tc.room, spans, tc.spans)
+		}
+		if want := kernelMerge(runs, false, tc.room); !slices.Equal(out, want) {
+			t.Fatalf("room %d: one selection per Fill merged %v, Fill alone %v", tc.room, out, want)
+		}
+		for i := 1; i < len(out); i++ {
+			if out[i-1].Key > out[i].Key {
+				t.Fatalf("room %d: output not sorted: %v", tc.room, out)
+			}
 		}
 	}
 }
@@ -290,10 +316,10 @@ func TestKernelOrders(t *testing.T) {
 		{{Key: 4, Val: 3}, {Key: 4, Val: 5}},
 		{{Key: 4, Val: 1}, {Key: 4, Val: 4}, {Key: ^record.Key(0), Val: 0}},
 	}
-	byVal, _ := kernelMerge(runs, true)
+	byVal := kernelMerge(runs, true, 2)
 	want := append(append([]record.Rec16(nil), runs[0]...), runs[1]...)
 	record.SortRecords(want)
-	byKey, _ := kernelMerge(runs, false)
+	byKey := kernelMerge(runs, false, 1)
 	wantKey := []record.Rec16{runs[0][0], runs[0][1], runs[1][0], runs[1][1], runs[1][2]}
 	for i := range want {
 		if byVal[i] != want[i] || byKey[i] != wantKey[i] {
@@ -302,29 +328,25 @@ func TestKernelOrders(t *testing.T) {
 	}
 }
 
-// The bound stops Next at the first head above it (or equal, unless
+// The bound stops Fill at the first head above it (or equal, unless
 // inclusive), and clips a galloped span there.
 func TestKernelBound(t *testing.T) {
 	for _, inclusive := range []bool{false, true} {
 		k := NewKernel[record.Rec16](1, false)
 		k.Push(0, []record.Rec16{{Key: 1}, {Key: 2}, {Key: 3}, {Key: 3}, {Key: 4}})
 		k.SetBound(3, true, inclusive)
-		var got []record.Key
-		for {
-			h, span, _ := k.Next()
-			if h < 0 {
-				break
-			}
-			for _, r := range span {
-				got = append(got, r.Key)
-			}
-		}
+		dst := make([]record.Rec16, 8)
+		n, h, ended := k.Fill(dst)
 		want := 2
 		if inclusive {
 			want = 4
 		}
-		if len(got) != want {
-			t.Fatalf("inclusive=%v: emitted %v, want %d records", inclusive, got, want)
+		if n != want || h != -1 || ended {
+			t.Fatalf("inclusive=%v: Fill = (%d, %d, %v) emitting %v, want %d records and a stop",
+				inclusive, n, h, ended, dst[:n], want)
+		}
+		if dst[n-1].Key > 3 {
+			t.Fatalf("inclusive=%v: emitted %v past the bound", inclusive, dst[:n])
 		}
 	}
 }
@@ -349,14 +371,15 @@ func TestKernelVarlen(t *testing.T) {
 	}
 	k.SetBound(record.MaxKey, true, true)
 	var got []string
+	dst := make([]record.Record, 2)
 	for {
-		h, span, _ := k.Next()
-		if h < 0 {
-			break
-		}
-		for _, r := range span {
+		n, _, ended := k.Fill(dst)
+		for _, r := range dst[:n] {
 			key, _, _ := record.VarParts(r)
 			got = append(got, string(key[16:]))
+		}
+		if !ended && n < len(dst) {
+			break
 		}
 	}
 	if len(got) != 5 || got[0] != "A" || got[1] != "B" || got[2] != "C" || got[3] != "D" || got[4] != "E" {

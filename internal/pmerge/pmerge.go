@@ -235,12 +235,10 @@ func mergeSerial[R record.KernelRecord](seqs [][]R, out []R, order Order) {
 			k.Push(i, s)
 		}
 	}
-	for pos := 0; ; {
-		h, span, _ := k.Next()
-		if h < 0 {
-			return
-		}
-		pos += copy(out[pos:], span)
+	for pos, h := 0, 0; h >= 0; {
+		var n int
+		n, h, _ = k.Fill(out[pos:])
+		pos += n
 	}
 }
 

@@ -189,16 +189,17 @@ func Merge[R record.KernelRecord](sys *pdisk.System, runs []*DiskRun, bufBlocks,
 		}
 	}
 	for {
-		// The kernel merges one block per run at a time, so no span
-		// crosses a block boundary, where PSV's read decisions happen.
-		i, span, ended := k.Next()
-		if i < 0 {
-			break
-		}
-		if err := w.AppendBlock(span); err != nil {
+		// The kernel merges one block per run at a time and stops at
+		// each block's end, where PSV's read decisions happen.
+		room := w.Room()
+		n, i, ended := k.Fill(room)
+		if err := w.Commit(n); err != nil {
 			return nil, stats, err
 		}
 		if !ended {
+			if n < len(room) {
+				break
+			}
 			continue
 		}
 		queue[i] = queue[i][1:]

@@ -12,10 +12,11 @@
 // generics dictionary — an indirect call, never inlined, even for
 // Rec16's constant methods. Two disciplines follow:
 //
-//   - The per-compare hot loops (SortRecords, CountBelow, CountBelowKV
-//     in record.go) dispatch ONCE per call to width-concrete loops via
-//     a type switch — an indirect call per comparison would cost more
-//     than the narrow layout saves.
+//   - The per-record hot loops in record.go (SortRecords, CountBelow,
+//     CountBelowKV, and Descent, the run writers' order check) dispatch
+//     ONCE per call to width-concrete loops via a type switch — an
+//     indirect call per record would cost more than the narrow layout
+//     saves.
 //   - The varlen checks of the generic kernels (`r.X() != ""`) are not
 //     compiled away in the Rec16 instantiation: X() is a dictionary call
 //     evaluated at run time there too (`go tool objdump` shows it as a

@@ -129,15 +129,33 @@ func SortRecordsScratch[R KernelRecord](rs, scratch []R) {
 }
 
 // IsSortedRecords reports whether rs is in nondecreasing key order.
-func IsSortedRecords[R KernelRecord](rs []R) bool {
+func IsSortedRecords[R KernelRecord](rs []R) bool { return Descent(0, rs) < 0 }
+
+// Descent returns the index of the first record of rs whose key is
+// below its predecessor's, prev being rs[0]'s predecessor, or -1 when rs
+// continues a nondecreasing key sequence that ended at prev: the run
+// writers' order check. The width dispatch happens once per call; the
+// loops are concrete.
+func Descent[R KernelRecord](prev Key, rs []R) int {
 	switch v := any(rs).(type) {
 	case []Rec16:
-		return slices.IsSortedFunc(v, func(a, b Rec16) int { return cmp.Compare(a.Key, b.Key) })
+		for i, r := range v {
+			if r.Key < prev {
+				return i
+			}
+			prev = r.Key
+		}
 	case []Record:
-		return slices.IsSortedFunc(v, compareKeys)
+		for i, r := range v {
+			if r.Key < prev {
+				return i
+			}
+			prev = r.Key
+		}
 	default:
-		panic("record: IsSortedRecords of an unknown kernel width")
+		panic("record: Descent of an unknown kernel width")
 	}
+	return -1
 }
 
 // CountBelow returns the number of leading records in sorted rs with

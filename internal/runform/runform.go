@@ -339,6 +339,7 @@ func ReplacementSelectionCores[R record.KernelRecord](sys *pdisk.System, file *I
 			free = append(free, i)
 		}
 		w := runio.NewWriter[R](sys, res.NextSeq, placement.StartDisk(res.NextSeq))
+		room, used := w.Room(), 0
 		ai := 0
 		for ai < len(arena) || h.Len() > 0 {
 			var out R
@@ -355,8 +356,12 @@ func ReplacementSelectionCores[R record.KernelRecord](sys *pdisk.System, file *I
 				out = slots[i]
 				free = append(free, i)
 			}
-			if err := w.Append(out); err != nil {
-				return Result{}, err
+			room[used] = out
+			if used++; used == len(room) {
+				if err := w.Commit(used); err != nil {
+					return Result{}, err
+				}
+				room, used = w.Room(), 0
 			}
 			// Refill from the input if possible.
 			repl, err := rd.Read(1)
@@ -373,6 +378,9 @@ func ReplacementSelectionCores[R record.KernelRecord](sys *pdisk.System, file *I
 					pendingNext = append(pendingNext, repl[0])
 				}
 			}
+		}
+		if err := w.Commit(used); err != nil {
+			return Result{}, err
 		}
 		run, err := w.Finish()
 		if err != nil {

@@ -99,9 +99,8 @@ func (p FixedPlacement) StartDisk(int) int { return p.Disk }
 type Writer[R record.KernelRecord] struct {
 	sys       *pdisk.System
 	run       *Run
-	lastKey   record.Key
-	started   bool
-	cur       []R          // records of the block being formed
+	lastKey   record.Key   // the run's last key so far; the zero Key precedes every key
+	cur       []R          // records of the block being formed; capacity B
 	pending   [][]R        // formed, not yet written blocks
 	pendBase  int          // run-block number of pending[0]
 	firstKeys []record.Key // first key of every formed block (indexed by block number)
@@ -139,83 +138,63 @@ func NewWriterAsync[R record.KernelRecord](sys *pdisk.System, id, startDisk int)
 	return w
 }
 
-// Append adds the next record of the run. Records must arrive in
-// nondecreasing key order; a violation is a caller bug and panics.
-func (w *Writer[R]) Append(r R) error {
-	if w.finished {
-		panic("runio: Append after Finish")
+// Room lends the free tail of the block being formed, never empty: the
+// caller writes the run's next records into its head and hands them over
+// with Commit. It is the caller's to fill until then.
+func (w *Writer[R]) Room() []R {
+	if w.cur == nil {
+		w.cur = make([]R, 0, w.sys.B())
 	}
-	k := r.K()
-	if w.started && k < w.lastKey {
-		panic(fmt.Sprintf("runio: run %d records out of order (%d after %d)",
-			w.run.ID, k, w.lastKey))
-	}
-	w.started = true
-	w.lastKey = k
-	if len(w.cur) == 0 {
-		w.firstKeys = append(w.firstKeys, k)
-		if cap(w.cur) < w.sys.B() {
-			w.cur = make([]R, 0, w.sys.B())
-		}
-	}
-	w.cur = append(w.cur, r)
-	w.run.Records++
-	if len(w.cur) == w.sys.B() {
-		w.pending = append(w.pending, w.cur)
-		w.cur = nil
-		return w.drain(false)
-	}
-	return nil
+	return w.cur[len(w.cur):cap(w.cur)]
 }
 
-// AppendBlock bulk-appends a sorted span of records — the output of one
-// galloped merge emission. The span is copied into the block being formed
-// (and its overflow into fresh blocks) in one pass per block instead of one
-// Append round-trip per record. The nondecreasing-order panic of Append
-// survives as a span-boundary check: the span's first key is checked
-// against the previous record, and the caller (the merge kernel) guarantees
-// internal order because spans are slices of sorted blocks.
-func (w *Writer[R]) AppendBlock(rs []R) error {
+// Commit appends the first n records of the room Room lent to the run.
+// Records must arrive in nondecreasing key order; a violation is a caller
+// bug and panics, checked at every record. A block the commit fills is
+// cut, and drain writes each stripe once its forecasts are known.
+func (w *Writer[R]) Commit(n int) error {
 	if w.finished {
-		panic("runio: AppendBlock after Finish")
+		panic("runio: Commit after Finish")
 	}
-	if len(rs) == 0 {
+	if n == 0 {
 		return nil
 	}
-	if w.started && rs[0].K() < w.lastKey {
+	at := len(w.cur)
+	rs := w.cur[at : at+n]
+	if i := record.Descent(w.lastKey, rs); i >= 0 {
+		prev := w.lastKey
+		if i > 0 {
+			prev = rs[i-1].K()
+		}
 		panic(fmt.Sprintf("runio: run %d records out of order (%d after %d)",
-			w.run.ID, rs[0].K(), w.lastKey))
+			w.run.ID, rs[i].K(), prev))
 	}
-	w.started = true
-	w.lastKey = rs[len(rs)-1].K()
-	b := w.sys.B()
-	cut := false
-	for len(rs) > 0 {
-		if len(w.cur) == 0 {
-			w.firstKeys = append(w.firstKeys, rs[0].K())
-			if cap(w.cur) < b {
-				w.cur = make([]R, 0, b)
-			}
-		}
-		n := b - len(w.cur)
-		if n > len(rs) {
-			n = len(rs)
-		}
-		w.cur = append(w.cur, rs[:n]...)
-		w.run.Records += n
-		rs = rs[n:]
-		if len(w.cur) == b {
-			w.pending = append(w.pending, w.cur)
-			w.cur = nil
-			cut = true
-		}
+	w.lastKey = rs[n-1].K()
+	if at == 0 {
+		w.firstKeys = append(w.firstKeys, rs[0].K())
 	}
-	if !cut {
+	w.cur = w.cur[:at+n]
+	w.run.Records += n
+	if len(w.cur) < cap(w.cur) {
 		return nil
 	}
-	// One drain after all cuts emits the same stripes in the same order as
-	// a drain per cut: drain is driven purely by pending/firstKeys state.
+	w.pending = append(w.pending, w.cur)
+	w.cur = nil
 	return w.drain(false)
+}
+
+// AppendBlock appends a sorted span of records — the Cores > 1 merge's
+// super-span, or a whole run at WriteRun — through Room and Commit, so
+// its records are order-checked and its blocks cut as theirs are.
+func (w *Writer[R]) AppendBlock(rs []R) error {
+	for len(rs) > 0 {
+		n := copy(w.Room(), rs)
+		if err := w.Commit(n); err != nil {
+			return err
+		}
+		rs = rs[n:]
+	}
+	return nil
 }
 
 // Finish flushes all buffered blocks (padding forecasts with MaxKey where no
@@ -349,15 +328,8 @@ func (w *Writer[R]) WriteOps() int64 { return w.writeOps }
 // records materialised.
 func WriteRun[R record.KernelRecord](sys *pdisk.System, id, startDisk int, records []R) (*Run, error) {
 	w := NewWriter[R](sys, id, startDisk)
-	// Feed the run one stripe's worth (D*B records) per AppendBlock: the
-	// bulk path's per-block copy without ever buffering more than the
-	// writer's 2D-block M_W budget.
-	step := sys.D() * sys.B()
-	for off := 0; off < len(records); off += step {
-		end := min(off+step, len(records))
-		if err := w.AppendBlock(records[off:end]); err != nil {
-			return nil, err
-		}
+	if err := w.AppendBlock(records); err != nil {
+		return nil, err
 	}
 	return w.Finish()
 }

@@ -161,12 +161,13 @@ func TestWriterBuffersAtMost2DBlocks(t *testing.T) {
 	w := NewWriter[record.Record](sys, 0, 0)
 	recs := sortedRecords(200, 6)
 	for i, r := range recs {
-		if err := w.Append(r); err != nil {
+		w.Room()[0] = r
+		if err := w.Commit(1); err != nil {
 			t.Fatal(err)
 		}
 		buffered := int64(i+1) - sys.Stats().BlocksWritten*int64(b)
 		if maxBuf := int64(2 * d * b); buffered > maxBuf {
-			t.Fatalf("after %d appends the writer buffers %d records > 2DB=%d",
+			t.Fatalf("after %d commits the writer buffers %d records > 2DB=%d",
 				i+1, buffered, maxBuf)
 		}
 	}
@@ -175,18 +176,47 @@ func TestWriterBuffersAtMost2DBlocks(t *testing.T) {
 	}
 }
 
-func TestAppendPanicsOutOfOrder(t *testing.T) {
-	sys := newSys(t, 2, 2)
-	w := NewWriter[record.Record](sys, 0, 0)
-	if err := w.Append(record.Record{Key: 5}); err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("out-of-order append accepted")
+// Commit checks every record it hands over, not just the first: an
+// out-of-order record panics, naming the run and both keys, whether it
+// opens a commit or sits in its middle, at both record widths.
+func TestCommitPanicsOutOfOrder(t *testing.T) {
+	t.Run("Rec16", func(t *testing.T) {
+		commitOutOfOrder(t, func(k record.Key) record.Rec16 { return record.Rec16{Key: k} })
+	})
+	t.Run("Record", func(t *testing.T) {
+		commitOutOfOrder(t, func(k record.Key) record.Record { return record.Record{Key: k} })
+	})
+}
+
+func commitOutOfOrder[R record.KernelRecord](t *testing.T, mk func(record.Key) R) {
+	commit := func(w *Writer[R], keys ...record.Key) error {
+		room := w.Room()
+		for i, k := range keys {
+			room[i] = mk(k)
 		}
-	}()
-	_ = w.Append(record.Record{Key: 4})
+		return w.Commit(len(keys))
+	}
+	for _, tc := range []struct {
+		name string
+		keys []record.Key
+		want string
+	}{
+		{"first", []record.Key{4, 6}, "runio: run 7 records out of order (4 after 5)"},
+		{"middle", []record.Key{6, 8, 3, 9}, "runio: run 7 records out of order (3 after 8)"},
+	} {
+		w := NewWriter[R](newSys(t, 2, 8), 7, 0)
+		if err := commit(w, 5); err != nil {
+			t.Fatal(err)
+		}
+		got := func() (msg any) {
+			defer func() { msg = recover() }()
+			_ = commit(w, tc.keys...)
+			return nil
+		}()
+		if got != tc.want {
+			t.Errorf("%s: panic %v, want %q", tc.name, got, tc.want)
+		}
+	}
 }
 
 func TestPlacements(t *testing.T) {
@@ -275,12 +305,12 @@ func TestWriterMisusePanics(t *testing.T) {
 	sys := newSys(t, 2, 2)
 	cases := map[string]func(){
 		"bad start disk": func() { NewWriter[record.Record](sys, 0, 2) },
-		"append after finish": func() {
+		"commit after finish": func() {
 			w := NewWriter[record.Record](sys, 0, 0)
 			if _, err := w.Finish(); err != nil {
 				t.Fatal(err)
 			}
-			_ = w.Append(record.Record{Key: 1})
+			_ = w.Commit(1)
 		},
 		"double finish": func() {
 			w := NewWriter[record.Record](sys, 0, 0)

@@ -327,8 +327,8 @@ func (m *merger[R]) pumpIO() (int, error) {
 // always waits, because the awaited on-disk record could truly precede
 // the active minimum.
 //
-// The kernel gallops on a repeat winner (see ltree.Kernel); a single
-// record goes out with Append, a span with one AppendBlock call.
+// The kernel (see ltree.Kernel) writes the merged records straight into
+// the output writer's forming block, which Commit then hands over.
 func (m *merger[R]) consume(stallInclusive bool) (int, error) {
 	sKey, haveStall := m.core.StallMin()
 	m.k.SetBound(record.Key(sKey), haveStall, stallInclusive)
@@ -337,22 +337,16 @@ func (m *merger[R]) consume(stallInclusive bool) (int, error) {
 	}
 	consumed := 0
 	for {
-		h, span, ended := m.k.Next()
-		if h < 0 {
-			return consumed, nil
+		room := m.out.Room()
+		n, h, ended := m.k.Fill(room)
+		if ended {
+			m.pendingRun, m.pendingKey = h, room[n-1].K()
 		}
-		var err error
-		if len(span) == 1 {
-			err = m.out.Append(span[0])
-		} else {
-			err = m.out.AppendBlock(span)
-		}
-		if err != nil {
+		if err := m.out.Commit(n); err != nil {
 			return consumed, err
 		}
-		consumed += len(span)
-		if ended {
-			m.pendingRun, m.pendingKey = h, span[len(span)-1].K()
+		consumed += n
+		if ended || n < len(room) {
 			return consumed, nil
 		}
 	}
