@@ -29,11 +29,8 @@ func TestAsyncEquivalence(t *testing.T) {
 
 	for _, alg := range []Algorithm{SRM, SRMDeterministic, DSM} {
 		for _, d := range []int{1, 2, 4, 8} {
-			workerSets := []int{0}
-			if alg != DSM {
-				workerSets = []int{1, 2, -1}
-			}
-			for _, workers := range workerSets {
+			// 0 is the default; it runs a pass's merges one at a time, as 1 does.
+			for _, workers := range []int{0, 1, 2, -1} {
 				name := fmt.Sprintf("%s/D=%d/workers=%d", alg, d, workers)
 				t.Run(name, func(t *testing.T) {
 					cfg := Config{D: d, B: 4, K: 2, Algorithm: alg, Seed: 42, Workers: workers}

@@ -24,14 +24,15 @@ import (
 	"fmt"
 	"math/rand"
 
-	"srmsort/internal/dsm"
 	"srmsort/internal/pdisk"
 	"srmsort/internal/record"
 	"srmsort/internal/runio"
 )
 
-// manifestVersion guards the manifest's JSON schema.
-const manifestVersion = 1
+// manifestVersion guards the manifest's JSON schema. Version 2 saves DSM's
+// runs as runio.RunStates in runGen.Runs, like every other algorithm's;
+// version 1 kept them apart, so its DSM generations do not resume.
+const manifestVersion = 2
 
 // runGen is one checkpoint generation: the merge-phase state at the end
 // of a completed pass (pass 0 = run formation).
@@ -43,10 +44,8 @@ type runGen struct {
 	// Draws is the number of placement draws consumed so far; a resumed
 	// sort replays this many draws from the seeded RNG before continuing.
 	Draws int64
-	// Runs are the surviving runs (SRM algorithms) …
+	// Runs are the surviving runs.
 	Runs []runio.RunState `json:",omitempty"`
-	// … or DSMRuns for the striped baseline.
-	DSMRuns []dsm.RunState `json:",omitempty"`
 }
 
 // manifest is the persisted checkpoint state of one sort.
@@ -124,7 +123,7 @@ type checkpointer struct {
 // the media does not hold yet. This flush is the only durability point
 // Resume relies on: closing or discarding the store adds none.
 func (c *checkpointer) save(gen runGen) error {
-	if len(c.man.Cur.Runs) > 0 || len(c.man.Cur.DSMRuns) > 0 {
+	if len(c.man.Cur.Runs) > 0 {
 		prev := c.man.Cur
 		c.man.Prev = &prev
 	}
@@ -158,13 +157,7 @@ func loadManifest(sys *pdisk.System) (*manifest, error) {
 func genAddrs(gen runGen) []pdisk.BlockAddr {
 	var out []pdisk.BlockAddr
 	for _, st := range gen.Runs {
-		run := runio.RunFromState(st)
-		for i := 0; i < run.NumBlocks(); i++ {
-			out = append(out, run.Addr(i))
-		}
-	}
-	for _, st := range gen.DSMRuns {
-		out = append(out, dsm.RunFromState(st).Addrs()...)
+		out = append(out, runio.RunFromState(st).Addrs()...)
 	}
 	return out
 }
@@ -279,11 +272,16 @@ func storeFrontiers(sys *pdisk.System) ([]int, error) {
 	return out, nil
 }
 
-// replayedPlacement rebuilds the run-placement source exactly as the
-// interrupted sort left it: the deterministic variant is stateless, and
-// the randomized one replays the recorded number of draws from the seed.
-func replayedPlacement(cfg Config, draws int64) runio.Placement {
-	if cfg.Algorithm == SRMDeterministic {
+// runPlacement returns the source of the sort's starting disks after
+// draws of them: DSM starts every run on disk 0 (disk striping) and the
+// deterministic variant staggers them, both statelessly, while SRM draws
+// them from the seeded RNG — a resumed sort replays the recorded number of
+// draws, so it continues exactly where the interrupted sort left off.
+func runPlacement(cfg Config, draws int64) runio.Placement {
+	switch cfg.Algorithm {
+	case DSM:
+		return runio.FixedPlacement{Disk: 0}
+	case SRMDeterministic:
 		return runio.StaggeredPlacement{D: cfg.D}
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
@@ -296,15 +294,6 @@ func replayedPlacement(cfg Config, draws int64) runio.Placement {
 // runStates exports a run slice for the manifest.
 func runStates(runs []*runio.Run) []runio.RunState {
 	out := make([]runio.RunState, len(runs))
-	for i, r := range runs {
-		out[i] = r.State()
-	}
-	return out
-}
-
-// dsmRunStates is runStates for the striped baseline.
-func dsmRunStates(runs []*dsm.Run) []dsm.RunState {
-	out := make([]dsm.RunState, len(runs))
 	for i, r := range runs {
 		out[i] = r.State()
 	}
@@ -324,8 +313,7 @@ func resumeMerge[R record.KernelRecord](sys *pdisk.System, store pdisk.Store, ma
 		return nil, err
 	}
 	stats.InitialRuns = man.InitialRuns
-	runsLeft := len(gen.Runs) + len(gen.DSMRuns)
-	tr.formed(man.InitialRuns, runsLeft, r, gen.Pass)
+	tr.formed(man.InitialRuns, len(gen.Runs), r, gen.Pass)
 	sys.ResetStats() // verification reads are recovery, not sorting cost
 
 	if _, ok := store.(pdisk.ManifestStore); !ok {
@@ -335,30 +323,15 @@ func resumeMerge[R record.KernelRecord](sys *pdisk.System, store pdisk.Store, ma
 	cp.man.Cur = gen
 	cp.man.Prev = nil
 
-	if runsLeft == 0 {
+	if len(gen.Runs) == 0 {
 		return nil, fmt.Errorf("srmsort: manifest holds no runs")
 	}
-	if cfg.Algorithm == DSM {
-		runs := make([]*dsm.Run, len(gen.DSMRuns))
-		for i, st := range gen.DSMRuns {
-			runs[i] = dsm.RunFromState(st)
-		}
-		return mergeDSM[R](sys, runs, r, gen.Seq, cfg, func(pass int, survivors []*dsm.Run, seq int) error {
-			if err := cp.save(runGen{Pass: gen.Pass + pass, Seq: seq, DSMRuns: dsmRunStates(survivors)}); err != nil {
-				return err
-			}
-			tr.pass(gen.Pass, pass, len(survivors))
-			return nil
-		}, stats)
-	}
-
-	// SRM family.
 	runs := make([]*runio.Run, len(gen.Runs))
 	for i, st := range gen.Runs {
 		runs[i] = runio.RunFromState(st)
 	}
-	counting := &runio.CountingPlacement{Inner: replayedPlacement(cfg, gen.Draws)}
-	return mergeSRM[R](sys, runs, r, counting, gen.Seq, cfg, func(pass int, survivors []*runio.Run, seq int) error {
+	counting := &runio.CountingPlacement{Inner: runPlacement(cfg, gen.Draws)}
+	return mergeRuns[R](sys, runs, r, counting, gen.Seq, cfg, func(pass int, survivors []*runio.Run, seq int) error {
 		if err := cp.save(runGen{
 			Pass:  gen.Pass + pass,
 			Seq:   seq,

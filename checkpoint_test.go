@@ -2,6 +2,7 @@ package srmsort
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -132,27 +133,32 @@ func TestKillAndResumeByteIdentical(t *testing.T) {
 }
 
 func TestKillAndResumeAcrossExecutionModes(t *testing.T) {
-	// The checkpoint hooks thread through every execution mode: serial,
-	// overlapped I/O, parallel workers, and both combined. A kill in any
-	// of them must resume to the same bytes.
+	// The checkpoint hooks thread through every execution mode of SRM and
+	// DSM: serial, overlapped I/O, parallel workers, and both combined. A
+	// kill in any of them must resume to the same bytes.
 	in := randomRecords(2200, 29)
 	modes := []struct {
 		name    string
+		alg     Algorithm
 		async   bool
 		workers int
 	}{
-		{"serial", false, 0},
-		{"async", true, 0},
-		{"workers", false, 4},
-		{"async-workers", true, 4},
-	}
-	base := Config{D: 4, B: 8, K: 3, Algorithm: SRM, Seed: 37, Checkpoint: true}
-	want, _, err := Sort(in, base)
-	if err != nil {
-		t.Fatal(err)
+		{"serial", SRM, false, 0},
+		{"async", SRM, true, 0},
+		{"workers", SRM, false, 4},
+		{"async-workers", SRM, true, 4},
+		{"dsm-serial", DSM, false, 0},
+		{"dsm-async", DSM, true, 0},
+		{"dsm-workers", DSM, false, 4},
+		{"dsm-async-workers", DSM, true, 4},
 	}
 	for _, mode := range modes {
 		t.Run(mode.name, func(t *testing.T) {
+			base := Config{D: 4, B: 8, K: 3, Algorithm: mode.alg, Seed: 37, Checkpoint: true}
+			want, _, err := Sort(in, base)
+			if err != nil {
+				t.Fatal(err)
+			}
 			cfg := base
 			cfg.Async = mode.async
 			cfg.Workers = mode.workers
@@ -303,6 +309,47 @@ func TestResumeRejectsMismatchedConfig(t *testing.T) {
 		if _, _, err := Resume(in, bad); err == nil {
 			t.Fatalf("resume accepted a manifest from a different configuration: %+v", bad)
 		}
+	}
+
+	// A version-1 DSM manifest kept its runs under DSMRuns, one address
+	// list per logical block: Resume refuses it by its version instead
+	// of finding no runs in it.
+	dsmCfg := Config{D: 4, B: 8, K: 3, Algorithm: DSM, Checkpoint: true}
+	r, m, err := dsmCfg.MergeOrder()
+	if err != nil {
+		t.Fatal(err)
+	}
+	frontier := make([]int, dsmCfg.D)
+	var stripes [][]pdisk.BlockAddr
+	for blk := 0; blk < (len(in)+dsmCfg.B-1)/dsmCfg.B; blk++ {
+		if blk%dsmCfg.D == 0 {
+			stripes = append(stripes, nil)
+		}
+		stripes[len(stripes)-1] = append(stripes[len(stripes)-1], pdisk.BlockAddr{Disk: blk % dsmCfg.D, Index: blk / dsmCfg.D})
+		frontier[blk%dsmCfg.D]++
+	}
+	for _, s := range stripes {
+		for i := range s {
+			s[i].Index += frontier[s[i].Disk] // past the input's blocks
+		}
+	}
+	v1, err := json.Marshal(map[string]any{
+		"Version": 1, "Algorithm": "DSM", "Codec": "fixed16", "D": dsmCfg.D, "B": dsmCfg.B, "M": m, "R": r,
+		"Seed": 0, "Formation": 0, "Records": len(in), "InitialRuns": 1, "InputFrontier": frontier,
+		"Cur": map[string]any{"Pass": 0, "Seq": 1, "Draws": 0,
+			"DSMRuns": []map[string]any{{"ID": 0, "Records": len(in), "Stripes": stripes}}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := pdisk.NewMemStore()
+	defer old.Close()
+	if err := old.SaveManifest(v1); err != nil {
+		t.Fatal(err)
+	}
+	dsmCfg.Store = old
+	if _, _, err := Resume(in, dsmCfg); err == nil || !strings.Contains(err.Error(), "manifest version 1, want 2") {
+		t.Fatalf("resume from a version-1 DSM manifest: %v, want a version refusal", err)
 	}
 }
 

@@ -79,7 +79,7 @@ func main() {
 		codec    = flag.String("codec", "fixed16", "record codec: fixed16, varlen, varlen+flate")
 		dir      = flag.String("dir", "", "directory for -backend file disk files (default: fresh temp dir)")
 		seed     = flag.Int64("seed", 1, "random seed (placement and input)")
-		workers  = flag.Int("workers", 0, "goroutines for a pass's merges (SRM only; -1 = GOMAXPROCS)")
+		workers  = flag.Int("workers", 0, "goroutines for a pass's merges (SRM and DSM; -1 = GOMAXPROCS)")
 		cores    = flag.Int("cores", 0, "cores per sort step: chunked run formation and sharded merging (0 = GOMAXPROCS, 1 = serial; identical output)")
 		async    = flag.Bool("async", false, "overlap I/O with merging (SRM/DSM; identical output and I/O statistics)")
 		verify   = flag.Bool("verify", true, "verify the output is sorted")

@@ -76,25 +76,21 @@ func main() {
 		sys := mustSys(d, b)
 		file := mustLoad(sys, input)
 		sys.ResetStats()
-		r := analysis.DSMMergeOrder(m, d, b)
-		runs, err := dsm.FormRunsCores[record.Record](sys, file, load, false, 1)
+		pl := runio.FixedPlacement{Disk: 0} // disk striping: every run starts on disk 0
+		formed, err := runform.MemoryLoad[record.Record](sys, file, load, pl, 0)
 		if err != nil {
 			log.Fatal(err)
 		}
-		final, stats, _, err := dsm.MergeAll[record.Record](sys, runs, r, len(runs), dsm.MergeAllOpts{})
+		r := analysis.DSMMergeOrder(m, d, b)
+		final, stats, _, err := srm.SortRunsWith(sys, formed.Runs, r, pl, formed.NextSeq, srm.SortOpts{},
+			dsm.Merge[record.Record](sys, false))
 		if err != nil {
 			log.Fatal(err)
 		}
 		total := sys.Stats().Ops()
-		got, err := dsm.ReadAll[record.Record](sys, final)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if !record.IsSortedRecords(got) || record.Checksum(got) != want {
-			log.Fatal("DSM output verification failed")
-		}
+		verify(sys, final, want)
 		fmt.Printf("%6s %8d %8d %12d %12s %12d %12.2f\n",
-			"DSM", r, stats.MergePasses, stats.MergeReadOps+stats.MergeWriteOps, "-",
+			"DSM", r, stats.MergePasses, stats.ReadOps+stats.WriteOps, "-",
 			total, float64(total)/float64(srmTotal))
 	}
 

@@ -30,6 +30,14 @@ func TestDSMMergeOrder(t *testing.T) {
 	if got := DSMMergeOrder(m, d, b); got != want {
 		t.Errorf("DSMMergeOrder = %d, want %d", got, want)
 	}
+	// (M/B − 2D)/2D from explicit block counts: 96 blocks on 4 disks
+	// merge (96−8)/8 = 11 runs, 20 blocks on 5 disks only one.
+	if got := DSMMergeOrder(96*64, 4, 64); got != 11 {
+		t.Errorf("DSMMergeOrder(96 blocks, D=4) = %d, want 11", got)
+	}
+	if got := DSMMergeOrder(20*64, 5, 64); got != 1 {
+		t.Errorf("DSMMergeOrder(20 blocks, D=5) = %d, want 1", got)
+	}
 }
 
 func TestCoefficients(t *testing.T) {

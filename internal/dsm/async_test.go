@@ -9,6 +9,7 @@ import (
 	"srmsort/internal/pdisk"
 	"srmsort/internal/record"
 	"srmsort/internal/runform"
+	"srmsort/internal/runio"
 )
 
 // An async DSM sort must be indistinguishable from a sync one: identical
@@ -31,7 +32,7 @@ func TestSortAsyncEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			recs, err := ReadAll[record.Record](sys, res.out)
+			recs, err := runio.ReadAll[record.Record](sys, res.out)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -58,30 +59,28 @@ func TestSortAsyncEquivalence(t *testing.T) {
 	}
 }
 
-// StreamBlocks with read-ahead must deliver the same records as without
-// it, at the same read cost.
+// runio.StreamBlocks, DSM's stream path, with read-ahead must deliver the
+// same records of a striped run as without it, at the same read cost.
 func TestStreamAsyncEquivalence(t *testing.T) {
 	sys := newSys(t, 3, 4)
 	defer sys.Close()
 	g := record.NewGenerator(17)
 	all := g.Sorted(500)
-	w := NewWriter[record.Record](sys, 0)
-	commitAll(t, w, all)
-	run, err := w.Finish()
+	run, err := runio.WriteRun(sys, 0, 0, all)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	before := sys.Stats().ReadOps
 	var syncRecs []record.Record
-	if err := StreamBlocks(sys, run, false, func(blk []record.Record) error { syncRecs = append(syncRecs, blk...); return nil }); err != nil {
+	if err := runio.StreamBlocks(sys, run, false, func(blk []record.Record) error { syncRecs = append(syncRecs, blk...); return nil }); err != nil {
 		t.Fatal(err)
 	}
 	syncReads := sys.Stats().ReadOps - before
 
 	before = sys.Stats().ReadOps
 	var asyncRecs []record.Record
-	if err := StreamBlocks(sys, run, true, func(blk []record.Record) error { asyncRecs = append(asyncRecs, blk...); return nil }); err != nil {
+	if err := runio.StreamBlocks(sys, run, true, func(blk []record.Record) error { asyncRecs = append(asyncRecs, blk...); return nil }); err != nil {
 		t.Fatal(err)
 	}
 	asyncReads := sys.Stats().ReadOps - before
@@ -102,7 +101,7 @@ func TestStreamAsyncEquivalence(t *testing.T) {
 	// readahead is collected, not leaked).
 	sentinel := errors.New("stop")
 	n := 0
-	err = StreamBlocks(sys, run, true, func([]record.Record) error {
+	err = runio.StreamBlocks(sys, run, true, func([]record.Record) error {
 		n++
 		if n == 3 {
 			return sentinel

@@ -8,6 +8,7 @@ import (
 	"srmsort/internal/pdisk"
 	"srmsort/internal/record"
 	"srmsort/internal/runform"
+	"srmsort/internal/runio"
 	"srmsort/internal/storetest"
 )
 
@@ -39,7 +40,7 @@ func TestSortBackendEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		stats := sys.Stats()
-		out, err := ReadAll[record.Record](sys, res.out)
+		out, err := runio.ReadAll[record.Record](sys, res.out)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,12 +1,15 @@
 package dsm
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"srmsort/internal/pdisk"
 	"srmsort/internal/record"
 	"srmsort/internal/runform"
+	"srmsort/internal/runio"
+	"srmsort/internal/srm"
 )
 
 func newSys(t testing.TB, d, b int) *pdisk.System {
@@ -18,140 +21,114 @@ func newSys(t testing.TB, d, b int) *pdisk.System {
 	return sys
 }
 
-func TestMergeOrderFormula(t *testing.T) {
-	// M/B = 2kD + 4D + kD^2/B with k=10, D=4, B=1000:
-	// M/B = 80 + 16 + 0 (kD^2/B = 160/1000 rounds into the blocks) — use
-	// explicit numbers instead: memBlocks=96 => (96-8)/8 = 11 = k+1.
-	if got := MergeOrder(96, 4); got != 11 {
-		t.Fatalf("MergeOrder(96,4) = %d, want 11", got)
-	}
-	if got := MergeOrder(20, 5); got != 1 {
-		t.Fatalf("MergeOrder(20,5) = %d, want 1", got)
-	}
-}
-
-func TestWriterLogicalBlocks(t *testing.T) {
+// TestRunsLieStriped: DSM's runs — formed or merged — are runio runs
+// whose block i sits on disk i mod D, as the stored blocks confirm, so a
+// stripe of D blocks is one logical block, written in one operation.
+func TestRunsLieStriped(t *testing.T) {
+	// One run, written alone: DB = 8, so 17 records are 9 blocks, two
+	// full stripes and a partial one of one block.
 	sys := newSys(t, 4, 2)
-	w := NewWriter[record.Record](sys, 0)
-	g := record.NewGenerator(1)
-	recs := g.Sorted(17) // DB = 8; 2 full stripes + partial of 1
-	for _, r := range recs {
-		w.Room()[0] = r
-		if err := w.Commit(1); err != nil {
-			t.Fatal(err)
-		}
-	}
-	run, err := w.Finish()
+	recs := record.NewGenerator(1).Sorted(17)
+	run, err := runio.WriteRun(sys, 0, 0, recs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if run.NumStripes() != 3 {
-		t.Fatalf("stripes = %d, want 3", run.NumStripes())
+	if got := stripes(run); got != 3 {
+		t.Fatalf("stripes = %d, want 3", got)
 	}
 	if ops := sys.Stats().WriteOps; ops != 3 {
 		t.Fatalf("write ops = %d, want 3", ops)
 	}
-	got, err := ReadAll[record.Record](sys, run)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 17 {
-		t.Fatalf("read back %d records", len(got))
-	}
-	for i := range recs {
-		if got[i] != recs[i] {
-			t.Fatalf("record %d mismatch", i)
-		}
-	}
-}
+	checkStriped(t, sys, run, recs)
 
-// commitAll writes recs to w through Room and Commit, filling each room.
-func commitAll[R record.KernelRecord](t testing.TB, w *Writer[R], recs []R) {
-	for len(recs) > 0 {
-		n := copy(w.Room(), recs)
-		if err := w.Commit(n); err != nil {
+	// Every run of whole sorts, formed and merged.
+	for _, d := range []int{1, 2, 3, 4, 8} {
+		sys := newSys(t, d, 3)
+		all := record.NewGenerator(int64(d)).Random(1500)
+		file, err := runform.LoadInput(sys, all)
+		if err != nil {
 			t.Fatal(err)
 		}
-		recs = recs[n:]
-	}
-}
-
-// Commit checks every record it hands over, not just the first: an
-// out-of-order record panics, naming the run and both keys, whether it
-// opens a commit or sits in its middle, at both record widths.
-func TestCommitPanicsOutOfOrder(t *testing.T) {
-	t.Run("Rec16", func(t *testing.T) {
-		commitOutOfOrder(t, func(k record.Key) record.Rec16 { return record.Rec16{Key: k} })
-	})
-	t.Run("Record", func(t *testing.T) {
-		commitOutOfOrder(t, func(k record.Key) record.Record { return record.Record{Key: k} })
-	})
-}
-
-func commitOutOfOrder[R record.KernelRecord](t *testing.T, mk func(record.Key) R) {
-	commit := func(w *Writer[R], keys ...record.Key) error {
-		room := w.Room()
-		for i, k := range keys {
-			room[i] = mk(k)
-		}
-		return w.Commit(len(keys))
-	}
-	for _, tc := range []struct {
-		name string
-		keys []record.Key
-		want string
-	}{
-		{"first", []record.Key{4, 6}, "dsm: run 7 records out of order (4 after 5)"},
-		{"middle", []record.Key{6, 8, 3, 9}, "dsm: run 7 records out of order (3 after 8)"},
-	} {
-		w := NewWriter[R](newSys(t, 2, 4), 7)
-		if err := commit(w, 5); err != nil {
+		formed, err := runform.MemoryLoad[record.Record](sys, file, 70, atDiskZero, 0)
+		if err != nil {
 			t.Fatal(err)
 		}
-		got := func() (msg any) {
-			defer func() { msg = recover() }()
-			_ = commit(w, tc.keys...)
+		check := func(runs []*runio.Run) {
+			for _, run := range runs {
+				got, err := runio.ReadAll[record.Record](sys, run)
+				if err != nil {
+					t.Fatal(err)
+				}
+				checkStriped(t, sys, run, got)
+			}
+		}
+		check(formed.Runs)
+		opts := srm.SortOpts{AfterPass: func(_ int, survivors []*runio.Run, _ int) error {
+			check(survivors)
 			return nil
-		}()
-		if got != tc.want {
-			t.Errorf("%s: panic %v, want %q", tc.name, got, tc.want)
+		}}
+		if _, _, _, err := srm.SortRunsWith(sys, formed.Runs, 4, atDiskZero, formed.NextSeq, opts, Merge[record.Record](sys, false)); err != nil {
+			t.Fatal(err)
 		}
 	}
 }
+
+// checkStriped checks that run, holding recs, starts on disk 0 and that
+// the block stored on disk i mod D at block i's index holds block i's
+// records.
+func checkStriped(t *testing.T, sys *pdisk.System, run *runio.Run, recs []record.Record) {
+	t.Helper()
+	if run.StartDisk != 0 {
+		t.Fatalf("run %d starts on disk %d", run.ID, run.StartDisk)
+	}
+	b := sys.B()
+	for i := 0; i < run.NumBlocks(); i++ {
+		addr := pdisk.BlockAddr{Disk: i % sys.D(), Index: run.Addr(i).Index}
+		blks, err := sys.ReadBlocks([]pdisk.BlockAddr{addr})
+		if err != nil {
+			t.Fatalf("run %d block %d at %v: %v", run.ID, i, addr, err)
+		}
+		got, want := pdisk.RecsOf[record.Record](blks[0]), recs[i*b:min((i+1)*b, len(recs))]
+		if !slices.Equal(got, want) {
+			t.Fatalf("run %d block %d at %v holds %v, want %v", run.ID, i, addr, got, want)
+		}
+	}
+}
+
+// stripes returns the number of stripes (logical blocks) of run.
+func stripes(run *runio.Run) int { return (run.NumBlocks() + run.D - 1) / run.D }
 
 func TestMergeCorrectAndCounted(t *testing.T) {
 	sys := newSys(t, 3, 4)
 	g := record.NewGenerator(2)
 	all := g.Random(500)
 	pieces := g.SplitIntoSortedRuns(all, 5)
-	var runs []*Run
+	var runs []*runio.Run
 	totalStripes := 0
 	for i, p := range pieces {
-		w := NewWriter[record.Record](sys, i)
-		commitAll(t, w, p)
-		run, err := w.Finish()
+		run, err := runio.WriteRun(sys, i, 0, p)
 		if err != nil {
 			t.Fatal(err)
 		}
 		runs = append(runs, run)
-		totalStripes += run.NumStripes()
+		totalStripes += stripes(run)
 	}
-	out, ms, _, err := MergeAll[record.Record](sys, runs, len(runs), 99, MergeAllOpts{})
+	out, ms, _, err := srm.SortRunsWith(sys, runs, len(runs), atDiskZero, 99, srm.SortOpts{}, Merge[record.Record](sys, false))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ms.Merges != 1 {
 		t.Fatalf("%d merges, want one", ms.Merges)
 	}
-	if ms.MergeReadOps != int64(totalStripes) {
+	if ms.ReadOps != int64(totalStripes) {
 		t.Fatalf("merge read ops = %d, want exactly the %d input logical blocks",
-			ms.MergeReadOps, totalStripes)
+			ms.ReadOps, totalStripes)
 	}
-	if ms.MergeWriteOps != int64(out.NumStripes()) {
+	if ms.WriteOps != int64(stripes(out)) {
 		t.Fatalf("merge write ops = %d, want %d output logical blocks",
-			ms.MergeWriteOps, out.NumStripes())
+			ms.WriteOps, stripes(out))
 	}
-	got, err := ReadAll[record.Record](sys, out)
+	got, err := runio.ReadAll[record.Record](sys, out)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,23 +147,19 @@ func TestMergeKeepsMaxKeyRecords(t *testing.T) {
 	for i := 0; i < len(all); i += 7 {
 		all[i].Key = record.MaxKey
 	}
-	var runs []*Run
+	var runs []*runio.Run
 	for i, p := range g.SplitIntoSortedRuns(all, 4) {
-		w := NewWriter[record.Record](sys, i)
-		if err := w.AppendBlock(p); err != nil {
-			t.Fatal(err)
-		}
-		run, err := w.Finish()
+		run, err := runio.WriteRun(sys, i, 0, p)
 		if err != nil {
 			t.Fatal(err)
 		}
 		runs = append(runs, run)
 	}
-	out, _, _, err := MergeAll[record.Record](sys, runs, len(runs), 99, MergeAllOpts{})
+	out, _, _, err := srm.SortRunsWith(sys, runs, len(runs), atDiskZero, 99, srm.SortOpts{}, Merge[record.Record](sys, false))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadAll[record.Record](sys, out)
+	got, err := runio.ReadAll[record.Record](sys, out)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +184,7 @@ func TestSortEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadAll[record.Record](sys, res.out)
+	got, err := runio.ReadAll[record.Record](sys, res.out)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +232,7 @@ func TestSortEmptyAndTiny(t *testing.T) {
 	if res.stats.MergePasses != 0 {
 		t.Fatalf("tiny input took %d merge passes", res.stats.MergePasses)
 	}
-	got, err := ReadAll[record.Record](sys, res.out)
+	got, err := runio.ReadAll[record.Record](sys, res.out)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +260,7 @@ func TestPropertySortCorrect(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		got, err := ReadAll[record.Record](sys, res.out)
+		got, err := runio.ReadAll[record.Record](sys, res.out)
 		if err != nil {
 			return false
 		}
@@ -298,27 +271,32 @@ func TestPropertySortCorrect(t *testing.T) {
 	}
 }
 
+// atDiskZero is DSM's placement: every run starts on disk 0.
+var atDiskZero = runio.FixedPlacement{Disk: 0}
+
 // sorted is the outcome of sortFile.
 type sorted struct {
-	out         *Run
+	out         *runio.Run
 	initialRuns int
 	formReads   int64 // read operations of the run-formation pass
-	stats       SortStats
+	stats       srm.SortStats
 }
 
 // sortFile runs a whole DSM sort of the input file the way srmsort drives
-// one: FormRunsCores, then MergeAll over the formed runs.
+// one: half-memory loads written from disk 0, then the pass loop with
+// DSM's merge over the formed runs.
 func sortFile(sys *pdisk.System, file *runform.InputFile, load, r int, async bool) (sorted, error) {
 	before := sys.Stats().ReadOps
-	runs, err := FormRunsCores[record.Record](sys, file, load, async, 1)
+	formed, err := runform.MemoryLoad[record.Record](sys, file, load, atDiskZero, 0)
 	if err != nil {
 		return sorted{}, err
 	}
-	res := sorted{initialRuns: len(runs), formReads: sys.Stats().ReadOps - before}
-	if len(runs) == 0 {
-		res.out, err = NewWriter[record.Record](sys, 0).Finish()
+	res := sorted{initialRuns: len(formed.Runs), formReads: sys.Stats().ReadOps - before}
+	if len(formed.Runs) == 0 {
+		res.out, err = runio.NewWriter[record.Record](sys, 0, 0).Finish()
 		return res, err
 	}
-	res.out, res.stats, _, err = MergeAll[record.Record](sys, runs, r, len(runs), MergeAllOpts{Async: async})
+	res.out, res.stats, _, err = srm.SortRunsWith(sys, formed.Runs, r, atDiskZero, formed.NextSeq,
+		srm.SortOpts{}, Merge[record.Record](sys, async))
 	return res, err
 }

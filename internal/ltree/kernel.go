@@ -10,8 +10,8 @@ import "srmsort/internal/record"
 // into the caller's buffer (an output writer's Room); it stops when the
 // buffer is full, when an input's block ends, or when the bound or an
 // empty tree stops it. The caller handles the end of a block (SRM's
-// block event, DSM's refill of a logical block, PSV's read decisions) by
-// pushing the input's next block or leaving it retired.
+// block event, DSM's next block of the stripe in hand, PSV's read
+// decisions) by pushing the input's next block or leaving it retired.
 //
 // Order. Inputs compare by their head record's key, ties going to the
 // lower input index. A kernel built with byVal compares (Key, Val)

@@ -13,7 +13,8 @@
 //     (exactly M-record runs on reverse-sorted inputs).
 //
 // Either way every run is written in the striped, forecast-formatted layout
-// of package runio, starting on the disk its Placement assigns.
+// of package runio, starting on the disk its Placement assigns — for DSM,
+// always disk 0.
 package runform
 
 import (

@@ -81,9 +81,12 @@ type StaggeredPlacement struct {
 // StartDisk implements Placement.
 func (p StaggeredPlacement) StartDisk(seq int) int { return seq % p.D }
 
-// FixedPlacement starts every run on the same disk — the adversarial layout
-// the paper warns about ("the R leading blocks ... may always lie on the
-// same disk"); used by tests and the worst-case demos.
+// FixedPlacement starts every run on the same disk. At disk 0 it is disk
+// striping's layout: block i of every run on disk i mod D, so stripe s of
+// every run is the same D block positions (DSM). Under SRM's merge it is
+// the adversarial layout the paper warns about ("the R leading blocks ...
+// may always lie on the same disk"), which tests and the worst-case demos
+// use.
 type FixedPlacement struct {
 	Disk int
 }
@@ -348,46 +351,41 @@ func ReadAll[R record.KernelRecord](sys *pdisk.System, run *Run) ([]R, error) {
 	return out, nil
 }
 
-// reader returns a stripe reader over the run: stripe s is blocks sD to
-// sD+D-1 — consecutive blocks of a run sit on consecutive disks, so up to
-// D of them make one parallel operation.
-func (r *Run) reader(sys *pdisk.System, async bool) *StripeReader {
-	addrs := make([]pdisk.BlockAddr, 0, r.D)
-	stripe := func(s int) []pdisk.BlockAddr {
-		addrs = addrs[:0]
-		for k := s * r.D; k < r.NumBlocks() && k < (s+1)*r.D; k++ {
-			addrs = append(addrs, r.Addr(k))
-		}
-		return addrs
-	}
-	return NewStripeReader(sys, (r.NumBlocks()+r.D-1)/r.D, stripe, async)
-}
-
-// StripeReader reads a sequence of stripes in order, one parallel read
-// operation each. It is the one sequential reader of both run layouts
-// (this package's and DSM's), sync and async: with async set its
-// read-ahead is one — the next stripe is in flight while the caller
-// consumes the current one, hiding device latency behind the caller's
-// processing at an unchanged operation count — and without it zero.
+// StripeReader reads a run's stripes in order, one parallel read
+// operation each: stripe s is blocks sD to sD+D−1, which sit on distinct
+// disks because consecutive blocks of a run do. It is the one sequential
+// reader of runs, sync and async: with async set its read-ahead is one —
+// the next stripe is in flight while the caller consumes the current one,
+// hiding device latency behind the caller's processing at an unchanged
+// operation count — and without it zero.
 type StripeReader struct {
 	sys     *pdisk.System
-	stripe  func(s int) []pdisk.BlockAddr
+	run     *Run
+	addrs   []pdisk.BlockAddr // the stripe being issued; a read copies them
 	n, next int
 	async   bool
 	ahead   *pdisk.ReadFuture
 }
 
-// NewStripeReader returns a reader of the n stripes stripe(0), ...,
-// stripe(n-1). A stripe's addresses are copied when its read is issued,
-// so stripe may reuse one slice.
-func NewStripeReader(sys *pdisk.System, n int, stripe func(s int) []pdisk.BlockAddr, async bool) *StripeReader {
-	return &StripeReader{sys: sys, stripe: stripe, n: n, async: async}
+// NewStripeReader returns a reader of run's stripes.
+func NewStripeReader(sys *pdisk.System, run *Run, async bool) *StripeReader {
+	n := (run.NumBlocks() + run.D - 1) / run.D
+	return &StripeReader{sys: sys, run: run, addrs: make([]pdisk.BlockAddr, 0, run.D), n: n, async: async}
+}
+
+// stripe returns the addresses of stripe s.
+func (r *StripeReader) stripe(s int) []pdisk.BlockAddr {
+	r.addrs = r.addrs[:0]
+	for i := s * r.run.D; i < min((s+1)*r.run.D, r.run.NumBlocks()); i++ {
+		r.addrs = append(r.addrs, r.run.Addr(i))
+	}
+	return r.addrs
 }
 
 // Left returns the number of stripes not yet read.
 func (r *StripeReader) Left() int { return r.n - r.next }
 
-// Read returns the blocks of the next stripe in address order. With
+// Read returns the blocks of the next stripe in run order. With
 // read-ahead it issues the read of the stripe after before it returns.
 func (r *StripeReader) Read() ([]pdisk.StoredBlock, error) {
 	s := r.next
@@ -416,11 +414,14 @@ func (r *StripeReader) Close() {
 	}
 }
 
-// StreamStripes invokes fn on the records of every block of the reader's
-// stripes, one block per call, in order, and closes the reader. Each
-// slice is the stored block's own records: fn must neither modify nor
-// keep it.
-func StreamStripes[R record.KernelRecord](rd *StripeReader, fn func([]R) error) error {
+// StreamBlocks reads a run back sequentially, one stripe of up to D
+// blocks per I/O operation, invoking fn on each block's records in order,
+// without materialising the run — the out-of-core counterpart of ReadAll.
+// Each slice is the stored block's own records: fn must neither modify
+// nor keep it. With async set, stripe i+1 is in flight while fn consumes
+// stripe i; the operation count is the same.
+func StreamBlocks[R record.KernelRecord](sys *pdisk.System, run *Run, async bool, fn func([]R) error) error {
+	rd := NewStripeReader(sys, run, async)
 	defer rd.Close()
 	for rd.Left() > 0 {
 		blks, err := rd.Read()
@@ -436,15 +437,6 @@ func StreamStripes[R record.KernelRecord](rd *StripeReader, fn func([]R) error) 
 	return nil
 }
 
-// StreamBlocks reads a run back sequentially, one stripe of up to D
-// blocks per I/O operation, invoking fn on each block's records in order
-// (under StreamStripes's contract), without materialising the run — the
-// out-of-core counterpart of ReadAll. With async set, stripe i+1 is in
-// flight while fn consumes stripe i; the operation count is the same.
-func StreamBlocks[R record.KernelRecord](sys *pdisk.System, run *Run, async bool, fn func([]R) error) error {
-	return StreamStripes(run.reader(sys, async), fn)
-}
-
 // Stream is StreamBlocks without read-ahead, invoking fn on every record.
 func Stream[R record.KernelRecord](sys *pdisk.System, run *Run, fn func(R) error) error {
 	return StreamBlocks(sys, run, false, eachRecord(fn))
@@ -456,8 +448,8 @@ func StreamAsync[R record.KernelRecord](sys *pdisk.System, run *Run, fn func(R) 
 	return StreamBlocks(sys, run, true, eachRecord(fn))
 }
 
-// eachRecord adapts a per-record callback to the block callbacks of
-// StreamStripes.
+// eachRecord adapts a per-record callback to StreamBlocks' block
+// callbacks.
 func eachRecord[R record.KernelRecord](fn func(R) error) func([]R) error {
 	return func(blk []R) error {
 		for _, r := range blk {

@@ -48,8 +48,14 @@ func (s *SortStats) add(ms MergeStats) {
 // sort.
 type PassFunc func(pass int, survivors []*runio.Run, nextSeq int) error
 
-// SortOpts selects the execution mode of SortRunsOpts. No option changes
-// the runs or the statistics.
+// MergeFunc merges one group of a pass's runs into the run with sequence
+// number seq whose block 0 lies on disk start, and reports what the merge
+// did. It must count its own I/O: merges of one pass may share the disk
+// system concurrently.
+type MergeFunc func(group []*runio.Run, seq, start int) (*runio.Run, MergeStats, error)
+
+// SortOpts selects the execution mode of SortRunsOpts and SortRunsWith.
+// No option changes the runs or the statistics.
 type SortOpts struct {
 	// Async performs every merge with MergeOpts.Async (overlapped I/O).
 	Async bool
@@ -66,12 +72,24 @@ type SortOpts struct {
 }
 
 // SortRunsOpts repeatedly merges the given sorted runs, r at a time, until
-// one run remains, which it returns. Placement chooses each output run's
-// starting disk; run sequence numbering starts at seqStart and the final
-// value is returned so callers can keep one global sequence across run
-// formation and merging (the staggered placement of Section 8 depends on
-// it). Without an AfterPass hook, input runs are freed as soon as their
-// merge completes.
+// one run remains, which it returns: SortRunsWith with SRM's Merge, under
+// opts' Async and Cores.
+func SortRunsOpts[R record.KernelRecord](sys *pdisk.System, runs []*runio.Run, r int, placement runio.Placement, seqStart int, opts SortOpts) (*runio.Run, SortStats, int, error) {
+	mopts := MergeOpts{Async: opts.Async, Cores: opts.Cores}
+	return SortRunsWith(sys, runs, r, placement, seqStart, opts, func(group []*runio.Run, seq, start int) (*runio.Run, MergeStats, error) {
+		return Merge[R](sys, group, r, seq, start, mopts)
+	})
+}
+
+// SortRunsWith is the pass loop of every run-merging sort: it repeatedly
+// merges the given sorted runs, r at a time, with merge until one run
+// remains, which it returns. Placement chooses each output run's starting
+// disk; run sequence numbering starts at seqStart and the final value is
+// returned so callers can keep one global sequence across run formation
+// and merging (the staggered placement of Section 8 depends on it).
+// Without an AfterPass hook, input runs are freed as soon as their merge
+// completes. Of opts it reads Workers and AfterPass; merge carries the
+// rest of the execution mode.
 //
 // Merges of disjoint run groups share no state except the disk system,
 // which serialises individual I/O operations exactly as contending merges
@@ -79,7 +97,7 @@ type SortOpts struct {
 // number and starting disk before any merge runs, so the result — final
 // run contents, statistics, operation counts — is the same whether the
 // pass runs its merges one at a time or on a pool of opts.Workers.
-func SortRunsOpts[R record.KernelRecord](sys *pdisk.System, runs []*runio.Run, r int, placement runio.Placement, seqStart int, opts SortOpts) (*runio.Run, SortStats, int, error) {
+func SortRunsWith(sys *pdisk.System, runs []*runio.Run, r int, placement runio.Placement, seqStart int, opts SortOpts, merge MergeFunc) (*runio.Run, SortStats, int, error) {
 	if r < 2 {
 		return nil, SortStats{}, seqStart, fmt.Errorf("srm: merge order R=%d, need >= 2", r)
 	}
@@ -90,8 +108,7 @@ func SortRunsOpts[R record.KernelRecord](sys *pdisk.System, runs []*runio.Run, r
 	if workers < 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	mopts := MergeOpts{Async: opts.Async, Cores: opts.Cores}
-	type merge struct {
+	type job struct {
 		group []*runio.Run
 		seq   int
 		start int
@@ -100,8 +117,8 @@ func SortRunsOpts[R record.KernelRecord](sys *pdisk.System, runs []*runio.Run, r
 		ms    MergeStats
 		err   error
 	}
-	do := func(j *merge) {
-		j.out, j.ms, j.err = Merge[R](sys, j.group, r, j.seq, j.start, mopts)
+	do := func(j *job) {
+		j.out, j.ms, j.err = merge(j.group, j.seq, j.start)
 		if j.err == nil && opts.AfterPass == nil {
 			j.err = freeRuns(sys, j.group)
 		}
@@ -111,11 +128,11 @@ func SortRunsOpts[R record.KernelRecord](sys *pdisk.System, runs []*runio.Run, r
 	for len(runs) > 1 {
 		stats.MergePasses++
 		next := make([]*runio.Run, 0, (len(runs)+r-1)/r)
-		var merges []*merge
+		var jobs []*job
 		for off := 0; off < len(runs); off += r {
 			group := runs[off:min(off+r, len(runs))]
 			if len(group) > 1 {
-				merges = append(merges, &merge{group: group, seq: seq, start: placement.StartDisk(seq), slot: len(next)})
+				jobs = append(jobs, &job{group: group, seq: seq, start: placement.StartDisk(seq), slot: len(next)})
 				seq++
 			}
 			// A singleton group passes through unchanged; re-merging it
@@ -123,7 +140,7 @@ func SortRunsOpts[R record.KernelRecord](sys *pdisk.System, runs []*runio.Run, r
 			next = append(next, group[0])
 		}
 		if workers <= 1 {
-			for _, j := range merges {
+			for _, j := range jobs {
 				if do(j); j.err != nil {
 					return nil, stats, seq, j.err
 				}
@@ -131,7 +148,7 @@ func SortRunsOpts[R record.KernelRecord](sys *pdisk.System, runs []*runio.Run, r
 		} else {
 			sem := make(chan struct{}, workers)
 			var wg sync.WaitGroup
-			for _, j := range merges {
+			for _, j := range jobs {
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
@@ -142,7 +159,7 @@ func SortRunsOpts[R record.KernelRecord](sys *pdisk.System, runs []*runio.Run, r
 			}
 			wg.Wait()
 		}
-		for _, j := range merges {
+		for _, j := range jobs {
 			if j.err != nil {
 				return nil, stats, seq, j.err
 			}
@@ -156,7 +173,7 @@ func SortRunsOpts[R record.KernelRecord](sys *pdisk.System, runs []*runio.Run, r
 			if err := opts.AfterPass(stats.MergePasses, next, seq); err != nil {
 				return nil, stats, seq, err
 			}
-			for _, j := range merges {
+			for _, j := range jobs {
 				if err := freeRuns(sys, j.group); err != nil {
 					return nil, stats, seq, err
 				}

@@ -7,9 +7,9 @@ import (
 	"srmsort/internal/record"
 )
 
-// guardSortInput is the small SRM/mem sort the allocation guards run:
-// large enough to form several runs and drive a real multi-way merge,
-// small enough to keep the guard fast.
+// guardSortInput is the input of the small mem sorts the allocation
+// guards run: large enough to form several runs and drive a real
+// multi-way merge, small enough to keep the guard fast.
 func guardSortInput(n int) []Record {
 	return benchRecords(n, 17)
 }
@@ -24,9 +24,40 @@ func guardSortInput(n int) []Record {
 // regression — a GC-visible field re-entering the fixed16 hot path, or a
 // per-record allocation sneaking into the kernel.
 func TestFixed16SortAllocGuard(t *testing.T) {
+	allocs, bytes := sortAllocs(t, Config{D: 4, B: 64, K: 4, Seed: 11})
+	if allocs > 0.17 {
+		t.Errorf("fixed16 sort allocates %.3f objects/rec, want <= 0.17 (measured 0.133; 0.216 with the write-path clone)", allocs)
+	}
+	// Measured 111 B/rec at GOMAXPROCS 2 to 16 and 88 at GOMAXPROCS 1;
+	// with the write-path clone and the per-load copies, 220 and 197.
+	if bytes > 160 {
+		t.Errorf("fixed16 sort allocates %.0f B/rec, want <= 160 (measured 111; 220 with the write-path clone)", bytes)
+	}
+}
+
+// TestDSMSortAllocGuard pins the fixed16 DSM/mem sort's per-record
+// allocation near its level since DSM's merge pushes each stored block
+// of a stripe to the kernel as it is: 0.129 allocs/rec and 112 B/rec at
+// this shape with Cores 1, against 0.156 and 169 when every merge read
+// copied its stripe into one fresh logical block (EXPERIMENTS.md, "DSM
+// runs are runio runs"). The bounds sit between the two levels: they
+// trip if a per-read copy comes back.
+func TestDSMSortAllocGuard(t *testing.T) {
+	allocs, bytes := sortAllocs(t, Config{D: 4, B: 64, K: 4, Seed: 11, Algorithm: DSM, Cores: 1})
+	if allocs > 0.145 {
+		t.Errorf("DSM sort allocates %.3f objects/rec, want <= 0.145 (measured 0.129; 0.156 with the stripe copy)", allocs)
+	}
+	if bytes > 140 {
+		t.Errorf("DSM sort allocates %.0f B/rec, want <= 140 (measured 112; 169 with the stripe copy)", bytes)
+	}
+}
+
+// sortAllocs returns the objects and bytes a Sort of the guards' 20,000
+// records allocates per record under cfg.
+func sortAllocs(t *testing.T, cfg Config) (allocsPerRec, bytesPerRec float64) {
+	t.Helper()
 	const n = 20_000
 	in := guardSortInput(n)
-	cfg := Config{D: 4, B: 64, K: 4, Seed: 11}
 
 	// Warm up once so lazy initialisation does not count.
 	if _, _, err := Sort(in, cfg); err != nil {
@@ -38,9 +69,6 @@ func TestFixed16SortAllocGuard(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if perRec := allocs / n; perRec > 0.17 {
-		t.Errorf("fixed16 sort allocates %.3f objects/rec, want <= 0.17 (measured 0.133; 0.216 with the write-path clone)", perRec)
-	}
 
 	// Allocated bytes per record: TotalAlloc is cumulative and unaffected
 	// by collection, so the delta over a run is deterministic up to pool
@@ -58,11 +86,7 @@ func TestFixed16SortAllocGuard(t *testing.T) {
 			best = b
 		}
 	}
-	// Measured 111 B/rec at GOMAXPROCS 2 to 16 and 88 at GOMAXPROCS 1;
-	// with the write-path clone and the per-load copies, 220 and 197.
-	if best > 160 {
-		t.Errorf("fixed16 sort allocates %.0f B/rec, want <= 160 (measured 111; 220 with the write-path clone)", best)
-	}
+	return allocs / n, best
 }
 
 // TestVarlenSortAllocGuard pins the varlen file path to per-block, not

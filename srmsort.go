@@ -29,7 +29,6 @@ package srmsort
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"os"
 	"runtime"
 
@@ -195,7 +194,7 @@ type Config struct {
 	// Workers > 1 executes the independent merges of each pass on that
 	// many goroutines (-1 means GOMAXPROCS); 0 or 1 runs serially. The
 	// result and all I/O statistics are identical either way — only the
-	// host wall-clock changes. SRM variants only.
+	// host wall-clock changes. SRM variants and DSM.
 	Workers int
 	// Cores bounds the goroutines each single sort step spreads its
 	// record comparison work over: run-formation loads are sorted in
@@ -436,14 +435,10 @@ func (c Config) newSystem() (*pdisk.System, pdisk.Store, func(), error) {
 // non-nil, receives a checkpoint after formation and every merge pass; tr,
 // when non-nil, receives Progress snapshots at the same points.
 func runAlgorithm[R record.KernelRecord](sys *pdisk.System, file *runform.InputFile, cfg Config, m, r int, stats *Stats, cp *checkpointer, tr *progressTracker) (emitter[R], error) {
-	switch cfg.Algorithm {
-	case DSM:
-		return sortDSM[R](sys, file, m, r, cfg, stats, cp, tr)
-	case PSV:
+	if cfg.Algorithm == PSV {
 		return sortPSV[R](sys, file, m, stats, tr)
-	default:
-		return sortSRM[R](sys, file, m, r, cfg, stats, cp, tr)
 	}
+	return sortRuns[R](sys, file, m, r, cfg, stats, cp, tr)
 }
 
 // Sort externally sorts records under the given configuration and returns
@@ -803,13 +798,12 @@ func chainPassFuncs(hooks ...srm.PassFunc) srm.PassFunc {
 	}
 }
 
-func sortSRM[R record.KernelRecord](sys *pdisk.System, file *runform.InputFile, m, r int, cfg Config, stats *Stats, cp *checkpointer, tr *progressTracker) (emitter[R], error) {
-	var placement runio.Placement
-	if cfg.Algorithm == SRMDeterministic {
-		placement = runio.StaggeredPlacement{D: cfg.D}
-	} else {
-		placement = &runio.RandomPlacement{D: cfg.D, Rng: rand.New(rand.NewSource(cfg.Seed))}
-	}
+// sortRuns forms the initial runs and merges them: the sort of the SRM
+// variants and of DSM, which differ only in their runs' starting disks
+// (runPlacement) and in the merge the pass loop runs. DSM always forms
+// runs from half memoryloads.
+func sortRuns[R record.KernelRecord](sys *pdisk.System, file *runform.InputFile, m, r int, cfg Config, stats *Stats, cp *checkpointer, tr *progressTracker) (emitter[R], error) {
+	placement := runPlacement(cfg, 0)
 	var counting *runio.CountingPlacement
 	if cp != nil {
 		// Count placement draws so the manifest records how far the
@@ -820,7 +814,7 @@ func sortSRM[R record.KernelRecord](sys *pdisk.System, file *runform.InputFile, 
 
 	var formed runform.Result
 	var err error
-	if cfg.RunFormation == ReplacementSelection {
+	if cfg.RunFormation == ReplacementSelection && cfg.Algorithm != DSM {
 		formed, err = runform.ReplacementSelectionCores[R](sys, file, m, placement, 0, cfg.cores())
 	} else {
 		formed, err = runform.MemoryLoadCores[R](sys, file, (m+1)/2, placement, 0, cfg.cores())
@@ -866,19 +860,27 @@ func sortSRM[R record.KernelRecord](sys *pdisk.System, file *runform.InputFile, 
 			return nil
 		}
 	}
-	return mergeSRM[R](sys, formed.Runs, r, placement, formed.NextSeq, cfg, chainPassFuncs(cpHook, trHook), stats)
+	return mergeRuns[R](sys, formed.Runs, r, placement, formed.NextSeq, cfg, chainPassFuncs(cpHook, trHook), stats)
 }
 
-// mergeSRM runs the SRM merge passes over runs — a fresh sort's formed
-// runs or a resumed sort's recovered ones — records their statistics, and
-// returns the iterator over the final run.
-func mergeSRM[R record.KernelRecord](sys *pdisk.System, runs []*runio.Run, r int, placement runio.Placement, seq int, cfg Config, afterPass srm.PassFunc, stats *Stats) (emitter[R], error) {
-	final, ss, _, err := srm.SortRunsOpts[R](sys, runs, r, placement, seq, srm.SortOpts{
+// mergeRuns runs the merge passes over runs — a fresh sort's formed runs
+// or a resumed sort's recovered ones — with the algorithm's merge,
+// records their statistics, and returns the iterator over the final run.
+func mergeRuns[R record.KernelRecord](sys *pdisk.System, runs []*runio.Run, r int, placement runio.Placement, seq int, cfg Config, afterPass srm.PassFunc, stats *Stats) (emitter[R], error) {
+	opts := srm.SortOpts{
 		Async:     cfg.Async,
 		Workers:   cfg.Workers,
 		Cores:     cfg.cores(),
 		AfterPass: afterPass,
-	})
+	}
+	var final *runio.Run
+	var ss srm.SortStats
+	var err error
+	if cfg.Algorithm == DSM {
+		final, ss, _, err = srm.SortRunsWith(sys, runs, r, placement, seq, opts, dsm.Merge[R](sys, cfg.Async))
+	} else {
+		final, ss, _, err = srm.SortRunsOpts[R](sys, runs, r, placement, seq, opts)
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -908,53 +910,4 @@ func sortPSV[R record.KernelRecord](sys *pdisk.System, file *runform.InputFile, 
 	stats.MergeWrites = ps.MergeWriteOps + ps.TransposeWriteOps
 	stats.TransposeOps = ps.TransposeReadOps + ps.TransposeWriteOps
 	return func(sink recordSink[R]) error { return runio.StreamBlocks(sys, final, false, sink) }, nil
-}
-
-// sortDSM forms DSM's striped runs and merges them. Run formation and
-// merging are driven separately so pass 0 (the formed runs) can be
-// checkpointed and reported before any merge pass.
-func sortDSM[R record.KernelRecord](sys *pdisk.System, file *runform.InputFile, m, r int, cfg Config, stats *Stats, cp *checkpointer, tr *progressTracker) (emitter[R], error) {
-	runs, err := dsm.FormRunsCores[R](sys, file, (m+1)/2, cfg.Async, cfg.cores())
-	if err != nil {
-		return nil, err
-	}
-	afterForm := sys.Stats()
-	stats.RunFormationReads = afterForm.ReadOps
-	stats.RunFormationWrites = afterForm.WriteOps
-	stats.InitialRuns = len(runs)
-	tr.formed(len(runs), len(runs), r, 0)
-	if len(runs) == 0 {
-		return func(recordSink[R]) error { return nil }, nil
-	}
-	var afterPass dsm.PassFunc
-	if cp != nil {
-		cp.man.InitialRuns = len(runs)
-		if err := cp.save(runGen{Pass: 0, Seq: len(runs), DSMRuns: dsmRunStates(runs)}); err != nil {
-			return nil, err
-		}
-	}
-	if cp != nil || tr != nil {
-		afterPass = func(pass int, survivors []*dsm.Run, seq int) error {
-			if cp != nil {
-				if err := cp.save(runGen{Pass: pass, Seq: seq, DSMRuns: dsmRunStates(survivors)}); err != nil {
-					return err
-				}
-			}
-			tr.pass(0, pass, len(survivors))
-			return nil
-		}
-	}
-	return mergeDSM[R](sys, runs, r, len(runs), cfg, afterPass, stats)
-}
-
-// mergeDSM is mergeSRM for the striped baseline.
-func mergeDSM[R record.KernelRecord](sys *pdisk.System, runs []*dsm.Run, r, seq int, cfg Config, afterPass dsm.PassFunc, stats *Stats) (emitter[R], error) {
-	final, ms, _, err := dsm.MergeAll[R](sys, runs, r, seq, dsm.MergeAllOpts{Async: cfg.Async, AfterPass: afterPass})
-	if err != nil {
-		return nil, err
-	}
-	stats.MergePasses = ms.MergePasses
-	stats.MergeReads = ms.MergeReadOps
-	stats.MergeWrites = ms.MergeWriteOps
-	return func(sink recordSink[R]) error { return dsm.StreamBlocks(sys, final, cfg.Async, sink) }, nil
 }
