@@ -27,8 +27,11 @@ func TestAsyncEquivalence(t *testing.T) {
 		return buf.Bytes()
 	}
 
-	for _, alg := range []Algorithm{SRM, SRMDeterministic, DSM} {
+	for _, alg := range []Algorithm{SRM, SRMDeterministic, DSM, PSV} {
 		for _, d := range []int{1, 2, 4, 8} {
+			if alg == PSV && d < 2 {
+				continue // PSV needs at least two disks to transpose across
+			}
 			// 0 is the default; it runs a pass's merges one at a time, as 1 does.
 			for _, workers := range []int{0, 1, 2, -1} {
 				name := fmt.Sprintf("%s/D=%d/workers=%d", alg, d, workers)

@@ -21,7 +21,7 @@ import (
 // behavior across the full matrix.
 func TestBackendEquivalenceMatrix(t *testing.T) {
 	in := benchRecords(3000, 9090)
-	encode := func(recs []Record) []byte {
+	encode := func(t *testing.T, recs []Record) []byte {
 		var buf bytes.Buffer
 		if err := WriteRecords(&buf, recs); err != nil {
 			t.Fatal(err)
@@ -34,11 +34,11 @@ func TestBackendEquivalenceMatrix(t *testing.T) {
 			if alg == PSV && d < 2 {
 				continue // PSV needs at least two disks to transpose across
 			}
-			asyncModes := []bool{false, true}
-			if alg == PSV {
-				asyncModes = []bool{false} // PSV always runs sync
-			}
 			t.Run(fmt.Sprintf("%s/D=%d", alg, d), func(t *testing.T) {
+				// Cells share nothing but the input; running them in
+				// parallel keeps the raced package within go test's
+				// default timeout.
+				t.Parallel()
 				// The sync in-memory serial cell is the reference every
 				// other (backend, async, cores) combination must
 				// reproduce exactly.
@@ -47,9 +47,9 @@ func TestBackendEquivalenceMatrix(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				refBytes := encode(refOut)
+				refBytes := encode(t, refOut)
 
-				for _, async := range asyncModes {
+				for _, async := range []bool{false, true} {
 					for _, backend := range []Backend{MemBackend, FileBackend} {
 						for _, cores := range []int{1, 2, runtime.GOMAXPROCS(0)} {
 							if backend == MemBackend && !async && cores == 1 {
@@ -64,7 +64,7 @@ func TestBackendEquivalenceMatrix(t *testing.T) {
 							if err != nil {
 								t.Fatalf("backend=%v async=%v cores=%d: %v", backend, async, cores, err)
 							}
-							if !bytes.Equal(encode(out), refBytes) {
+							if !bytes.Equal(encode(t, out), refBytes) {
 								t.Fatalf("backend=%v async=%v cores=%d: output differs from sync/mem/serial reference",
 									backend, async, cores)
 							}
@@ -90,7 +90,7 @@ func TestBackendEquivalenceMatrix(t *testing.T) {
 // every cell.
 func TestBackendEquivalenceMatrixVarlen(t *testing.T) {
 	in := benchVarRecords(1500, 9091)
-	encode := func(recs []VarRecord) []byte {
+	encode := func(t *testing.T, recs []VarRecord) []byte {
 		var buf bytes.Buffer
 		if err := WriteVarRecords(&buf, recs); err != nil {
 			t.Fatal(err)
@@ -104,20 +104,17 @@ func TestBackendEquivalenceMatrixVarlen(t *testing.T) {
 				if alg == PSV && d < 2 {
 					continue // PSV needs at least two disks to transpose across
 				}
-				asyncModes := []bool{false, true}
-				if alg == PSV {
-					asyncModes = []bool{false} // PSV always runs sync
-				}
 				t.Run(fmt.Sprintf("%s/%s/D=%d", codec, alg, d), func(t *testing.T) {
+					t.Parallel()
 					cfg := Config{D: d, B: 4, K: 2, Algorithm: alg, Seed: 31,
 						Backend: MemBackend, Cores: 1, Codec: codec}
 					refOut, refStats, err := SortVar(in, cfg)
 					if err != nil {
 						t.Fatal(err)
 					}
-					refBytes := encode(refOut)
+					refBytes := encode(t, refOut)
 
-					for _, async := range asyncModes {
+					for _, async := range []bool{false, true} {
 						for _, backend := range []Backend{MemBackend, FileBackend} {
 							for _, cores := range []int{1, runtime.GOMAXPROCS(0)} {
 								if backend == MemBackend && !async && cores == 1 {
@@ -132,7 +129,7 @@ func TestBackendEquivalenceMatrixVarlen(t *testing.T) {
 								if err != nil {
 									t.Fatalf("backend=%v async=%v cores=%d: %v", backend, async, cores, err)
 								}
-								if !bytes.Equal(encode(out), refBytes) {
+								if !bytes.Equal(encode(t, out), refBytes) {
 									t.Fatalf("backend=%v async=%v cores=%d: output differs from sync/mem/serial reference",
 										backend, async, cores)
 								}

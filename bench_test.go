@@ -19,9 +19,7 @@ import (
 	"srmsort/internal/occupancy"
 	"srmsort/internal/pdisk"
 	"srmsort/internal/pmerge"
-	"srmsort/internal/psv"
 	"srmsort/internal/record"
-	"srmsort/internal/runform"
 	"srmsort/internal/sim"
 	"srmsort/internal/timesim"
 )
@@ -254,7 +252,7 @@ func BenchmarkSortEndToEnd(b *testing.B) {
 					}
 					coresAxis := benchCoresAxis()
 					if alg == PSV {
-						coresAxis = coresAxis[:1] // PSV always runs serially
+						coresAxis = coresAxis[:1] // PSV's merge is serial: no cores axis
 					}
 					if codec != "fixed16" {
 						if d != 4 {
@@ -602,23 +600,9 @@ func BenchmarkOccupancyTrials(b *testing.B) {
 // pass per level. Reported io-ops include the transpositions.
 func BenchmarkBaselinePSV(b *testing.B) {
 	in := benchRecords(200_000, 99)
-	rec := make([]record.Record, len(in))
-	for i, r := range in {
-		rec[i] = record.Record{Key: record.Key(r.Key), Val: r.Val}
-	}
 	var ops int64
 	for i := 0; i < b.N; i++ {
-		sys, err := pdisk.NewSystem(pdisk.Config{D: 8, B: 64})
-		if err != nil {
-			b.Fatal(err)
-		}
-		file, err := runform.LoadInput(sys, rec)
-		if err != nil {
-			b.Fatal(err)
-		}
-		sys.ResetStats()
-		m := analysis.MemoryForK(4, 8, 64)
-		_, stats, err := psv.Sort[record.Record](sys, file, (m+1)/2, (m/64-16)/8)
+		_, stats, err := Sort(in, Config{D: 8, B: 64, K: 4, Algorithm: PSV})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -274,14 +274,14 @@ func storeFrontiers(sys *pdisk.System) ([]int, error) {
 
 // runPlacement returns the source of the sort's starting disks after
 // draws of them: DSM starts every run on disk 0 (disk striping) and the
-// deterministic variant staggers them, both statelessly, while SRM draws
+// deterministic variant and PSV stagger them, statelessly, while SRM draws
 // them from the seeded RNG — a resumed sort replays the recorded number of
 // draws, so it continues exactly where the interrupted sort left off.
 func runPlacement(cfg Config, draws int64) runio.Placement {
 	switch cfg.Algorithm {
 	case DSM:
 		return runio.FixedPlacement{Disk: 0}
-	case SRMDeterministic:
+	case SRMDeterministic, PSV:
 		return runio.StaggeredPlacement{D: cfg.D}
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
@@ -302,7 +302,7 @@ func runStates(runs []*runio.Run) []runio.RunState {
 
 // resumeMerge re-enters the merge loop from a verified manifest
 // generation and returns the final-run iterator, exactly like
-// runAlgorithm does for a fresh sort. Completed passes are not redone:
+// sortRuns does for a fresh sort. Completed passes are not redone:
 // stats counts only the work performed now.
 func resumeMerge[R record.KernelRecord](sys *pdisk.System, store pdisk.Store, man *manifest, cfg Config, r int, stats *Stats, tr *progressTracker) (emitter[R], error) {
 	gen, err := chooseGen(sys, man)
@@ -331,7 +331,7 @@ func resumeMerge[R record.KernelRecord](sys *pdisk.System, store pdisk.Store, ma
 		runs[i] = runio.RunFromState(st)
 	}
 	counting := &runio.CountingPlacement{Inner: runPlacement(cfg, gen.Draws)}
-	return mergeRuns[R](sys, runs, r, counting, gen.Seq, cfg, func(pass int, survivors []*runio.Run, seq int) error {
+	return mergeRuns[R](sys, runs, man.M, r, counting, gen.Seq, cfg, func(pass int, survivors []*runio.Run, seq int) error {
 		if err := cp.save(runGen{
 			Pass:  gen.Pass + pass,
 			Seq:   seq,

@@ -14,9 +14,8 @@ import (
 	"srmsort/internal/pdisk"
 )
 
-// ckptAlgorithms are the algorithms supporting Checkpoint (PSV is
-// excluded by construction).
-var ckptAlgorithms = []Algorithm{SRM, SRMDeterministic, DSM}
+// ckptAlgorithms are the algorithms Checkpoint is tested under: all four.
+var ckptAlgorithms = []Algorithm{SRM, SRMDeterministic, DSM, PSV}
 
 // noSleep makes retry backoff instant in tests.
 func noSleep(policy pdisk.RetryPolicy) *pdisk.RetryPolicy {
@@ -133,9 +132,9 @@ func TestKillAndResumeByteIdentical(t *testing.T) {
 }
 
 func TestKillAndResumeAcrossExecutionModes(t *testing.T) {
-	// The checkpoint hooks thread through every execution mode of SRM and
-	// DSM: serial, overlapped I/O, parallel workers, and both combined. A
-	// kill in any of them must resume to the same bytes.
+	// The checkpoint hooks thread through every execution mode of SRM, DSM
+	// and PSV: serial, overlapped I/O, parallel workers, and both combined.
+	// A kill in any of them must resume to the same bytes.
 	in := randomRecords(2200, 29)
 	modes := []struct {
 		name    string
@@ -151,6 +150,10 @@ func TestKillAndResumeAcrossExecutionModes(t *testing.T) {
 		{"dsm-async", DSM, true, 0},
 		{"dsm-workers", DSM, false, 4},
 		{"dsm-async-workers", DSM, true, 4},
+		{"psv-serial", PSV, false, 0},
+		{"psv-async", PSV, true, 0},
+		{"psv-workers", PSV, false, 4},
+		{"psv-async-workers", PSV, true, 4},
 	}
 	for _, mode := range modes {
 		t.Run(mode.name, func(t *testing.T) {
@@ -406,14 +409,6 @@ func TestResumeVarRejectsMismatchedCodec(t *testing.T) {
 		if !bytes.Equal(out[i].Key, want[i].Key) || !bytes.Equal(out[i].Payload, want[i].Payload) {
 			t.Fatalf("record %d differs from the fault-free run", i)
 		}
-	}
-}
-
-func TestCheckpointRejectsPSV(t *testing.T) {
-	in := randomRecords(600, 71)
-	_, _, err := Sort(in, Config{D: 4, B: 16, K: 4, Algorithm: PSV, Checkpoint: true})
-	if err == nil {
-		t.Fatal("PSV accepted Checkpoint")
 	}
 }
 

@@ -79,9 +79,9 @@ func main() {
 		codec    = flag.String("codec", "fixed16", "record codec: fixed16, varlen, varlen+flate")
 		dir      = flag.String("dir", "", "directory for -backend file disk files (default: fresh temp dir)")
 		seed     = flag.Int64("seed", 1, "random seed (placement and input)")
-		workers  = flag.Int("workers", 0, "goroutines for a pass's merges (SRM and DSM; -1 = GOMAXPROCS)")
+		workers  = flag.Int("workers", 0, "goroutines for a pass's merges (-1 = GOMAXPROCS; identical output and I/O statistics)")
 		cores    = flag.Int("cores", 0, "cores per sort step: chunked run formation and sharded merging (0 = GOMAXPROCS, 1 = serial; identical output)")
-		async    = flag.Bool("async", false, "overlap I/O with merging (SRM/DSM; identical output and I/O statistics)")
+		async    = flag.Bool("async", false, "overlap I/O with merging (SRM and DSM merges, every result stream; identical output and I/O statistics)")
 		verify   = flag.Bool("verify", true, "verify the output is sorted")
 		inFile   = flag.String("infile", "", "read wire-format records from this file instead of generating (-n ignored)")
 		outFile  = flag.String("outfile", "", "write the sorted wire-format records to this file")

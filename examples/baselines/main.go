@@ -99,17 +99,21 @@ func main() {
 		sys := mustSys(d, b)
 		file := mustLoad(sys, input)
 		sys.ResetStats()
-		bufBlocks := (m/b - 2*d) / d // per-run lookahead from the same memory
-		final, stats, err := psv.Sort[record.Record](sys, file, load, bufBlocks)
+		pl := runio.StaggeredPlacement{D: d} // run s starts on disk s mod D
+		formed, err := runform.MemoryLoad[record.Record](sys, file, load, pl, 0)
 		if err != nil {
 			log.Fatal(err)
 		}
+		final, stats, _, err := srm.SortRunsWith(sys, formed.Runs, d, pl, formed.NextSeq, srm.SortOpts{},
+			psv.Merge[record.Record](sys, analysis.PSVLookahead(m, d, b)))
+		if err != nil {
+			log.Fatal(err)
+		}
+		total := sys.Stats().Ops()
 		verify(sys, final, want)
-		total := stats.TotalOps()
 		fmt.Printf("%6s %8d %8d %12d %12d %12d %12.2f\n",
-			"PSV", d, stats.MergeLevels, stats.MergeReadOps+stats.MergeWriteOps,
-			stats.TransposeReadOps+stats.TransposeWriteOps,
-			total, float64(total)/float64(srmTotal))
+			"PSV", d, stats.MergePasses, stats.ReadOps+stats.WriteOps-stats.TransposeOps,
+			stats.TransposeOps, total, float64(total)/float64(srmTotal))
 	}
 
 	fmt.Println("\nmerge ops exclude the shared run-formation pass; 'transpose' is PSV's")

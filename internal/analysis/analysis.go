@@ -38,6 +38,17 @@ func DSMMergeOrder(m, d, b int) int {
 	return r
 }
 
+// PSVLookahead returns the blocks of lookahead buffer each of PSV's D
+// runs gets, (M/B − 2D)/D: the output keeps 2D blocks, as DSM's does, and
+// the rest is shared evenly by the runs (Section 2.1's comparator).
+func PSVLookahead(m, d, b int) int {
+	buf := (m/b - 2*d) / d
+	if buf < 0 {
+		return 0
+	}
+	return buf
+}
+
 // MemoryForK returns the memory size (in records) the paper uses in its
 // comparisons for a given k = R/D: M = (2k+4)DB + kD² (Section 9.1).
 func MemoryForK(k, d, b int) int {

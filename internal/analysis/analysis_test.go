@@ -40,6 +40,17 @@ func TestDSMMergeOrder(t *testing.T) {
 	}
 }
 
+func TestPSVLookahead(t *testing.T) {
+	// (M/B − 2D)/D: 100 blocks on 8 disks leave (100−16)/8 = 10 blocks
+	// per run; memory short of the output's 2D blocks leaves none.
+	if got := PSVLookahead(MemoryForK(4, 8, 64), 8, 64); got != 10 {
+		t.Errorf("PSVLookahead(100 blocks, D=8) = %d, want 10", got)
+	}
+	if got := PSVLookahead(20*4, 8, 4); got != 0 {
+		t.Errorf("PSVLookahead(20 blocks, D=8) = %d, want 0", got)
+	}
+}
+
 func TestCoefficients(t *testing.T) {
 	// C_SRM with v=1, k=10, D=10: 2/ln(100) ~ 0.434.
 	if got := CSRM(1.0, 10, 10); math.Abs(got-2/math.Log(100)) > 1e-12 {

@@ -240,10 +240,6 @@ func Run(c Cell) (Result, error) {
 	if err != nil {
 		return Result{}, fmt.Errorf("chaos: reference sort: %w", err)
 	}
-
-	if c.Algorithm == srmsort.PSV {
-		return c.runRestartFromScratch(want)
-	}
 	return c.runCheckpointed(want)
 }
 
@@ -317,41 +313,4 @@ func (c Cell) runCheckpointed(want []byte) (Result, error) {
 		return res, fmt.Errorf("chaos: output differs from fault-free run (attempts=%d)", res.Attempts)
 	}
 	return res, nil
-}
-
-// runRestartFromScratch is the recovery story for PSV, which does not
-// support checkpointing: transient faults are absorbed by retries, and a
-// residual failure restarts the whole sort on a fresh store.
-func (c Cell) runRestartFromScratch(want []byte) (Result, error) {
-	res := Result{}
-	for {
-		res.Attempts++
-		inner, err := c.newInner()
-		if err != nil {
-			return res, err
-		}
-		fault := pdisk.NewFaultStore(inner, c.faultConfig())
-		cfg := c.config()
-		cfg.Store = fault
-		cfg.Retry = c.retryPolicy()
-		cfg.Deadline = c.deadlinePolicy()
-		out, err := c.sortEncoded(cfg, false)
-		inner.Close()
-		if err == nil {
-			if !bytes.Equal(out, want) {
-				return res, fmt.Errorf("chaos: PSV output differs from fault-free run")
-			}
-			return res, nil
-		}
-		if res.Attempts >= c.MaxAttempts {
-			return res, fmt.Errorf("chaos: PSV still failing after %d attempts: %w", res.Attempts, err)
-		}
-		if c.Backend == srmsort.FileBackend {
-			// A fresh incarnation must not recover the dead attempt's
-			// blocks as live state.
-			if fs, ok := inner.(*pdisk.FileStore); ok {
-				fs.Remove()
-			}
-		}
-	}
 }

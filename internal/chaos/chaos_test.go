@@ -35,7 +35,7 @@ func TestChaosMatrix(t *testing.T) {
 					Records:   1200,
 					Seed:      seed,
 					FailProb:  0.05,
-					Kill:      alg != srmsort.PSV,
+					Kill:      true,
 				}
 				name := fmt.Sprintf("%v-%s-D%d", alg, backend, d)
 				t.Run(name, func(t *testing.T) {
@@ -108,14 +108,14 @@ func TestChaosCoresResume(t *testing.T) {
 // TestChaosVarlen is the codec axis of the chaos matrix: variable-length
 // sorts killed mid-write under transient faults, resumed under the codec
 // the checkpoint manifest records, and byte-compared (in wire encoding)
-// against the fault-free run. PSV runs the restart-from-scratch story.
+// against the fault-free run.
 func TestChaosVarlen(t *testing.T) {
 	cells := []Cell{
 		{Algorithm: srmsort.SRM, Backend: srmsort.MemBackend, D: 4, Codec: "varlen", Kill: true},
 		{Algorithm: srmsort.SRM, Backend: srmsort.FileBackend, D: 4, Codec: "varlen", Kill: true},
 		{Algorithm: srmsort.SRM, Backend: srmsort.FileBackend, D: 2, Codec: "varlen+flate", Kill: true},
 		{Algorithm: srmsort.DSM, Backend: srmsort.FileBackend, D: 4, Codec: "varlen", Kill: true},
-		{Algorithm: srmsort.PSV, Backend: srmsort.FileBackend, D: 4, Codec: "varlen"},
+		{Algorithm: srmsort.PSV, Backend: srmsort.FileBackend, D: 4, Codec: "varlen", Kill: true},
 	}
 	for i, cell := range cells {
 		cell.Records = 1000

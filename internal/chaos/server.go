@@ -64,8 +64,14 @@ type ServerResult struct {
 
 // serverSpec is the geometry every job in the matrix uses — small enough
 // that 20+ jobs with faults stay fast, large enough for multi-pass merges.
+// Every third seed sorts with PSV instead of SRM, so the matrix resumes
+// PSV jobs from their checkpoints too.
 func serverSpec(seed int64) jobs.Spec {
-	return jobs.Spec{Algorithm: "srm", D: 4, B: 8, K: 3, Seed: seed}
+	alg := "srm"
+	if seed%3 == 0 {
+		alg = "psv"
+	}
+	return jobs.Spec{Algorithm: alg, D: 4, B: 8, K: 3, Seed: seed}
 }
 
 // RunServer executes the scenario with job state rooted at root.

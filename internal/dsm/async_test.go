@@ -121,16 +121,20 @@ func TestSortAsyncInjectedFaults(t *testing.T) {
 	all := g.Random(1000)
 
 	// The store counts operations from construction, so fault points must
-	// be offset by the traffic LoadInput generates before the sort starts.
+	// be offset by the traffic LoadInput generates before the sort starts,
+	// and by run formation, which reads and writes each of the input's
+	// blocks once: the read and write faults fire 120 blocks into the
+	// first merge pass. The first free follows the first merge.
+	const formBlocks = 1000 / 4
 	for _, fault := range []struct {
 		name string
 		set  func(*pdisk.FaultStore, pdisk.Stats)
 	}{
 		{"read", func(fs *pdisk.FaultStore, s pdisk.Stats) {
-			fs.Configure(pdisk.FaultConfig{FailReadAt: s.BlocksRead + 120})
+			fs.Configure(pdisk.FaultConfig{FailReadAt: s.BlocksRead + formBlocks + 120})
 		}},
 		{"write", func(fs *pdisk.FaultStore, s pdisk.Stats) {
-			fs.Configure(pdisk.FaultConfig{FailWriteAt: s.BlocksWritten + 120})
+			fs.Configure(pdisk.FaultConfig{FailWriteAt: s.BlocksWritten + formBlocks + 120})
 		}},
 		{"free", func(fs *pdisk.FaultStore, s pdisk.Stats) {
 			fs.Configure(pdisk.FaultConfig{FailFreeAt: 1})
@@ -146,9 +150,14 @@ func TestSortAsyncInjectedFaults(t *testing.T) {
 			t.Fatal(err)
 		}
 		fault.set(fs, sys.Stats())
-		_, err = sortFile(sys, file, 80, 3, true)
+		res, err := sortFile(sys, file, 80, 3, true)
 		if !errors.Is(err, pdisk.ErrInjected) {
 			t.Fatalf("%s fault: %v, want ErrInjected", fault.name, err)
+		}
+		// sortFile reports the formed runs only once formation has
+		// succeeded, so the fault failed an op of the merge passes.
+		if res.initialRuns == 0 {
+			t.Fatalf("%s fault fired in run formation, not in the merge", fault.name)
 		}
 		if err := sys.Close(); err != nil {
 			t.Fatal(err)

@@ -965,9 +965,7 @@ func (m *Manager) runJob(j *Job, resume bool) {
 		return
 	}
 	cfg.Store = ks
-	// PSV is monolithic (no per-pass hooks), so it cannot checkpoint;
-	// its jobs restart from the persisted input instead of a manifest.
-	cfg.Checkpoint = cfg.Algorithm != srmsort.PSV
+	cfg.Checkpoint = true
 	cfg.Retry = m.opts.Retry
 	cfg.Deadline = m.opts.Deadline
 	cfg.Gate = m.gate

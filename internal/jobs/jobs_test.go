@@ -905,6 +905,66 @@ func TestDoneJobDiscardsDisks(t *testing.T) {
 	}
 }
 
+// TestPSVJobResumesFromCheckpoint: a durable PSV job whose first attempt
+// fails on a write mid-merge (the server has no retry policy) finishes in
+// its second attempt from its checkpoint manifest — its Stats count no
+// run formation — with the result of a direct sort.
+func TestPSVJobResumesFromCheckpoint(t *testing.T) {
+	spec := testSpec(3)
+	spec.Algorithm = "psv"
+	in, want := genInput(t, spec, 2000, 14)
+
+	// Learn the sort's block writes fault-free, then fail the write 60%
+	// of the way through them: past run formation, inside a merge pass.
+	cfg, err := spec.Config()
+	if err != nil {
+		t.Fatal(err)
+	}
+	probe := pdisk.NewFaultStore(pdisk.NewMemStore(), pdisk.FaultConfig{})
+	cfg.Store = probe
+	cfg.Checkpoint = true
+	if _, err := srmsort.SortStream(bytes.NewReader(in), io.Discard, cfg); err != nil {
+		t.Fatal(err)
+	}
+	failAt := probe.OpCount("write") * 3 / 5
+	probe.Close()
+
+	m, err := NewManager(Options{
+		Root:         t.TempDir(),
+		MemoryBudget: 100_000,
+		Defaults:     testSpec(1),
+		StoreWrap: func(_ string, inner pdisk.Store) pdisk.Store {
+			return pdisk.NewFaultStore(inner, pdisk.FaultConfig{FailWriteAt: failAt})
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Kill()
+	j, err := m.Submit(spec, bytes.NewReader(in))
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := waitJob(t, j)
+	if st.State != StateDone {
+		t.Fatalf("state = %s (%s)", st.State, st.Error)
+	}
+	if st.Attempts != 2 {
+		t.Fatalf("attempts = %d, want 2 (the failed write, then the resume)", st.Attempts)
+	}
+	if st.Stats == nil || st.Stats.RunFormationWrites != 0 || st.Stats.MergePasses == 0 {
+		t.Fatalf("stats %+v: want a resume from the checkpoint (no formation, some merging)", st.Stats)
+	}
+	rc, _, err := m.Result(j.ID())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rc.Close()
+	if got, _ := io.ReadAll(rc); !bytes.Equal(got, want) {
+		t.Fatal("resumed PSV job's result differs from a direct sort")
+	}
+}
+
 // TestRecoverLegacyWorkersSpec: a job directory whose spec.json still
 // carries the removed per-job "workers" field recovers on restart; the
 // stale field is ignored.

@@ -142,10 +142,17 @@ func (c *timerCtl) clockReads() int {
 // and releasing the stuck attempt can no longer change it.
 func (c *timerCtl) waitJoined(t *testing.T, n int) {
 	t.Helper()
+	waitFor(t, "the retry to start its attempt", func() bool { return c.clockReads() > n })
+}
+
+// waitFor polls cond until it holds, failing the test after ten seconds
+// of waiting for what.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
-	for c.clockReads() <= n {
+	for !cond() {
 		if time.Now().After(deadline) {
-			t.Fatal("the retry never started its attempt")
+			t.Fatalf("timed out waiting for %s", what)
 		}
 		time.Sleep(100 * time.Microsecond)
 	}
@@ -210,13 +217,7 @@ func (c *timerCtl) count() int {
 // waitTimers blocks until at least n timers are registered.
 func (c *timerCtl) waitTimers(t *testing.T, n int) {
 	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for c.count() < n {
-		if time.Now().After(deadline) {
-			t.Fatalf("only %d of %d timers registered", c.count(), n)
-		}
-		time.Sleep(100 * time.Microsecond)
-	}
+	waitFor(t, "the timers to register", func() bool { return c.count() >= n })
 }
 
 // A read abandoned at its deadline must surface a DeadlineError that is

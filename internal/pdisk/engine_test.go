@@ -124,30 +124,41 @@ func TestEngineHedgeWins(t *testing.T) {
 			}
 		}
 		ctl := &timerCtl{}
-		sys := engineSystem(t, st, nil, &DeadlinePolicy{HedgeAfter: 5 * time.Millisecond, After: ctl.After, Now: ctl.Now})
+		tracker := NewHealthTracker() // readable while the op holds the System
+		sys := engineSystem(t, st, nil, &DeadlinePolicy{HedgeAfter: 5 * time.Millisecond, After: ctl.After, Now: ctl.Now, Tracker: tracker})
 		defer sys.Close()
 		type res struct {
 			blks []StoredBlock
 			err  error
 		}
 		resc := make(chan res, 1)
+		reads := ctl.clockReads()
 		go func() {
 			b, err := sys.ReadBlocks([]BlockAddr{a0, a1})
 			resc <- res{b, err}
 		}()
 		inner.waitParked(t, "read", 1)
-		// The first tick is armed for the first transfer's hedge point.
-		// Off a serial store either transfer may be the stuck one; a tick
-		// finding the other one in flight re-arms for its own hedge point.
-		var r res
-		for i := 0; ; i++ {
+		if _, concurrent := st.(nonSerial); concurrent {
+			// Off a serial store both transfers run at once and either
+			// may be the stuck one. A tick hedges every read in flight
+			// past its hedge point, so the other one must finish first:
+			// the clock is read at both attempts' starts and at the
+			// other's finish, once it has left the running state.
+			waitFor(t, "the other transfer to finish", func() bool { return ctl.clockReads() >= reads+3 })
+		}
+		// Fire ticks only until one has started the hedge leg, then wait
+		// for the read: a further tick could hedge the second block too.
+		// A tick that starts no hedge arms the op's next timer.
+		hedged := func() bool { return tracker.Snapshot().HedgedReads > 0 }
+		for i := 0; !hedged(); i++ {
 			ctl.fire(t, i)
-			select {
-			case r = <-resc:
-			case <-time.After(50 * time.Millisecond):
-				continue
-			}
-			break
+			waitFor(t, "a hedge or the next timer", func() bool { return hedged() || ctl.count() > i+1 })
+		}
+		var r res
+		select {
+		case r = <-resc:
+		case <-time.After(10 * time.Second):
+			t.Fatal("the hedged read never finished")
 		}
 		if r.err != nil {
 			t.Fatal(r.err)

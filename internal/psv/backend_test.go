@@ -11,7 +11,7 @@ import (
 	"srmsort/internal/storetest"
 )
 
-// The PSV transposition sort runs identically over every store backend:
+// The PSV mergesort runs identically over every store backend:
 // same sorted output, same I/O statistics.
 func TestSortBackendEquivalence(t *testing.T) {
 	const d, b = 4, 4
@@ -33,7 +33,7 @@ func TestSortBackendEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		sys.ResetStats()
-		final, _, err := Sort[record.Record](sys, file, 80, 2)
+		final, _, err := sortFile[record.Record](sys, file, 80, 2, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,8 +1,7 @@
-// Package psv implements the merging scheme of Pai, Schaffer & Varman
-// ("Markov analysis of multiple-disk prefetching strategies for external
-// merging", TCS 1994) that the paper discusses in Section 2.1 as prior
-// work, together with the transposition pass a mergesort built on it
-// needs.
+// Package psv implements the merge of Pai, Schaffer & Varman ("Markov
+// analysis of multiple-disk prefetching strategies for external merging",
+// TCS 1994) that the paper discusses in Section 2.1 as prior work,
+// together with the transposition pass a mergesort built on it needs.
 //
 // In the PSV scheme each of the R = D input runs resides entirely on its
 // own disk, so a parallel read can fetch the next block of every run at
@@ -20,13 +19,13 @@
 //     destination disk) to run at full parallelism: Θ(D²B) records, which
 //     is the paper's "internal memory size needs to be Ω(D²B)".
 //
-// The package exists as a faithful comparator: tests verify correctness
-// and the cost model (merge reads ≈ the slowest disk's block count;
-// transposition = one full read pass + one full write pass), and the
-// benchmark harness compares full sorts against SRM and DSM. Its merge
-// runs the kernel every merger shares (ltree.Kernel) over each run's
-// queue of buffered blocks; PSV adds only the read decisions it makes
-// when a block ends.
+// Between merge levels a PSV run is an ordinary striped runio.Run: the
+// root package forms the runs with package runform, starting run s on
+// disk s mod D (runio.StaggeredPlacement), and merges them D at a time in
+// srm.SortRunsWith's pass loop, like SRM and DSM. Only the work on one
+// group of runs differs, and Merge is that work. Its merge runs the kernel
+// every merger shares (ltree.Kernel) over each run's queue of buffered
+// blocks; PSV adds only the read decisions it makes when a block ends.
 package psv
 
 import (
@@ -36,6 +35,7 @@ import (
 	"srmsort/internal/pdisk"
 	"srmsort/internal/record"
 	"srmsort/internal/runio"
+	"srmsort/internal/srm"
 )
 
 // DiskRun is a sorted run resident entirely on one disk, stored as
@@ -101,42 +101,60 @@ func FreeDiskRun(sys *pdisk.System, r *DiskRun) error {
 	return sys.FreeBlocks(addrs...)
 }
 
-// MergeStats reports one PSV merge.
-type MergeStats struct {
-	ReadOps  int64
-	WriteOps int64
-	// Stalls counts merge waits on an empty buffer whose run still had
-	// blocks on disk (the event PSV's Markov analysis studies).
-	Stalls int64
-	// MaxBuffered is the high-water mark of buffered blocks across runs.
-	MaxBuffered int
+// Merge returns PSV's merge for srm.SortRunsWith. It transposes the
+// group's striped runs so that run j lies on disk j (Transpose), merges
+// those one-disk runs back into the striped run id whose block 0 lies on
+// disk start, and frees them; the pass loop frees the striped inputs.
+// Each run gets a lookahead buffer of bufBlocks blocks
+// (analysis.PSVLookahead). The merge counts its own operations, the
+// transposition's included and also reported as TransposeOps, so its
+// statistics stay exact when merges share the System.
+func Merge[R record.KernelRecord](sys *pdisk.System, bufBlocks int) srm.MergeFunc {
+	return func(runs []*runio.Run, id, start int) (*runio.Run, srm.MergeStats, error) {
+		diskRuns, ts, err := Transpose(sys, runs)
+		if err != nil {
+			return nil, srm.MergeStats{}, err
+		}
+		out, ms, err := mergeDiskRuns[R](sys, diskRuns, bufBlocks, id, start)
+		if err != nil {
+			return nil, ms, err
+		}
+		ms.ReadOps += ts.ReadOps
+		ms.WriteOps += ts.WriteOps
+		ms.TransposeOps = ts.ReadOps + ts.WriteOps
+		for _, r := range diskRuns {
+			if err := FreeDiskRun(sys, r); err != nil {
+				return nil, ms, err
+			}
+		}
+		return out, ms, nil
+	}
 }
 
-// Merge merges up to D single-disk runs (at most one per disk) into a
-// striped output run written through the runio writer (full write
+// mergeDiskRuns merges up to D single-disk runs (at most one per disk)
+// into a striped output run written through the runio writer (full write
 // parallelism). Each run gets a lookahead buffer of bufBlocks blocks;
 // whenever any buffer has space and its run has unread blocks, a parallel
 // read fetches the next block of every such run in one operation.
-func Merge[R record.KernelRecord](sys *pdisk.System, runs []*DiskRun, bufBlocks, outID, outStartDisk int) (*runio.Run, MergeStats, error) {
+func mergeDiskRuns[R record.KernelRecord](sys *pdisk.System, runs []*DiskRun, bufBlocks, outID, outStartDisk int) (*runio.Run, srm.MergeStats, error) {
+	var stats srm.MergeStats
 	if len(runs) == 0 {
-		return nil, MergeStats{}, fmt.Errorf("psv: merge of zero runs")
+		return nil, stats, fmt.Errorf("psv: merge of zero runs")
 	}
 	if len(runs) > sys.D() {
-		return nil, MergeStats{}, fmt.Errorf("psv: %d runs exceed D=%d (one run per disk)", len(runs), sys.D())
+		return nil, stats, fmt.Errorf("psv: %d runs exceed D=%d (one run per disk)", len(runs), sys.D())
 	}
 	if bufBlocks < 1 {
-		return nil, MergeStats{}, fmt.Errorf("psv: buffer of %d blocks", bufBlocks)
+		return nil, stats, fmt.Errorf("psv: buffer of %d blocks", bufBlocks)
 	}
 	seen := make(map[int]bool)
 	for _, r := range runs {
 		if seen[r.Disk] {
-			return nil, MergeStats{}, fmt.Errorf("psv: two runs on disk %d", r.Disk)
+			return nil, stats, fmt.Errorf("psv: two runs on disk %d", r.Disk)
 		}
 		seen[r.Disk] = true
 	}
 
-	var stats MergeStats
-	writesBefore := sys.Stats().WriteOps
 	// queue[i] holds run i's buffered blocks, the one being merged first.
 	queue := make([][][]R, len(runs))
 	next := make([]int, len(runs)) // next block index to read
@@ -166,11 +184,6 @@ func Merge[R record.KernelRecord](sys *pdisk.System, runs []*DiskRun, bufBlocks,
 			queue[i] = append(queue[i], pdisk.RecsOf[R](blk))
 			next[i]++
 		}
-		total := 0
-		for i := range runs {
-			total += len(queue[i])
-		}
-		stats.MaxBuffered = max(stats.MaxBuffered, total)
 		return nil
 	}
 
@@ -214,7 +227,6 @@ func Merge[R record.KernelRecord](sys *pdisk.System, runs []*DiskRun, bufBlocks,
 		}
 		if len(queue[i]) == 0 && next[i] < runs[i].NumBlocks() {
 			// The merge is blocked on this run: PSV reads on demand.
-			stats.Stalls++
 			if err := parRead(); err != nil {
 				return nil, stats, err
 			}
@@ -227,7 +239,8 @@ func Merge[R record.KernelRecord](sys *pdisk.System, runs []*DiskRun, bufBlocks,
 	if err != nil {
 		return nil, stats, err
 	}
-	stats.WriteOps = sys.Stats().WriteOps - writesBefore
+	stats.WriteOps = w.WriteOps()
+	stats.RecordsOut = out.Records
 	return out, stats, nil
 }
 

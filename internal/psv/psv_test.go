@@ -1,6 +1,7 @@
 package psv
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -8,6 +9,7 @@ import (
 	"srmsort/internal/record"
 	"srmsort/internal/runform"
 	"srmsort/internal/runio"
+	"srmsort/internal/srm"
 )
 
 func newSys(t testing.TB, d, b int) *pdisk.System {
@@ -17,6 +19,34 @@ func newSys(t testing.TB, d, b int) *pdisk.System {
 		t.Fatal(err)
 	}
 	return sys
+}
+
+// sortStats is what a PSV mergesort did: its formation's run count and
+// its merge passes' statistics.
+type sortStats struct {
+	InitialRuns int
+	srm.SortStats
+}
+
+// sortFile is a PSV mergesort of the striped input file as the root
+// package runs it: runs of load records starting on disk s mod D, merged
+// D at a time by Merge in srm.SortRunsWith's pass loop, on workers
+// goroutines. An empty input sorts to an empty run.
+func sortFile[R record.KernelRecord](sys *pdisk.System, file *runform.InputFile, load, bufBlocks, workers int) (*runio.Run, sortStats, error) {
+	pl := runio.StaggeredPlacement{D: sys.D()}
+	formed, err := runform.MemoryLoad[R](sys, file, load, pl, 0)
+	if err != nil {
+		return nil, sortStats{}, err
+	}
+	stats := sortStats{InitialRuns: len(formed.Runs)}
+	if len(formed.Runs) == 0 {
+		empty, err := runio.NewWriter[R](sys, 0, 0).Finish()
+		return empty, stats, err
+	}
+	final, ss, _, err := srm.SortRunsWith(sys, formed.Runs, sys.D(), pl, formed.NextSeq,
+		srm.SortOpts{Workers: workers}, Merge[R](sys, bufBlocks))
+	stats.SortStats = ss
+	return final, stats, err
 }
 
 func TestDiskRunRoundTrip(t *testing.T) {
@@ -58,7 +88,7 @@ func TestMergeCorrect(t *testing.T) {
 		}
 		runs = append(runs, r)
 	}
-	out, stats, err := Merge[record.Record](sys, runs, 3, 99, 0)
+	out, stats, err := mergeDiskRuns[record.Record](sys, runs, 3, 99, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,13 +128,13 @@ func TestMergeValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := Merge[record.Record](sys, []*DiskRun{r0, r1}, 2, 9, 0); err == nil {
+	if _, _, err := mergeDiskRuns[record.Record](sys, []*DiskRun{r0, r1}, 2, 9, 0); err == nil {
 		t.Fatal("two runs on one disk accepted")
 	}
-	if _, _, err := Merge[record.Record](sys, nil, 2, 9, 0); err == nil {
+	if _, _, err := mergeDiskRuns[record.Record](sys, nil, 2, 9, 0); err == nil {
 		t.Fatal("zero runs accepted")
 	}
-	if _, _, err := Merge[record.Record](sys, []*DiskRun{r0}, 0, 9, 0); err == nil {
+	if _, _, err := mergeDiskRuns[record.Record](sys, []*DiskRun{r0}, 0, 9, 0); err == nil {
 		t.Fatal("zero buffer accepted")
 	}
 }
@@ -125,7 +155,7 @@ func TestTransposeCorrectAndParallel(t *testing.T) {
 		want = append(want, recs)
 	}
 	sys.ResetStats()
-	diskRuns, stats, err := Transpose(sys, striped, 0)
+	diskRuns, stats, err := Transpose(sys, striped)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,13 +201,13 @@ func TestTransposeUnevenRuns(t *testing.T) {
 		}
 		striped = append(striped, run)
 	}
-	diskRuns, _, err := Transpose(sys, striped, 1)
+	diskRuns, _, err := Transpose(sys, striped)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for j, dr := range diskRuns {
-		if dr.Disk != (j+1)%3 {
-			t.Fatalf("offset placement wrong: run %d on disk %d", j, dr.Disk)
+		if dr.Disk != j {
+			t.Fatalf("run %d landed on disk %d", j, dr.Disk)
 		}
 		got, err := ReadAllDiskRun[record.Record](sys, dr)
 		if err != nil {
@@ -198,7 +228,7 @@ func TestSortEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	sys.ResetStats()
-	out, stats, err := Sort[record.Record](sys, file, 125, 4)
+	out, stats, err := sortFile[record.Record](sys, file, 125, 4, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,10 +243,10 @@ func TestSortEndToEnd(t *testing.T) {
 		t.Fatalf("initial runs = %d, want 32", stats.InitialRuns)
 	}
 	// 32 runs merged D=4 at a time: 3 levels; transpositions add I/O.
-	if stats.MergeLevels != 3 {
-		t.Fatalf("levels = %d, want 3", stats.MergeLevels)
+	if stats.MergePasses != 3 {
+		t.Fatalf("levels = %d, want 3", stats.MergePasses)
 	}
-	if stats.TransposeReadOps == 0 || stats.TransposeWriteOps == 0 {
+	if stats.TransposeOps == 0 {
 		t.Fatal("no transposition cost recorded")
 	}
 }
@@ -227,7 +257,7 @@ func TestSortEmpty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, _, err := Sort[record.Record](sys, file, 8, 2)
+	out, _, err := sortFile[record.Record](sys, file, 8, 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,12 +278,12 @@ func TestTranspositionOverheadIsVisible(t *testing.T) {
 		t.Fatal(err)
 	}
 	sys.ResetStats()
-	_, stats, err := Sort[record.Record](sys, file, 125, 4)
+	_, stats, err := sortFile[record.Record](sys, file, 125, 4, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mergeOps := stats.MergeReadOps + stats.MergeWriteOps
-	transOps := stats.TransposeReadOps + stats.TransposeWriteOps
+	transOps := stats.TransposeOps
+	mergeOps := stats.ReadOps + stats.WriteOps - transOps
 	// Transposition is a full read+write pass per level, comparable in
 	// magnitude to the merges themselves.
 	if transOps < mergeOps/3 {
@@ -276,7 +306,7 @@ func TestPropertySortCorrect(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		out, _, err := Sort[record.Record](sys, file, 60, 3)
+		out, _, err := sortFile[record.Record](sys, file, 60, 3, 0)
 		if err != nil {
 			return false
 		}
@@ -288,5 +318,53 @@ func TestPropertySortCorrect(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// PSV's merges run concurrently under the pass loop's workers; each counts
+// its own operations, so the output, the merge statistics and the
+// System's totals equal a serial sort's.
+func TestSortWorkersEquivalence(t *testing.T) {
+	const d, b = 4, 4
+	g := record.NewGenerator(8)
+	all := g.Random(6000)
+	run := func(workers int) ([]record.Record, sortStats, pdisk.Stats) {
+		sys := newSys(t, d, b)
+		defer sys.Close()
+		file, err := runform.LoadInput(sys, all)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sys.ResetStats()
+		out, stats, err := sortFile[record.Record](sys, file, 60, 3, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sysStats := sys.Stats()
+		got, err := runio.ReadAll[record.Record](sys, out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return got, stats, sysStats
+	}
+	wantOut, wantStats, wantSys := run(0)
+	if !record.IsSortedRecords(wantOut) || record.Checksum(wantOut) != record.Checksum(all) {
+		t.Fatal("serial PSV sort output wrong")
+	}
+	if wantStats.Merges < 2*d {
+		t.Fatalf("only %d merges: too few to overlap", wantStats.Merges)
+	}
+	for _, workers := range []int{2, 4, -1} {
+		got, stats, sysStats := run(workers)
+		if !reflect.DeepEqual(got, wantOut) {
+			t.Fatalf("workers=%d: output differs from the serial sort", workers)
+		}
+		if stats != wantStats {
+			t.Fatalf("workers=%d: stats %+v, serial %+v", workers, stats, wantStats)
+		}
+		if sysStats.ReadOps != wantSys.ReadOps || sysStats.WriteOps != wantSys.WriteOps ||
+			sysStats.BlocksRead != wantSys.BlocksRead || sysStats.BlocksWritten != wantSys.BlocksWritten {
+			t.Fatalf("workers=%d: System totals %+v, serial %+v", workers, sysStats, wantSys)
+		}
 	}
 }

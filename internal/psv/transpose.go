@@ -4,8 +4,6 @@ import (
 	"fmt"
 
 	"srmsort/internal/pdisk"
-	"srmsort/internal/record"
-	"srmsort/internal/runform"
 	"srmsort/internal/runio"
 )
 
@@ -19,15 +17,15 @@ type TransposeStats struct {
 }
 
 // Transpose converts up to D striped runs into single-disk runs (run j of
-// the group goes to disk (j + offset) mod D), the realignment pass a PSV
-// mergesort needs between merge levels.
+// the group goes to disk j), the realignment pass a PSV mergesort needs
+// between merge levels.
 //
 // It reads one stripe (D consecutive blocks, all destined for one disk) per
 // operation, round-robin over the runs, and writes one block to every
 // destination disk per operation once the staging queues cover all
 // destinations — full parallelism in both directions at the cost of D
 // stripes (D² blocks) of staging memory.
-func Transpose(sys *pdisk.System, runs []*runio.Run, offset int) ([]*DiskRun, TransposeStats, error) {
+func Transpose(sys *pdisk.System, runs []*runio.Run) ([]*DiskRun, TransposeStats, error) {
 	d := sys.D()
 	if len(runs) == 0 {
 		return nil, TransposeStats{}, fmt.Errorf("psv: transpose of zero runs")
@@ -49,7 +47,7 @@ func Transpose(sys *pdisk.System, runs []*runio.Run, offset int) ([]*DiskRun, Tr
 	dests := make([]*dest, len(runs))
 	for j, r := range runs {
 		dests[j] = &dest{
-			run:    &DiskRun{ID: r.ID, Disk: (j + offset) % d},
+			run:    &DiskRun{ID: r.ID, Disk: j},
 			source: r,
 		}
 	}
@@ -140,99 +138,4 @@ func Transpose(sys *pdisk.System, runs []*runio.Run, offset int) ([]*DiskRun, Tr
 		out[j] = dd.run
 	}
 	return out, stats, nil
-}
-
-// SortStats aggregates a full PSV mergesort.
-type SortStats struct {
-	RunFormationReads  int64
-	RunFormationWrites int64
-	MergeLevels        int
-	Merges             int
-	MergeReadOps       int64
-	MergeWriteOps      int64
-	TransposeReadOps   int64
-	TransposeWriteOps  int64
-	Stalls             int64
-	InitialRuns        int
-}
-
-// TotalOps returns all parallel I/O operations of the sort, transpositions
-// included.
-func (s SortStats) TotalOps() int64 {
-	return s.RunFormationReads + s.RunFormationWrites +
-		s.MergeReadOps + s.MergeWriteOps +
-		s.TransposeReadOps + s.TransposeWriteOps
-}
-
-// Sort externally sorts the striped input file with a PSV-style mergesort:
-// striped memory-load run formation, then a transposition to one-disk
-// runs, then levels of D-way merges (striped output) each followed by a
-// transposition of the outputs. bufBlocks is the per-run lookahead buffer
-// of the merge.
-func Sort[R record.KernelRecord](sys *pdisk.System, file *runform.InputFile, load, bufBlocks int) (*runio.Run, SortStats, error) {
-	var stats SortStats
-	d := sys.D()
-	before := sys.Stats()
-
-	formed, err := runform.MemoryLoad[R](sys, file, load, runio.StaggeredPlacement{D: d}, 0)
-	if err != nil {
-		return nil, stats, err
-	}
-	after := sys.Stats()
-	stats.RunFormationReads = after.ReadOps - before.ReadOps
-	stats.RunFormationWrites = after.WriteOps - before.WriteOps
-	stats.InitialRuns = len(formed.Runs)
-	striped := formed.Runs
-	if len(striped) == 0 {
-		w := runio.NewWriter[R](sys, 0, 0)
-		empty, err := w.Finish()
-		return empty, stats, err
-	}
-	seq := formed.NextSeq
-
-	for len(striped) > 1 {
-		stats.MergeLevels++
-		var next []*runio.Run
-		for off := 0; off < len(striped); off += d {
-			end := off + d
-			if end > len(striped) {
-				end = len(striped)
-			}
-			group := striped[off:end]
-			if len(group) == 1 {
-				next = append(next, group[0])
-				continue
-			}
-			// Transposition: striped runs -> one-disk runs.
-			diskRuns, ts, err := Transpose(sys, group, off)
-			if err != nil {
-				return nil, stats, err
-			}
-			stats.TransposeReadOps += ts.ReadOps
-			stats.TransposeWriteOps += ts.WriteOps
-			for _, in := range group {
-				if err := runio.Free(sys, in); err != nil {
-					return nil, stats, err
-				}
-			}
-			// The D-way merge back to a striped run.
-			merged, ms, err := Merge[R](sys, diskRuns, bufBlocks, seq, seq%d)
-			if err != nil {
-				return nil, stats, err
-			}
-			seq++
-			stats.Merges++
-			stats.MergeReadOps += ms.ReadOps
-			stats.MergeWriteOps += ms.WriteOps
-			stats.Stalls += ms.Stalls
-			for _, in := range diskRuns {
-				if err := FreeDiskRun(sys, in); err != nil {
-					return nil, stats, err
-				}
-			}
-			next = append(next, merged)
-		}
-		striped = next
-	}
-	return striped[0], stats, nil
 }

@@ -153,8 +153,8 @@ func LoadInput[R record.KernelRecord](sys *pdisk.System, records []R) (*InputFil
 }
 
 // Reader streams the input file stripe by stripe with full read
-// parallelism (one I/O operation per stripe of D blocks). Both SRM and DSM
-// run formation consume the input through it.
+// parallelism (one I/O operation per stripe of D blocks). Every
+// algorithm's run formation consumes the input through it.
 //
 // The reader copies each record once, into one buffer it keeps for the
 // whole file: a slice Read returns is the caller's to modify — run

@@ -83,6 +83,9 @@ type MergeStats struct {
 	sched.Stats
 	// WriteOps is the number of parallel write operations of the output.
 	WriteOps int64
+	// TransposeOps counts the operations of PSV's transposition, which
+	// ReadOps and WriteOps include; zero for the other merges.
+	TransposeOps int64
 	// RecordsOut is the number of records in the merged output run.
 	RecordsOut int
 }

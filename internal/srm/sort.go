@@ -27,12 +27,16 @@ type SortStats struct {
 	Flushes       int64
 	BlocksFlushed int64
 	BlocksReread  int64
+	// TransposeOps totals PSV's transposition operations (included in
+	// ReadOps and WriteOps).
+	TransposeOps int64
 }
 
 func (s *SortStats) add(ms MergeStats) {
 	s.Merges++
 	s.ReadOps += ms.ReadOps
 	s.WriteOps += ms.WriteOps
+	s.TransposeOps += ms.TransposeOps
 	s.Flushes += ms.Flushes
 	s.BlocksFlushed += ms.BlocksFlushed
 	s.BlocksReread += ms.BlocksReread

@@ -76,22 +76,6 @@ func (t *progressTracker) formed(initialRuns, runsLeft, r, base int) {
 	t.fn(t.cur)
 }
 
-// completed records a monolithic sort (PSV, which exposes no per-pass
-// hooks) after the fact: formation and every merge level in one
-// snapshot, published before emission begins.
-func (t *progressTracker) completed(initialRuns, passes int) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.cur.InitialRuns = initialRuns
-	t.cur.Pass = passes
-	t.cur.TotalPasses = passes
-	t.cur.RunsLeft = 1
-	t.fn(t.cur)
-}
-
 // pass records the completion of merge pass base+done with runsLeft
 // surviving runs.
 func (t *progressTracker) pass(base, done, runsLeft int) {

@@ -165,7 +165,7 @@ type Config struct {
 	// Algorithm selects SRM (default), SRMDeterministic, DSM or PSV.
 	Algorithm Algorithm
 	// RunFormation selects the initial-run strategy (SRM variants only;
-	// DSM always uses half memoryloads).
+	// DSM and PSV always use half memoryloads).
 	RunFormation RunFormation
 	// Seed drives SRM's randomized placement. The same seed reproduces
 	// the same I/O schedule exactly.
@@ -194,7 +194,7 @@ type Config struct {
 	// Workers > 1 executes the independent merges of each pass on that
 	// many goroutines (-1 means GOMAXPROCS); 0 or 1 runs serially. The
 	// result and all I/O statistics are identical either way — only the
-	// host wall-clock changes. SRM variants and DSM.
+	// host wall-clock changes. Every algorithm.
 	Workers int
 	// Cores bounds the goroutines each single sort step spreads its
 	// record comparison work over: run-formation loads are sorted in
@@ -203,7 +203,8 @@ type Config struct {
 	// value means GOMAXPROCS; 1 is the serial path. Output and every I/O
 	// statistic are byte-identical for every value (a property the test
 	// suite enforces); only host wall-clock changes. Cores composes with
-	// Async and Workers. SRM variants and DSM; PSV always runs serially.
+	// Async and Workers. It applies to every algorithm's run formation and
+	// to the SRM variants' merges; DSM's and PSV's merges are serial.
 	Cores int
 	// Async overlaps I/O with computation: parallel reads are issued
 	// asynchronously and merged records are consumed while blocks are in
@@ -211,8 +212,9 @@ type Config struct {
 	// paper's two concurrent control flows (Section 5). The result and
 	// every I/O statistic are identical to the synchronous execution (a
 	// property the test suite enforces); only host wall-clock and, with
-	// overlap-aware time models, simulated time change. SRM variants and
-	// DSM; PSV always runs synchronously.
+	// overlap-aware time models, simulated time change. It applies to the
+	// merges of the SRM variants and DSM and to every algorithm's result
+	// stream; PSV's transposition and merge run synchronously.
 	Async bool
 	// Retry, if non-nil, is the System's retry policy
 	// (pdisk.Config.Retry): transient I/O failures — of block transfers
@@ -234,8 +236,8 @@ type Config struct {
 	// Checkpoint persists a recovery manifest through the store after run
 	// formation and after every completed merge pass, so an interrupted
 	// sort can be continued by Resume (or `srmsort -resume`) without
-	// redoing completed passes. Supported for the SRM variants and DSM;
-	// requires a backend with manifest support (both built-ins have it).
+	// redoing completed passes. Supported for every algorithm; requires a
+	// backend with manifest support (both built-ins have it).
 	// With the file backend and a caller-supplied Dir, the disk files are
 	// kept on every exit so the recovery state survives the process.
 	Checkpoint bool
@@ -329,7 +331,7 @@ func (c Config) MergeOrder() (r, m int, err error) {
 		r = analysis.DSMMergeOrder(m, c.D, c.B)
 	case PSV:
 		r = c.D // one run per disk, independent of memory
-		if bufBlocks := (m/c.B - 2*c.D) / c.D; bufBlocks < 1 {
+		if analysis.PSVLookahead(m, c.D, c.B) < 1 {
 			return r, m, fmt.Errorf("srmsort: memory M=%d records leaves no PSV lookahead buffers; increase Memory/K", m)
 		}
 		if r < 2 {
@@ -426,19 +428,6 @@ func (c Config) newSystem() (*pdisk.System, pdisk.Store, func(), error) {
 		return nil, nil, nil, err
 	}
 	return sys, store, func() { sys.Close(); cleanupStore() }, nil
-}
-
-// runAlgorithm performs the sort proper (run formation + merge passes) and
-// returns a streaming iterator over the final sorted run. The caller must
-// snapshot Stats-level I/O figures before draining the iterator, because
-// reading the result back out is verification, not sorting cost. cp, when
-// non-nil, receives a checkpoint after formation and every merge pass; tr,
-// when non-nil, receives Progress snapshots at the same points.
-func runAlgorithm[R record.KernelRecord](sys *pdisk.System, file *runform.InputFile, cfg Config, m, r int, stats *Stats, cp *checkpointer, tr *progressTracker) (emitter[R], error) {
-	if cfg.Algorithm == PSV {
-		return sortPSV[R](sys, file, m, stats, tr)
-	}
-	return sortRuns[R](sys, file, m, r, cfg, stats, cp, tr)
 }
 
 // Sort externally sorts records under the given configuration and returns
@@ -654,9 +643,6 @@ func runSort[R record.KernelRecord](cfg Config, codec record.Codec, resume bool,
 	if err != nil {
 		return Stats{}, err
 	}
-	if cfg.Checkpoint && cfg.Algorithm == PSV {
-		return Stats{}, fmt.Errorf("srmsort: checkpointing is not supported for PSV")
-	}
 	varlen := codec.FixedSize() == 0
 	if varlen && cfg.RunFormation == ReplacementSelection {
 		// The selection heap's admission rule compares prefix words only
@@ -736,7 +722,7 @@ func runSort[R record.KernelRecord](cfg Config, codec record.Codec, resume bool,
 		}
 		sys.ResetStats() // loading the input is setup, not sorting cost
 
-		emit, err = runAlgorithm[R](sys, file, cfg, m, r, &stats, cp, tr)
+		emit, err = sortRuns[R](sys, file, m, r, cfg, &stats, cp, tr)
 		if err != nil {
 			return Stats{}, err
 		}
@@ -798,10 +784,15 @@ func chainPassFuncs(hooks ...srm.PassFunc) srm.PassFunc {
 	}
 }
 
-// sortRuns forms the initial runs and merges them: the sort of the SRM
-// variants and of DSM, which differ only in their runs' starting disks
-// (runPlacement) and in the merge the pass loop runs. DSM always forms
-// runs from half memoryloads.
+// sortRuns performs the sort proper — run formation and merge passes —
+// and returns a streaming iterator over the final sorted run. The caller
+// must snapshot Stats-level I/O figures before draining the iterator,
+// because reading the result back out is verification, not sorting cost.
+// cp, when non-nil, receives a checkpoint after formation and every merge
+// pass; tr, when non-nil, receives Progress snapshots at the same points.
+// The algorithms differ only in their runs' starting disks (runPlacement),
+// in the merge the pass loop runs (mergeRuns) and in that DSM and PSV
+// always form runs from half memoryloads.
 func sortRuns[R record.KernelRecord](sys *pdisk.System, file *runform.InputFile, m, r int, cfg Config, stats *Stats, cp *checkpointer, tr *progressTracker) (emitter[R], error) {
 	placement := runPlacement(cfg, 0)
 	var counting *runio.CountingPlacement
@@ -814,7 +805,7 @@ func sortRuns[R record.KernelRecord](sys *pdisk.System, file *runform.InputFile,
 
 	var formed runform.Result
 	var err error
-	if cfg.RunFormation == ReplacementSelection && cfg.Algorithm != DSM {
+	if cfg.RunFormation == ReplacementSelection && (cfg.Algorithm == SRM || cfg.Algorithm == SRMDeterministic) {
 		formed, err = runform.ReplacementSelectionCores[R](sys, file, m, placement, 0, cfg.cores())
 	} else {
 		formed, err = runform.MemoryLoadCores[R](sys, file, (m+1)/2, placement, 0, cfg.cores())
@@ -860,13 +851,14 @@ func sortRuns[R record.KernelRecord](sys *pdisk.System, file *runform.InputFile,
 			return nil
 		}
 	}
-	return mergeRuns[R](sys, formed.Runs, r, placement, formed.NextSeq, cfg, chainPassFuncs(cpHook, trHook), stats)
+	return mergeRuns[R](sys, formed.Runs, m, r, placement, formed.NextSeq, cfg, chainPassFuncs(cpHook, trHook), stats)
 }
 
 // mergeRuns runs the merge passes over runs — a fresh sort's formed runs
 // or a resumed sort's recovered ones — with the algorithm's merge,
 // records their statistics, and returns the iterator over the final run.
-func mergeRuns[R record.KernelRecord](sys *pdisk.System, runs []*runio.Run, r int, placement runio.Placement, seq int, cfg Config, afterPass srm.PassFunc, stats *Stats) (emitter[R], error) {
+// Memory m sizes PSV's lookahead buffers.
+func mergeRuns[R record.KernelRecord](sys *pdisk.System, runs []*runio.Run, m, r int, placement runio.Placement, seq int, cfg Config, afterPass srm.PassFunc, stats *Stats) (emitter[R], error) {
 	opts := srm.SortOpts{
 		Async:     cfg.Async,
 		Workers:   cfg.Workers,
@@ -876,9 +868,12 @@ func mergeRuns[R record.KernelRecord](sys *pdisk.System, runs []*runio.Run, r in
 	var final *runio.Run
 	var ss srm.SortStats
 	var err error
-	if cfg.Algorithm == DSM {
+	switch cfg.Algorithm {
+	case DSM:
 		final, ss, _, err = srm.SortRunsWith(sys, runs, r, placement, seq, opts, dsm.Merge[R](sys, cfg.Async))
-	} else {
+	case PSV:
+		final, ss, _, err = srm.SortRunsWith(sys, runs, r, placement, seq, opts, psv.Merge[R](sys, analysis.PSVLookahead(m, cfg.D, cfg.B)))
+	default:
 		final, ss, _, err = srm.SortRunsOpts[R](sys, runs, r, placement, seq, opts)
 	}
 	if err != nil {
@@ -890,24 +885,6 @@ func mergeRuns[R record.KernelRecord](sys *pdisk.System, runs []*runio.Run, r in
 	stats.Flushes = ss.Flushes
 	stats.BlocksFlushed = ss.BlocksFlushed
 	stats.BlocksReread = ss.BlocksReread
+	stats.TransposeOps = ss.TransposeOps
 	return func(sink recordSink[R]) error { return runio.StreamBlocks(sys, final, cfg.Async, sink) }, nil
-}
-
-func sortPSV[R record.KernelRecord](sys *pdisk.System, file *runform.InputFile, m int, stats *Stats, tr *progressTracker) (emitter[R], error) {
-	bufBlocks := (m/sys.B() - 2*sys.D()) / sys.D()
-	final, ps, err := psv.Sort[R](sys, file, (m+1)/2, bufBlocks)
-	if err != nil {
-		return nil, err
-	}
-	// PSV sorts monolithically (no per-pass hooks): report formation and
-	// every merge level in one snapshot, ahead of emission progress.
-	tr.completed(ps.InitialRuns, ps.MergeLevels)
-	stats.RunFormationReads = ps.RunFormationReads
-	stats.RunFormationWrites = ps.RunFormationWrites
-	stats.InitialRuns = ps.InitialRuns
-	stats.MergePasses = ps.MergeLevels
-	stats.MergeReads = ps.MergeReadOps + ps.TransposeReadOps
-	stats.MergeWrites = ps.MergeWriteOps + ps.TransposeWriteOps
-	stats.TransposeOps = ps.TransposeReadOps + ps.TransposeWriteOps
-	return func(sink recordSink[R]) error { return runio.StreamBlocks(sys, final, false, sink) }, nil
 }
