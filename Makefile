@@ -71,11 +71,15 @@ chaos:
 # The sortd server load tests: dozens of concurrent jobs over the HTTP
 # API with seeded store faults, the server kill/restart matrix
 # (20 tenants, two abrupt teardowns, byte-identical results required),
-# and the graceful-drain suite (clean drains refuse submissions with
-# 503, expired windows sever nothing, drain-interrupted kills resume).
-# Raced, under a hard deadline.
+# the kill and cancel cells (a kill or DELETE closes a job's store under
+# its running transfers, one of them parked in flight) and the
+# graceful-drain suite (clean drains refuse submissions with 503,
+# expired windows sever nothing, drain-interrupted kills resume). The
+# kill, cancel and drain cells run three times over, since each closes
+# stores under transfers that race it. Raced, under a hard deadline.
 loadtest:
-	go test -race -count=1 -timeout 10m -run 'TestServerLoad|TestHTTPCancelAndErrors|TestServerKillRestart|TestServerCleanRestart|TestServerDrainInterruptedKill|TestDrainCleanRefusesSubmissions|TestDrainWindowExpires' ./internal/jobs/ ./internal/chaos/
+	go test -race -count=1 -timeout 10m -run 'TestServerLoad' ./internal/jobs/
+	go test -race -count=3 -timeout 10m -run 'TestHTTPCancelAndErrors|TestKillLandsOnInFlightWrite|TestDeleteCancelsRunningVolatileJob|TestServerKillRestart|TestServerCleanRestart|TestServerDrainInterruptedKill|TestDrainCleanRefusesSubmissions|TestDrainWindowExpires' ./internal/jobs/ ./internal/chaos/
 
 # Fail (listing the offenders) if any file is not gofmt-clean.
 fmt-check:

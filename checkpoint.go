@@ -25,7 +25,6 @@ import (
 	"math/rand"
 
 	"srmsort/internal/pdisk"
-	"srmsort/internal/record"
 	"srmsort/internal/runio"
 )
 
@@ -54,8 +53,8 @@ type manifest struct {
 	Algorithm string
 	// Codec is the record codec identity the sort's blocks are encoded
 	// under; a resume must run the same codec or it would misread every
-	// block. Empty (manifests from before the codec seam) means fixed16.
-	Codec      string `json:",omitempty"`
+	// block.
+	Codec      string
 	D, B, M, R int
 	Seed       int64
 	Formation  int
@@ -77,16 +76,17 @@ type manifest struct {
 }
 
 // check validates that a manifest belongs to the configuration trying to
-// resume from it.
+// resume from it. The version comes first: only version 2 is sure to
+// record its codec.
 func (man *manifest) check(cfg Config, m, r, nrec int, codecName string) error {
 	switch {
 	case man.Version != manifestVersion:
 		return fmt.Errorf("srmsort: manifest version %d, want %d", man.Version, manifestVersion)
 	case man.Algorithm != cfg.Algorithm.String():
 		return fmt.Errorf("srmsort: manifest from algorithm %s, config says %s", man.Algorithm, cfg.Algorithm)
-	case man.codecName() != codecName:
+	case man.Codec != codecName:
 		return fmt.Errorf("srmsort: manifest records codec %s, config says %s — resume with the codec the sort was started under",
-			man.codecName(), codecName)
+			man.Codec, codecName)
 	case man.D != cfg.D || man.B != cfg.B || man.M != m || man.R != r:
 		return fmt.Errorf("srmsort: manifest geometry D=%d B=%d M=%d R=%d, config yields D=%d B=%d M=%d R=%d",
 			man.D, man.B, man.M, man.R, cfg.D, cfg.B, m, r)
@@ -100,44 +100,16 @@ func (man *manifest) check(cfg Config, m, r, nrec int, codecName string) error {
 	return nil
 }
 
-// codecName resolves the manifest's codec identity; manifests written
-// before the codec seam carry none and mean fixed16.
-func (man *manifest) codecName() string {
-	if man.Codec == "" {
-		return "fixed16"
-	}
-	return man.Codec
-}
-
-// checkpointer persists manifest generations through the System, whose
-// retry policy covers the manifest calls.
-type checkpointer struct {
-	sys   *pdisk.System
-	store pdisk.Store
-	man   manifest
-}
-
-// save persists gen as the current generation, demoting the previous one
-// to the repair fallback. The store is flushed (FileStore fsyncs) before
-// the manifest replaces its predecessor, so a manifest never names runs
-// the media does not hold yet. This flush is the only durability point
-// Resume relies on: closing or discarding the store adds none.
-func (c *checkpointer) save(gen runGen) error {
-	if len(c.man.Cur.Runs) > 0 {
-		prev := c.man.Cur
-		c.man.Prev = &prev
-	}
-	c.man.Cur = gen
-	data, err := json.Marshal(&c.man)
+// saveManifest persists man, whose Cur is the newest generation. The
+// System flushes the store first (FileStore fsyncs), so a manifest never
+// names runs the media does not hold yet; that flush is the only
+// durability point Resume relies on.
+func saveManifest(sys *pdisk.System, man *manifest) error {
+	data, err := json.Marshal(man)
 	if err != nil {
 		return err
 	}
-	if s, ok := c.store.(interface{ Sync() error }); ok {
-		if err := s.Sync(); err != nil {
-			return err
-		}
-	}
-	return c.sys.SaveManifest(data)
+	return sys.SaveManifest(data)
 }
 
 // loadManifest fetches and decodes the store's manifest, if any.
@@ -220,17 +192,13 @@ func chooseGen(sys *pdisk.System, man *manifest) (runGen, error) {
 // written output runs, torn blocks, stale inputs a crash interrupted
 // mid-free. Stores without block enumeration skip reclamation (they only
 // leak space, never correctness).
-func reclaimOrphans(sys *pdisk.System, store pdisk.Store, man *manifest, gen runGen) error {
-	bl, ok := store.(pdisk.BlockLister)
-	if !ok {
-		return nil
-	}
+func reclaimOrphans(sys *pdisk.System, man *manifest, gen runGen) error {
 	keep := make(map[pdisk.BlockAddr]bool)
 	for _, addr := range genAddrs(gen) {
 		keep[addr] = true
 	}
 	var orphans []pdisk.BlockAddr
-	for _, addr := range bl.Blocks() {
+	for _, addr := range sys.Blocks() {
 		if keep[addr] {
 			continue
 		}
@@ -248,11 +216,9 @@ func reclaimOrphans(sys *pdisk.System, store pdisk.Store, man *manifest, gen run
 // wipeStore clears every resident block, in one free batch, and the
 // manifest — the reset before a sort restarts from scratch over a store
 // an earlier attempt dirtied without ever reaching its first checkpoint.
-func wipeStore(sys *pdisk.System, store pdisk.Store) error {
-	if bl, ok := store.(pdisk.BlockLister); ok {
-		if err := sys.FreeBlocks(bl.Blocks()...); err != nil && !errors.Is(err, pdisk.ErrAbsent) {
-			return err
-		}
+func wipeStore(sys *pdisk.System) error {
+	if err := sys.FreeBlocks(sys.Blocks()...); err != nil && !errors.Is(err, pdisk.ErrAbsent) {
+		return err
 	}
 	return sys.ClearManifest()
 }
@@ -298,51 +264,6 @@ func runStates(runs []*runio.Run) []runio.RunState {
 		out[i] = r.State()
 	}
 	return out
-}
-
-// resumeMerge re-enters the merge loop from a verified manifest
-// generation and returns the final-run iterator, exactly like
-// sortRuns does for a fresh sort. Completed passes are not redone:
-// stats counts only the work performed now.
-func resumeMerge[R record.KernelRecord](sys *pdisk.System, store pdisk.Store, man *manifest, cfg Config, r int, stats *Stats, tr *progressTracker) (emitter[R], error) {
-	gen, err := chooseGen(sys, man)
-	if err != nil {
-		return nil, err
-	}
-	if err := reclaimOrphans(sys, store, man, gen); err != nil {
-		return nil, err
-	}
-	stats.InitialRuns = man.InitialRuns
-	tr.formed(man.InitialRuns, len(gen.Runs), r, gen.Pass)
-	sys.ResetStats() // verification reads are recovery, not sorting cost
-
-	if _, ok := store.(pdisk.ManifestStore); !ok {
-		return nil, fmt.Errorf("srmsort: store cannot persist a checkpoint manifest")
-	}
-	cp := &checkpointer{sys: sys, store: store, man: *man}
-	cp.man.Cur = gen
-	cp.man.Prev = nil
-
-	if len(gen.Runs) == 0 {
-		return nil, fmt.Errorf("srmsort: manifest holds no runs")
-	}
-	runs := make([]*runio.Run, len(gen.Runs))
-	for i, st := range gen.Runs {
-		runs[i] = runio.RunFromState(st)
-	}
-	counting := &runio.CountingPlacement{Inner: runPlacement(cfg, gen.Draws)}
-	return mergeRuns[R](sys, runs, man.M, r, counting, gen.Seq, cfg, func(pass int, survivors []*runio.Run, seq int) error {
-		if err := cp.save(runGen{
-			Pass:  gen.Pass + pass,
-			Seq:   seq,
-			Draws: gen.Draws + counting.Draws(),
-			Runs:  runStates(survivors),
-		}); err != nil {
-			return err
-		}
-		tr.pass(gen.Pass, pass, len(survivors))
-		return nil
-	}, stats)
 }
 
 // Scrub opens the FileStore under cfg.Dir and audits every resident

@@ -354,6 +354,25 @@ func TestResumeRejectsMismatchedConfig(t *testing.T) {
 	if _, _, err := Resume(in, dsmCfg); err == nil || !strings.Contains(err.Error(), "manifest version 1, want 2") {
 		t.Fatalf("resume from a version-1 DSM manifest: %v, want a version refusal", err)
 	}
+
+	// A manifest whose generation names no runs is refused, not resumed
+	// to an empty result.
+	noRuns, err := json.Marshal(map[string]any{
+		"Version": 2, "Algorithm": "DSM", "Codec": "fixed16", "D": dsmCfg.D, "B": dsmCfg.B, "M": m, "R": r,
+		"Records": len(in), "InitialRuns": 1, "InputFrontier": frontier, "Cur": map[string]any{"Pass": 1, "Seq": 1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	empty := pdisk.NewMemStore()
+	defer empty.Close()
+	if err := empty.SaveManifest(noRuns); err != nil {
+		t.Fatal(err)
+	}
+	dsmCfg.Store = empty
+	if _, _, err := Resume(in, dsmCfg); err == nil || !strings.Contains(err.Error(), "manifest holds no runs") {
+		t.Fatalf("resume from a manifest without runs: %v, want a refusal", err)
+	}
 }
 
 // TestResumeVarRejectsMismatchedCodec: the checkpoint manifest records
@@ -600,5 +619,102 @@ func TestCheckpointSyncsBeforeManifest(t *testing.T) {
 	}
 	for _, e := range left {
 		t.Errorf("non-checkpointed file sort left %s in its directory", e.Name())
+	}
+}
+
+// manifestLog is a MemStore that keeps a copy of every manifest saved
+// through it.
+type manifestLog struct {
+	*pdisk.MemStore
+	mu    sync.Mutex
+	saved [][]byte
+}
+
+func (s *manifestLog) SaveManifest(data []byte) error {
+	s.mu.Lock()
+	s.saved = append(s.saved, append([]byte(nil), data...))
+	s.mu.Unlock()
+	return s.MemStore.SaveManifest(data)
+}
+
+// gens decodes the newest generation of each manifest saved from the
+// i-th on.
+func (s *manifestLog) gens(t *testing.T, i int) []runGen {
+	t.Helper()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var out []runGen
+	for _, data := range s.saved[i:] {
+		var man manifest
+		if err := json.Unmarshal(data, &man); err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, man.Cur)
+	}
+	return out
+}
+
+// TestResumeReplaysPlacement pins runPlacement's promise: a resumed SRM
+// sort replays the placement draws its manifest records, so the runs it
+// writes start on exactly the disks the uninterrupted sort's did. Every
+// generation a resume saves after a kill must equal the uninterrupted
+// sort's generation of the same pass in Seq, Draws and every run's
+// starting disk.
+func TestResumeReplaysPlacement(t *testing.T) {
+	in := randomRecords(20_000, 47)
+	cfg := Config{D: 4, B: 4, K: 1, Algorithm: SRM, Seed: 3, Checkpoint: true}
+	whole := &manifestLog{MemStore: pdisk.NewMemStore()}
+	defer whole.Close()
+	wholeCfg := cfg
+	wholeCfg.Store = whole
+	want, stats, err := Sort(in, wholeCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.MergePasses < 4 {
+		t.Fatalf("geometry yields %d merge passes; the test needs >= 4", stats.MergePasses)
+	}
+	byPass := make(map[int]runGen)
+	for _, g := range whole.gens(t, 0) {
+		byPass[g.Pass] = g
+	}
+	writes := countWrites(t, in, cfg)
+	for _, killAt := range []int64{writes / 3, writes / 2, writes * 2 / 3, writes * 5 / 6} {
+		store := &manifestLog{MemStore: pdisk.NewMemStore()}
+		killCfg := cfg
+		killCfg.Store = pdisk.NewFaultStore(store, pdisk.FaultConfig{TornWriteAt: killAt})
+		if _, _, err := Sort(in, killCfg); err == nil {
+			t.Fatalf("killAt=%d: sort survived its kill", killAt)
+		}
+		before := len(store.saved)
+		resumeCfg := cfg
+		resumeCfg.Store = store
+		got, _, err := Resume(in, resumeCfg)
+		if err != nil {
+			t.Fatalf("killAt=%d: resume: %v", killAt, err)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("killAt=%d: record %d = %v, want %v", killAt, i, got[i], want[i])
+			}
+		}
+		resumed := store.gens(t, before)
+		if len(resumed) == 0 {
+			t.Fatalf("killAt=%d: the resume saved no generation", killAt)
+		}
+		for _, g := range resumed {
+			w, ok := byPass[g.Pass]
+			if !ok || g.Seq != w.Seq || g.Draws != w.Draws || len(g.Runs) != len(w.Runs) {
+				t.Fatalf("killAt=%d: resumed pass %d saved Seq %d, Draws %d, %d runs; uninterrupted sort: Seq %d, Draws %d, %d runs",
+					killAt, g.Pass, g.Seq, g.Draws, len(g.Runs), w.Seq, w.Draws, len(w.Runs))
+			}
+			for i, st := range g.Runs {
+				if st.ID != w.Runs[i].ID || st.StartDisk != w.Runs[i].StartDisk || st.Records != w.Runs[i].Records {
+					t.Fatalf("killAt=%d: pass %d run %d: ID %d on disk %d, %d records; uninterrupted: ID %d on disk %d, %d records",
+						killAt, g.Pass, i, st.ID, st.StartDisk, st.Records, w.Runs[i].ID, w.Runs[i].StartDisk, w.Runs[i].Records)
+				}
+			}
+		}
+		store.Close()
 	}
 }

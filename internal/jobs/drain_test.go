@@ -29,7 +29,7 @@ func (g *gatedMemStore) ReadBlock(a pdisk.BlockAddr) (pdisk.StoredBlock, error) 
 
 // A job run under the deadline layer leaves none of the layer's
 // executors behind: the sort's teardown stops them even though the job's
-// killable store outlives the sort's System.
+// store outlives the sort's System.
 func TestDeadlineJobNoLeak(t *testing.T) {
 	m, err := NewManager(Options{
 		MemoryBudget: 100_000,

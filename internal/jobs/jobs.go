@@ -59,7 +59,8 @@ type Spec struct {
 	// D, B are the simulated disk count and block size (records).
 	D int `json:"d,omitempty"`
 	B int `json:"b,omitempty"`
-	// K sets memory as K*D*B records; Memory (records) overrides K.
+	// K is the library's Config.K: memory M = (2K+4)·D·B + K·D² records
+	// (analysis.MemoryForK). Memory (records) overrides K.
 	K      int `json:"k,omitempty"`
 	Memory int `json:"memory,omitempty"`
 	// Seed fixes the randomized layout; 0 inherits the server default.
@@ -220,10 +221,11 @@ type Job struct {
 	progress  srmsort.Progress
 	stats     *srmsort.Stats
 	errText   string
-	input     [][]byte // volatile managers only: the wire input, in chunks
-	inBytes   int64    // volatile managers only: the input's size
-	output    []byte   // volatile managers only
-	store     *killableStore
+	input     [][]byte    // volatile managers only: the wire input, in chunks
+	inBytes   int64       // volatile managers only: the input's size
+	output    []byte      // volatile managers only
+	store     pdisk.Store // the running sort's store; nil between runs
+	killed    error       // why the job was severed; the first reason wins
 }
 
 // ID returns the job's identifier.
@@ -263,16 +265,35 @@ func (j *Job) setReserved(mem, cores int) {
 	j.mu.Unlock()
 }
 
-func (j *Job) setStore(ks *killableStore) {
+func (j *Job) setStore(st pdisk.Store) {
 	j.mu.Lock()
-	j.store = ks
+	j.store = st
 	j.mu.Unlock()
 }
 
-func (j *Job) getStore() *killableStore {
+// kill severs the job's sort: it records reason, unless an earlier kill
+// gave one, and closes the running store, if one is published. Every
+// later transfer and manifest call of the sort then fails with
+// pdisk.ErrInvalid, which no retry re-attempts, so the sort collapses
+// promptly — the store dies under it, like a crashed process's, and
+// whatever the checkpoints persisted stays on disk for a resume.
+func (j *Job) kill(reason error) {
+	j.mu.Lock()
+	if j.killed == nil {
+		j.killed = reason
+	}
+	st := j.store
+	j.mu.Unlock()
+	if st != nil {
+		st.Close()
+	}
+}
+
+// killReason returns why the job was severed, or nil.
+func (j *Job) killReason() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.store
+	return j.killed
 }
 
 func (j *Job) bumpAttempt() {
@@ -289,12 +310,10 @@ func (j *Job) noteProgress(p srmsort.Progress) {
 }
 
 // cancel requests cancellation: it abandons a queued admission wait and
-// severs a running sort's store. Idempotent; a terminal job is unmoved.
+// closes a running sort's store. Idempotent; a terminal job is unmoved.
 func (j *Job) cancel() {
 	j.cancelOnce.Do(func() { close(j.cancelCh) })
-	if ks := j.getStore(); ks != nil {
-		ks.kill(ErrCanceled)
-	}
+	j.kill(ErrCanceled)
 }
 
 // Options configures a Manager.
@@ -335,8 +354,9 @@ type Options struct {
 	Defaults Spec
 	// StoreWrap, if non-nil, wraps each job's backing store once per
 	// run — the fault-injection seam (tests interpose pdisk.FaultStore
-	// here). The wrapper is applied beneath the kill switch and the
-	// retry layer.
+	// here). The wrapper is applied beneath the retry layer; its Close
+	// must close the store it wraps, since a cancel or Kill severs the
+	// job by closing the wrapper.
 	StoreWrap func(jobID string, inner pdisk.Store) pdisk.Store
 	// Logf, if non-nil, receives one line per notable job event.
 	Logf func(format string, args ...any)
@@ -802,7 +822,7 @@ func (m *Manager) Result(id string) (io.ReadCloser, int64, error) {
 }
 
 // Kill tears the server down abruptly: queued jobs are refused their
-// reservations, running jobs have their stores severed mid-operation
+// reservations, running jobs have their stores closed mid-operation
 // (their checkpoints stay on disk), and Kill returns once every job
 // goroutine has exited. The manager accepts no further submissions.
 // This is the programmatic equivalent of the process dying — a new
@@ -819,9 +839,7 @@ func (m *Manager) Kill() {
 	if !already {
 		m.budget.close(ErrKilled)
 		for _, j := range js {
-			if ks := j.getStore(); ks != nil {
-				ks.kill(ErrKilled)
-			}
+			j.kill(ErrKilled)
 		}
 	}
 	m.wg.Wait()
@@ -921,7 +939,7 @@ func (m *Manager) runJob(j *Job, resume bool) {
 		m.budget.release(j.memNeed, j.coreNeed)
 	}()
 
-	var inner pdisk.Store
+	var store pdisk.Store
 	var disks *pdisk.FileStore // the durable job's striped disks; nil for a volatile job
 	if j.dir != "" {
 		codec, err := record.CodecByName(j.spec.Codec)
@@ -934,28 +952,27 @@ func (m *Manager) runJob(j *Job, resume bool) {
 			m.finishFailed(j, err)
 			return
 		}
-		inner, disks = fs, fs
+		store, disks = fs, fs
 	} else {
-		inner = pdisk.NewMemStore()
+		store = pdisk.NewMemStore()
 	}
 	if m.opts.StoreWrap != nil {
-		inner = m.opts.StoreWrap(j.id, inner)
+		store = m.opts.StoreWrap(j.id, store)
 	}
-	ks := newKillableStore(inner)
-	j.setStore(ks)
+	j.setStore(store)
 	defer func() {
 		j.setStore(nil)
-		ks.Close()
+		store.Close()
 	}()
 	// Close the teardown races: a Kill or cancel that landed between our
-	// admission and publishing the store found no store to sever, so
-	// sever it ourselves now that it is published.
+	// admission and publishing the store found no store to close, so
+	// close it ourselves now that it is published.
 	if m.isKilled() {
-		ks.kill(ErrKilled)
+		j.kill(ErrKilled)
 	}
 	select {
 	case <-j.cancelCh:
-		ks.kill(ErrCanceled)
+		j.kill(ErrCanceled)
 	default:
 	}
 
@@ -964,7 +981,7 @@ func (m *Manager) runJob(j *Job, resume bool) {
 		m.finishFailed(j, err)
 		return
 	}
-	cfg.Store = ks
+	cfg.Store = store
 	cfg.Checkpoint = true
 	cfg.Retry = m.opts.Retry
 	cfg.Deadline = m.opts.Deadline
@@ -981,7 +998,7 @@ func (m *Manager) runJob(j *Job, resume bool) {
 			m.finishDone(j, stats, disks)
 			return
 		}
-		if reason := ks.killedWith(); reason != nil {
+		if reason := j.killReason(); reason != nil {
 			if errors.Is(reason, ErrCanceled) {
 				m.finishCanceled(j)
 			} else {

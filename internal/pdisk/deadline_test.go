@@ -589,6 +589,110 @@ func (s *writeLog) WriteBlock(addr BlockAddr, b StoredBlock) error {
 	return err
 }
 
+// pacedClock is a policy clock (After, Now) for many concurrent ops that
+// a store's delays (FaultConfig.Sleep) share: every timer and every
+// sleep waits on it, and its ticker fires them one at a time in due
+// order, moving the clock to each one's due time as it fires it. The
+// ticker sleeps in real time for every pacedSlice the clock moves, and
+// yields between, so the clock runs no faster than the wall clock. A
+// tick is never late by the clock the engine judges it by, however late
+// the host wakes the ticker: a read still in flight at its hedge point
+// is hedged, and one still in flight at its deadline is abandoned.
+type pacedClock struct {
+	mu         sync.Mutex
+	now        time.Duration
+	timers     []pacedTimer
+	wake       chan struct{}
+	stop, done chan struct{}
+}
+
+// pacedSlice is how far a pacedClock moves between the ticker's sleeps.
+const pacedSlice = 250 * time.Microsecond
+
+type pacedTimer struct {
+	due time.Duration
+	ch  chan time.Time
+}
+
+// newPacedClock starts a clock and its ticker.
+func newPacedClock() *pacedClock {
+	c := &pacedClock{wake: make(chan struct{}, 1), stop: make(chan struct{}), done: make(chan struct{})}
+	go c.run()
+	return c
+}
+
+// close stops the ticker once every timer has fired, and waits for it.
+func (c *pacedClock) close() {
+	close(c.stop)
+	<-c.done
+}
+
+func (c *pacedClock) After(d time.Duration) <-chan time.Time {
+	ch := make(chan time.Time, 1)
+	c.mu.Lock()
+	c.timers = append(c.timers, pacedTimer{due: c.now + d, ch: ch})
+	c.mu.Unlock()
+	select {
+	case c.wake <- struct{}{}:
+	default:
+	}
+	return ch
+}
+
+func (c *pacedClock) Now() time.Time {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return ctlEpoch.Add(c.now)
+}
+
+func (c *pacedClock) sleep(d time.Duration) { <-c.After(d) }
+
+// run is the ticker. A timer registered while it sleeps is due no
+// earlier than the clock, so firing the earliest one after the sleep
+// keeps the clock monotone.
+func (c *pacedClock) run() {
+	defer close(c.done)
+	var owed time.Duration // clock time moved since the ticker last slept
+	for {
+		c.mu.Lock()
+		if len(c.timers) == 0 {
+			c.mu.Unlock()
+			select {
+			case <-c.wake:
+				continue
+			case <-c.stop:
+				return
+			}
+		}
+		gap := c.timers[c.earliest()].due - c.now
+		c.mu.Unlock()
+		if owed += gap; owed >= pacedSlice {
+			time.Sleep(owed)
+			owed = 0
+		} else {
+			runtime.Gosched()
+		}
+		c.mu.Lock()
+		i := c.earliest()
+		tm := c.timers[i]
+		c.timers = append(c.timers[:i], c.timers[i+1:]...)
+		c.now = tm.due
+		c.mu.Unlock()
+		tm.ch <- time.Time{}
+	}
+}
+
+// earliest returns the index of the timer due first. c.mu is held.
+func (c *pacedClock) earliest() int {
+	first := 0
+	for i, tm := range c.timers {
+		if tm.due < c.timers[first].due {
+			first = i
+		}
+	}
+	return first
+}
+
 // untilNoDeadline re-issues op while it fails with a deadline error, the
 // way a retry layer would, and returns how many attempts it took.
 func untilNoDeadline(op func() error) (int, error) {
@@ -601,12 +705,17 @@ func untilNoDeadline(op func() error) (int, error) {
 }
 
 // Many goroutines read, write and free their own blocks through one
-// DeadlineStore over real microsecond Pareto stragglers, tuned so that
+// DeadlineStore over microsecond Pareto stragglers, tuned so that
 // deadlines and hedges fire: every read returns the last-acknowledged
 // block, a retried write joins its abandoned attempt instead of running
-// beside it, and closing the store leaves no executor behind.
+// beside it, and closing the store leaves no executor behind. The
+// stragglers' delays and the deadline and hedge ticks share one paced
+// clock, so a starved host that wakes a timer late cannot turn every
+// hedge into a timeout.
 func TestDeadlineStressStragglers(t *testing.T) {
 	const workers, rounds = 8, 60
+	clock := newPacedClock()
+	defer clock.close()
 	base := runtime.NumGoroutine()
 	inner := &writeLog{
 		Store: NewFaultStore(NewMemStore(), FaultConfig{
@@ -614,12 +723,15 @@ func TestDeadlineStressStragglers(t *testing.T) {
 			ParetoScale: 30 * time.Microsecond,
 			ParetoAlpha: 1.0,
 			ParetoCap:   4 * time.Millisecond,
+			Sleep:       clock.sleep,
 		}),
 		inflight: make(map[BlockAddr]bool),
 	}
 	ds := NewDeadlineStore(inner, DeadlinePolicy{
 		OpDeadline: time.Millisecond,
 		HedgeAfter: 250 * time.Microsecond,
+		After:      clock.After,
+		Now:        clock.Now,
 	})
 	var mu sync.Mutex
 	writeAttempts := 0
@@ -681,7 +793,7 @@ func TestDeadlineStressStragglers(t *testing.T) {
 	}
 	wg.Wait()
 	snap := ds.HealthSnapshot()
-	t.Logf("timeouts=%d hedged=%d hedge wins=%d; write attempts=%d issued=%d",
+	t.Logf("clock=%v timeouts=%d hedged=%d hedge wins=%d; write attempts=%d issued=%d", clock.Now().Sub(ctlEpoch),
 		snap.Timeouts, snap.HedgedReads, snap.HedgeWins, writeAttempts, inner.writes)
 	if snap.Timeouts == 0 || snap.HedgedReads == 0 {
 		t.Errorf("stragglers fired %d deadlines and %d hedges, want both > 0", snap.Timeouts, snap.HedgedReads)

@@ -577,6 +577,17 @@ func (f *FileStore) Scrub() (ScrubReport, error) {
 	return rep, nil
 }
 
+// checkOpen fails with ErrInvalid once the store is closed: the manifest
+// calls are refused after Close like the block transfers.
+func (f *FileStore) checkOpen() error {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.closed {
+		return fmt.Errorf("%w: FileStore used after Close", ErrInvalid)
+	}
+	return nil
+}
+
 // manifestPath is the checkpoint manifest's file; manifestTmpPath the
 // staging name its atomic replacement writes through.
 func (f *FileStore) manifestPath() string    { return filepath.Join(f.dir, "manifest.json") }
@@ -586,11 +597,8 @@ func (f *FileStore) manifestTmpPath() string { return filepath.Join(f.dir, "mani
 // after any crash the manifest file is either the old state or the new
 // one, never a torn mix.
 func (f *FileStore) SaveManifest(data []byte) error {
-	f.mu.Lock()
-	closed := f.closed
-	f.mu.Unlock()
-	if closed {
-		return fmt.Errorf("%w: FileStore used after Close", ErrInvalid)
+	if err := f.checkOpen(); err != nil {
+		return err
 	}
 	tmp, err := os.OpenFile(f.manifestTmpPath(), os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
@@ -612,6 +620,9 @@ func (f *FileStore) SaveManifest(data []byte) error {
 
 // LoadManifest implements ManifestStore.
 func (f *FileStore) LoadManifest() ([]byte, bool, error) {
+	if err := f.checkOpen(); err != nil {
+		return nil, false, err
+	}
 	data, err := os.ReadFile(f.manifestPath())
 	if os.IsNotExist(err) {
 		return nil, false, nil
@@ -624,6 +635,9 @@ func (f *FileStore) LoadManifest() ([]byte, bool, error) {
 
 // ClearManifest implements ManifestStore.
 func (f *FileStore) ClearManifest() error {
+	if err := f.checkOpen(); err != nil {
+		return err
+	}
 	if err := os.Remove(f.manifestPath()); err != nil && !os.IsNotExist(err) {
 		return err
 	}

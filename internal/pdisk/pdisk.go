@@ -461,9 +461,16 @@ func (s *System) FreeBlocks(addrs ...BlockAddr) error {
 	return err
 }
 
-// SaveManifest persists the checkpoint manifest through the store,
-// retried under the System's policy (never bounded by its deadline).
-func (s *System) SaveManifest(data []byte) error { return s.eng.SaveManifest(data) }
+// SaveManifest flushes the store (FileStore fsyncs) and then persists
+// the checkpoint manifest through it, retried under the System's policy
+// (never bounded by its deadline). The flush comes first, so a manifest
+// never names blocks the media does not hold yet.
+func (s *System) SaveManifest(data []byte) error {
+	if err := s.eng.Sync(); err != nil {
+		return err
+	}
+	return s.eng.SaveManifest(data)
+}
 
 // LoadManifest fetches the checkpoint manifest and whether one exists;
 // (nil, false, nil) when the store cannot hold one.
@@ -475,6 +482,10 @@ func (s *System) ClearManifest() error { return s.eng.ClearManifest() }
 // Frontier reports the store's allocation frontier on disk (0 for a store
 // that cannot reopen state), retried like the manifest calls.
 func (s *System) Frontier(disk int) (int, error) { return s.eng.Frontier(disk) }
+
+// Blocks lists the store's resident blocks, in no particular order (none
+// for a store that cannot enumerate them).
+func (s *System) Blocks() []BlockAddr { return s.eng.Blocks() }
 
 // Close finishes every async operation issued and not yet waited — so
 // their Waits return normally, their stats are counted, and a stuck

@@ -366,7 +366,7 @@ func (m *MemStore) Usage() Usage {
 
 // Close implements Store. Under -tags=aliascheck it gives every resident
 // block a final mutation audit before the store is discarded. After Close
-// every block op and Frontier fail with ErrInvalid.
+// every block op, Frontier and manifest call fails with ErrInvalid.
 func (m *MemStore) Close() error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -429,6 +429,9 @@ func (m *MemStore) SaveManifest(data []byte) error {
 func (m *MemStore) LoadManifest() ([]byte, bool, error) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
+	if m.closed {
+		return nil, false, errMemClosed
+	}
 	if m.manifest == nil {
 		return nil, false, nil
 	}
@@ -439,6 +442,9 @@ func (m *MemStore) LoadManifest() ([]byte, bool, error) {
 func (m *MemStore) ClearManifest() error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	if m.closed {
+		return errMemClosed
+	}
 	m.manifest = nil
 	return nil
 }

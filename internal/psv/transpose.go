@@ -42,26 +42,19 @@ func Transpose(sys *pdisk.System, runs []*runio.Run) ([]*DiskRun, TransposeStats
 		run    *DiskRun
 		queue  []pdisk.StoredBlock
 		source *runio.Run
-		cursor int // next source block index
+		stripe *runio.StripeReader
 	}
 	dests := make([]*dest, len(runs))
 	for j, r := range runs {
 		dests[j] = &dest{
 			run:    &DiskRun{ID: r.ID, Disk: j},
 			source: r,
+			stripe: runio.NewStripeReader(sys, r, false),
 		}
 	}
 
 	readStripe := func(dd *dest) error {
-		end := dd.cursor + d
-		if end > dd.source.NumBlocks() {
-			end = dd.source.NumBlocks()
-		}
-		addrs := make([]pdisk.BlockAddr, 0, end-dd.cursor)
-		for i := dd.cursor; i < end; i++ {
-			addrs = append(addrs, dd.source.Addr(i))
-		}
-		blocks, err := sys.ReadBlocks(addrs)
+		blocks, err := dd.stripe.Read()
 		if err != nil {
 			return err
 		}
@@ -69,7 +62,6 @@ func Transpose(sys *pdisk.System, runs []*runio.Run) ([]*DiskRun, TransposeStats
 		for _, b := range blocks {
 			dd.queue = append(dd.queue, pdisk.StoredBlock{Records: b.Records, Recs16: b.Recs16})
 		}
-		dd.cursor = end
 		return nil
 	}
 	writeRound := func() error {
@@ -103,7 +95,7 @@ func Transpose(sys *pdisk.System, runs []*runio.Run) ([]*DiskRun, TransposeStats
 		// Fill: one stripe from every run that has data left and whose
 		// queue is below one stripe.
 		for _, dd := range dests {
-			if dd.cursor < dd.source.NumBlocks() && len(dd.queue) < d {
+			if dd.stripe.Left() > 0 && len(dd.queue) < d {
 				if err := readStripe(dd); err != nil {
 					return nil, stats, err
 				}

@@ -1,6 +1,10 @@
 package srmsort
 
-import "sync"
+import (
+	"sync"
+
+	"srmsort/internal/analysis"
+)
 
 // Progress is a point-in-time snapshot of a running sort, delivered to
 // Config.Progress. Snapshots are monotone: Pass and RecordsOut never
@@ -48,17 +52,6 @@ func newProgressTracker(fn func(Progress)) *progressTracker {
 	return &progressTracker{fn: fn}
 }
 
-// passesNeeded returns the number of R-way merge passes that reduce n
-// runs to one.
-func passesNeeded(n, r int) int {
-	passes := 0
-	for n > 1 {
-		n = (n + r - 1) / r
-		passes++
-	}
-	return passes
-}
-
 // formed records the start of the merge phase: runsLeft runs remain to
 // be merged R at a time, and base merge passes were already completed
 // (non-zero only for a resumed sort, where initialRuns comes from the
@@ -71,7 +64,7 @@ func (t *progressTracker) formed(initialRuns, runsLeft, r, base int) {
 	defer t.mu.Unlock()
 	t.cur.InitialRuns = initialRuns
 	t.cur.Pass = base
-	t.cur.TotalPasses = base + passesNeeded(runsLeft, r)
+	t.cur.TotalPasses = base + analysis.MergePasses(runsLeft, r)
 	t.cur.RunsLeft = runsLeft
 	t.fn(t.cur)
 }

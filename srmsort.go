@@ -374,19 +374,22 @@ func (c Config) backend() Backend {
 }
 
 // newSystem builds the disk system of a sort on the configured backend,
-// returning the backing store (what checkpoint code probes for manifest
-// and block-listing support) and a cleanup function that closes the System and
-// removes any file-backed scratch storage.
-func (c Config) newSystem() (*pdisk.System, pdisk.Store, func(), error) {
+// and a cleanup function that closes the System and removes any
+// file-backed scratch storage. A checkpointed sort over a caller's store
+// that cannot hold a manifest fails here, before any input is read.
+func (c Config) newSystem() (*pdisk.System, func(), error) {
 	codec, err := c.codec()
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	var store pdisk.Store
 	cleanupStore := func() {}
 	retain := c.Store != nil
 	switch {
 	case c.Store != nil:
+		if _, ok := c.Store.(pdisk.ManifestStore); c.Checkpoint && !ok {
+			return nil, nil, fmt.Errorf("srmsort: backend cannot persist a checkpoint manifest")
+		}
 		store = c.Store
 	case c.backend() == MemBackend:
 		store = pdisk.NewMemStore()
@@ -395,7 +398,7 @@ func (c Config) newSystem() (*pdisk.System, pdisk.Store, func(), error) {
 		if dir == "" {
 			tmp, err := os.MkdirTemp("", "srmsort-disks-*")
 			if err != nil {
-				return nil, nil, nil, err
+				return nil, nil, err
 			}
 			cleanupStore = func() { os.RemoveAll(tmp) }
 			dir = tmp
@@ -403,7 +406,7 @@ func (c Config) newSystem() (*pdisk.System, pdisk.Store, func(), error) {
 		fs, err := pdisk.NewFileStoreCodec(dir, c.B, c.D, codec)
 		if err != nil {
 			cleanupStore()
-			return nil, nil, nil, err
+			return nil, nil, err
 		}
 		store = fs
 		// A checkpointed sort in a user-supplied directory keeps its
@@ -419,15 +422,15 @@ func (c Config) newSystem() (*pdisk.System, pdisk.Store, func(), error) {
 			cleanupStore = func() { fs.Remove(); removeDir() }
 		}
 	default:
-		return nil, nil, nil, fmt.Errorf("srmsort: unknown backend %q", c.Backend)
+		return nil, nil, fmt.Errorf("srmsort: unknown backend %q", c.Backend)
 	}
 	sys, err := pdisk.NewSystem(pdisk.Config{D: c.D, B: c.B, Store: store, Model: c.Model,
 		RetainStore: retain, Gate: c.Gate, Retry: c.Retry, Deadline: c.Deadline})
 	if err != nil {
 		cleanupStore()
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
-	return sys, store, func() { sys.Close(); cleanupStore() }, nil
+	return sys, func() { sys.Close(); cleanupStore() }, nil
 }
 
 // Sort externally sorts records under the given configuration and returns
@@ -605,15 +608,14 @@ func sortOrResumeVar(records []VarRecord, cfg Config, resume bool) ([]VarRecord,
 // load with consecutive spans of the input, each a fresh slice the
 // loader takes over — whole blocks of the sort's B records, but for the
 // last. recordSink consumes one block of the sorted output stream: the
-// stored block's own records, valid only for the call. An emitter streams
-// the final run into a sink. They are the seams Sort, SortVar and their
-// resumes (slices) and SortStream/ResumeStream (wire-format readers and
-// writers) share, instantiated at the kernel width the codec selects, so
-// no record crosses them one call at a time.
+// stored block's own records, valid only for the call. They are the
+// seams Sort, SortVar and their resumes (slices) and
+// SortStream/ResumeStream (wire-format readers and writers) share,
+// instantiated at the kernel width the codec selects, so no record
+// crosses them one call at a time.
 type (
 	recordFeed[R record.KernelRecord] func(load func([]R) error) error
 	recordSink[R record.KernelRecord] func(blk []R) error
-	emitter[R record.KernelRecord]    func(sink recordSink[R]) error
 )
 
 // forceWideKernel routes fixed16 sorts through the wide record.Record
@@ -638,6 +640,11 @@ func wideKernel(codec record.Codec) bool {
 // the sorted output stream. nrec is the input size when the caller knows
 // it (0 for streamed inputs), used only to cross-check a resume manifest
 // against the supplied input.
+//
+// A sort starts its merge passes from a checkpoint generation: a fresh
+// sort's is generation 0, the runs it forms (formRuns); a resumed sort's
+// is the newest one on the store that verifies. From there mergeFrom runs
+// both alike.
 func runSort[R record.KernelRecord](cfg Config, codec record.Codec, resume bool, nrec int, feed recordFeed[R], sink recordSink[R]) (Stats, error) {
 	r, m, err := cfg.MergeOrder()
 	if err != nil {
@@ -653,104 +660,84 @@ func runSort[R record.KernelRecord](cfg Config, codec record.Codec, resume bool,
 	stats := Stats{Algorithm: cfg.Algorithm, D: cfg.D, B: cfg.B, M: m, R: r}
 	tr := newProgressTracker(cfg.Progress)
 
-	sys, store, cleanup, err := cfg.newSystem()
+	sys, cleanup, err := cfg.newSystem()
 	if err != nil {
 		return Stats{}, err
 	}
 	defer cleanup()
 
-	var emit emitter[R]
-	var man *manifest
+	var man *manifest // the checkpoint state this sort keeps; nil when it keeps none
 	if resume {
 		if man, err = loadManifest(sys); err != nil {
 			return Stats{}, err
 		}
 	}
+	var gen runGen
+	var runs []*runio.Run
+	var place runio.Placement
 	if man != nil {
 		if err := man.check(cfg, m, r, nrec, codec.Name()); err != nil {
 			return Stats{}, err
 		}
-		emit, err = resumeMerge[R](sys, store, man, cfg, r, &stats, tr)
-		if err != nil {
+		if gen, err = chooseGen(sys, man); err != nil {
 			return Stats{}, err
 		}
+		if len(gen.Runs) == 0 {
+			return Stats{}, fmt.Errorf("srmsort: manifest holds no runs")
+		}
+		if err := reclaimOrphans(sys, man, gen); err != nil {
+			return Stats{}, err
+		}
+		sys.ResetStats() // verification reads are recovery, not sorting cost
+		man.Cur, man.Prev = gen, nil
+		stats.InitialRuns = man.InitialRuns
+		runs = make([]*runio.Run, len(gen.Runs))
+		for i, st := range gen.Runs {
+			runs[i] = runio.RunFromState(st)
+		}
+		place = runPlacement(cfg, gen.Draws)
 	} else {
 		if resume {
 			// No checkpoint survived: restart from scratch over a store
 			// an earlier attempt may have dirtied.
-			if err := wipeStore(sys, store); err != nil {
+			if err := wipeStore(sys); err != nil {
 				return Stats{}, err
 			}
 		}
-		loader := runform.NewLoader[R](sys)
-		loaded := 0
-		if err := feed(func(blk []R) error {
-			if i := record.IndexKey(blk, record.MaxKey); i >= 0 {
-				return fmt.Errorf("srmsort: input record %d: %w", loaded+i, errReservedKey)
-			}
-			loaded += len(blk)
-			return loader.AppendBlock(blk)
-		}); err != nil {
+		if man, gen, runs, place, err = formRuns(sys, cfg, codec, m, r, feed, &stats); err != nil {
 			return Stats{}, err
 		}
-		file, err := loader.Finish()
-		if err != nil {
-			return Stats{}, err
-		}
-		var cp *checkpointer
-		if cfg.Checkpoint {
-			if _, ok := store.(pdisk.ManifestStore); !ok {
-				return Stats{}, fmt.Errorf("srmsort: backend cannot persist a checkpoint manifest")
-			}
-			frontier, err := storeFrontiers(sys)
-			if err != nil {
-				return Stats{}, err
-			}
-			cp = &checkpointer{sys: sys, store: store, man: manifest{
-				Version:       manifestVersion,
-				Algorithm:     cfg.Algorithm.String(),
-				Codec:         codec.Name(),
-				D:             cfg.D,
-				B:             cfg.B,
-				M:             m,
-				R:             r,
-				Seed:          cfg.Seed,
-				Formation:     int(cfg.RunFormation),
-				Records:       file.Records,
-				InputFrontier: frontier,
-			}}
-		}
-		sys.ResetStats() // loading the input is setup, not sorting cost
-
-		emit, err = sortRuns[R](sys, file, m, r, cfg, &stats, cp, tr)
-		if err != nil {
-			return Stats{}, err
-		}
+	}
+	final, err := mergeFrom[R](sys, cfg, m, r, man, gen, runs, place, &stats, tr)
+	if err != nil {
+		return Stats{}, err
 	}
 
 	// Snapshot the I/O figures before reading the result back out —
 	// verification traffic is not sorting cost.
-	final := sys.Stats()
-	stats.ReadParallelism = final.ReadParallelism()
-	stats.WriteParallelism = final.WriteParallelism()
-	stats.ReadBalance = final.ReadBalance()
-	stats.WriteBalance = final.WriteBalance()
-	stats.SimTime = final.SimTime
-	stats.Health = final.Health
+	sorted := sys.Stats()
+	stats.ReadParallelism = sorted.ReadParallelism()
+	stats.WriteParallelism = sorted.WriteParallelism()
+	stats.ReadBalance = sorted.ReadBalance()
+	stats.WriteBalance = sorted.WriteBalance()
+	stats.SimTime = sorted.SimTime
+	stats.Health = sorted.Health
 
-	if err := emit(func(blk []R) error {
-		if err := sink(blk); err != nil {
-			return err
+	if final != nil {
+		if err := runio.StreamBlocks(sys, final, cfg.Async, func(blk []R) error {
+			if err := sink(blk); err != nil {
+				return err
+			}
+			tr.emitted(int64(len(blk)))
+			return nil
+		}); err != nil {
+			return Stats{}, err
 		}
-		tr.emitted(int64(len(blk)))
-		return nil
-	}); err != nil {
-		return Stats{}, err
 	}
 	tr.finish()
 	// The sort is complete and its result materialised: the recovery
 	// state has served its purpose.
-	if cfg.Checkpoint || man != nil {
+	if man != nil {
 		if err := sys.ClearManifest(); err != nil {
 			return Stats{}, err
 		}
@@ -758,124 +745,127 @@ func runSort[R record.KernelRecord](cfg Config, codec record.Codec, resume bool,
 	return stats, nil
 }
 
-// chainPassFuncs composes per-pass hooks (checkpointing, progress) into
-// one srm.PassFunc, nil when there is nothing to call.
-func chainPassFuncs(hooks ...srm.PassFunc) srm.PassFunc {
-	live := hooks[:0]
-	for _, h := range hooks {
-		if h != nil {
-			live = append(live, h)
+// formRuns loads a fresh sort's input and forms its initial runs —
+// generation 0 — recording the formation's cost in stats. The returned
+// placement places the merge passes' runs, continuing from the gen.Draws
+// draws formation made. With Checkpoint set it also returns the sort's
+// manifest, holding generation 0, saved when there are runs to merge.
+// The algorithms differ here only in their runs' starting disks
+// (runPlacement) and in that DSM and PSV always form runs from half
+// memoryloads.
+func formRuns[R record.KernelRecord](sys *pdisk.System, cfg Config, codec record.Codec, m, r int, feed recordFeed[R], stats *Stats) (*manifest, runGen, []*runio.Run, runio.Placement, error) {
+	loader := runform.NewLoader[R](sys)
+	loaded := 0
+	if err := feed(func(blk []R) error {
+		if i := record.IndexKey(blk, record.MaxKey); i >= 0 {
+			return fmt.Errorf("srmsort: input record %d: %w", loaded+i, errReservedKey)
+		}
+		loaded += len(blk)
+		return loader.AppendBlock(blk)
+	}); err != nil {
+		return nil, runGen{}, nil, nil, err
+	}
+	file, err := loader.Finish()
+	if err != nil {
+		return nil, runGen{}, nil, nil, err
+	}
+	var man *manifest
+	if cfg.Checkpoint {
+		frontier, err := storeFrontiers(sys)
+		if err != nil {
+			return nil, runGen{}, nil, nil, err
+		}
+		man = &manifest{
+			Version:       manifestVersion,
+			Algorithm:     cfg.Algorithm.String(),
+			Codec:         codec.Name(),
+			D:             cfg.D,
+			B:             cfg.B,
+			M:             m,
+			R:             r,
+			Seed:          cfg.Seed,
+			Formation:     int(cfg.RunFormation),
+			Records:       file.Records,
+			InputFrontier: frontier,
 		}
 	}
-	switch len(live) {
-	case 0:
-		return nil
-	case 1:
-		return live[0]
-	}
-	chained := append([]srm.PassFunc(nil), live...)
-	return func(pass int, survivors []*runio.Run, seq int) error {
-		for _, h := range chained {
-			if err := h(pass, survivors, seq); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-}
+	sys.ResetStats() // loading the input is setup, not sorting cost
 
-// sortRuns performs the sort proper — run formation and merge passes —
-// and returns a streaming iterator over the final sorted run. The caller
-// must snapshot Stats-level I/O figures before draining the iterator,
-// because reading the result back out is verification, not sorting cost.
-// cp, when non-nil, receives a checkpoint after formation and every merge
-// pass; tr, when non-nil, receives Progress snapshots at the same points.
-// The algorithms differ only in their runs' starting disks (runPlacement),
-// in the merge the pass loop runs (mergeRuns) and in that DSM and PSV
-// always form runs from half memoryloads.
-func sortRuns[R record.KernelRecord](sys *pdisk.System, file *runform.InputFile, m, r int, cfg Config, stats *Stats, cp *checkpointer, tr *progressTracker) (emitter[R], error) {
-	placement := runPlacement(cfg, 0)
-	var counting *runio.CountingPlacement
-	if cp != nil {
-		// Count placement draws so the manifest records how far the
-		// seeded RNG has advanced; a resume replays exactly that many.
-		counting = &runio.CountingPlacement{Inner: placement}
-		placement = counting
-	}
-
+	place := runPlacement(cfg, 0)
+	counted := &runio.CountingPlacement{Inner: place}
 	var formed runform.Result
-	var err error
 	if cfg.RunFormation == ReplacementSelection && (cfg.Algorithm == SRM || cfg.Algorithm == SRMDeterministic) {
-		formed, err = runform.ReplacementSelectionCores[R](sys, file, m, placement, 0, cfg.cores())
+		formed, err = runform.ReplacementSelectionCores[R](sys, file, m, counted, 0, cfg.cores())
 	} else {
-		formed, err = runform.MemoryLoadCores[R](sys, file, (m+1)/2, placement, 0, cfg.cores())
+		formed, err = runform.MemoryLoadCores[R](sys, file, (m+1)/2, counted, 0, cfg.cores())
 	}
 	if err != nil {
-		return nil, err
+		return nil, runGen{}, nil, nil, err
 	}
 	afterForm := sys.Stats()
 	stats.RunFormationReads = afterForm.ReadOps
 	stats.RunFormationWrites = afterForm.WriteOps
 	stats.InitialRuns = len(formed.Runs)
-	if len(formed.Runs) == 0 {
-		tr.formed(0, 0, r, 0)
-		return func(recordSink[R]) error { return nil }, nil
+	gen := runGen{Seq: formed.NextSeq, Draws: counted.Draws()}
+	if man != nil && len(formed.Runs) > 0 {
+		// Checkpoint the freshly formed runs so a crash during the first
+		// merge pass can resume from them.
+		gen.Runs = runStates(formed.Runs)
+		man.InitialRuns = len(formed.Runs)
+		man.Cur = gen
+		if err := saveManifest(sys, man); err != nil {
+			return nil, runGen{}, nil, nil, err
+		}
 	}
-	tr.formed(len(formed.Runs), len(formed.Runs), r, 0)
+	return man, gen, formed.Runs, place, nil
+}
 
-	var cpHook, trHook srm.PassFunc
-	if cp != nil {
-		// Pass 0 is run formation: checkpoint the freshly formed runs so
-		// a crash during the first merge pass can resume from them.
-		cp.man.InitialRuns = len(formed.Runs)
-		if err := cp.save(runGen{
-			Pass:  0,
-			Seq:   formed.NextSeq,
-			Draws: counting.Draws(),
-			Runs:  runStates(formed.Runs),
-		}); err != nil {
-			return nil, err
-		}
-		cpHook = func(pass int, survivors []*runio.Run, seq int) error {
-			return cp.save(runGen{
-				Pass:  pass,
-				Seq:   seq,
-				Draws: counting.Draws(),
-				Runs:  runStates(survivors),
-			})
-		}
+// mergeFrom runs the merge passes over runs, the runs of generation gen,
+// with the algorithm's merge, records their statistics and returns the
+// final run (nil when there are no runs: an empty input). place places
+// the runs it writes and has made gen.Draws draws. After each pass it
+// saves the next generation in man, when the sort keeps a manifest, and
+// reports Progress; with neither, each group's inputs are freed as soon
+// as its merge completes. Memory m sizes PSV's lookahead buffers.
+func mergeFrom[R record.KernelRecord](sys *pdisk.System, cfg Config, m, r int, man *manifest, gen runGen, runs []*runio.Run, place runio.Placement, stats *Stats, tr *progressTracker) (*runio.Run, error) {
+	tr.formed(stats.InitialRuns, len(runs), r, gen.Pass)
+	if len(runs) == 0 {
+		return nil, nil
 	}
-	if tr != nil {
-		trHook = func(pass int, survivors []*runio.Run, seq int) error {
-			tr.pass(0, pass, len(survivors))
+	counted := &runio.CountingPlacement{Inner: place}
+	opts := srm.SortOpts{Async: cfg.Async, Workers: cfg.Workers, Cores: cfg.cores()}
+	if man != nil || tr != nil {
+		opts.AfterPass = func(pass int, survivors []*runio.Run, seq int) error {
+			if man != nil {
+				prev := man.Cur
+				man.Prev = &prev
+				man.Cur = runGen{
+					Pass:  gen.Pass + pass,
+					Seq:   seq,
+					Draws: gen.Draws + counted.Draws(),
+					Runs:  runStates(survivors),
+				}
+				if err := saveManifest(sys, man); err != nil {
+					return err
+				}
+			}
+			tr.pass(gen.Pass, pass, len(survivors))
 			return nil
 		}
 	}
-	return mergeRuns[R](sys, formed.Runs, m, r, placement, formed.NextSeq, cfg, chainPassFuncs(cpHook, trHook), stats)
-}
-
-// mergeRuns runs the merge passes over runs — a fresh sort's formed runs
-// or a resumed sort's recovered ones — with the algorithm's merge,
-// records their statistics, and returns the iterator over the final run.
-// Memory m sizes PSV's lookahead buffers.
-func mergeRuns[R record.KernelRecord](sys *pdisk.System, runs []*runio.Run, m, r int, placement runio.Placement, seq int, cfg Config, afterPass srm.PassFunc, stats *Stats) (emitter[R], error) {
-	opts := srm.SortOpts{
-		Async:     cfg.Async,
-		Workers:   cfg.Workers,
-		Cores:     cfg.cores(),
-		AfterPass: afterPass,
-	}
-	var final *runio.Run
-	var ss srm.SortStats
-	var err error
+	var merge srm.MergeFunc
 	switch cfg.Algorithm {
 	case DSM:
-		final, ss, _, err = srm.SortRunsWith(sys, runs, r, placement, seq, opts, dsm.Merge[R](sys, cfg.Async))
+		merge = dsm.Merge[R](sys, cfg.Async)
 	case PSV:
-		final, ss, _, err = srm.SortRunsWith(sys, runs, r, placement, seq, opts, psv.Merge[R](sys, analysis.PSVLookahead(m, cfg.D, cfg.B)))
+		merge = psv.Merge[R](sys, analysis.PSVLookahead(m, cfg.D, cfg.B))
 	default:
-		final, ss, _, err = srm.SortRunsOpts[R](sys, runs, r, placement, seq, opts)
+		mopts := srm.MergeOpts{Async: cfg.Async, Cores: cfg.cores()}
+		merge = func(group []*runio.Run, seq, start int) (*runio.Run, srm.MergeStats, error) {
+			return srm.Merge[R](sys, group, r, seq, start, mopts)
+		}
 	}
+	final, ss, _, err := srm.SortRunsWith(sys, runs, r, counted, gen.Seq, opts, merge)
 	if err != nil {
 		return nil, err
 	}
@@ -886,5 +876,5 @@ func mergeRuns[R record.KernelRecord](sys *pdisk.System, runs []*runio.Run, m, r
 	stats.BlocksFlushed = ss.BlocksFlushed
 	stats.BlocksReread = ss.BlocksReread
 	stats.TransposeOps = ss.TransposeOps
-	return func(sink recordSink[R]) error { return runio.StreamBlocks(sys, final, cfg.Async, sink) }, nil
+	return final, nil
 }
