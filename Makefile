@@ -133,16 +133,19 @@ bench-smoke:
 # Update and Remove on winner and non-winner players, with and without
 # a tie hook, checked after every call against a brute-force Min, Len
 # and Challenger; words 0, 1, 2^64-2 and 2^64-1 are drawn often, so a
-# live player holding the maximal words meets retired ones).
+# live player holding the maximal words meets retired ones). Each burst's
+# -run names its own target: `go test -fuzz` runs every test of the
+# package first otherwise, so each root burst re-ran the whole root
+# suite; those tests run in `make check`.
 fuzz-smoke:
-	go test -fuzz='^FuzzSortStream$$' -fuzztime=20s .
-	go test -fuzz=FuzzParallelMergeEquiv -fuzztime=20s .
-	go test -fuzz=FuzzGallopMergeEquiv -fuzztime=20s .
-	go test -fuzz=FuzzTwoWidthKernelEquiv -fuzztime=20s .
-	go test -fuzz=FuzzCodecRoundTrip -fuzztime=20s ./internal/record/
-	go test -fuzz=FuzzCompareExt -fuzztime=20s ./internal/record/
-	go test -fuzz=FuzzWireBlocks -fuzztime=20s ./internal/record/
-	go test -fuzz=FuzzTreeOps -fuzztime=20s ./internal/ltree/
+	go test -run='^FuzzSortStream$$' -fuzz='^FuzzSortStream$$' -fuzztime=20s .
+	go test -run='^FuzzParallelMergeEquiv$$' -fuzz='^FuzzParallelMergeEquiv$$' -fuzztime=20s .
+	go test -run='^FuzzGallopMergeEquiv$$' -fuzz='^FuzzGallopMergeEquiv$$' -fuzztime=20s .
+	go test -run='^FuzzTwoWidthKernelEquiv$$' -fuzz='^FuzzTwoWidthKernelEquiv$$' -fuzztime=20s .
+	go test -run='^FuzzCodecRoundTrip$$' -fuzz='^FuzzCodecRoundTrip$$' -fuzztime=20s ./internal/record/
+	go test -run='^FuzzCompareExt$$' -fuzz='^FuzzCompareExt$$' -fuzztime=20s ./internal/record/
+	go test -run='^FuzzWireBlocks$$' -fuzz='^FuzzWireBlocks$$' -fuzztime=20s ./internal/record/
+	go test -run='^FuzzTreeOps$$' -fuzz='^FuzzTreeOps$$' -fuzztime=20s ./internal/ltree/
 
 tables:
 	go run ./cmd/tables

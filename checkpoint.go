@@ -64,8 +64,11 @@ type manifest struct {
 	// InitialRuns preserves the formation count for resumed Stats.
 	InitialRuns int
 	// InputFrontier is the per-disk block frontier right after the input
-	// file was loaded: blocks below it belong to the (never freed) input
-	// and are exempt from orphan reclamation.
+	// file was loaded: blocks below it belong to the input and are exempt
+	// from orphan reclamation. Run formation frees the input as it reads
+	// it, before generation 0 is saved, so no block of a checkpointed
+	// sort's input is resident when a manifest exists; the frontier is
+	// still recorded, keeping the manifest's bytes what they were.
 	InputFrontier []int
 	// Cur is the newest generation; Prev the one before it, kept as a
 	// repair fallback for the narrow window where Cur's save completed
@@ -190,8 +193,10 @@ func chooseGen(sys *pdisk.System, man *manifest) (runGen, error) {
 // reclaimOrphans frees, in one free batch, every resident block that
 // neither the chosen generation's runs nor the input file own: partially
 // written output runs, torn blocks, stale inputs a crash interrupted
-// mid-free. Stores without block enumeration skip reclamation (they only
-// leak space, never correctness).
+// mid-free. The input file's exemption covers no resident block of a
+// sort whose formation freed its input (see manifest.InputFrontier).
+// Stores without block enumeration skip reclamation (they only leak
+// space, never correctness).
 func reclaimOrphans(sys *pdisk.System, man *manifest, gen runGen) error {
 	keep := make(map[pdisk.BlockAddr]bool)
 	for _, addr := range genAddrs(gen) {

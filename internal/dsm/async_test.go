@@ -122,9 +122,10 @@ func TestSortAsyncInjectedFaults(t *testing.T) {
 
 	// The store counts operations from construction, so fault points must
 	// be offset by the traffic LoadInput generates before the sort starts,
-	// and by run formation, which reads and writes each of the input's
-	// blocks once: the read and write faults fire 120 blocks into the
-	// first merge pass. The first free follows the first merge.
+	// and by run formation, which reads, writes and frees each of the
+	// input's blocks once: the read and write faults fire 120 blocks into
+	// the first merge pass, and the free fault at the first block a merge
+	// frees once drained.
 	const formBlocks = 1000 / 4
 	for _, fault := range []struct {
 		name string
@@ -137,7 +138,7 @@ func TestSortAsyncInjectedFaults(t *testing.T) {
 			fs.Configure(pdisk.FaultConfig{FailWriteAt: s.BlocksWritten + formBlocks + 120})
 		}},
 		{"free", func(fs *pdisk.FaultStore, s pdisk.Stats) {
-			fs.Configure(pdisk.FaultConfig{FailFreeAt: 1})
+			fs.Configure(pdisk.FaultConfig{FailFreeAt: formBlocks + 1})
 		}},
 	} {
 		fs := pdisk.NewFaultStore(pdisk.NewMemStore(), pdisk.FaultConfig{})

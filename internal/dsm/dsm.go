@@ -44,9 +44,10 @@ import (
 // per run provides for) and writes output stripes behind the merge; every
 // stripe is still read and written exactly once, so statistics and output
 // do not change. The merge counts its own operations, so its statistics
-// stay exact when merges share the System.
+// stay exact when merges share the System. Each block goes to drained
+// once the kernel has emptied it.
 func Merge[R record.KernelRecord](sys *pdisk.System, async bool) srm.MergeFunc {
-	return func(runs []*runio.Run, id, start int) (*runio.Run, srm.MergeStats, error) {
+	return func(runs []*runio.Run, id, start int, drained *runio.Freer) (*runio.Run, srm.MergeStats, error) {
 		var ms srm.MergeStats
 		readers := make([]*runio.StripeReader, len(runs))
 		for i, r := range runs {
@@ -62,6 +63,8 @@ func Merge[R record.KernelRecord](sys *pdisk.System, async bool) srm.MergeFunc {
 		k := ltree.NewKernel[R](len(runs), false)
 		// hand[i] holds the blocks of run i's current stripe not yet pushed.
 		hand := make([][]pdisk.StoredBlock, len(runs))
+		// pushed[i] counts run i's blocks pushed to the kernel so far.
+		pushed := make([]int, len(runs))
 		// next pushes run i's next block, reading its next stripe when the
 		// blocks in hand have drained; a run with none left stays retired.
 		next := func(i int) error {
@@ -78,6 +81,7 @@ func Merge[R record.KernelRecord](sys *pdisk.System, async bool) srm.MergeFunc {
 			}
 			k.Push(i, pdisk.RecsOf[R](hand[i][0]))
 			hand[i] = hand[i][1:]
+			pushed[i]++
 			return nil
 		}
 		for i := range runs {
@@ -97,6 +101,9 @@ func Merge[R record.KernelRecord](sys *pdisk.System, async bool) srm.MergeFunc {
 				return nil, ms, err
 			}
 			if ended {
+				if err := drained.Drained(runs[i].Addr(pushed[i] - 1)); err != nil {
+					return nil, ms, err
+				}
 				if err := next(i); err != nil {
 					return nil, ms, err
 				}

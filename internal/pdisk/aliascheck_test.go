@@ -113,3 +113,54 @@ func mutateAfterIssue(t *testing.T) {
 	fut.Wait()
 	t.Fatal("the transfer of a block modified after issue did not panic")
 }
+
+// TestAliasCheckPoisonsFreedBlocks holds a block past the free of its
+// address — the reader contract's violation — and requires the guard to
+// have poisoned its records, so that a stale reader reads wrong bytes
+// instead of whatever the block's recycled array holds next.
+func TestAliasCheckPoisonsFreedBlocks(t *testing.T) {
+	m := NewMemStore()
+	defer m.Close()
+	addr := BlockAddr{Disk: 0, Index: 0}
+	recs := append(NewBlock[record.Rec16](2), record.Rec16{Key: 1, Val: 10}, record.Rec16{Key: 2, Val: 20})
+	if err := m.WriteBlock(addr, MakeStored(recs, nil)); err != nil {
+		t.Fatal(err)
+	}
+	got, err := m.ReadBlock(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Free(addr); err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range got.Recs16 { // the contract violation
+		if r.Key != poisonKey || r.Val != poisonKey {
+			t.Fatalf("record %d of a freed block reads %+v, want the poison", i, r)
+		}
+	}
+}
+
+// TestAliasCheckRefusesSharedArray stores one record array at two
+// addresses, as PSV's transposition did when it wrote the blocks it read
+// instead of copies: freeing either would recycle records the other
+// still serves, so the second write must panic.
+func TestAliasCheckRefusesSharedArray(t *testing.T) {
+	m := NewMemStore()
+	defer m.Close()
+	b := MakeStored(append(NewBlock[record.Rec16](1), record.Rec16{Key: 1}), nil)
+	if err := m.WriteBlock(BlockAddr{Disk: 0, Index: 0}, b); err != nil {
+		t.Fatal(err)
+	}
+	// Writing it again at its own address (a retried write) is legal.
+	if err := m.WriteBlock(BlockAddr{Disk: 0, Index: 0}, b); err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		r := recover()
+		msg, ok := r.(string)
+		if !ok || !strings.Contains(msg, "shares its record array") {
+			t.Fatalf("a record array stored at two addresses: recovered %v, want the aliascheck panic", r)
+		}
+	}()
+	m.WriteBlock(BlockAddr{Disk: 1, Index: 0}, b)
+}

@@ -71,7 +71,12 @@ type diskFiles struct {
 	alloc      int    // slots preallocated in both files
 	present    []bool // per-slot occupancy, mirrored in the meta file
 	resident   int64
+	fcArena    []record.Key // carved into the forecasts of the blocks read; guarded by FileStore.mu
 }
+
+// fcArenaKeys is the size of a disk's forecast arena chunk: one
+// allocation serves the forecasts of about that many blocks read.
+const fcArenaKeys = 512
 
 const (
 	// preallocSlots is the file-growth quantum: whenever a write lands
@@ -457,7 +462,7 @@ func (f *FileStore) ReadBlock(addr BlockAddr) (StoredBlock, error) {
 
 	out := StoredBlock{}
 	if nFc > 0 {
-		out.Forecast = make([]record.Key, nFc)
+		out.Forecast = f.carveForecast(df, int(nFc))
 		for i := range out.Forecast {
 			out.Forecast[i] = record.Key(binary.LittleEndian.Uint64(meta[f.metaHeader+i*8:]))
 		}
@@ -481,6 +486,21 @@ func (f *FileStore) ReadBlock(addr BlockAddr) (StoredBlock, error) {
 		}
 	}
 	return out, nil
+}
+
+// carveForecast returns room for n forecast keys carved from disk df's
+// arena, instead of a slice of its own per block read: each is a
+// capacity-n sub-slice handed out once, so no append can reach a
+// neighbour and no key is rewritten while a reader holds it.
+func (f *FileStore) carveForecast(df *diskFiles, n int) []record.Key {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if len(df.fcArena) < n {
+		df.fcArena = make([]record.Key, max(fcArenaKeys, n))
+	}
+	fc := df.fcArena[0:n:n]
+	df.fcArena = df.fcArena[n:]
+	return fc
 }
 
 // Free implements Store: the slot is marked absent in memory and in the

@@ -3,6 +3,7 @@ package pdisk
 import (
 	"fmt"
 	"sync"
+	"unsafe"
 
 	"srmsort/internal/record"
 )
@@ -35,16 +36,20 @@ type Store interface {
 	// error.
 	//
 	// Ownership handoff: the returned block is the caller's to hold and
-	// re-slice for as long as it likes, but its records and forecast must
-	// be treated as immutable — the store may hand the same backing arrays
-	// to other readers (MemStore returns its resident block without a
-	// defensive copy; this is the merge kernel's zero-copy read path). No
-	// merge-side consumer mutates blocks — they only advance slice heads —
-	// and the `aliascheck` build tag arms a checksum guard in MemStore
-	// that panics if any reader ever does.
+	// re-slice until its address is freed, and its records and forecast
+	// must be treated as immutable — the store may hand the same backing
+	// arrays to other readers (MemStore returns its resident block without
+	// a defensive copy; this is the merge kernel's zero-copy read path).
+	// No merge-side consumer mutates blocks — they only advance slice
+	// heads — and the `aliascheck` build tag arms a checksum guard in
+	// MemStore that panics if any reader ever does. Once the address is
+	// freed the block's records may be recycled into another block (see
+	// NewBlock), so no reader may look at them after the free; under
+	// `aliascheck` MemStore poisons them at the free.
 	ReadBlock(addr BlockAddr) (StoredBlock, error)
 	// Free releases the block at addr; freeing an absent block is an
-	// error on every backend (double frees are scheduling bugs).
+	// error on every backend (double frees are scheduling bugs). MemStore
+	// recycles the freed block's record array (see NewBlock).
 	Free(addr BlockAddr) error
 	// Usage reports the store's current capacity accounting.
 	Usage() Usage
@@ -143,13 +148,18 @@ func storedBytes(b StoredBlock) int64 {
 // Writes and reads are zero-copy: WriteBlock keeps the block it is given
 // and ReadBlock returns the resident block itself, under the Store
 // ownership-handoff contracts (neither writers nor readers modify a block
-// once written). Build with -tags=aliascheck to arm a per-block checksum
-// that catches violations.
+// once written, and readers let go of it when its address is freed).
+// Free recycles the block's record array into the pool NewBlock draws
+// from, so the blocks a sort frees become the blocks it writes next.
+// Build with -tags=aliascheck to arm a per-block checksum that catches
+// violations, poison each freed block's records and refuse an array that
+// is already resident at another address.
 type MemStore struct {
 	mu       sync.RWMutex
-	disks    [][]*memChunk        // disks[d][index/memChunkSlots]; nil = no resident block in that chunk
-	spare    *memChunk            // the last chunk dropped, all slots zero; nil = none
-	sums     map[BlockAddr]uint64 // aliascheck only: content checksum at write
+	disks    [][]*memChunk                // disks[d][index/memChunkSlots]; nil = no resident block in that chunk
+	spare    *memChunk                    // the last chunk dropped, all slots zero; nil = none
+	sums     map[BlockAddr]uint64         // aliascheck only: content checksum at write
+	arrays   map[unsafe.Pointer]BlockAddr // aliascheck only: where each resident record array lives
 	blocks   int64
 	bytes    int64
 	manifest []byte // ManifestStore state; nil = no manifest
@@ -182,6 +192,7 @@ func NewMemStore() *MemStore {
 	m := &MemStore{}
 	if aliasCheck {
 		m.sums = make(map[BlockAddr]uint64)
+		m.arrays = make(map[unsafe.Pointer]BlockAddr)
 	}
 	return m
 }
@@ -212,6 +223,9 @@ func (m *MemStore) WriteBlock(addr BlockAddr, b StoredBlock) error {
 	if addr.Disk < 0 || addr.Index < 0 {
 		return fmt.Errorf("%w: write to invalid address %v", ErrInvalid, addr)
 	}
+	if aliasCheck {
+		m.claimArray(addr, b)
+	}
 	c, s := m.slot(addr)
 	if c == nil {
 		if n := addr.Disk + 1 - len(m.disks); n > 0 {
@@ -233,6 +247,9 @@ func (m *MemStore) WriteBlock(addr BlockAddr, b StoredBlock) error {
 	}
 	if s.present {
 		m.bytes -= storedBytes(s.b)
+		if aliasCheck && arrayOf(s.b) != arrayOf(b) {
+			delete(m.arrays, arrayOf(s.b))
+		}
 	} else {
 		s.present = true
 		c.live++
@@ -264,8 +281,8 @@ func (m *MemStore) ReadBlock(addr BlockAddr) (StoredBlock, error) {
 	return s.b, nil
 }
 
-// Free implements Store. The slot is zeroed, and its chunk dropped once it
-// holds no block.
+// Free implements Store. The slot is zeroed, its chunk dropped once it
+// holds no block, and the block's record array recycled (see NewBlock).
 func (m *MemStore) Free(addr BlockAddr) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -276,18 +293,37 @@ func (m *MemStore) Free(addr BlockAddr) error {
 	if s == nil || !s.present {
 		return fmt.Errorf("%w: free of absent block %v", ErrAbsent, addr)
 	}
+	b := s.b
 	if aliasCheck {
-		m.verifySum(addr, s.b)
+		m.verifySum(addr, b)
 		delete(m.sums, addr)
+		delete(m.arrays, arrayOf(b))
 	}
 	m.blocks--
-	m.bytes -= storedBytes(s.b)
+	m.bytes -= storedBytes(b)
 	*s = memSlot{}
 	if c.live--; c.live == 0 {
 		m.disks[addr.Disk][addr.Index/memChunkSlots] = nil
 		m.spare = c
 	}
+	recycle(b)
 	return nil
+}
+
+// claimArray panics if b's record array is already resident at an
+// address other than addr, and records it at addr: one array, one
+// address. A writer that stored a block it read (instead of a copy)
+// would hand one array to two slots, and freeing either would recycle
+// records the other still serves. Called only under -tags=aliascheck.
+func (m *MemStore) claimArray(addr BlockAddr, b StoredBlock) {
+	p := arrayOf(b)
+	if p == nil {
+		return
+	}
+	if at, ok := m.arrays[p]; ok && at != addr {
+		panic(fmt.Sprintf("pdisk: aliascheck: block written to %v shares its record array with the block resident at %v", addr, at))
+	}
+	m.arrays[p] = addr
 }
 
 // each calls fn on every resident block, disk by disk in index order.
@@ -377,6 +413,7 @@ func (m *MemStore) Close() error {
 	m.disks = nil
 	m.spare = nil
 	m.sums = nil
+	m.arrays = nil
 	m.manifest = nil
 	m.blocks, m.bytes = 0, 0
 	return nil

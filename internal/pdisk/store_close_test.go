@@ -18,7 +18,10 @@ func TestStoreUseAfterCloseIsInvalid(t *testing.T) {
 		t.Run(f.Name, func(t *testing.T) {
 			st := f.New(t)
 			for _, a := range []pdisk.BlockAddr{{Disk: 0, Index: 0}, {Disk: 1, Index: 3}} {
-				if err := st.WriteBlock(a, blk); err != nil {
+				// One array, one address: each slot gets its own copy.
+				own := blk
+				own.Recs16 = append([]record.Rec16(nil), blk.Recs16...)
+				if err := st.WriteBlock(a, own); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -68,7 +68,7 @@ func WriteDiskRun[R record.KernelRecord](sys *pdisk.System, id, disk int, record
 		addr := sys.Alloc(disk)
 		if err := sys.WriteBlocks([]pdisk.BlockWrite{{
 			Addr:  addr,
-			Block: pdisk.MakeStored(record.CloneOf(blk), nil),
+			Block: pdisk.MakeStored(append(pdisk.NewBlock[R](sys.B()), blk...), nil),
 		}}); err != nil {
 			return nil, err
 		}
@@ -92,26 +92,18 @@ func ReadAllDiskRun[R record.KernelRecord](sys *pdisk.System, r *DiskRun) ([]R, 
 	return out, nil
 }
 
-// FreeDiskRun releases the run's blocks in one free batch.
-func FreeDiskRun(sys *pdisk.System, r *DiskRun) error {
-	addrs := make([]pdisk.BlockAddr, r.NumBlocks())
-	for i := range addrs {
-		addrs[i] = r.Addr(i)
-	}
-	return sys.FreeBlocks(addrs...)
-}
-
 // Merge returns PSV's merge for srm.SortRunsWith. It transposes the
-// group's striped runs so that run j lies on disk j (Transpose), merges
-// those one-disk runs back into the striped run id whose block 0 lies on
-// disk start, and frees them; the pass loop frees the striped inputs.
-// Each run gets a lookahead buffer of bufBlocks blocks
-// (analysis.PSVLookahead). The merge counts its own operations, the
-// transposition's included and also reported as TransposeOps, so its
-// statistics stay exact when merges share the System.
+// group's striped runs so that run j lies on disk j (Transpose, which
+// hands each striped block to drained once copied), and merges those
+// one-disk runs back into the striped run id whose block 0 lies on disk
+// start, freeing each one-disk block once merged. Each run gets a
+// lookahead buffer of bufBlocks blocks (analysis.PSVLookahead). The merge
+// counts its own operations, the transposition's included and also
+// reported as TransposeOps, so its statistics stay exact when merges
+// share the System.
 func Merge[R record.KernelRecord](sys *pdisk.System, bufBlocks int) srm.MergeFunc {
-	return func(runs []*runio.Run, id, start int) (*runio.Run, srm.MergeStats, error) {
-		diskRuns, ts, err := Transpose(sys, runs)
+	return func(runs []*runio.Run, id, start int, drained *runio.Freer) (*runio.Run, srm.MergeStats, error) {
+		diskRuns, ts, err := Transpose[R](sys, runs, drained)
 		if err != nil {
 			return nil, srm.MergeStats{}, err
 		}
@@ -122,20 +114,17 @@ func Merge[R record.KernelRecord](sys *pdisk.System, bufBlocks int) srm.MergeFun
 		ms.ReadOps += ts.ReadOps
 		ms.WriteOps += ts.WriteOps
 		ms.TransposeOps = ts.ReadOps + ts.WriteOps
-		for _, r := range diskRuns {
-			if err := FreeDiskRun(sys, r); err != nil {
-				return nil, ms, err
-			}
-		}
 		return out, ms, nil
 	}
 }
 
 // mergeDiskRuns merges up to D single-disk runs (at most one per disk)
 // into a striped output run written through the runio writer (full write
-// parallelism). Each run gets a lookahead buffer of bufBlocks blocks;
-// whenever any buffer has space and its run has unread blocks, a parallel
-// read fetches the next block of every such run in one operation.
+// parallelism), and frees each input block once merged: the one-disk runs
+// live only inside Merge. Each run gets a lookahead buffer of bufBlocks
+// blocks; whenever any buffer has space and its run has unread blocks, a
+// parallel read fetches the next block of every such run in one
+// operation.
 func mergeDiskRuns[R record.KernelRecord](sys *pdisk.System, runs []*DiskRun, bufBlocks, outID, outStartDisk int) (*runio.Run, srm.MergeStats, error) {
 	var stats srm.MergeStats
 	if len(runs) == 0 {
@@ -158,6 +147,7 @@ func mergeDiskRuns[R record.KernelRecord](sys *pdisk.System, runs []*DiskRun, bu
 	// queue[i] holds run i's buffered blocks, the one being merged first.
 	queue := make([][][]R, len(runs))
 	next := make([]int, len(runs)) // next block index to read
+	drained := runio.NewFreer(sys)
 
 	readable := func(i int) bool {
 		return len(queue[i]) < bufBlocks && next[i] < runs[i].NumBlocks()
@@ -215,6 +205,10 @@ func mergeDiskRuns[R record.KernelRecord](sys *pdisk.System, runs []*DiskRun, bu
 			}
 			continue
 		}
+		// The merged block is the one before run i's buffered ones.
+		if err := drained.Drained(runs[i].Addr(next[i] - len(queue[i]))); err != nil {
+			return nil, stats, err
+		}
 		queue[i] = queue[i][1:]
 		// Opportunistic prefetch, but only when it achieves full
 		// parallelism: every run that still has blocks on disk can
@@ -237,6 +231,9 @@ func mergeDiskRuns[R record.KernelRecord](sys *pdisk.System, runs []*DiskRun, bu
 	}
 	out, err := w.Finish()
 	if err != nil {
+		return nil, stats, err
+	}
+	if err := drained.Flush(); err != nil {
 		return nil, stats, err
 	}
 	stats.WriteOps = w.WriteOps()

@@ -155,7 +155,7 @@ func TestTransposeCorrectAndParallel(t *testing.T) {
 		want = append(want, recs)
 	}
 	sys.ResetStats()
-	diskRuns, stats, err := Transpose(sys, striped)
+	diskRuns, stats, err := Transpose[record.Record](sys, striped, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +201,7 @@ func TestTransposeUnevenRuns(t *testing.T) {
 		}
 		striped = append(striped, run)
 	}
-	diskRuns, _, err := Transpose(sys, striped)
+	diskRuns, _, err := Transpose[record.Record](sys, striped, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

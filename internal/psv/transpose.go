@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"srmsort/internal/pdisk"
+	"srmsort/internal/record"
 	"srmsort/internal/runio"
 )
 
@@ -25,7 +26,12 @@ type TransposeStats struct {
 // destination disk per operation once the staging queues cover all
 // destinations — full parallelism in both directions at the cost of D
 // stripes (D² blocks) of staging memory.
-func Transpose(sys *pdisk.System, runs []*runio.Run) ([]*DiskRun, TransposeStats, error) {
+//
+// Each block it reads is copied into a block of its own before it is
+// staged, and the source handed to drained (nil keeps the sources): a
+// block's record array lives at one address, so freeing the source
+// cannot recycle records a one-disk run still serves.
+func Transpose[R record.KernelRecord](sys *pdisk.System, runs []*runio.Run, drained *runio.Freer) ([]*DiskRun, TransposeStats, error) {
 	d := sys.D()
 	if len(runs) == 0 {
 		return nil, TransposeStats{}, fmt.Errorf("psv: transpose of zero runs")
@@ -35,14 +41,12 @@ func Transpose(sys *pdisk.System, runs []*runio.Run) ([]*DiskRun, TransposeStats
 	}
 	var stats TransposeStats
 
-	// Transposition never inspects record content, so the staging queues
-	// hold StoredBlocks at whatever kernel width the store returned them —
-	// the pass is representation-blind and copy-free at both widths.
 	type dest struct {
 		run    *DiskRun
 		queue  []pdisk.StoredBlock
 		source *runio.Run
 		stripe *runio.StripeReader
+		read   int // source blocks read so far
 	}
 	dests := make([]*dest, len(runs))
 	for j, r := range runs {
@@ -60,7 +64,12 @@ func Transpose(sys *pdisk.System, runs []*runio.Run) ([]*DiskRun, TransposeStats
 		}
 		stats.ReadOps++
 		for _, b := range blocks {
-			dd.queue = append(dd.queue, pdisk.StoredBlock{Records: b.Records, Recs16: b.Recs16})
+			copied := append(pdisk.NewBlock[R](sys.B()), pdisk.RecsOf[R](b)...)
+			dd.queue = append(dd.queue, pdisk.MakeStored(copied, nil))
+			if err := drained.Drained(dd.source.Addr(dd.read)); err != nil {
+				return err
+			}
+			dd.read++
 		}
 		return nil
 	}

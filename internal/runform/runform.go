@@ -15,6 +15,14 @@
 // Either way every run is written in the striped, forecast-formatted layout
 // of package runio, starting on the disk its Placement assigns — for DSM,
 // always disk 0.
+//
+// Formation consumes the input file: the Reader frees each block once it
+// has copied its records out, so the store holds the input's unread
+// blocks and the runs written so far — the data once — and the run
+// writer forms its blocks in the arrays the freed stripes leave in the
+// store's pool. Nothing needs the input after it is read: a checkpointed
+// sort saves generation 0 once formation is done, and a crash before that
+// leaves no manifest, so a resume restarts from the caller's records.
 package runform
 
 import (
@@ -66,7 +74,7 @@ func (l *Loader[R]) Append(r R) error {
 		panic("runform: Append after Finish")
 	}
 	if len(l.cur) == 0 && cap(l.cur) < l.sys.B() {
-		l.cur = make([]R, 0, l.sys.B())
+		l.cur = pdisk.NewBlock[R](l.sys.B())
 	}
 	l.cur = append(l.cur, r)
 	l.file.Records++
@@ -157,20 +165,22 @@ func LoadInput[R record.KernelRecord](sys *pdisk.System, records []R) (*InputFil
 // algorithm's run formation consumes the input through it.
 //
 // The reader copies each record once, into one buffer it keeps for the
-// whole file: a slice Read returns is the caller's to modify — run
-// formation sorts each load in place — until the next Read reuses its
-// memory.
+// whole file, and frees each block once copied, runio.FreeBatch blocks
+// per free (no I/O counted): the file is consumed as it is read. A slice
+// Read returns is the caller's to modify — run formation sorts each load
+// in place — until the next Read reuses its memory.
 type Reader[R record.KernelRecord] struct {
 	sys  *pdisk.System
 	file *InputFile
 	next int // next block index to fetch
 	buf  []R // records fetched; buf[head:] not yet returned
 	head int
+	read *runio.Freer // frees the blocks copied into buf
 }
 
 // NewReader returns a Reader positioned at the start of the file.
 func NewReader[R record.KernelRecord](sys *pdisk.System, file *InputFile) *Reader[R] {
-	return &Reader[R]{sys: sys, file: file}
+	return &Reader[R]{sys: sys, file: file, read: runio.NewFreer(sys)}
 }
 
 // more appends one stripe to the buffer; it reports false at EOF.
@@ -182,13 +192,20 @@ func (r *Reader[R]) more() (bool, error) {
 	if end > len(r.file.addrs) {
 		end = len(r.file.addrs)
 	}
-	blocks, err := r.sys.ReadBlocks(r.file.addrs[r.next:end])
+	stripe := r.file.addrs[r.next:end]
+	blocks, err := r.sys.ReadBlocks(stripe)
 	if err != nil {
 		return false, err
 	}
 	r.next = end
-	for _, b := range blocks {
+	for i, b := range blocks {
 		r.buf = append(r.buf, pdisk.RecsOf[R](b)...)
+		if err := r.read.Drained(stripe[i]); err != nil {
+			return false, err
+		}
+	}
+	if r.next == len(r.file.addrs) {
+		return true, r.read.Flush()
 	}
 	return true, nil
 }

@@ -143,10 +143,12 @@ func NewWriterAsync[R record.KernelRecord](sys *pdisk.System, id, startDisk int)
 
 // Room lends the free tail of the block being formed, never empty: the
 // caller writes the run's next records into its head and hands them over
-// with Commit. It is the caller's to fill until then.
+// with Commit. It is the caller's to fill until then. Each block is
+// formed in an array from the store's pool (pdisk.NewBlock): usually one
+// whose block a merge has just drained and freed.
 func (w *Writer[R]) Room() []R {
 	if w.cur == nil {
-		w.cur = make([]R, 0, w.sys.B())
+		w.cur = pdisk.NewBlock[R](w.sys.B())
 	}
 	return w.cur[len(w.cur):cap(w.cur)]
 }
@@ -465,6 +467,52 @@ func eachRecord[R record.KernelRecord](fn func(R) error) func([]R) error {
 // counted; reclamation is bookkeeping).
 func Free(sys *pdisk.System, run *Run) error {
 	return sys.FreeBlocks(run.Addrs()...)
+}
+
+// FreeBatch is the number of drained blocks a Freer gathers before it
+// frees them in one System free. A free per block would cost a System
+// operation per block a merge reads; a batch of FreeBatch keeps the
+// frees' share of a merge in the noise and holds at most FreeBatch-1
+// drained blocks per merge in the store.
+const FreeBatch = 64
+
+// Freer frees a merge's input blocks as the merge drains them, so a pass
+// holds its data once, not its inputs and its outputs both. A merge calls
+// Drained with each input block's address once no record of the block is
+// left to merge; its caller calls Flush when the merge is done. A nil
+// Freer keeps every block: the pass loop hands its merges nil when a
+// checkpoint hook frees the pass's inputs after saving the manifest that
+// supersedes them.
+type Freer struct {
+	sys   *pdisk.System
+	batch []pdisk.BlockAddr
+}
+
+// NewFreer returns a Freer of sys's blocks.
+func NewFreer(sys *pdisk.System) *Freer {
+	return &Freer{sys: sys, batch: make([]pdisk.BlockAddr, 0, FreeBatch)}
+}
+
+// Drained notes that the merge is done with the block at addr, and frees
+// the batch once it holds FreeBatch addresses.
+func (f *Freer) Drained(addr pdisk.BlockAddr) error {
+	if f == nil {
+		return nil
+	}
+	if f.batch = append(f.batch, addr); len(f.batch) < FreeBatch {
+		return nil
+	}
+	return f.Flush()
+}
+
+// Flush frees the blocks noted since the last free.
+func (f *Freer) Flush() error {
+	if f == nil || len(f.batch) == 0 {
+		return nil
+	}
+	err := f.sys.FreeBlocks(f.batch...)
+	f.batch = f.batch[:0]
+	return err
 }
 
 // Addrs returns the addresses of the run's blocks in order.

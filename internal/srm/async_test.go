@@ -90,8 +90,10 @@ func TestMergeAsyncInjectedFaults(t *testing.T) {
 	srmWaitGoroutines(t, base)
 }
 
-// A free-path fault strikes after the async merges complete (runs are freed
-// between passes); the sort must surface it cleanly too.
+// A free-path fault strikes inside an async merge, with reads and
+// write-behind in flight: each merge frees its inputs' blocks as it drains
+// them, runio.FreeBatch at a time, and the first batch fills 64 blocks
+// into the first merge. The sort must surface it cleanly too.
 func TestSortRunsAsyncFreeFault(t *testing.T) {
 	base := runtime.NumGoroutine()
 	g := record.NewGenerator(66)

@@ -112,6 +112,11 @@ type merger[R record.KernelRecord] struct {
 
 	// async overlaps each ParRead with consumption (see the package doc).
 	async bool
+	// drained receives each input block once depleted; depleted[h] counts
+	// run h's depletions, which is the index of the block depleted next:
+	// a run's blocks deplete in order.
+	drained  *runio.Freer
+	depleted []int
 	// pendingRun is the run whose leading block a consumer depleted but
 	// whose block event the loop has not processed yet (-1 when none), and
 	// pendingKey is that block's last key. At most one depletion is pending:
@@ -149,7 +154,22 @@ type MergeOpts struct {
 // and must match the representation of the runs' stored blocks (callers
 // instantiate explicitly — nothing in the argument list names R).
 func Merge[R record.KernelRecord](sys *pdisk.System, runs []*runio.Run, r, outID, outStartDisk int, opts MergeOpts) (*runio.Run, MergeStats, error) {
-	m, err := newMerger[R](sys, runs, r, outID, outStartDisk, opts)
+	return mergeDraining[R](sys, runs, r, outID, outStartDisk, opts, nil)
+}
+
+// PassMerge returns SRM's merge for SortRunsWith: Merge at merge order r
+// under opts, handing each input block to the pass loop's Freer at its
+// depletion — block k of run h is the run's k-th depletion.
+func PassMerge[R record.KernelRecord](sys *pdisk.System, r int, opts MergeOpts) MergeFunc {
+	return func(group []*runio.Run, seq, start int, drained *runio.Freer) (*runio.Run, MergeStats, error) {
+		return mergeDraining[R](sys, group, r, seq, start, opts, drained)
+	}
+}
+
+// mergeDraining is Merge, handing each input block to drained at its
+// depletion.
+func mergeDraining[R record.KernelRecord](sys *pdisk.System, runs []*runio.Run, r, outID, outStartDisk int, opts MergeOpts, drained *runio.Freer) (*runio.Run, MergeStats, error) {
+	m, err := newMerger[R](sys, runs, r, outID, outStartDisk, opts, drained)
 	if err != nil {
 		return nil, MergeStats{}, err
 	}
@@ -174,6 +194,10 @@ func Merge[R record.KernelRecord](sys *pdisk.System, runs []*runio.Run, r, outID
 		if h := m.pendingRun; h >= 0 {
 			m.pendingRun = -1
 			m.core.Deplete(h, m.pendingKey)
+			if err := m.drained.Drained(m.runs[h].Addr(m.depleted[h])); err != nil {
+				return nil, MergeStats{}, err
+			}
+			m.depleted[h]++
 			progress++
 		}
 		if progress == 0 {
@@ -188,7 +212,7 @@ func Merge[R record.KernelRecord](sys *pdisk.System, runs []*runio.Run, r, outID
 }
 
 // newMerger validates the merge inputs and assembles the merge state.
-func newMerger[R record.KernelRecord](sys *pdisk.System, runs []*runio.Run, r, outID, outStartDisk int, opts MergeOpts) (*merger[R], error) {
+func newMerger[R record.KernelRecord](sys *pdisk.System, runs []*runio.Run, r, outID, outStartDisk int, opts MergeOpts, drained *runio.Freer) (*merger[R], error) {
 	if len(runs) == 0 {
 		return nil, fmt.Errorf("srm: merge of zero runs")
 	}
@@ -211,6 +235,8 @@ func newMerger[R record.KernelRecord](sys *pdisk.System, runs []*runio.Run, r, o
 		k:          ltree.NewKernel[R](len(runs), false),
 		cores:      opts.Cores,
 		async:      opts.Async,
+		drained:    drained,
+		depleted:   make([]int, len(runs)),
 		pendingRun: -1,
 	}
 	m.core = sched.New(runs, r, sys.D(), sys.D(), opts.Sink, m.onLead)

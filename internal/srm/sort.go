@@ -54,9 +54,11 @@ type PassFunc func(pass int, survivors []*runio.Run, nextSeq int) error
 
 // MergeFunc merges one group of a pass's runs into the run with sequence
 // number seq whose block 0 lies on disk start, and reports what the merge
-// did. It must count its own I/O: merges of one pass may share the disk
-// system concurrently.
-type MergeFunc func(group []*runio.Run, seq, start int) (*runio.Run, MergeStats, error)
+// did. It hands drained the address of each input block once it has
+// merged the block's last record (drained is nil when the pass loop keeps
+// the inputs for a checkpoint; its methods are then no-ops). It must count
+// its own I/O: merges of one pass may share the disk system concurrently.
+type MergeFunc func(group []*runio.Run, seq, start int, drained *runio.Freer) (*runio.Run, MergeStats, error)
 
 // SortOpts selects the execution mode of SortRunsOpts and SortRunsWith.
 // No option changes the runs or the statistics.
@@ -76,13 +78,10 @@ type SortOpts struct {
 }
 
 // SortRunsOpts repeatedly merges the given sorted runs, r at a time, until
-// one run remains, which it returns: SortRunsWith with SRM's Merge, under
+// one run remains, which it returns: SortRunsWith with SRM's PassMerge, under
 // opts' Async and Cores.
 func SortRunsOpts[R record.KernelRecord](sys *pdisk.System, runs []*runio.Run, r int, placement runio.Placement, seqStart int, opts SortOpts) (*runio.Run, SortStats, int, error) {
-	mopts := MergeOpts{Async: opts.Async, Cores: opts.Cores}
-	return SortRunsWith(sys, runs, r, placement, seqStart, opts, func(group []*runio.Run, seq, start int) (*runio.Run, MergeStats, error) {
-		return Merge[R](sys, group, r, seq, start, mopts)
-	})
+	return SortRunsWith(sys, runs, r, placement, seqStart, opts, PassMerge[R](sys, r, MergeOpts{Async: opts.Async, Cores: opts.Cores}))
 }
 
 // SortRunsWith is the pass loop of every run-merging sort: it repeatedly
@@ -91,9 +90,11 @@ func SortRunsOpts[R record.KernelRecord](sys *pdisk.System, runs []*runio.Run, r
 // disk; run sequence numbering starts at seqStart and the final value is
 // returned so callers can keep one global sequence across run formation
 // and merging (the staggered placement of Section 8 depends on it).
-// Without an AfterPass hook, input runs are freed as soon as their merge
-// completes. Of opts it reads Workers and AfterPass; merge carries the
-// rest of the execution mode.
+// Without an AfterPass hook, every merge frees each input block as soon
+// as it has drained it (MergeFunc's drained), so a pass holds its data
+// about once; with one, the pass's inputs are freed after the hook. Of
+// opts it reads Workers and AfterPass; merge carries the rest of the
+// execution mode.
 //
 // Merges of disjoint run groups share no state except the disk system,
 // which serialises individual I/O operations exactly as contending merges
@@ -122,9 +123,13 @@ func SortRunsWith(sys *pdisk.System, runs []*runio.Run, r int, placement runio.P
 		err   error
 	}
 	do := func(j *job) {
-		j.out, j.ms, j.err = merge(j.group, j.seq, j.start)
-		if j.err == nil && opts.AfterPass == nil {
-			j.err = freeRuns(sys, j.group)
+		var drained *runio.Freer
+		if opts.AfterPass == nil {
+			drained = runio.NewFreer(sys)
+		}
+		j.out, j.ms, j.err = merge(j.group, j.seq, j.start, drained)
+		if j.err == nil {
+			j.err = drained.Flush()
 		}
 	}
 	var stats SortStats

@@ -475,7 +475,7 @@ func sortRecords[R record.KernelRecord](records []Record, cfg Config, codec reco
 				return fmt.Errorf("srmsort: codec %s needs variable-length records; use SortVar or a varlen wire stream", codec.Name())
 			}
 			for off := 0; off < len(records); off += cfg.B {
-				if err := load(narrow[R](records[off:min(off+cfg.B, len(records))])); err != nil {
+				if err := load(narrow[R](records[off:min(off+cfg.B, len(records))], cfg.B)); err != nil {
 					return err
 				}
 			}
@@ -491,9 +491,10 @@ func sortRecords[R record.KernelRecord](records []Record, cfg Config, codec reco
 	return result, stats, nil
 }
 
-// narrow copies fixed-size records into a fresh block at kernel width R.
-func narrow[R record.KernelRecord](rs []Record) []R {
-	blk := make([]R, len(rs))
+// narrow copies fixed-size records into a block of capacity b at kernel
+// width R, from the store's pool (pdisk.NewBlock).
+func narrow[R record.KernelRecord](rs []Record, b int) []R {
+	blk := pdisk.NewBlock[R](b)[:len(rs)]
 	switch b := any(blk).(type) {
 	case []record.Rec16:
 		for i, r := range rs {
@@ -574,7 +575,7 @@ func sortOrResumeVar(records []VarRecord, cfg Config, resume bool) ([]VarRecord,
 				return fmt.Errorf("srmsort: variable-length records need Config.Codec varlen or varlen+flate (codec is %s)", codec.Name())
 			}
 			for off := 0; off < len(records); off += cfg.B {
-				blk := make([]record.Record, min(cfg.B, len(records)-off))
+				blk := pdisk.NewBlock[record.Record](cfg.B)[:min(cfg.B, len(records)-off)]
 				for i := range blk {
 					r, err := record.MakeVar(records[off+i].Key, records[off+i].Payload)
 					if err != nil {
@@ -825,8 +826,9 @@ func formRuns[R record.KernelRecord](sys *pdisk.System, cfg Config, codec record
 // final run (nil when there are no runs: an empty input). place places
 // the runs it writes and has made gen.Draws draws. After each pass it
 // saves the next generation in man, when the sort keeps a manifest, and
-// reports Progress; with neither, each group's inputs are freed as soon
-// as its merge completes. Memory m sizes PSV's lookahead buffers.
+// reports Progress, and the pass's inputs are freed after that; with
+// neither, each merge frees its inputs' blocks as it drains them. Memory
+// m sizes PSV's lookahead buffers.
 func mergeFrom[R record.KernelRecord](sys *pdisk.System, cfg Config, m, r int, man *manifest, gen runGen, runs []*runio.Run, place runio.Placement, stats *Stats, tr *progressTracker) (*runio.Run, error) {
 	tr.formed(stats.InitialRuns, len(runs), r, gen.Pass)
 	if len(runs) == 0 {
@@ -860,10 +862,7 @@ func mergeFrom[R record.KernelRecord](sys *pdisk.System, cfg Config, m, r int, m
 	case PSV:
 		merge = psv.Merge[R](sys, analysis.PSVLookahead(m, cfg.D, cfg.B))
 	default:
-		mopts := srm.MergeOpts{Async: cfg.Async, Cores: cfg.cores()}
-		merge = func(group []*runio.Run, seq, start int) (*runio.Run, srm.MergeStats, error) {
-			return srm.Merge[R](sys, group, r, seq, start, mopts)
-		}
+		merge = srm.PassMerge[R](sys, r, srm.MergeOpts{Async: cfg.Async, Cores: cfg.cores()})
 	}
 	final, ss, _, err := srm.SortRunsWith(sys, runs, r, counted, gen.Seq, opts, merge)
 	if err != nil {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 
+	"srmsort/internal/pdisk"
 	"srmsort/internal/record"
 )
 
@@ -186,9 +187,9 @@ func streamSort(r io.Reader, w io.Writer, cfg Config, resume bool) (Stats, error
 	return stats, nil
 }
 
-// wireFeed decodes the wire stream r into fresh blocks of b records with
-// read (a block reader under record.ReadBlock's contract) and hands each
-// to the loader. A malformed record fails the sort with its index.
+// wireFeed decodes the wire stream r into blocks of b records from the
+// store's pool (pdisk.NewBlock) with read (a block reader under
+// record.ReadBlock's contract) and hands each to the loader. A malformed record fails the sort with its index.
 func wireFeed[R record.KernelRecord](r io.Reader, b int, read func(*bufio.Reader, []R) (int, error)) recordFeed[R] {
 	return func(load func([]R) error) error {
 		if r == nil {
@@ -196,7 +197,7 @@ func wireFeed[R record.KernelRecord](r io.Reader, b int, read func(*bufio.Reader
 		}
 		br := bufio.NewReaderSize(r, wireBufBytes)
 		for n := 0; ; {
-			blk := make([]R, b)
+			blk := pdisk.NewBlock[R](b)[:b]
 			k, err := read(br, blk)
 			if k > 0 {
 				if err := load(blk[:k]); err != nil {
